@@ -3,9 +3,9 @@
 
 RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal
 
-.PHONY: verify build test vet race bench bench-smoke chaos-smoke drain-smoke advisory
+.PHONY: verify build test vet race bench bench-smoke bench-build chaos-smoke drain-smoke tcb advisory
 
-verify: build test vet race
+verify: build test vet race bench-build
 
 build:
 	go build ./...
@@ -29,6 +29,13 @@ bench:
 bench-smoke:
 	go test -bench=. -benchtime=1x ./internal/pfs ./internal/pae ./internal/bench
 
+# benchmark/ is its own module (BENCHMARK.json's ledger), outside
+# `go build ./...` above: vet and test it against this tree so a deleted
+# or renamed export it pins fails here. Mirrors the bench-build CI step.
+bench-build:
+	go -C benchmark vet ./...
+	go -C benchmark test ./...
+
 # Deterministic chaos pass under -race: the brownout recovery contract
 # (degraded read-only mode, breaker lifecycle, audit evidence) and the
 # resilient-wrapper unit suite. Mirrors the chaos-smoke CI job.
@@ -41,6 +48,23 @@ chaos-smoke:
 drain-smoke:
 	go test -race -run 'TestLimiter|TestAdmi|TestCancelled|TestOverload|TestDrain|TestGetContext|TestCloseRejects|TestExporterFlush' ./internal/core ./internal/store ./internal/journal ./internal/obs
 	go test -race -tags drainsmoke -run TestSIGTERMGracefulDrain ./cmd/segshare-server
+
+# Size of the trusted computing base: non-test Go lines of every package
+# that runs inside the enclave (for enctls, the trusted half only) and
+# the server's flag count. The paper reports 8 441 LoC (§VII) and counts
+# enclave code size as a security property; this is advisory — it prints,
+# it never fails. Mirrors the tcb CI step.
+TCB_PKGS := core obs acl pfs pae rollback mhash journal audit cache dedup fspath enclave
+tcb:
+	@total=0; \
+	for p in $(TCB_PKGS); do \
+		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
+		printf '%-9s %6d\n' $$p $$n; total=$$((total+n)); \
+	done; \
+	n=$$(cat internal/enctls/endpoint.go internal/enctls/conn.go | wc -l); \
+	printf '%-9s %6d  (trusted half: endpoint.go conn.go)\n' enctls $$n; total=$$((total+n)); \
+	printf '%-9s %6d  non-test Go lines inside the trust boundary (paper: 8441)\n' total $$total
+	@printf 'segshare-server flags: %d\n' $$(go run ./cmd/segshare-server -h 2>&1 | grep -c '^  -')
 
 # Advisory static analysis — mirrors the non-blocking CI job. Needs
 # network access to fetch the tools; failures here never gate a merge.

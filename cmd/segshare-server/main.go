@@ -52,9 +52,7 @@ func run() error {
 		logLevel = flag.String("log", "info", "request log level on stderr: debug|info|warn|error|off")
 		auditOn  = flag.Bool("audit", false, "enable the tamper-evident audit log (segments under <data>/audit)")
 		auditOfl = flag.String("audit-overflow", "drop", "audit queue overflow policy: drop (count and continue) | block (complete trail, couples request latency to audit I/O)")
-		shards   = flag.Int("lock-shards", 0, "per-path lock shards in the request path (0 = default 64, 1 ~= one global lock)")
 		cacheKiB = flag.Int64("cache-kib", 0, "in-enclave relation cache budget in KiB (0 = default 8 MiB, negative disables)")
-		cryptoW  = flag.Int("crypto-workers", 0, "chunk-crypto workers on the content data path (0 = default min(GOMAXPROCS, 8), 1 or negative = serial)")
 		profMtx  = flag.Int("profile-mutex", 0, "mutex contention sampling for /debug/pprof/mutex: 1 = every event, n = 1/n, 0 = off")
 		profBlk  = flag.Int("profile-block", 0, "block profiling for /debug/pprof/block: record events blocking >= this many ns, 0 = off")
 		journal  = flag.Bool("journal", true, "crash-consistent mutations via the sealed intent journal (disable only for benchmarking)")
@@ -216,9 +214,7 @@ func run() error {
 		Features:          features,
 		FileSystemOwner:   *fso,
 		Logger:            logger,
-		LockShards:        *shards,
 		CacheBytes:        *cacheKiB * 1024,
-		CryptoWorkers:     *cryptoW,
 		DisableJournal:    !*journal,
 		Obs:               reg,
 		Recovery:          recovery,
@@ -362,8 +358,8 @@ func run() error {
 		return err
 	}
 	health.SetReady(true)
-	fmt.Printf("serving on %s (features: dedup=%v hide=%v rollback=%v guard=%s audit=%v journal=%v wide-events=%v watchdog=%v slo=%v hot-k=%d profiler=%v crypto-workers=%d resilience=%v)\n",
-		listenAddr, *dedup, *hide, *rollback, *guard, *auditOn, *journal, *wideEv, *wdOn, *sloOn, *hotK, *profDir != "", *cryptoW, *resilOn)
+	fmt.Printf("serving on %s (features: dedup=%v hide=%v rollback=%v guard=%s audit=%v journal=%v wide-events=%v watchdog=%v slo=%v hot-k=%d profiler=%v resilience=%v)\n",
+		listenAddr, *dedup, *hide, *rollback, *guard, *auditOn, *journal, *wideEv, *wdOn, *sloOn, *hotK, *profDir != "", *resilOn)
 
 	<-sig
 	health.SetReady(false)

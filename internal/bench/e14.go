@@ -20,7 +20,7 @@ import (
 
 // E14Config parameterizes the chunk-crypto sweep.
 type E14Config struct {
-	// Workers holds the pool sizes to sweep; 1 is the serial baseline.
+	// Workers holds the pool sizes to sweep; 1 is the inline kernel.
 	Workers []int
 	// FileMiB is the transfer size per operation.
 	FileMiB int

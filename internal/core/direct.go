@@ -9,6 +9,7 @@ import (
 	"segshare/internal/acl"
 	"segshare/internal/fspath"
 	"segshare/internal/obs"
+	"segshare/internal/store"
 )
 
 // DirectSession executes requests for a user directly against the
@@ -40,9 +41,9 @@ func (d *DirectSession) parse(path string) (fspath.Path, error) {
 	return fspath.Parse(path)
 }
 
-// statusForErr maps a core error to the HTTP status class the wire path
-// would have reported, so direct and HTTP wide events bucket alike. It
-// mirrors writeMappedErr.
+// statusForErr is the one error→status table: writeMappedErr answers
+// HTTP requests from it and direct sessions feed it to their wide events
+// and SLO records, so both transports bucket alike.
 func statusForErr(err error) int {
 	switch {
 	case err == nil:
@@ -55,11 +56,20 @@ func statusForErr(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
+	case errors.Is(err, ErrRangeNotSatisfiable):
+		return http.StatusRequestedRangeNotSatisfiable
 	case errors.Is(err, ErrTooLarge):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrCanceled), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// The client is gone; the status exists for telemetry only.
 		return StatusClientClosedRequest
-	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDegraded):
+	case errors.Is(err, ErrDegraded), errors.Is(err, ErrOverloaded),
+		errors.Is(err, store.ErrSaturated), errors.Is(err, store.ErrCircuitOpen):
+		// Fast rejections before any trusted state changed: degraded
+		// read-only mode, admission shed, or a saturated backend pool.
+		// Unlike the 500s below, which signal store/integrity trouble
+		// (ErrIntegrity, ErrRollback, anything unmapped), these tell
+		// well-behaved clients to back off and retry.
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError

@@ -98,9 +98,9 @@ type fileManager struct {
 	// only before the journal intent commits (txn.go).
 	ctx context.Context
 
-	// cryptoWorkers bounds the chunk-crypto worker pool used on the
-	// content data path (DESIGN §14); 1 means strictly serial. Resolved
-	// in NewServer, never zero.
+	// cryptoWorkers bounds the goroutines of the chunk-crypto kernel on
+	// the content data path (DESIGN §14); 1 means inline. Resolved in
+	// NewServer, never zero.
 	cryptoWorkers int
 
 	obs *serverObs
@@ -169,18 +169,6 @@ func (fm *fileManager) ctxErr() error {
 	return nil
 }
 
-// backendGet reads one object through the namespace backend, bounded by
-// the view's request context when the backend supports it (Resilient
-// and Instrumented do; bare test backends fall back to a plain Get).
-func (fm *fileManager) backendGet(ns *namespace, name string) ([]byte, error) {
-	if fm.ctx != nil {
-		if cg, ok := ns.backend.(store.ContextGetter); ok {
-			return cg.GetContext(fm.ctx, name)
-		}
-	}
-	return ns.backend.Get(name)
-}
-
 type fmConfig struct {
 	rootKey      []byte
 	contentStore store.Backend
@@ -200,8 +188,8 @@ type fmConfig struct {
 	journal *journal.Journal
 	// recovery publishes journal-recovery progress; may be nil.
 	recovery *RecoveryState
-	// cryptoWorkers bounds the chunk-crypto worker pool (resolved value;
-	// < 1 is clamped to serial).
+	// cryptoWorkers bounds the chunk-crypto goroutines (resolved value;
+	// < 1 is clamped to 1, the inline kernel).
 	cryptoWorkers int
 	// degradedGate rejects mutations with an ErrDegraded-wrapped error
 	// while a store circuit breaker is open; nil when resilience is off.
@@ -412,6 +400,61 @@ func (fm *fileManager) putBlobRaw(ns *namespace, name string, hdr *rollback.Head
 	return nil
 }
 
+// fetch is the one place a logical file's stored blob is read: it loads
+// the blob through the namespace backend, bounded by the view's request
+// context (checked first, then handed to backends that take one —
+// Resilient and Instrumented do; bare test backends get a plain Get),
+// and recalls the file key that opens it.
+func (fm *fileManager) fetch(ns *namespace, name string) (raw []byte, key pae.Key, err error) {
+	if err := fm.ctxErr(); err != nil {
+		return nil, key, err
+	}
+	fm.rs.AddStoreOps(1)
+	stored := fm.storageName(ns, name)
+	if cg, ok := ns.backend.(store.ContextGetter); ok {
+		raw, err = cg.GetContext(fm.ctx, stored)
+	} else {
+		raw, err = ns.backend.Get(stored)
+	}
+	if errors.Is(err, store.ErrNotExist) {
+		return nil, key, fmt.Errorf("%w: %s", ErrNotFound, name)
+	}
+	if err != nil {
+		return nil, key, fmt.Errorf("segshare: load %q: %w", name, err)
+	}
+	key, err = fm.fileKey(ns, name)
+	return raw, key, err
+}
+
+// open fetches a logical file and authenticates its footer for verified
+// random access: reads through the returned Reader decrypt and check
+// only the chunks they touch.
+func (fm *fileManager) open(ns *namespace, name string) (*pfs.Reader, error) {
+	raw, key, err := fm.fetch(ns, name)
+	if err != nil {
+		return nil, err
+	}
+	r, err := pfs.Open(key, fm.fileID(ns, name), bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		return nil, fm.openErr(name, err)
+	}
+	return r, nil
+}
+
+// openErr maps a pfs failure on the named file: corruption is evidence
+// of tampering by the untrusted store (ErrIntegrity); an open that the
+// request context stopped mid-file is the request's cancellation
+// (ErrCanceled).
+func (fm *fileManager) openErr(name string, err error) error {
+	if errors.Is(err, pfs.ErrCorrupt) {
+		return fmt.Errorf("%w: %s", ErrIntegrity, name)
+	}
+	if cerr := fm.ctxErr(); cerr != nil {
+		return cerr
+	}
+	return err
+}
+
 // getBlob loads, decrypts, and verifies a logical file, returning its
 // rollback header (nil when the extension is off) and body. Reads
 // observe the active operation's staged state first, so intra-operation
@@ -432,27 +475,13 @@ func (fm *fileManager) getBlob(ns *namespace, name string) (*rollback.Header, []
 			return hdr, body, nil
 		}
 	}
-	if err := fm.ctxErr(); err != nil {
-		return nil, nil, err
-	}
-	fm.rs.AddStoreOps(1)
-	raw, err := fm.backendGet(ns, fm.storageName(ns, name))
-	if errors.Is(err, store.ErrNotExist) {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("segshare: load %q: %w", name, err)
-	}
-	key, err := fm.fileKey(ns, name)
+	raw, key, err := fm.fetch(ns, name)
 	if err != nil {
 		return nil, nil, err
 	}
 	plain, err := pfs.DecryptWorkersCtx(fm.ctx, key, fm.fileID(ns, name), raw, fm.cryptoWorkers)
-	if errors.Is(err, pfs.ErrCorrupt) {
-		return nil, nil, fmt.Errorf("%w: %s", ErrIntegrity, name)
-	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fm.openErr(name, err)
 	}
 	fm.obs.observeCryptoOpen(pfs.UsesParallel(int64(len(plain)), fm.cryptoWorkers))
 	if !fm.rollbackOn {
@@ -481,21 +510,9 @@ func (fm *fileManager) readHeader(ns *namespace, name string) (*rollback.Header,
 			return hdr, nil
 		}
 	}
-	fm.rs.AddStoreOps(1)
-	raw, err := ns.backend.Get(fm.storageName(ns, name))
-	if errors.Is(err, store.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("segshare: load %q: %w", name, err)
-	}
-	key, err := fm.fileKey(ns, name)
+	r, err := fm.open(ns, name)
 	if err != nil {
 		return nil, err
-	}
-	r, err := pfs.Open(key, fm.fileID(ns, name), bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrIntegrity, name)
 	}
 	maxHdr := (&rollback.Header{Inner: true}).EncodedSize()
 	if int64(maxHdr) > r.Size() {

@@ -18,7 +18,6 @@ import (
 	"segshare/internal/ca"
 	"segshare/internal/fspath"
 	"segshare/internal/obs"
-	"segshare/internal/store"
 )
 
 // The request handler (paper Fig. 1) parses each request, allocates it to
@@ -852,41 +851,14 @@ const StatusClientClosedRequest = 499
 // a couple of seconds — so one honest constant beats a leaky oracle.
 const retryAfterSeconds = "2"
 
-// writeMappedErr translates core errors to HTTP statuses.
+// writeMappedErr answers a request with the status statusForErr maps its
+// error to; every 503 carries the Retry-After hint.
 func writeMappedErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrPermissionDenied):
-		writeErr(w, http.StatusForbidden, err)
-	case errors.Is(err, ErrNotFound), errors.Is(err, ErrGroupNotFound):
-		writeErr(w, http.StatusNotFound, err)
-	case errors.Is(err, ErrExists), errors.Is(err, ErrNotEmpty):
-		writeErr(w, http.StatusConflict, err)
-	case errors.Is(err, ErrBadRequest):
-		writeErr(w, http.StatusBadRequest, err)
-	case errors.Is(err, ErrRangeNotSatisfiable):
-		writeErr(w, http.StatusRequestedRangeNotSatisfiable, err)
-	case errors.Is(err, ErrTooLarge):
-		writeErr(w, http.StatusRequestEntityTooLarge, err)
-	case errors.Is(err, ErrCanceled),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
-		// The client is gone; the status exists for telemetry only.
-		writeErr(w, StatusClientClosedRequest, err)
-	case errors.Is(err, ErrDegraded),
-		errors.Is(err, ErrOverloaded),
-		errors.Is(err, store.ErrSaturated),
-		errors.Is(err, store.ErrCircuitOpen):
-		// Fast rejections before any trusted state changed: degraded
-		// read-only mode, admission shed, or a saturated backend pool.
-		// 503 + Retry-After tells well-behaved clients to back off,
-		// unlike the 500s below which signal store/integrity trouble.
+	status := statusForErr(err)
+	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", retryAfterSeconds)
-		writeErr(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrIntegrity), errors.Is(err, ErrRollback):
-		writeErr(w, http.StatusInternalServerError, err)
-	default:
-		writeErr(w, http.StatusInternalServerError, err)
 	}
+	writeErr(w, status, err)
 }
 
 func groupNames(groups []acl.GroupName) []string {

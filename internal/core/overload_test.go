@@ -6,6 +6,8 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"segshare/internal/audit"
 	"segshare/internal/ca"
 	"segshare/internal/enclave"
+	"segshare/internal/fspath"
 	"segshare/internal/journal"
 	"segshare/internal/obs"
 	"segshare/internal/store"
@@ -105,6 +108,101 @@ func TestCancelledMutationBeforeCommitLeavesNoState(t *testing.T) {
 	}
 	if jl := f.server.fm.journal; jl != nil && jl.PendingCount() != 0 {
 		t.Fatalf("canceled PUT left %d pending intents", jl.PendingCount())
+	}
+}
+
+// cancelingStore counts Gets and, once armed, cancels a request context
+// right after the Get that reaches the armed count (at once for 0).
+type cancelingStore struct {
+	store.Backend
+	mu       sync.Mutex
+	gets     int
+	cancelAt int
+	cancel   context.CancelFunc
+}
+
+func (c *cancelingStore) arm(cancelAt int, cancel context.CancelFunc) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gets, c.cancelAt, c.cancel = 0, cancelAt, cancel
+	if cancelAt == 0 {
+		cancel()
+	}
+}
+
+func (c *cancelingStore) Get(name string) ([]byte, error) {
+	raw, err := c.Backend.Get(name)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gets++
+	if c.gets == c.cancelAt {
+		c.cancel()
+	}
+	return raw, err
+}
+
+// TestCancelledReadIssuesNoFurtherGet verifies that every blob read of a
+// GET honours the request context: wherever in its sequence of store
+// Gets the client goes away — before the first, or right after any but
+// the last — the request returns ErrCanceled and issues no further Get.
+// With the relation caches warm, the Range GET (raw body, rollback off)
+// is a single random-access read in rangeFast, and the rollback-mode GET
+// reads the headers of the file's bucket siblings in validateNode — both
+// used to read the store outside the request context and ran on.
+func TestCancelledReadIssuesNoFurtherGet(t *testing.T) {
+	tests := []struct {
+		name     string
+		features Features
+		read     func(ac *accessControl, path fspath.Path) error
+	}{
+		{"range", Features{}, func(ac *accessControl, path fspath.Path) error {
+			_, err := ac.GetFileRange("alice", path, ByteRange{Start: 5000, End: 5999})
+			return err
+		}},
+		{"rollback", Features{RollbackProtection: true}, func(ac *accessControl, path fspath.Path) error {
+			_, err := ac.GetFile("alice", path)
+			return err
+		}},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := &cancelingStore{Backend: store.NewMemory()}
+			f, _ := newOverloadFixture(t, func(cfg *Config) {
+				cfg.ContentStore = cs
+				cfg.Features = tc.features
+			})
+			// 48 siblings over 16 buckets: the target shares its bucket.
+			for i := 0; i < 48; i++ {
+				if rec := f.do(t, "alice", "PUT", fmt.Sprintf("/fs/f%02d.bin", i), make([]byte, 10000), nil); rec.Code != 201 {
+					t.Fatalf("PUT %d = %d: %s", i, rec.Code, rec.Body)
+				}
+			}
+			path := mustPath(t, "/f07.bin")
+
+			// The first live read warms the caches, the second counts.
+			for i := 0; i < 2; i++ {
+				cs.arm(-1, nil)
+				if err := tc.read(f.server.ac.withRequest(nil, context.Background()), path); err != nil {
+					t.Fatalf("live read: %v", err)
+				}
+			}
+			total := cs.gets
+			if total < 1 {
+				t.Fatalf("live read issued %d content-store Gets", total)
+			}
+			for at := 0; at < total; at++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				cs.arm(at, cancel)
+				err := tc.read(f.server.ac.withRequest(nil, ctx), path)
+				cancel()
+				if !errors.Is(err, ErrCanceled) {
+					t.Fatalf("canceled after Get %d of %d: err = %v, want ErrCanceled", at, total, err)
+				}
+				if cs.gets != at {
+					t.Fatalf("canceled after Get %d of %d: %d Gets issued", at, total, cs.gets)
+				}
+			}
+		})
 	}
 }
 

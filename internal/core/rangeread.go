@@ -1,13 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 
 	"segshare/internal/fspath"
-	"segshare/internal/pfs"
-	"segshare/internal/store"
 )
 
 // ByteRange is a single parsed HTTP byte range, not yet resolved against
@@ -91,21 +87,9 @@ func (fm *fileManager) readContentRange(path fspath.Path, br ByteRange) (RangeRe
 // any error with fast=true is final.
 func (fm *fileManager) rangeFast(path fspath.Path, br ByteRange) (res RangeResult, fast bool, err error) {
 	name := path.String()
-	fm.rs.AddStoreOps(1)
-	raw, err := fm.content.backend.Get(fm.storageName(fm.content, name))
-	if errors.Is(err, store.ErrNotExist) {
-		return RangeResult{}, true, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if err != nil {
-		return RangeResult{}, true, fmt.Errorf("segshare: load %q: %w", name, err)
-	}
-	key, err := fm.fileKey(fm.content, name)
+	r, err := fm.open(fm.content, name)
 	if err != nil {
 		return RangeResult{}, true, err
-	}
-	r, err := pfs.Open(key, fm.fileID(fm.content, name), bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		return RangeResult{}, true, fmt.Errorf("%w: %s", ErrIntegrity, name)
 	}
 	if r.Size() < 1 {
 		return RangeResult{}, true, fmt.Errorf("%w: %s: empty content body", ErrIntegrity, name)

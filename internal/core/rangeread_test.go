@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/x509"
+	"errors"
 	"fmt"
 	"net/http"
 	"testing"
@@ -70,6 +71,45 @@ func TestByteRangeResolve(t *testing.T) {
 			t.Errorf("%s: resolve = (%d, %d), want (%d, %d)", tc.name, off, length, tc.off, tc.length)
 		}
 	}
+}
+
+// FuzzParseRangeHeader feeds arbitrary Range header values through the
+// parser and the resolver: neither may panic, a rejected header yields
+// the zero ByteRange, and an accepted one resolves against any file size
+// either to ErrRangeNotSatisfiable or to a non-empty window inside the
+// file (0 <= off, off+length <= total, no overflow).
+func FuzzParseRangeHeader(f *testing.F) {
+	f.Add("bytes=0-99", int64(100))
+	f.Add("bytes=100-", int64(100))
+	f.Add("bytes=-50", int64(7))
+	f.Add("bytes= 5 - 9 ", int64(0))
+	f.Add("bytes=0-9223372036854775807", int64(1))
+	f.Add("bytes=-9223372036854775807", int64(9223372036854775807))
+	f.Add("bytes=9223372036854775807-", int64(9223372036854775807))
+	f.Add("bytes=0-0,5-9", int64(10))
+	f.Add("bytes=--1", int64(10))
+	f.Fuzz(func(t *testing.T, header string, total int64) {
+		br, ok := parseRangeHeader(header)
+		if !ok {
+			if br != (ByteRange{}) {
+				t.Fatalf("parseRangeHeader(%q) rejected but returned %+v", header, br)
+			}
+			return
+		}
+		if total < 0 {
+			total = -(total + 1)
+		}
+		off, length, err := br.resolve(total)
+		if err != nil {
+			if !errors.Is(err, ErrRangeNotSatisfiable) {
+				t.Fatalf("%+v.resolve(%d): err = %v, want ErrRangeNotSatisfiable", br, total, err)
+			}
+			return
+		}
+		if off < 0 || length < 1 || off+length < off || off+length > total {
+			t.Fatalf("%+v.resolve(%d) = (off %d, length %d), outside the file", br, total, off, length)
+		}
+	})
 }
 
 // newHandlerFixtureWith builds a handler fixture with the given feature

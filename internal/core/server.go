@@ -87,10 +87,10 @@ type Config struct {
 	// member lists, group list, directory bodies, derived file keys).
 	// Zero means the default (8 MiB); negative disables caching.
 	CacheBytes int64
-	// CryptoWorkers bounds the chunk-crypto worker pool on the content
-	// data path (DESIGN §14). Zero means the default,
-	// min(GOMAXPROCS, 8); negative (or 1) forces strictly serial
-	// sealing/opening, which benchmarks use as the before-configuration.
+	// CryptoWorkers bounds the goroutines of the chunk-crypto kernel on
+	// the content data path (DESIGN §14). Zero means the default,
+	// min(GOMAXPROCS, 8); negative (or 1) keeps sealing/opening inline
+	// on the request's goroutine, which E14 sweeps against.
 	CryptoWorkers int
 	// Resilience, when non-nil, wraps the content, group, and dedup
 	// stores in store.Resilient (DESIGN §15): per-op-class deadlines,

@@ -24,7 +24,7 @@ func BenchmarkEncrypt(b *testing.B) {
 		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
 			b.SetBytes(int64(size))
 			for i := 0; i < b.N; i++ {
-				if _, err := Encrypt(key, []byte("/f"), pt); err != nil {
+				if _, err := EncryptWorkers(key, []byte("/f"), pt, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -35,14 +35,14 @@ func BenchmarkEncrypt(b *testing.B) {
 func BenchmarkDecrypt(b *testing.B) {
 	key := benchKey(b)
 	for _, size := range []int{64 << 10, 1 << 20, 8 << 20} {
-		blob, err := Encrypt(key, []byte("/f"), make([]byte, size))
+		blob, err := EncryptWorkers(key, []byte("/f"), make([]byte, size), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
 			b.SetBytes(int64(size))
 			for i := 0; i < b.N; i++ {
-				if _, err := Decrypt(key, []byte("/f"), blob); err != nil {
+				if _, err := DecryptWorkers(key, []byte("/f"), blob, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,7 +54,7 @@ func BenchmarkDecrypt(b *testing.B) {
 // operation header reads during bucket validation rely on.
 func BenchmarkReadAtRandomChunk(b *testing.B) {
 	key := benchKey(b)
-	blob, err := Encrypt(key, []byte("/f"), make([]byte, 4<<20))
+	blob, err := EncryptWorkers(key, []byte("/f"), make([]byte, 4<<20), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func FuzzDecrypt(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid, err := Encrypt(key, []byte("/f"), bytes.Repeat([]byte("x"), 3*ChunkSize/2))
+	valid, err := EncryptWorkers(key, []byte("/f"), bytes.Repeat([]byte("x"), 3*ChunkSize/2), 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -22,29 +22,33 @@ func FuzzDecrypt(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		pt, err := Decrypt(key, []byte("/f"), blob)
+		pt, err := DecryptWorkers(key, []byte("/f"), blob, 1)
 		if err != nil {
 			return
 		}
 		// Anything accepted must re-encrypt to the same plaintext (the
 		// blob itself differs due to fresh nonces).
-		re, err := Encrypt(key, []byte("/f"), pt)
+		re, err := EncryptWorkers(key, []byte("/f"), pt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Decrypt(key, []byte("/f"), re)
+		back, err := DecryptWorkers(key, []byte("/f"), re, 1)
 		if err != nil || !bytes.Equal(back, pt) {
 			t.Fatalf("round trip after fuzz-accepted blob failed: %v", err)
 		}
 	})
 }
 
-// FuzzDecryptParallel feeds arbitrary blobs to the parallel reader. It
-// must never panic (in any worker goroutine), must agree with the serial
-// reader on accept/reject, and must return identical plaintext when both
-// accept. Corrupted chunk boundaries are the interesting region: the
-// parallel path slices chunk extents straight out of the blob, so the
-// seeds bias mutations there.
+// FuzzDecryptParallel feeds arbitrary blobs to the open kernel at
+// several worker counts. It must never panic (in any worker goroutine),
+// inline and fanned-out runs must agree on accept/reject and on the
+// plaintext, and whatever the full open accepts the random-access Reader
+// must read back identically over the whole range. (The converse does
+// not hold: ReadAt only touches the stored nodes on its Merkle paths, so
+// it cannot see tampering in the others; the full open compares all.)
+// Corrupted chunk boundaries are the interesting region: the kernel
+// slices chunk extents straight out of the blob, so the seeds bias
+// mutations there.
 func FuzzDecryptParallel(f *testing.F) {
 	key, err := pae.KeyFromBytes(bytes.Repeat([]byte{7}, pae.KeySize))
 	if err != nil {
@@ -52,7 +56,7 @@ func FuzzDecryptParallel(f *testing.F) {
 	}
 	// 5 full chunks plus a partial tail: enough leaves for two tree
 	// levels and a promoted odd node.
-	valid, err := Encrypt(key, []byte("/f"), bytes.Repeat([]byte("y"), 5*ChunkSize+100))
+	valid, err := EncryptWorkers(key, []byte("/f"), bytes.Repeat([]byte("y"), 5*ChunkSize+100), 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -67,13 +71,22 @@ func FuzzDecryptParallel(f *testing.F) {
 	tail[5*(ChunkSize+pae.Overhead)+10] ^= 0x01 // inside the partial tail chunk
 	f.Add(tail)
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		serialPt, serialErr := Decrypt(key, []byte("/f"), blob)
-		parPt, parErr := DecryptWorkers(key, []byte("/f"), blob, 4)
-		if (serialErr == nil) != (parErr == nil) {
-			t.Fatalf("serial/parallel disagree: serial err=%v, parallel err=%v", serialErr, parErr)
+		inlinePt, inlineErr := DecryptWorkers(key, []byte("/f"), blob, 1)
+		for _, workers := range []int{2, 4} {
+			pt, err := DecryptWorkers(key, []byte("/f"), blob, workers)
+			if (inlineErr == nil) != (err == nil) {
+				t.Fatalf("inline and w%d disagree: inline err=%v, w%d err=%v", workers, inlineErr, workers, err)
+			}
+			if err == nil && !bytes.Equal(inlinePt, pt) {
+				t.Fatalf("inline and w%d accepted the blob with different plaintexts", workers)
+			}
 		}
-		if serialErr == nil && !bytes.Equal(serialPt, parPt) {
-			t.Fatal("serial and parallel readers accepted the blob with different plaintexts")
+		if inlineErr != nil {
+			return
+		}
+		viaReadAt, err := readAllAt(key, []byte("/f"), blob)
+		if err != nil || !bytes.Equal(viaReadAt, inlinePt) {
+			t.Fatalf("full open accepted the blob but whole-range ReadAt did not agree: err=%v", err)
 		}
 	})
 }
@@ -87,7 +100,7 @@ func FuzzMutateValid(f *testing.F) {
 		f.Fatal(err)
 	}
 	plaintext := bytes.Repeat([]byte("secret"), 2048)
-	valid, err := Encrypt(key, []byte("/f"), plaintext)
+	valid, err := EncryptWorkers(key, []byte("/f"), plaintext, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -96,7 +109,7 @@ func FuzzMutateValid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pos uint32, mask byte) {
 		blob := bytes.Clone(valid)
 		blob[int(pos)%len(blob)] ^= mask
-		got, err := Decrypt(key, []byte("/f"), blob)
+		got, err := DecryptWorkers(key, []byte("/f"), blob, 1)
 		if err != nil {
 			return
 		}

@@ -10,8 +10,11 @@
 // The encrypted encoding is self-contained: chunks first, then the Merkle
 // tree nodes, then a fixed-size footer whose HMAC (under a key derived
 // from the file key) authenticates all structural metadata and the tree
-// root. A single pass suffices for writing, so the enclave only ever
-// buffers one chunk (paper §VI's streaming requirement).
+// root. Every chunk's position in the blob follows from its index alone,
+// so one kernel (kernel.go) seals or opens chunks straight into their
+// final slots of caller-owned buffers. Today's entry points hand it the
+// whole file at once and so hold O(file) bytes; the bounded-memory
+// streaming of paper §VI is a loop over chunk windows on that kernel.
 package pfs
 
 import (
@@ -41,8 +44,6 @@ var (
 	// ErrCorrupt is returned when a protected file fails integrity
 	// verification anywhere (chunk, tree, or footer).
 	ErrCorrupt = errors.New("pfs: integrity verification failed")
-	// ErrWriterClosed is returned when writing to a closed Writer.
-	ErrWriterClosed = errors.New("pfs: writer closed")
 	// ErrReadRange is returned for out-of-range random access.
 	ErrReadRange = errors.New("pfs: read out of range")
 )
@@ -75,11 +76,15 @@ func storedNodeCount(n int64) int64 {
 	return total
 }
 
-// chunkKey derives the chunk-encryption key; the footer MAC uses a
-// separate derived key so chunk and metadata protection are domain
-// separated.
-func chunkKey(fileKey pae.Key) (pae.Key, error) {
-	return pae.DeriveKey(fileKey[:], "pfs-chunk-key", nil)
+// chunkCipher derives the chunk-encryption key and readies its AEAD; the
+// footer MAC uses a separate derived key so chunk and metadata
+// protection are domain separated.
+func chunkCipher(fileKey pae.Key) (*pae.Cipher, error) {
+	ck, err := pae.DeriveKey(fileKey[:], "pfs-chunk-key", nil)
+	if err != nil {
+		return nil, err
+	}
+	return pae.NewCipher(ck)
 }
 
 func macKey(fileKey pae.Key) ([]byte, error) {

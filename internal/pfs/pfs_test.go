@@ -37,7 +37,7 @@ func TestEncryptDecryptSizes(t *testing.T) {
 	}
 	for _, size := range sizes {
 		pt := deterministicData(size)
-		blob, err := Encrypt(key, []byte("/f"), pt)
+		blob, err := EncryptWorkers(key, []byte("/f"), pt, 1)
 		if err != nil {
 			t.Fatalf("size %d: Encrypt: %v", size, err)
 		}
@@ -45,7 +45,7 @@ func TestEncryptDecryptSizes(t *testing.T) {
 		if int64(len(blob)) != wantLen {
 			t.Fatalf("size %d: blob %d bytes, Overhead predicts %d", size, len(blob), wantLen)
 		}
-		got, err := Decrypt(key, []byte("/f"), blob)
+		got, err := DecryptWorkers(key, []byte("/f"), blob, 1)
 		if err != nil {
 			t.Fatalf("size %d: Decrypt: %v", size, err)
 		}
@@ -66,14 +66,14 @@ func TestOverheadIsSmall(t *testing.T) {
 
 func TestDecryptRejectsWrongKeyAndFileID(t *testing.T) {
 	key := testKey(t)
-	blob, err := Encrypt(key, []byte("/f"), deterministicData(3*ChunkSize))
+	blob, err := EncryptWorkers(key, []byte("/f"), deterministicData(3*ChunkSize), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decrypt(testKey(t), []byte("/f"), blob); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecryptWorkers(testKey(t), []byte("/f"), blob, 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong key: want ErrCorrupt, got %v", err)
 	}
-	if _, err := Decrypt(key, []byte("/other"), blob); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecryptWorkers(key, []byte("/other"), blob, 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong file id: want ErrCorrupt, got %v", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestDecryptRejectsWrongKeyAndFileID(t *testing.T) {
 func TestTamperDetectionEveryRegion(t *testing.T) {
 	key := testKey(t)
 	pt := deterministicData(3*ChunkSize + 123)
-	blob, err := Encrypt(key, []byte("/f"), pt)
+	blob, err := EncryptWorkers(key, []byte("/f"), pt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTamperDetectionEveryRegion(t *testing.T) {
 	for _, pos := range positions {
 		mutated := bytes.Clone(blob)
 		mutated[pos] ^= 1
-		if _, err := Decrypt(key, []byte("/f"), mutated); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecryptWorkers(key, []byte("/f"), mutated, 1); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("tamper at %d: want ErrCorrupt, got %v", pos, err)
 		}
 	}
@@ -104,24 +104,24 @@ func TestTamperDetectionEveryRegion(t *testing.T) {
 
 func TestTruncationAndExtensionDetected(t *testing.T) {
 	key := testKey(t)
-	blob, err := Encrypt(key, []byte("/f"), deterministicData(4*ChunkSize))
+	blob, err := EncryptWorkers(key, []byte("/f"), deterministicData(4*ChunkSize), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decrypt(key, []byte("/f"), blob[:len(blob)-1]); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecryptWorkers(key, []byte("/f"), blob[:len(blob)-1], 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated: want ErrCorrupt, got %v", err)
 	}
-	if _, err := Decrypt(key, []byte("/f"), append(bytes.Clone(blob), 0)); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecryptWorkers(key, []byte("/f"), append(bytes.Clone(blob), 0), 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("extended: want ErrCorrupt, got %v", err)
 	}
-	if _, err := Decrypt(key, []byte("/f"), nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecryptWorkers(key, []byte("/f"), nil, 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty blob: want ErrCorrupt, got %v", err)
 	}
 }
 
 func TestChunkReorderDetected(t *testing.T) {
 	key := testKey(t)
-	blob, err := Encrypt(key, []byte("/f"), deterministicData(4*ChunkSize))
+	blob, err := EncryptWorkers(key, []byte("/f"), deterministicData(4*ChunkSize), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestChunkReorderDetected(t *testing.T) {
 	copy(tmp, mutated[:chunkLen])
 	copy(mutated[:chunkLen], mutated[chunkLen:2*chunkLen])
 	copy(mutated[chunkLen:2*chunkLen], tmp)
-	if _, err := Decrypt(key, []byte("/f"), mutated); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecryptWorkers(key, []byte("/f"), mutated, 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("reorder: want ErrCorrupt, got %v", err)
 	}
 }
@@ -140,7 +140,7 @@ func TestChunkReorderDetected(t *testing.T) {
 func TestRandomAccessReadAt(t *testing.T) {
 	key := testKey(t)
 	pt := deterministicData(5*ChunkSize + 77)
-	blob, err := Encrypt(key, []byte("/f"), pt)
+	blob, err := EncryptWorkers(key, []byte("/f"), pt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRandomAccessReadAt(t *testing.T) {
 func TestRandomAccessDetectsChunkTamper(t *testing.T) {
 	key := testKey(t)
 	pt := deterministicData(6 * ChunkSize)
-	blob, err := Encrypt(key, []byte("/f"), pt)
+	blob, err := EncryptWorkers(key, []byte("/f"), pt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRandomAccessDetectsChunkTamper(t *testing.T) {
 func TestRandomAccessDetectsTreeTamper(t *testing.T) {
 	key := testKey(t)
 	pt := deterministicData(8 * ChunkSize)
-	blob, err := Encrypt(key, []byte("/f"), pt)
+	blob, err := EncryptWorkers(key, []byte("/f"), pt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,75 +232,15 @@ func TestRandomAccessDetectsTreeTamper(t *testing.T) {
 	}
 }
 
-func TestStreamingWriterMatchesOneShot(t *testing.T) {
-	key := testKey(t)
-	pt := deterministicData(3*ChunkSize + 500)
-
-	var buf bytes.Buffer
-	w, err := NewWriter(key, []byte("/f"), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Write in awkward increments.
-	for i := 0; i < len(pt); {
-		n := 700
-		if i+n > len(pt) {
-			n = len(pt) - i
-		}
-		if _, err := w.Write(pt[i : i+n]); err != nil {
-			t.Fatal(err)
-		}
-		i += n
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decrypt(key, []byte("/f"), buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pt) {
-		t.Fatal("streamed write round trip mismatch")
-	}
-
-	if _, err := w.Write([]byte("x")); !errors.Is(err, ErrWriterClosed) {
-		t.Fatalf("write after close: %v", err)
-	}
-	if err := w.Close(); !errors.Is(err, ErrWriterClosed) {
-		t.Fatalf("double close: %v", err)
-	}
-}
-
-func TestWriteToStreamsAndVerifies(t *testing.T) {
-	key := testKey(t)
-	pt := deterministicData(9*ChunkSize + 9)
-	blob, err := Encrypt(key, []byte("/f"), pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(key, []byte("/f"), bytes.NewReader(blob), int64(len(blob)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	n, err := r.WriteTo(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(pt)) || !bytes.Equal(out.Bytes(), pt) {
-		t.Fatal("WriteTo mismatch")
-	}
-}
-
 // Property: encrypt/decrypt round-trips for arbitrary content and IDs.
 func TestQuickRoundTrip(t *testing.T) {
 	key := testKey(t)
 	prop := func(pt, id []byte) bool {
-		blob, err := Encrypt(key, id, pt)
+		blob, err := EncryptWorkers(key, id, pt, 1)
 		if err != nil {
 			return false
 		}
-		got, err := Decrypt(key, id, blob)
+		got, err := DecryptWorkers(key, id, blob, 1)
 		return err == nil && bytes.Equal(got, pt)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
@@ -312,7 +252,7 @@ func TestQuickRoundTrip(t *testing.T) {
 func TestQuickReadAtWindows(t *testing.T) {
 	key := testKey(t)
 	pt := deterministicData(4*ChunkSize + 321)
-	blob, err := Encrypt(key, []byte("/f"), pt)
+	blob, err := EncryptWorkers(key, []byte("/f"), pt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package pfs
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -48,11 +46,7 @@ func Open(fileKey pae.Key, fileID []byte, src io.ReaderAt, size int64) (*Reader,
 		return nil, err
 	}
 
-	ck, err := chunkKey(fileKey)
-	if err != nil {
-		return nil, err
-	}
-	cipher, err := pae.NewCipher(ck)
+	cipher, err := chunkCipher(fileKey)
 	if err != nil {
 		return nil, err
 	}
@@ -87,9 +81,6 @@ func Open(fileKey pae.Key, fileID []byte, src io.ReaderAt, size int64) (*Reader,
 
 // Size returns the plaintext size of the protected file.
 func (r *Reader) Size() int64 { return r.ftr.plainSize }
-
-// NumChunks returns the number of 4 KiB chunks.
-func (r *Reader) NumChunks() int64 { return r.ftr.numChunks }
 
 func (r *Reader) chunkExtent(index int64) (off, ctLen int64) {
 	off = index * (ChunkSize + pae.Overhead)
@@ -192,74 +183,4 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 		return read, io.EOF
 	}
 	return read, nil
-}
-
-// WriteTo streams the whole verified plaintext to w, one chunk at a time,
-// rebuilding the full Merkle tree from the chunk ciphertexts so integrity
-// does not rest on the stored inner nodes. The chunk, plaintext, and AAD
-// buffers are reused across chunks (w must not retain what it is handed,
-// per the io.Writer contract), so the loop itself does not allocate.
-func (r *Reader) WriteTo(w io.Writer) (int64, error) {
-	var (
-		total  int64
-		leaves = make([][hashSize]byte, 0, r.ftr.numChunks)
-		ct     = make([]byte, 0, ChunkSize+pae.Overhead)
-		ptBuf  = make([]byte, 0, ChunkSize)
-		aad    = make([]byte, 8+len(r.fileID))
-	)
-	copy(aad[8:], r.fileID)
-	for idx := int64(0); idx < r.ftr.numChunks; idx++ {
-		off, ctLen := r.chunkExtent(idx)
-		ct = ct[:ctLen]
-		if _, err := r.src.ReadAt(ct, off); err != nil {
-			return total, fmt.Errorf("%w: chunk %d unreadable", ErrCorrupt, idx)
-		}
-		leaves = append(leaves, leafHash(ct))
-		binary.BigEndian.PutUint64(aad, uint64(idx))
-		pt, err := r.cipher.AppendOpen(ptBuf[:0], ct, aad)
-		if err != nil {
-			return total, ErrCorrupt
-		}
-		n, err := w.Write(pt)
-		total += int64(n)
-		if err != nil {
-			return total, fmt.Errorf("pfs: stream out: %w", err)
-		}
-	}
-	levels := buildTree(leaves)
-	if levels[len(levels)-1][0] != r.ftr.root {
-		return total, ErrCorrupt
-	}
-	// Also verify the stored inner-node region against the rebuilt tree so
-	// a full read detects tampering anywhere in the blob, not only in the
-	// chunks.
-	off := r.chunksEnd
-	stored := make([]byte, hashSize)
-	for _, level := range levels[1:] {
-		for i := range level {
-			if _, err := r.src.ReadAt(stored, off); err != nil {
-				return total, fmt.Errorf("%w: stored tree unreadable", ErrCorrupt)
-			}
-			if !bytes.Equal(stored, level[i][:]) {
-				return total, ErrCorrupt
-			}
-			off += hashSize
-		}
-	}
-	return total, nil
-}
-
-// Decrypt is the one-shot convenience: it verifies the whole blob and
-// returns the plaintext.
-func Decrypt(fileKey pae.Key, fileID, blob []byte) ([]byte, error) {
-	r, err := Open(fileKey, fileID, bytes.NewReader(blob), int64(len(blob)))
-	if err != nil {
-		return nil, err
-	}
-	var out bytes.Buffer
-	out.Grow(int(r.Size()))
-	if _, err := r.WriteTo(&out); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
 }
