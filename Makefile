@@ -3,7 +3,7 @@
 
 RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal
 
-.PHONY: verify build test vet race bench bench-smoke bench-build chaos-smoke drain-smoke tcb advisory
+.PHONY: verify build test vet race bench bench-smoke bench-build chaos-smoke drain-smoke crash-smoke tcb advisory
 
 verify: build test vet race bench-build
 
@@ -48,6 +48,15 @@ chaos-smoke:
 drain-smoke:
 	go test -race -run 'TestLimiter|TestAdmi|TestCancelled|TestOverload|TestDrain|TestGetContext|TestCloseRejects|TestExporterFlush' ./internal/core ./internal/store ./internal/journal ./internal/obs
 	go test -race -tags drainsmoke -run TestSIGTERMGracefulDrain ./cmd/segshare-server
+
+# Intent-journal pass: the crash-recovery harness (every mutation type
+# killed at every backend write, recovery installing the record's blobs
+# verbatim) and the journal package under -race, then ten seconds of
+# fuzzing the record decoder. Mirrors the crash-smoke CI job.
+crash-smoke:
+	go test -race -run 'TestCrash|TestRecoveryInstalls|TestOverwriteLeaves' ./internal/core
+	go test -race ./internal/journal
+	go test -run '^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/journal
 
 # Size of the trusted computing base: non-test Go lines of every package
 # that runs inside the enclave (for enctls, the trusted half only) and

@@ -55,8 +55,10 @@ type namespace struct {
 // and the rollback-protection hash tree. The untrusted file manager is
 // the store.Backend implementations it calls into.
 //
-// fileManager is not safe for concurrent mutation; the server serializes
-// state-changing requests (see Server).
+// One fileManager value is not safe for concurrent mutation. The server
+// never shares one between requests: each request runs on its own shallow
+// view (withRequest) carrying that request's staging state, stats and
+// context, and the lock manager serializes the mutations themselves.
 type fileManager struct {
 	rootKey []byte
 	hideKey []byte
@@ -78,10 +80,9 @@ type fileManager struct {
 	// journal is the write-ahead intent journal (see txn.go); nil
 	// disables crash-consistent mutations (writes apply directly).
 	journal *journal.Journal
-	// tx is the operation in flight. It lives on the (possibly per-request
-	// view) copy that runs the mutation, so a request's staging state is
-	// never visible through another request's view; the lock manager still
-	// serializes the mutations themselves.
+	// tx is the operation in flight on this view (nil on the base value
+	// between operations), so a request's staging state is never visible
+	// through another request's view.
 	tx *opCtx
 	// shared holds mutable state that must be visible across views.
 	shared *fmShared
@@ -338,8 +339,9 @@ func (fm *fileManager) fileID(ns *namespace, name string) []byte {
 }
 
 // putBlob writes a logical file. Inside a journaled operation the write
-// is staged into the intent (txn.go) and only hits the backend at apply
-// time; otherwise it applies directly via putBlobRaw.
+// is staged (txn.go), sealed when the intent commits and only hits the
+// backend at apply time; otherwise it applies directly via putBlobRaw.
+// Either way body now belongs to the file manager.
 func (fm *fileManager) putBlob(ns *namespace, name string, hdr *rollback.Header, body []byte) error {
 	if fm.staging() {
 		fm.tx.stagePut(ns, name, hdr, body, false)
@@ -371,27 +373,41 @@ func (fm *fileManager) putRootBlob(ns *namespace, hdr *rollback.Header, body []b
 	return fm.putBlobRaw(ns, ns.rootName, hdr, body)
 }
 
-// putBlobRaw encrypts and stores a logical file: optional rollback
-// header followed by the body, protected with the per-file key.
+// putBlobRaw seals and stores a logical file in one step.
 func (fm *fileManager) putBlobRaw(ns *namespace, name string, hdr *rollback.Header, body []byte) error {
-	var plain []byte
+	var hdrEnc []byte
 	if hdr != nil {
-		enc := hdr.Encode()
-		plain = make([]byte, 0, len(enc)+len(body))
-		plain = append(plain, enc...)
-		plain = append(plain, body...)
-	} else {
-		plain = body
+		hdrEnc = hdr.Encode()
+	}
+	blob, err := fm.sealBlob(ns, name, hdrEnc, body)
+	if err != nil {
+		return err
+	}
+	return fm.installBlob(ns, name, blob)
+}
+
+// sealBlob is the one place a logical file is encrypted: optional encoded
+// rollback header followed by the body, protected with the per-file key
+// and bound to the file's final name.
+func (fm *fileManager) sealBlob(ns *namespace, name string, hdrEnc, body []byte) ([]byte, error) {
+	plain := body
+	if len(hdrEnc) > 0 {
+		plain = make([]byte, 0, len(hdrEnc)+len(body))
+		plain = append(append(plain, hdrEnc...), body...)
 	}
 	key, err := fm.fileKey(ns, name)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	blob, err := pfs.EncryptWorkers(key, fm.fileID(ns, name), plain, fm.cryptoWorkers)
-	if err != nil {
-		return err
+	if err == nil {
+		fm.obs.observeCryptoSeal(pfs.UsesParallel(int64(len(plain)), fm.cryptoWorkers))
 	}
-	fm.obs.observeCryptoSeal(pfs.UsesParallel(int64(len(plain)), fm.cryptoWorkers))
+	return blob, err
+}
+
+// installBlob stores a sealed blob under the logical file's storage name.
+func (fm *fileManager) installBlob(ns *namespace, name string, blob []byte) error {
 	fm.rs.AddStoreOps(1)
 	if err := ns.backend.Put(fm.storageName(ns, name), blob); err != nil {
 		return fmt.Errorf("segshare: store %q: %w", name, err)

@@ -473,7 +473,7 @@ func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, u acl.UserID) {
 		}
 
 	case http.MethodPut:
-		content, err := io.ReadAll(r.Body)
+		content, err := s.readBody(r)
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
@@ -814,6 +814,19 @@ func parseAPIPath(raw string) (fspath.Path, error) {
 		return fspath.Path{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return p, nil
+}
+
+// readBody reads a PUT body. A declared Content-Length within the cap
+// sizes the buffer exactly once; io.ReadAll would reach the same size by
+// doubling and copying. Chunked bodies (length -1), over-cap declarations
+// and a disabled cap take io.ReadAll, where MaxBytesReader still trips.
+func (s *Server) readBody(r *http.Request) ([]byte, error) {
+	if r.ContentLength < 0 || r.ContentLength > s.maxBody {
+		return io.ReadAll(r.Body)
+	}
+	content := make([]byte, r.ContentLength)
+	_, err := io.ReadFull(r.Body, content)
+	return content, err
 }
 
 func decodeJSON(r *http.Request, into any) error {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"encoding/pem"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -73,6 +74,12 @@ func (f *handlerFixture) do(t *testing.T, user, method, target string, body []by
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
+	return f.serve(t, user, req)
+}
+
+// serve runs a prepared request through the handler as the given user.
+func (f *handlerFixture) serve(t *testing.T, user string, req *http.Request) *httptest.ResponseRecorder {
+	t.Helper()
 	if user != "" {
 		req.TLS = &tls.ConnectionState{PeerCertificates: []*x509.Certificate{f.cert(t, user)}}
 	} else {
@@ -291,5 +298,56 @@ func TestContentLengthFromPlaintext(t *testing.T) {
 	}
 	if rec.Body.Len() != 0 {
 		t.Fatalf("HEAD returned %d body bytes", rec.Body.Len())
+	}
+}
+
+// TestPutBodyRead covers how a PUT body is read: a declared length within
+// the cap is read into a buffer of exactly that size; a body shorter than
+// declared is a 400 that stores nothing; a declared or chunked body over
+// the cap is a 413; a chunked body within the cap is stored whole.
+func TestPutBodyRead(t *testing.T) {
+	f, _ := newOverloadFixture(t, func(cfg *Config) { cfg.MaxBodyBytes = 64 })
+	put := func(target string, body []byte, declared int64) *httptest.ResponseRecorder {
+		// io.NopCloser hides the reader's length, so httptest leaves
+		// ContentLength at -1 (a chunked upload) unless declared here.
+		req := httptest.NewRequest("PUT", target, io.NopCloser(bytes.NewReader(body)))
+		req.ContentLength = declared
+		return f.serve(t, "alice", req)
+	}
+	small, big := bytes.Repeat([]byte("s"), 32), bytes.Repeat([]byte("b"), 128)
+
+	for _, tc := range []struct {
+		name     string
+		body     []byte
+		declared int64
+		want     int
+	}{
+		{"declared", small, 32, 201},
+		{"chunked", small, -1, 201},
+		{"empty", nil, 0, 201},
+		{"short", small[:10], 32, 400},
+		{"declared-over-cap", big, 128, 413},
+		{"chunked-over-cap", big, -1, 413},
+	} {
+		target := "/fs/" + tc.name
+		if rec := put(target, tc.body, tc.declared); rec.Code != tc.want {
+			t.Fatalf("%s: PUT = %d, want %d: %s", tc.name, rec.Code, tc.want, rec.Body)
+		}
+		rec := f.do(t, "alice", "GET", target, nil, nil)
+		if tc.want != 201 {
+			if rec.Code != 404 {
+				t.Fatalf("%s: GET after rejected PUT = %d, want 404", tc.name, rec.Code)
+			}
+			continue
+		}
+		if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), tc.body) {
+			t.Fatalf("%s: GET = %d with %d bytes, want the %d stored", tc.name, rec.Code, rec.Body.Len(), len(tc.body))
+		}
+	}
+
+	req := httptest.NewRequest("PUT", "/fs/x", bytes.NewReader(small))
+	content, err := f.server.readBody(req)
+	if err != nil || !bytes.Equal(content, small) || cap(content) != len(small) {
+		t.Fatalf("readBody = %d bytes (cap %d), err %v; want exactly %d", len(content), cap(content), err, len(small))
 	}
 }

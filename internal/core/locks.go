@@ -29,9 +29,9 @@ import (
 //	           group mutations exclude each other and all readers.
 //	shards   — N RWMutexes; a path hashes to one shard. An operation
 //	           locks the shards of every path it touches (the path and
-//	           its parent — a mutation always rewrites the parent's
-//	           directory body, and a reader of a directory must be
-//	           excluded from concurrent mutations of its entries) in
+//	           its parent — creates, deletes and moves rewrite the
+//	           parent's directory body, and a reader of a directory must
+//	           be excluded from concurrent mutations of its entries) in
 //	           ascending shard order, so overlapping multi-shard
 //	           acquisitions cannot deadlock.
 //

@@ -574,9 +574,12 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 		certifier: newCertifier(encl, cfg.GroupStore, caPub),
 		obs:       sObs,
 		recovery:  recovery,
-		// The journal relies on at most one mutation being in flight
-		// (txn.go stages per-operation state on the file manager), which
-		// coupled mode guarantees; rollback protection needs it anyway.
+		// The journal relies on at most one mutation being in flight,
+		// which coupled mode guarantees; rollback protection needs it
+		// anyway. Staging state is not the reason — it lives on the
+		// per-request view (withRequest) — the commit → apply → retire
+		// sequence is: intents apply in commit order, and a journalDirty
+		// recovery pass inside mutate replays the whole journal.
 		locks: newLockManager(cfg.LockShards, cfg.Features.RollbackProtection || jl != nil, sObs),
 	}
 

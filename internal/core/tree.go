@@ -86,8 +86,13 @@ func (fm *fileManager) writeRootNode(ns *namespace, db *dirBody) error {
 // applyToParent mutates an inner node: an optional directory-body change
 // plus bucket updates for changed children, then recomputes the node's
 // main hash and propagates the change to the namespace root, committing
-// the root guard.
+// the root guard. Without rollback protection the bucket updates are
+// moot, so a call that leaves the directory body alone (an overwrite of
+// an existing child) has nothing to write and does not touch the parent.
 func (fm *fileManager) applyToParent(ns *namespace, parentName string, mutate func(*dirBody) error, ops []bucketOp) error {
+	if !fm.rollbackOn && mutate == nil {
+		return nil
+	}
 	hdr, db, err := fm.loadDir(ns, parentName)
 	if err != nil {
 		return err

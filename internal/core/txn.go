@@ -13,18 +13,20 @@ import (
 // This file makes every logical operation atomic-on-recovery. A mutation
 // runs inside mutate(), which stages all putBlob/deleteBlob calls in an
 // opCtx instead of issuing them; when the operation's function returns
-// successfully, the staged set is sealed into one journal intent,
-// committed, applied to the backends, and marked applied. A crash or
+// successfully, every staged blob is sealed once for its final name, the
+// set is committed as one journal intent carrying those sealed bytes,
+// installed on the backends verbatim, and marked applied. A crash or
 // fault between any two backend writes is repaired by recoverJournal:
 // committed intents are re-applied (roll forward), an intent torn during
 // its commit is discarded (roll back). Without a journal, mutate still
 // runs — writes go straight through as before, only the compensation
 // hooks (dedup refcounts) keep their ordering guarantees.
 
-// stagedPut is one buffered blob write. Header and body are kept as
-// plaintext (the encoded rollback header and the logical body); the
-// per-file encryption happens at apply time, so a recovery replay
-// produces a fresh valid ciphertext.
+// stagedPut is one buffered blob write. Header and body stay plaintext
+// (the encoded rollback header and the logical body) so the operation can
+// re-read its own writes; mutate seals them once, just before the intent
+// commits. body is the caller's slice, not a copy: callers hand over
+// freshly encoded buffers and never touch them again.
 type stagedPut struct {
 	ns     *namespace
 	name   string
@@ -42,8 +44,9 @@ type stagedDel struct {
 }
 
 // opCtx is one in-flight logical operation: the staged write/delete set
-// plus compensation hooks. Exactly one opCtx exists at a time — the lock
-// manager serializes mutations whenever staging is on (coupled mode).
+// plus compensation hooks. It hangs off the per-request view running the
+// mutation (fileManager.tx); at most one exists at a time, because the
+// lock manager serializes mutations whenever staging is on (coupled mode).
 type opCtx struct {
 	op      string
 	staging bool
@@ -78,7 +81,7 @@ func (tx *opCtx) stagePut(ns *namespace, name string, hdr *rollback.Header, body
 		ns:         ns,
 		name:       name,
 		hdrEnc:     hdrEnc,
-		body:       append([]byte(nil), body...),
+		body:       body,
 		needsToken: needsToken,
 	}
 }
@@ -109,31 +112,30 @@ func (tx *opCtx) staged(ns *namespace, name string) (sp *stagedPut, deleted bool
 }
 
 // records converts the staged set into journal intent records: writes in
-// first-staged order, then deletes.
-func (tx *opCtx) records() ([]journal.Write, []journal.Delete) {
-	var writes []journal.Write
+// first-staged order, each sealed for its final name, then deletes. A
+// namespace root is the exception: its guard token is assigned at apply
+// time, so it travels as plaintext (header ‖ body) and applyIntent seals
+// it.
+func (fm *fileManager) records(tx *opCtx) (writes []journal.Write, dels []journal.Delete, err error) {
 	for _, key := range tx.order {
 		sp, ok := tx.puts[key]
 		if !ok {
 			continue
 		}
-		writes = append(writes, journal.Write{
-			Store:      sp.ns.kind,
-			Name:       sp.name,
-			Header:     sp.hdrEnc,
-			Body:       sp.body,
-			NeedsToken: sp.needsToken,
-		})
-	}
-	var dels []journal.Delete
-	for _, key := range tx.delOrder {
-		d, ok := tx.dels[key]
-		if !ok {
-			continue
+		w := journal.Write{Store: sp.ns.kind, Name: sp.name, NeedsToken: sp.needsToken}
+		if sp.needsToken {
+			w.Body = append(append([]byte(nil), sp.hdrEnc...), sp.body...)
+		} else if w.Body, err = fm.sealBlob(sp.ns, sp.name, sp.hdrEnc, sp.body); err != nil {
+			return nil, nil, err
 		}
-		dels = append(dels, journal.Delete{Store: d.ns.kind, Name: d.name})
+		writes = append(writes, w)
 	}
-	return writes, dels
+	for _, key := range tx.delOrder {
+		if d, ok := tx.dels[key]; ok {
+			dels = append(dels, journal.Delete{Store: d.ns.kind, Name: d.name})
+		}
+	}
+	return writes, dels, nil
 }
 
 func (tx *opCtx) runCommitHooks() {
@@ -233,7 +235,11 @@ func (fm *fileManager) mutate(op string, fn func() error) error {
 		tx.runAbortHooks()
 		return err
 	}
-	writes, deletes := tx.records()
+	writes, deletes, err := fm.records(tx)
+	if err != nil {
+		tx.runAbortHooks()
+		return err
+	}
 	commitStart := time.Now()
 	seq, err := fm.journal.Commit(op, writes, deletes)
 	fm.rs.AddJournalCommit(time.Since(commitStart))
@@ -271,36 +277,33 @@ func (fm *fileManager) nsByKind(kind string) (*namespace, error) {
 	return nil, fmt.Errorf("%w: unknown store kind in journal record", ErrIntegrity)
 }
 
-// applyIntent writes an intent's staged state to the backends: all
-// writes in order, then all deletes. Root writes flagged NeedsToken
-// commit the namespace guard and take its fresh token, which keeps a
-// recovery replay consistent with the guard state. Deletes tolerate
-// already-absent objects so replays are idempotent.
+// applyIntent installs an intent on the backends: all writes in order,
+// then all deletes. Bodies are the final sealed bytes and are stored as
+// they are, so a recovery replay is byte-identical. Only a root write
+// flagged NeedsToken is sealed here: it commits the namespace guard and
+// takes its fresh token, which keeps a replay consistent with the guard
+// state. Deletes tolerate already-absent objects so replays are
+// idempotent.
 func (fm *fileManager) applyIntent(writes []journal.Write, deletes []journal.Delete) error {
 	for _, w := range writes {
 		ns, err := fm.nsByKind(w.Store)
 		if err != nil {
 			return err
 		}
-		var hdr *rollback.Header
-		if len(w.Header) > 0 {
-			h, _, err := rollback.DecodeHeader(w.Header)
-			if err != nil {
-				return fmt.Errorf("%w: %s: bad header in journal record", ErrIntegrity, w.Name)
-			}
-			hdr = h
-		}
-		if w.NeedsToken {
-			if hdr == nil {
-				return fmt.Errorf("%w: %s: tokenless root record", ErrIntegrity, w.Name)
-			}
-			token, err := ns.guard.Commit(hdr.Main)
-			if err != nil {
+		if !w.NeedsToken {
+			if err := fm.installBlob(ns, w.Name, w.Body); err != nil {
 				return err
 			}
-			hdr.Token = token
+			continue
 		}
-		if err := fm.putBlobRaw(ns, w.Name, hdr, w.Body); err != nil {
+		hdr, body, err := rollback.DecodeHeader(w.Body)
+		if err != nil {
+			return fmt.Errorf("%w: %s: bad header in journal record", ErrIntegrity, w.Name)
+		}
+		if hdr.Token, err = ns.guard.Commit(hdr.Main); err != nil {
+			return err
+		}
+		if err := fm.putBlobRaw(ns, w.Name, hdr, body); err != nil {
 			return err
 		}
 	}

@@ -15,20 +15,20 @@
 // discarded, which rolls the operation back.
 //
 // Journal records are ordinary objects in a store.Backend, named
-// "!journal:<seq>" next to the enclave's other reserved objects. Each
-// record is AES-GCM sealed under HKDF(SK_r, "journal/record") with the
-// object name as associated data, carries the SHA-256 of its predecessor
-// record (hash chain, like internal/audit), and takes its sequence
-// number from an enclave monotonic counter so a truncated journal is
-// detected: the newest surviving record must sit within one step of the
-// counter (the one-step slack is the legitimate crash window between the
-// counter increment and the record write).
+// "!journal:<seq>" next to the enclave's other reserved objects. The file
+// manager seals every blob once, for its final name, before it commits;
+// a record (see record.go) is a sealed header followed by those blobs,
+// authenticated by the header's tag instead of encrypted a second time.
+// Headers are hash-chained (like internal/audit) and numbered by an
+// enclave monotonic counter, so a truncated journal is detected: the
+// newest surviving record must sit within one step of the counter (the
+// one-step slack is the legitimate crash window between the counter
+// increment and the record write).
 package journal
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -79,42 +79,41 @@ func DeriveKeys(rootKey []byte) (Keys, error) {
 	return Keys{enc: k}, nil
 }
 
-// Write is one blob write inside an intent. Header and Body are the
-// plaintext parts of the logical file; the applier re-encrypts them under
-// the per-file key, so a replay produces a fresh valid ciphertext.
+// Write is one blob write inside an intent. Body is the object's final
+// sealed bytes: the applier and recovery install it verbatim, so a replay
+// is byte-identical and idempotent.
 type Write struct {
 	// Store names the namespace the write belongs to ("content"/"group").
-	Store string `json:"s"`
+	Store string
 	// Name is the logical (pre-hiding) object name.
-	Name string `json:"n"`
-	// Header is the encoded rollback header, absent when rollback
-	// protection is off.
-	Header []byte `json:"h,omitempty"`
-	// Body is the plaintext body.
-	Body []byte `json:"b,omitempty"`
-	// NeedsToken marks a namespace-root write whose whole-file-system
-	// guard token must be assigned at apply time (a fresh guard commit per
-	// apply keeps replays valid).
-	NeedsToken bool `json:"t,omitempty"`
+	Name string
+	// Body is the sealed blob — or, with NeedsToken, plaintext.
+	Body []byte
+	// NeedsToken marks a namespace-root write, the one kind whose bytes
+	// are not final at commit: its guard token is assigned at apply time
+	// (a fresh guard commit per apply keeps replays valid). Body is then
+	// the plaintext encoded rollback header ‖ body; it travels inside the
+	// sealed record header and the applier seals it.
+	NeedsToken bool
 }
 
 // Delete is one blob deletion inside an intent. Deletions apply after all
 // writes and tolerate already-absent objects, so replays are idempotent.
 type Delete struct {
-	Store string `json:"s"`
-	Name  string `json:"n"`
+	Store string
+	Name  string
 }
 
 // Intent is one logical operation's journal record.
 type Intent struct {
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Op is the operation class (same closed set as the request metrics);
-	// it is sealed with the rest of the record.
-	Op string `json:"op"`
-	// Prev is the SHA-256 of the predecessor record's sealed bytes.
-	Prev    []byte   `json:"prev,omitempty"`
-	Writes  []Write  `json:"w,omitempty"`
-	Deletes []Delete `json:"d,omitempty"`
+	// it is sealed with the rest of the record header.
+	Op string
+	// Prev is the SHA-256 of the predecessor record's sealed header.
+	Prev    []byte
+	Writes  []Write
+	Deletes []Delete
 }
 
 // Options tunes a Journal.
@@ -141,7 +140,7 @@ type RecoverySet struct {
 type Journal struct {
 	mu       sync.Mutex
 	backend  store.Backend
-	keys     Keys
+	aead     *pae.Cipher
 	ctr      Counter
 	lastHash [sha256.Size]byte
 	pending  int
@@ -168,9 +167,13 @@ func Open(backend store.Backend, keys Keys, ctr Counter, opts Options) (*Journal
 	if reg == nil {
 		reg = obs.Default()
 	}
+	aead, err := pae.NewCipher(keys.enc)
+	if err != nil {
+		return nil, err
+	}
 	j := &Journal{
 		backend:     backend,
-		keys:        keys,
+		aead:        aead,
 		ctr:         ctr,
 		onScan:      opts.OnScan,
 		commits:     reg.Counter("segshare_journal_commits_total", "Intent records committed to the write-ahead journal.", nil),
@@ -189,7 +192,12 @@ func Open(backend store.Backend, keys Keys, ctr Counter, opts Options) (*Journal
 		if err != nil {
 			return nil, fmt.Errorf("journal: read head: %w", err)
 		}
-		j.lastHash = sha256.Sum256(raw)
+		// An unreadable head hashes as empty; Recover deals with it.
+		_, sealed, err := openRecord(aead, raw)
+		if errors.Is(err, ErrCorrupt) {
+			return nil, err
+		}
+		j.lastHash = sha256.Sum256(sealed)
 	}
 	j.pending = len(seqs)
 	j.pendingG.Set(int64(j.pending))
@@ -220,7 +228,8 @@ func (j *Journal) scan() ([]uint64, error) {
 
 // Commit seals one intent and appends it to the journal, returning the
 // assigned sequence number. The caller applies the writes only after
-// Commit succeeds and calls MarkApplied when done.
+// Commit succeeds and calls MarkApplied when done. Bodies are copied into
+// the record; the caller keeps ownership of writes.
 func (j *Journal) Commit(op string, writes []Write, deletes []Delete) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -232,20 +241,14 @@ func (j *Journal) Commit(op string, writes []Write, deletes []Delete) (uint64, e
 	if err != nil {
 		return 0, fmt.Errorf("journal: counter: %w", err)
 	}
-	rec := Intent{Seq: seq, Op: op, Prev: append([]byte(nil), j.lastHash[:]...), Writes: writes, Deletes: deletes}
-	plain, err := json.Marshal(&rec)
-	if err != nil {
-		return 0, fmt.Errorf("journal: encode: %w", err)
-	}
-	name := objectName(seq)
-	blob, err := pae.Encrypt(j.keys.enc, plain, []byte(name))
+	blob, sealed, err := sealRecord(j.aead, &Intent{Seq: seq, Op: op, Prev: j.lastHash[:], Writes: writes, Deletes: deletes})
 	if err != nil {
 		return 0, fmt.Errorf("journal: seal: %w", err)
 	}
-	if err := j.backend.Put(name, blob); err != nil {
+	if err := j.backend.Put(objectName(seq), blob); err != nil {
 		return 0, fmt.Errorf("journal: commit %d: %w", seq, err)
 	}
-	j.lastHash = sha256.Sum256(blob)
+	j.lastHash = sha256.Sum256(sealed)
 	j.pending++
 	j.pendingG.Set(int64(j.pending))
 	j.commits.Inc()
@@ -308,7 +311,7 @@ func (j *Journal) Recover(strict bool) (RecoverySet, error) {
 		return set, err
 	}
 	top := j.ctr.Value()
-	var lastGood []byte
+	var last [sha256.Size]byte // chain head so far; published on success
 	for i, seq := range seqs {
 		if seq > top {
 			return set, fmt.Errorf("%w: record %d beyond enclave counter %d", ErrCorrupt, seq, top)
@@ -321,16 +324,10 @@ func (j *Journal) Recover(strict bool) (RecoverySet, error) {
 		if err != nil {
 			return set, fmt.Errorf("journal: read record %d: %w", seq, err)
 		}
-		rec := new(Intent)
-		plain, err := pae.Decrypt(j.keys.enc, blob, []byte(name))
-		if err == nil {
-			if uerr := json.Unmarshal(plain, rec); uerr != nil {
-				err = uerr
-			}
-		}
+		rec, sealed, err := openRecord(j.aead, blob)
 		if err != nil {
-			if i != len(seqs)-1 {
-				return set, fmt.Errorf("%w: record %d unreadable", ErrCorrupt, seq)
+			if errors.Is(err, ErrCorrupt) || i != len(seqs)-1 {
+				return set, fmt.Errorf("%w: record %d: %v", ErrCorrupt, seq, err)
 			}
 			// Torn tail: the crash interrupted this record's commit, so the
 			// operation never applied — discard it (the rollback half of
@@ -345,13 +342,10 @@ func (j *Journal) Recover(strict bool) (RecoverySet, error) {
 		if rec.Seq != seq {
 			return set, fmt.Errorf("%w: record %d claims sequence %d", ErrCorrupt, seq, rec.Seq)
 		}
-		if i > 0 {
-			want := sha256.Sum256(lastGood)
-			if !bytes.Equal(rec.Prev, want[:]) {
-				return set, fmt.Errorf("%w: record %d breaks the hash chain", ErrCorrupt, seq)
-			}
+		if i > 0 && !bytes.Equal(rec.Prev, last[:]) {
+			return set, fmt.Errorf("%w: record %d breaks the hash chain", ErrCorrupt, seq)
 		}
-		lastGood = blob
+		last = sha256.Sum256(sealed)
 		set.Pending = append(set.Pending, rec)
 		if j.onScan != nil {
 			j.onScan(len(set.Pending))
@@ -362,11 +356,7 @@ func (j *Journal) Recover(strict bool) (RecoverySet, error) {
 			return set, fmt.Errorf("%w: newest record %d but enclave counter %d — journal truncated", ErrCorrupt, last, top)
 		}
 	}
-	if lastGood != nil {
-		j.lastHash = sha256.Sum256(lastGood)
-	} else {
-		j.lastHash = [sha256.Size]byte{}
-	}
+	j.lastHash = last
 	j.pending = len(set.Pending)
 	j.pendingG.Set(int64(j.pending))
 	j.replayed.Add(uint64(len(set.Pending)))

@@ -116,7 +116,11 @@ func TestTornTailDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get keep: %v", err)
 	}
-	keepHash := sha256.Sum256(keepBlob)
+	_, keepSealed, err := openRecord(j.aead, keepBlob)
+	if err != nil {
+		t.Fatalf("openRecord keep: %v", err)
+	}
+	keepHash := sha256.Sum256(keepSealed)
 
 	j2 := openJournal(t, backend, ctr)
 	set, err := j2.Recover(true)
