@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` mirrors the tier-1 CI gate in
 # .github/workflows/verify.yml exactly — run it before pushing.
 
-RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal
+RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal ./internal/pfs
 
 .PHONY: verify build test vet race bench bench-smoke bench-build chaos-smoke drain-smoke crash-smoke tcb advisory
 
@@ -61,8 +61,10 @@ crash-smoke:
 # Size of the trusted computing base: non-test Go lines of every package
 # that runs inside the enclave (for enctls, the trusted half only) and
 # the server's flag count. The paper reports 8 441 LoC (§VII) and counts
-# enclave code size as a security property; this is advisory — it prints,
-# it never fails. Mirrors the tcb CI step.
+# enclave code size as a security property, so this is a ratchet: it
+# fails when either number exceeds its ceiling in tcb.budget. A PR that
+# must grow one raises the ceiling in the same diff, where a reviewer
+# sees it; a PR that shrinks one lowers it. Mirrors the tcb CI step.
 TCB_PKGS := core obs acl pfs pae rollback mhash journal audit cache dedup fspath enclave
 tcb:
 	@total=0; \
@@ -72,8 +74,14 @@ tcb:
 	done; \
 	n=$$(cat internal/enctls/endpoint.go internal/enctls/conn.go | wc -l); \
 	printf '%-9s %6d  (trusted half: endpoint.go conn.go)\n' enctls $$n; total=$$((total+n)); \
-	printf '%-9s %6d  non-test Go lines inside the trust boundary (paper: 8441)\n' total $$total
-	@printf 'segshare-server flags: %d\n' $$(go run ./cmd/segshare-server -h 2>&1 | grep -c '^  -')
+	flags=$$(go run ./cmd/segshare-server -h 2>&1 | grep -c '^  -'); \
+	max_lines=$$(awk '$$1 == "trusted_lines" {print $$2}' tcb.budget); \
+	max_flags=$$(awk '$$1 == "server_flags" {print $$2}' tcb.budget); \
+	printf '%-9s %6d  non-test Go lines inside the trust boundary (budget %d, paper 8441)\n' total $$total $$max_lines; \
+	printf 'segshare-server flags: %d (budget %d)\n' $$flags $$max_flags; \
+	if [ $$total -gt $$max_lines ] || [ $$flags -gt $$max_flags ]; then \
+		echo 'tcb: over budget — shrink the change, or raise tcb.budget in this PR and say why' >&2; exit 1; \
+	fi
 
 # Advisory static analysis — mirrors the non-blocking CI job. Needs
 # network access to fetch the tools; failures here never gate a merge.

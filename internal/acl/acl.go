@@ -255,23 +255,35 @@ func (r *GroupRecord) RemoveOwner(g GroupID) bool {
 }
 
 // GroupList is the decoded content of the group list file: all present
-// groups G, sorted by ID, with a name uniqueness invariant.
+// groups G, sorted by ID, with a name uniqueness invariant. Lists come
+// from NewGroupList, DecodeGroupList or Clone, which build the name index;
+// a literal has none and is good for Encode only.
 type GroupList struct {
 	Groups []GroupRecord
 	NextID GroupID
+	// byName indexes Groups by name. It is built where the list is and
+	// kept exact by Create and Delete — never filled in on first lookup: a
+	// decoded list is shared between concurrent readers, and a lazy index
+	// would be a write under their feet.
+	byName map[GroupName]GroupID
 }
 
 // NewGroupList returns an empty group list. IDs start at 1 so the zero
 // GroupID never denotes a real group.
 func NewGroupList() *GroupList {
-	return &GroupList{NextID: 1}
+	return &GroupList{NextID: 1, byName: map[GroupName]GroupID{}}
 }
 
 // Clone returns a deep copy.
 func (l *GroupList) Clone() *GroupList {
-	cp := &GroupList{NextID: l.NextID, Groups: make([]GroupRecord, len(l.Groups))}
+	cp := &GroupList{
+		NextID: l.NextID,
+		Groups: make([]GroupRecord, len(l.Groups)),
+		byName: make(map[GroupName]GroupID, len(l.Groups)),
+	}
 	for i, g := range l.Groups {
 		cp.Groups[i] = GroupRecord{ID: g.ID, Name: g.Name, Owners: append([]GroupID(nil), g.Owners...)}
+		cp.byName[g.Name] = g.ID
 	}
 	return cp
 }
@@ -290,16 +302,14 @@ func (l *GroupList) ByID(id GroupID) (*GroupRecord, bool) {
 	return &l.Groups[i], true
 }
 
-// ByName returns the record with the given name. Lookup is linear in the
-// number of groups; the group list is small and fully in enclave memory
-// while decrypted.
+// ByName returns the record with the given name: one index lookup and a
+// binary search by ID, whatever the number of groups.
 func (l *GroupList) ByName(name GroupName) (*GroupRecord, bool) {
-	for i := range l.Groups {
-		if l.Groups[i].Name == name {
-			return &l.Groups[i], true
-		}
+	id, ok := l.byName[name]
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	return l.ByID(id)
 }
 
 // Create allocates an ID and appends a record for name, owned by the
@@ -318,6 +328,7 @@ func (l *GroupList) Create(name GroupName, owners ...GroupID) (*GroupRecord, err
 		rec.AddOwner(o)
 	}
 	l.Groups = append(l.Groups, rec) // NextID is increasing, so order holds
+	l.byName[name] = id
 	return &l.Groups[len(l.Groups)-1], nil
 }
 
@@ -328,6 +339,7 @@ func (l *GroupList) Delete(id GroupID) bool {
 	if !found {
 		return false
 	}
+	delete(l.byName, l.Groups[i].Name)
 	l.Groups = append(l.Groups[:i], l.Groups[i+1:]...)
 	return true
 }

@@ -2,6 +2,7 @@ package acl
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -218,5 +219,48 @@ func TestQuickACLAgainstMap(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupListNameIndexFollowsEveryConstructor pins that ByName answers
+// from an index that Create, Delete, Clone and DecodeGroupList each leave
+// exact — a decoded list is shared between concurrent readers, so none of
+// them may leave index work for the first lookup — and that a clone's
+// edits stay in the clone.
+func TestGroupListNameIndexFollowsEveryConstructor(t *testing.T) {
+	l := NewGroupList()
+	for i := 0; i < 100; i++ {
+		if _, err := l.Create(GroupName(fmt.Sprintf("g%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := GroupID(2); id <= 100; id += 2 {
+		l.Delete(id)
+	}
+	decoded, err := DecodeGroupList(l.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := l.Clone()
+	if _, err := clone.Create("only-in-clone"); err != nil {
+		t.Fatal(err)
+	}
+	clone.Delete(1)
+	for name, list := range map[string]*GroupList{"edited": l, "decoded": decoded} {
+		for i := 0; i < 100; i++ {
+			rec, ok := list.ByName(GroupName(fmt.Sprintf("g%03d", i)))
+			if wantOK := i%2 == 0; ok != wantOK || (ok && rec.ID != GroupID(i+1)) {
+				t.Fatalf("%s list: ByName(g%03d) = %v, %v", name, i, rec, ok)
+			}
+		}
+		if _, ok := list.ByName("only-in-clone"); ok {
+			t.Fatalf("%s list sees the clone's group", name)
+		}
+	}
+	if _, ok := clone.ByName("g000"); ok {
+		t.Fatal("clone still finds the group it deleted")
+	}
+	if rec, ok := clone.ByName("only-in-clone"); !ok || rec.ID != 101 {
+		t.Fatalf("clone: ByName(only-in-clone) = %v, %v", rec, ok)
 	}
 }

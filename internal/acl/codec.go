@@ -213,8 +213,11 @@ func DecodeGroupList(data []byte) (*GroupList, error) {
 	if int(n) > r.maxListLen(12) {
 		return nil, ErrCodec
 	}
-	l := &GroupList{NextID: GroupID(next), Groups: make([]GroupRecord, n)}
-	names := make(map[GroupName]bool, n)
+	l := &GroupList{
+		NextID: GroupID(next),
+		Groups: make([]GroupRecord, n),
+		byName: make(map[GroupName]GroupID, n),
+	}
 	for i := range l.Groups {
 		id, err := r.u32()
 		if err != nil {
@@ -236,10 +239,10 @@ func DecodeGroupList(data []byte) (*GroupList, error) {
 		if rec.Name == "" {
 			return nil, fmt.Errorf("%w: empty group name", ErrCodec)
 		}
-		if names[rec.Name] {
+		if _, dup := l.byName[rec.Name]; dup {
 			return nil, fmt.Errorf("%w: duplicate group name %q", ErrCodec, rec.Name)
 		}
-		names[rec.Name] = true
+		l.byName[rec.Name] = rec.ID
 		if i > 0 && rec.ID <= l.Groups[i-1].ID {
 			return nil, fmt.Errorf("%w: group records not strictly sorted", ErrCodec)
 		}

@@ -21,8 +21,8 @@
 //     pre-mutation value can therefore never resurrect it into the
 //     cache after the mutation's invalidation ran.
 //
-// Values are shared between callers; callers that mutate loaded objects
-// must clone on Get (the typed accessors in internal/core do).
+// Values are shared between callers and must be treated as immutable: a
+// caller that wants to edit a loaded object clones it first.
 //
 // The cache is safe for concurrent use. Get takes only a read lock —
 // the CLOCK reference bit is atomic — so concurrent readers never
@@ -99,7 +99,7 @@ func (c *Cache[V]) Gen() uint64 {
 }
 
 // Get returns the cached value for key. The returned value is shared;
-// callers that mutate it must clone first.
+// a caller that edits it must clone first.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	var zero V
 	if c == nil {

@@ -52,7 +52,8 @@ func (ac *accessControl) withRequest(rs *obs.ReqStats, ctx context.Context) *acc
 // their own default group g_u is definitional (paper Table I: "each user
 // u has a default group g_u"), so it is synthesized here whenever the
 // default group exists — e.g. because another user granted them a
-// permission before their first login.
+// permission before their first login. The result is for reading: it is
+// the shared cached list whenever that already holds the default group.
 func (ac *accessControl) memberListOrEmpty(u acl.UserID) (*acl.MemberList, error) {
 	ml, err := ac.fm.readMemberList(u)
 	switch {
@@ -65,7 +66,8 @@ func (ac *accessControl) memberListOrEmpty(u acl.UserID) (*acl.MemberList, error
 	if err != nil {
 		return nil, err
 	}
-	if rec, ok := gl.ByName(acl.DefaultGroupName(u)); ok {
+	if rec, ok := gl.ByName(acl.DefaultGroupName(u)); ok && !ml.Contains(rec.ID) {
+		ml = ml.Clone()
 		ml.Add(rec.ID)
 	}
 	return ml, nil
@@ -108,6 +110,7 @@ func (ac *accessControl) bootstrapFSO(gid acl.GroupID) error {
 	if len(rootACL.Owners) > 0 {
 		return nil
 	}
+	rootACL = rootACL.Clone()
 	rootACL.AddOwner(gid)
 	return ac.fm.writeACL(fspath.Root, rootACL)
 }
@@ -126,6 +129,7 @@ func (ac *accessControl) ensureGroup(name acl.GroupName) (acl.GroupID, error) {
 	if !strings.HasPrefix(string(name), "user:") {
 		return 0, fmt.Errorf("%w: %s", ErrGroupNotFound, name)
 	}
+	gl = gl.Clone()
 	rec, err := gl.Create(name)
 	if err != nil {
 		return 0, err
@@ -276,23 +280,36 @@ func (ac *accessControl) putFile(u acl.UserID, path fspath.Path, content []byte)
 	return ac.fm.writeContent(path, content, newACL)
 }
 
+// requireRead is the gate of every read request: auth_f(u, p_r, path),
+// refused with ErrNotFound when the path does not exist and with
+// ErrPermissionDenied when it does. The store is asked whether the path
+// exists only on the way to a refusal — an allowed read learns it from
+// the read itself — so an allowed request costs one store call, not two,
+// and a refused one still answers 404 before 403.
+func (ac *accessControl) requireRead(ml *acl.MemberList, path fspath.Path) error {
+	ok, err := ac.authFile(ml, path, acl.PermRead)
+	if err != nil {
+		return err
+	}
+	if ok {
+		return nil
+	}
+	if exists, err := ac.fm.pathExists(path); err != nil {
+		return err
+	} else if !exists {
+		return fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	return fmt.Errorf("%w: read %s", ErrPermissionDenied, path)
+}
+
 // GetFile implements the read half of "get file content".
 func (ac *accessControl) GetFile(u acl.UserID, path fspath.Path) ([]byte, error) {
 	ml, err := ac.memberListOrEmpty(u)
 	if err != nil {
 		return nil, err
 	}
-	if ok, err := ac.fm.pathExists(path); err != nil {
+	if err := ac.requireRead(ml, path); err != nil {
 		return nil, err
-	} else if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	ok, err := ac.authFile(ml, path, acl.PermRead)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: read %s", ErrPermissionDenied, path)
 	}
 	return ac.fm.readContent(path)
 }
@@ -305,17 +322,8 @@ func (ac *accessControl) GetFileRange(u acl.UserID, path fspath.Path, br ByteRan
 	if err != nil {
 		return RangeResult{}, err
 	}
-	if ok, err := ac.fm.pathExists(path); err != nil {
+	if err := ac.requireRead(ml, path); err != nil {
 		return RangeResult{}, err
-	} else if !ok {
-		return RangeResult{}, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	ok, err := ac.authFile(ml, path, acl.PermRead)
-	if err != nil {
-		return RangeResult{}, err
-	}
-	if !ok {
-		return RangeResult{}, fmt.Errorf("%w: read %s", ErrPermissionDenied, path)
 	}
 	return ac.fm.readContentRange(path, br)
 }
@@ -335,17 +343,8 @@ func (ac *accessControl) GetDir(u acl.UserID, path fspath.Path) ([]ListedEntry, 
 	if err != nil {
 		return nil, err
 	}
-	if ok, err := ac.fm.pathExists(path); err != nil {
+	if err := ac.requireRead(ml, path); err != nil {
 		return nil, err
-	} else if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	ok, err := ac.authFile(ml, path, acl.PermRead)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: read %s", ErrPermissionDenied, path)
 	}
 	entries, err := ac.fm.readDir(path)
 	if err != nil {
@@ -382,7 +381,8 @@ func childPath(dir fspath.Path, e DirEntry) (fspath.Path, error) {
 }
 
 // requireOwner checks the owner-level auth_f(u, "", f) used by permission
-// and ownership updates.
+// and ownership updates, and returns the caller's own copy of the ACL to
+// edit and write back.
 func (ac *accessControl) requireOwner(u acl.UserID, path fspath.Path) (*acl.ACL, error) {
 	ml, err := ac.memberListOrEmpty(u)
 	if err != nil {
@@ -398,7 +398,7 @@ func (ac *accessControl) requireOwner(u acl.UserID, path fspath.Path) (*acl.ACL,
 	if !acl.AuthorizeFile(ml, a, nil, acl.PermNone) {
 		return nil, fmt.Errorf("%w: not an owner of %s", ErrPermissionDenied, path)
 	}
-	return a, nil
+	return a.Clone(), nil
 }
 
 // SetPermission implements set_p: the owner sets permission p for group g
@@ -493,6 +493,7 @@ func (ac *accessControl) addUser(u1, u2 acl.UserID, group acl.GroupName) error {
 		if err != nil {
 			return err
 		}
+		gl = gl.Clone()
 		rec, err = gl.Create(group, gu1)
 		if err != nil {
 			return err
@@ -501,6 +502,7 @@ func (ac *accessControl) addUser(u1, u2 acl.UserID, group acl.GroupName) error {
 			return err
 		}
 		// The creator becomes a member (Algo 1: rG ∪ (u1, g)).
+		ml1 = ml1.Clone()
 		ml1.Add(rec.ID)
 		if err := ac.fm.writeMemberList(u1, ml1); err != nil {
 			return err
@@ -513,6 +515,7 @@ func (ac *accessControl) addUser(u1, u2 acl.UserID, group acl.GroupName) error {
 	if err != nil {
 		return err
 	}
+	ml2 = ml2.Clone()
 	ml2.Add(rec.ID)
 	return ac.fm.writeMemberList(u2, ml2)
 }
@@ -563,6 +566,7 @@ func (ac *accessControl) removeUser(u1, u2 acl.UserID, group acl.GroupName) erro
 	if err != nil {
 		return err
 	}
+	ml2 = ml2.Clone()
 	if ml2.Remove(rec.ID) {
 		return ac.fm.writeMemberList(u2, ml2)
 	}
@@ -584,6 +588,7 @@ func (ac *accessControl) setGroupOwner(u acl.UserID, group, ownerGroup acl.Group
 	if err != nil {
 		return err
 	}
+	gl = gl.Clone()
 	rec, ok := gl.ByName(group)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrGroupNotFound, group)
@@ -646,12 +651,14 @@ func (ac *accessControl) deleteGroup(u acl.UserID, group acl.GroupName) error {
 		if err != nil {
 			return err
 		}
+		uml = uml.Clone()
 		if uml.Remove(rec.ID) {
 			if err := ac.fm.writeMemberList(uid, uml); err != nil {
 				return err
 			}
 		}
 	}
+	gl = gl.Clone()
 	gl.Delete(rec.ID)
 	return ac.fm.writeGroupList(gl)
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // newTunedServer is newDirectServer with caller-controlled tuning knobs
-// (lock shards, cache budget, features); stores and PKI are filled in.
+// (lock shards, cache budget, features); the PKI is filled in, and so are
+// the stores the caller left nil.
 func newTunedServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	authority, err := ca.New("tuned CA")
@@ -23,8 +24,12 @@ func newTunedServer(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	cfg.CACertPEM = authority.CertificatePEM()
-	cfg.ContentStore = store.NewMemory()
-	cfg.GroupStore = store.NewMemory()
+	if cfg.ContentStore == nil {
+		cfg.ContentStore = store.NewMemory()
+	}
+	if cfg.GroupStore == nil {
+		cfg.GroupStore = store.NewMemory()
+	}
 	server, err := NewServer(platform, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -316,26 +316,29 @@ func (fm *fileManager) storageName(ns *namespace, name string) string {
 	return hex.EncodeToString(mac[:])
 }
 
-// fileKey derives (or recalls) the per-file key. Keys are a pure
-// function of SK_r and the name, so cached entries never go stale; the
-// cache just bounds how often the HKDF expansion runs on hot names.
-func (fm *fileManager) fileKey(ns *namespace, name string) (pae.Key, error) {
-	ck := ns.kind + ":" + name
-	if k, ok := fm.caches.fileKeys.Get(ck); ok {
+// derive recalls, or computes and caches, the named file's derived entry.
+// It is a pure function of SK_r and the name, so cached entries never go
+// stale; on a hit, fetching or sealing the file runs no HKDF and expands
+// no AES key.
+func (fm *fileManager) derive(ns *namespace, name string) (*derived, error) {
+	id := ns.kind + ":" + name
+	if d, ok := fm.caches.derived.Get(id); ok {
 		fm.rs.AddCacheHit()
-		return k, nil
+		return d, nil
 	}
 	fm.rs.AddCacheMiss()
-	gen := fm.caches.fileKeys.Gen()
-	k, err := pae.DeriveKey(fm.rootKey, "file-key/"+ns.kind, []byte(name))
-	if err == nil {
-		fm.caches.fileKeys.Put(ck, k, fileKeyCost, gen)
+	gen := fm.caches.derived.Gen()
+	key, err := pae.DeriveKey(fm.rootKey, "file-key/"+ns.kind, []byte(name))
+	if err != nil {
+		return nil, err
 	}
-	return k, err
-}
-
-func (fm *fileManager) fileID(ns *namespace, name string) []byte {
-	return []byte(ns.kind + ":" + name)
+	keys, err := pfs.NewKeys(key)
+	if err != nil {
+		return nil, err
+	}
+	d := &derived{keys: keys, id: []byte(id)}
+	fm.caches.derived.Put(id, d, derivedCost(id), gen)
+	return d, nil
 }
 
 // putBlob writes a logical file. Inside a journaled operation the write
@@ -395,11 +398,11 @@ func (fm *fileManager) sealBlob(ns *namespace, name string, hdrEnc, body []byte)
 		plain = make([]byte, 0, len(hdrEnc)+len(body))
 		plain = append(append(plain, hdrEnc...), body...)
 	}
-	key, err := fm.fileKey(ns, name)
+	d, err := fm.derive(ns, name)
 	if err != nil {
 		return nil, err
 	}
-	blob, err := pfs.EncryptWorkers(key, fm.fileID(ns, name), plain, fm.cryptoWorkers)
+	blob, err := d.keys.AppendEncrypt(nil, d.id, plain, fm.cryptoWorkers)
 	if err == nil {
 		fm.obs.observeCryptoSeal(pfs.UsesParallel(int64(len(plain)), fm.cryptoWorkers))
 	}
@@ -420,10 +423,10 @@ func (fm *fileManager) installBlob(ns *namespace, name string, blob []byte) erro
 // the blob through the namespace backend, bounded by the view's request
 // context (checked first, then handed to backends that take one —
 // Resilient and Instrumented do; bare test backends get a plain Get),
-// and recalls the file key that opens it.
-func (fm *fileManager) fetch(ns *namespace, name string) (raw []byte, key pae.Key, err error) {
+// and recalls the derived keys that open it.
+func (fm *fileManager) fetch(ns *namespace, name string) (raw []byte, d *derived, err error) {
 	if err := fm.ctxErr(); err != nil {
-		return nil, key, err
+		return nil, nil, err
 	}
 	fm.rs.AddStoreOps(1)
 	stored := fm.storageName(ns, name)
@@ -433,24 +436,24 @@ func (fm *fileManager) fetch(ns *namespace, name string) (raw []byte, key pae.Ke
 		raw, err = ns.backend.Get(stored)
 	}
 	if errors.Is(err, store.ErrNotExist) {
-		return nil, key, fmt.Errorf("%w: %s", ErrNotFound, name)
+		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	if err != nil {
-		return nil, key, fmt.Errorf("segshare: load %q: %w", name, err)
+		return nil, nil, fmt.Errorf("segshare: load %q: %w", name, err)
 	}
-	key, err = fm.fileKey(ns, name)
-	return raw, key, err
+	d, err = fm.derive(ns, name)
+	return raw, d, err
 }
 
 // open fetches a logical file and authenticates its footer for verified
 // random access: reads through the returned Reader decrypt and check
 // only the chunks they touch.
 func (fm *fileManager) open(ns *namespace, name string) (*pfs.Reader, error) {
-	raw, key, err := fm.fetch(ns, name)
+	raw, d, err := fm.fetch(ns, name)
 	if err != nil {
 		return nil, err
 	}
-	r, err := pfs.Open(key, fm.fileID(ns, name), bytes.NewReader(raw), int64(len(raw)))
+	r, err := d.keys.Open(d.id, bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
 		return nil, fm.openErr(name, err)
 	}
@@ -491,11 +494,11 @@ func (fm *fileManager) getBlob(ns *namespace, name string) (*rollback.Header, []
 			return hdr, body, nil
 		}
 	}
-	raw, key, err := fm.fetch(ns, name)
+	raw, d, err := fm.fetch(ns, name)
 	if err != nil {
 		return nil, nil, err
 	}
-	plain, err := pfs.DecryptWorkersCtx(fm.ctx, key, fm.fileID(ns, name), raw, fm.cryptoWorkers)
+	plain, err := d.keys.DecryptCtx(fm.ctx, d.id, raw, fm.cryptoWorkers)
 	if err != nil {
 		return nil, nil, fm.openErr(name, err)
 	}

@@ -162,6 +162,7 @@ func TestFileManagerCRUDMatrix(t *testing.T) {
 			if err != nil || !a.IsOwner(1) {
 				t.Fatalf("readACL: %+v %v", a, err)
 			}
+			a = a.Clone() // readACL's result is shared; writers clone
 			a.SetPermission(42, acl.PermRead)
 			if err := fm.writeACL(file, a); err != nil {
 				t.Fatalf("writeACL: %v", err)
@@ -275,6 +276,7 @@ func TestFileManagerGroupFiles(t *testing.T) {
 			if err != nil || len(gl.Groups) != 0 {
 				t.Fatalf("empty group list: %v %v", gl, err)
 			}
+			gl = gl.Clone() // readGroupList's result is shared; writers clone
 			if _, err := gl.Create("team"); err != nil {
 				t.Fatal(err)
 			}

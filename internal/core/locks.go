@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,27 +92,44 @@ func (lm *lockManager) shardIndex(p fspath.Path) int {
 	return int(h.Sum32() % uint32(len(lm.shards)))
 }
 
+// shardPlan is the deduplicated, ascending shard indices of one lock
+// plan, held by value so that building one allocates nothing. A plan
+// covers at most two paths (a request names one; two leaves room for a
+// source/destination pair), each with its parent.
+type shardPlan struct {
+	n  int
+	at [4]int
+}
+
+// insert adds shard index i, keeping at[:n] ascending and duplicate-free.
+func (sp *shardPlan) insert(i int) {
+	j := sp.n
+	for j > 0 && sp.at[j-1] > i {
+		j--
+	}
+	if j > 0 && sp.at[j-1] == i {
+		return
+	}
+	copy(sp.at[j+1:sp.n+1], sp.at[j:sp.n])
+	sp.at[j] = i
+	sp.n++
+}
+
 // shardSet returns the deduplicated, ascending shard indices of the
 // given paths together with each path's parent (the parent's directory
 // body and rollback buckets change with the child, and a directory
 // reader must exclude entry mutations).
-func (lm *lockManager) shardSet(paths ...fspath.Path) []int {
-	seen := make(map[int]struct{}, 2*len(paths))
+func (lm *lockManager) shardSet(paths ...fspath.Path) (sp shardPlan) {
 	for _, p := range paths {
 		if p.IsZero() {
 			continue
 		}
-		seen[lm.shardIndex(p)] = struct{}{}
+		sp.insert(lm.shardIndex(p))
 		if !p.IsRoot() {
-			seen[lm.shardIndex(p.Parent())] = struct{}{}
+			sp.insert(lm.shardIndex(p.Parent()))
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
+	return sp
 }
 
 // observeWait records how long an acquisition (all levels together)
@@ -188,14 +204,14 @@ func (lm *lockManager) fsRead(rs *obs.ReqStats, paths ...fspath.Path) (unlock fu
 	start := time.Now()
 	lm.barrier.RLock()
 	lm.group.RLock()
-	idx := lm.shardSet(paths...)
-	for _, i := range idx {
+	sp := lm.shardSet(paths...)
+	for _, i := range sp.at[:sp.n] {
 		lm.lockShard(i, false)
 	}
 	lm.observeWait(rs, "fs_read", start)
 	return func() {
-		for j := len(idx) - 1; j >= 0; j-- {
-			lm.shards[idx[j]].RUnlock()
+		for j := sp.n - 1; j >= 0; j-- {
+			lm.shards[sp.at[j]].RUnlock()
 		}
 		lm.group.RUnlock()
 		lm.barrier.RUnlock()
@@ -218,14 +234,14 @@ func (lm *lockManager) fsWrite(rs *obs.ReqStats, groupWrite bool, paths ...fspat
 	} else {
 		lm.group.RLock()
 	}
-	idx := lm.shardSet(paths...)
-	for _, i := range idx {
+	sp := lm.shardSet(paths...)
+	for _, i := range sp.at[:sp.n] {
 		lm.lockShard(i, true)
 	}
 	lm.observeWait(rs, "fs_write", start)
 	return func() {
-		for j := len(idx) - 1; j >= 0; j-- {
-			lm.shards[idx[j]].Unlock()
+		for j := sp.n - 1; j >= 0; j-- {
+			lm.shards[sp.at[j]].Unlock()
 		}
 		if groupWrite {
 			lm.group.Unlock()

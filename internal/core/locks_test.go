@@ -11,7 +11,8 @@ import (
 func TestShardSetIncludesParentAndIsSorted(t *testing.T) {
 	lm := newLockManager(64, false, nil)
 	p := mustPath(t, "/a/b/c.txt")
-	idx := lm.shardSet(p)
+	sp := lm.shardSet(p)
+	idx := sp.at[:sp.n]
 	want := map[int]bool{
 		lm.shardIndex(p):          true,
 		lm.shardIndex(p.Parent()): true,
@@ -31,9 +32,9 @@ func TestShardSetIncludesParentAndIsSorted(t *testing.T) {
 
 func TestShardSetRootHasNoParent(t *testing.T) {
 	lm := newLockManager(8, false, nil)
-	idx := lm.shardSet(fspath.Root)
-	if len(idx) != 1 {
-		t.Fatalf("shardSet(root) = %v, want exactly one shard", idx)
+	sp := lm.shardSet(fspath.Root)
+	if sp.n != 1 {
+		t.Fatalf("shardSet(root) = %v, want exactly one shard", sp.at[:sp.n])
 	}
 }
 
@@ -72,10 +73,11 @@ func TestDisjointWritesDoNotBlock(t *testing.T) {
 
 func shardsOverlap(lm *lockManager, a, b fspath.Path) bool {
 	in := map[int]bool{}
-	for _, i := range lm.shardSet(a) {
+	spA, spB := lm.shardSet(a), lm.shardSet(b)
+	for _, i := range spA.at[:spA.n] {
 		in[i] = true
 	}
-	for _, i := range lm.shardSet(b) {
+	for _, i := range spB.at[:spB.n] {
 		if in[i] {
 			return true
 		}

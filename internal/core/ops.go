@@ -258,8 +258,10 @@ func (fm *fileManager) readContentUncoalesced(path fspath.Path) ([]byte, error) 
 }
 
 // readDir returns a directory's children, validating the rollback tree
-// on a cache miss. The cached dirBody is never handed out; callers get a
-// copied entry slice.
+// on a cache miss. The slice is the cached directory body's own (hits are
+// shared, see caches.go): callers read it and never modify it. Directory
+// mutations do not come through here — applyToParent decodes its own copy
+// from the store.
 func (fm *fileManager) readDir(path fspath.Path) ([]DirEntry, error) {
 	if !path.IsDir() {
 		return nil, fmt.Errorf("%w: %q is not a directory path", ErrBadRequest, path)
@@ -267,9 +269,7 @@ func (fm *fileManager) readDir(path fspath.Path) ([]DirEntry, error) {
 	name := path.String()
 	if db, ok := fm.caches.dirs.Get(name); ok {
 		fm.rs.AddCacheHit()
-		out := make([]DirEntry, len(db.entries))
-		copy(out, db.entries)
-		return out, nil
+		return db.entries, nil
 	}
 	fm.rs.AddCacheMiss()
 	gen := fm.caches.dirs.Gen()
@@ -287,19 +287,17 @@ func (fm *fileManager) readDir(path fspath.Path) ([]DirEntry, error) {
 	if !fm.staging() {
 		fm.caches.dirs.Put(name, db, int64(len(body)), gen)
 	}
-	out := make([]DirEntry, len(db.entries))
-	copy(out, db.entries)
-	return out, nil
+	return db.entries, nil
 }
 
 // readACL loads and validates the ACL file of a path, consulting the
-// in-enclave cache first. The returned ACL is always the caller's to
-// mutate: hits are cloned out, and the cached copy on a miss is a clone.
+// in-enclave cache first. The returned ACL is shared with the cache and
+// every other reader: a caller that edits it must Clone first.
 func (fm *fileManager) readACL(path fspath.Path) (*acl.ACL, error) {
 	name := aclName(path.String())
 	if a, ok := fm.caches.acls.Get(name); ok {
 		fm.rs.AddCacheHit()
-		return a.Clone(), nil
+		return a, nil
 	}
 	fm.rs.AddCacheMiss()
 	gen := fm.caches.acls.Gen()
@@ -315,7 +313,7 @@ func (fm *fileManager) readACL(path fspath.Path) (*acl.ACL, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrIntegrity, name, err)
 	}
 	if !fm.staging() {
-		fm.caches.acls.Put(name, a.Clone(), int64(len(body)), gen)
+		fm.caches.acls.Put(name, a, int64(len(body)), gen)
 	}
 	return a, nil
 }
@@ -507,12 +505,13 @@ func (fm *fileManager) movePath(src, dst fspath.Path) error {
 
 // readMemberList loads and validates a user's member list file,
 // consulting the in-enclave cache first. It returns ErrNotFound for
-// users without one. The returned list is the caller's to mutate.
+// users without one. The returned list is shared with the cache and
+// every other reader: a caller that edits it must Clone first.
 func (fm *fileManager) readMemberList(u acl.UserID) (*acl.MemberList, error) {
 	name := memberListName(u)
 	if m, ok := fm.caches.members.Get(name); ok {
 		fm.rs.AddCacheHit()
-		return m.Clone(), nil
+		return m, nil
 	}
 	fm.rs.AddCacheMiss()
 	gen := fm.caches.members.Gen()
@@ -528,7 +527,7 @@ func (fm *fileManager) readMemberList(u acl.UserID) (*acl.MemberList, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrIntegrity, name, err)
 	}
 	if !fm.staging() {
-		fm.caches.members.Put(name, m.Clone(), int64(len(body)), gen)
+		fm.caches.members.Put(name, m, int64(len(body)), gen)
 	}
 	return m, nil
 }
@@ -541,11 +540,12 @@ func (fm *fileManager) writeMemberList(u acl.UserID, m *acl.MemberList) error {
 
 // readGroupList loads and validates the group list file, returning an
 // empty list before any group exists. Consults the in-enclave cache
-// first; the returned list is the caller's to mutate.
+// first. The returned list is shared with the cache and every other
+// reader: a caller that edits it must Clone first.
 func (fm *fileManager) readGroupList() (*acl.GroupList, error) {
 	if l, ok := fm.caches.groups.Get(groupListName); ok {
 		fm.rs.AddCacheHit()
-		return l.Clone(), nil
+		return l, nil
 	}
 	fm.rs.AddCacheMiss()
 	gen := fm.caches.groups.Gen()
@@ -553,7 +553,7 @@ func (fm *fileManager) readGroupList() (*acl.GroupList, error) {
 	if errors.Is(err, ErrNotFound) {
 		l := acl.NewGroupList()
 		if !fm.staging() {
-			fm.caches.groups.Put(groupListName, l.Clone(), 16, gen)
+			fm.caches.groups.Put(groupListName, l, 16, gen)
 		}
 		return l, nil
 	}
@@ -568,7 +568,7 @@ func (fm *fileManager) readGroupList() (*acl.GroupList, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrIntegrity, groupListName, err)
 	}
 	if !fm.staging() {
-		fm.caches.groups.Put(groupListName, l.Clone(), int64(len(body)), gen)
+		fm.caches.groups.Put(groupListName, l, int64(len(body)), gen)
 	}
 	return l, nil
 }

@@ -92,6 +92,7 @@ func TestTreeConsistencyUnderRandomOps(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: readACL: %v", step, err)
 			}
+			a = a.Clone() // readACL's result is shared; writers clone
 			a.SetPermission(acl.GroupID(rng.Intn(50)+2), acl.PermRead)
 			if err := fm.writeACL(f.path, a); err != nil {
 				t.Fatalf("step %d: writeACL: %v", step, err)
@@ -149,6 +150,7 @@ func TestGroupStoreTreeConsistency(t *testing.T) {
 		if err != nil {
 			ml = &acl.MemberList{}
 		}
+		ml = ml.Clone() // readMemberList's result is shared; writers clone
 		if rng.Intn(3) == 0 && len(ml.Groups) > 0 {
 			ml.Remove(ml.Groups[rng.Intn(len(ml.Groups))])
 		} else {

@@ -17,11 +17,15 @@ func TestDecryptCtxCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys, err := NewKeys(key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	for _, workers := range []int{1, 4} {
-		if _, err := DecryptWorkersCtx(ctx, key, fileID, blob, workers); err == nil {
+		if _, err := keys.DecryptCtx(ctx, fileID, blob, workers); err == nil {
 			t.Errorf("workers=%d: opened a full file under a canceled context", workers)
 		} else if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled in chain", workers, err)
@@ -34,6 +38,10 @@ func TestDecryptCtxCancelled(t *testing.T) {
 // nil-ctx open and the whole-range ReadAt return.
 func TestCtxPathsMatchSerialOutput(t *testing.T) {
 	key, fileID := compatKeyID(t)
+	keys, err := NewKeys(key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	for _, size := range compatSizes {
 		plain := compatPlain(size)
@@ -42,7 +50,7 @@ func TestCtxPathsMatchSerialOutput(t *testing.T) {
 			if err != nil {
 				t.Fatalf("size=%d workers=%d encrypt: %v", size, workers, err)
 			}
-			got, err := DecryptWorkersCtx(ctx, key, fileID, blob, workers)
+			got, err := keys.DecryptCtx(ctx, fileID, blob, workers)
 			if err != nil {
 				t.Fatalf("size=%d workers=%d ctx decrypt: %v", size, workers, err)
 			}

@@ -167,29 +167,16 @@ func (w *window) open(ctx context.Context, workers int) error {
 	})
 }
 
-// EncryptWorkers encrypts and integrity-protects plaintext into a
-// self-contained blob. fileID binds the chunks to a logical file
-// (swapping blobs between files is detected). workers bounds the
-// goroutines sealing chunks; the encoded blob is byte-compatible (modulo
-// the random nonces) whatever its value.
-func EncryptWorkers(fileKey pae.Key, fileID, plaintext []byte, workers int) ([]byte, error) {
-	return AppendEncrypt(nil, fileKey, fileID, plaintext, workers)
-}
-
-// AppendEncrypt appends the encoded blob for plaintext to dst and
-// returns the extended slice. When dst has len(plaintext)+Overhead spare
-// capacity no further allocation happens, which lets callers embed a
-// protected blob directly inside a larger object (see internal/dedup)
-// without an intermediate copy.
-func AppendEncrypt(dst []byte, fileKey pae.Key, fileID, plaintext []byte, workers int) ([]byte, error) {
-	cipher, err := chunkCipher(fileKey)
-	if err != nil {
-		return nil, err
-	}
-	mk, err := macKey(fileKey)
-	if err != nil {
-		return nil, err
-	}
+// AppendEncrypt encrypts and integrity-protects plaintext into a
+// self-contained blob appended to dst, and returns the extended slice.
+// fileID binds the chunks to a logical file (swapping blobs between files
+// is detected). workers bounds the goroutines sealing chunks; the encoded
+// blob is byte-compatible (modulo the random nonces) whatever its value.
+// When dst has len(plaintext)+Overhead spare capacity no further
+// allocation happens, which lets callers embed a protected blob directly
+// inside a larger object (see internal/dedup) without an intermediate
+// copy.
+func (k *Keys) AppendEncrypt(dst, fileID, plaintext []byte, workers int) ([]byte, error) {
 	plainSize := int64(len(plaintext))
 	nc := numChunks(plainSize)
 	need := len(dst) + int(plainSize+Overhead(plainSize))
@@ -202,7 +189,7 @@ func AppendEncrypt(dst []byte, fileKey pae.Key, fileID, plaintext []byte, worker
 	body := out[len(dst):]
 	chunksEnd := plainSize + nc*pae.Overhead
 	w := window{
-		cipher: cipher,
+		cipher: k.cipher,
 		fileID: fileID,
 		plain:  plaintext,
 		sealed: body[:chunksEnd],
@@ -219,34 +206,28 @@ func AppendEncrypt(dst []byte, fileKey pae.Key, fileID, plaintext []byte, worker
 		}
 	}
 	f := footer{plainSize: plainSize, numChunks: nc, root: levels[len(levels)-1][0]}
-	copy(body[pos:], f.encode(mk))
+	copy(body[pos:], f.encode(k.mac))
 	return out, nil
 }
 
-// DecryptWorkers verifies the whole blob and returns the plaintext:
-// every chunk is authenticated under its positional associated data,
-// the Merkle tree is rebuilt from the chunk ciphertexts and checked
-// against the root the footer authenticates, and the stored inner-node
-// region is compared against the rebuilt tree, so tampering anywhere in
-// the blob is detected. workers bounds the goroutines opening chunks.
-func DecryptWorkers(fileKey pae.Key, fileID, blob []byte, workers int) ([]byte, error) {
-	return DecryptWorkersCtx(nil, fileKey, fileID, blob, workers)
-}
-
-// DecryptWorkersCtx is DecryptWorkers with a cancellation context:
-// opening stops at the next chunk boundary once ctx ends, so a
-// disconnected client stops consuming crypto CPU within one chunk, and
-// the call returns an error wrapping the context's cause. A nil ctx is
-// never canceled.
-func DecryptWorkersCtx(ctx context.Context, fileKey pae.Key, fileID, blob []byte, workers int) ([]byte, error) {
-	r, err := Open(fileKey, fileID, bytes.NewReader(blob), int64(len(blob)))
+// DecryptCtx verifies the whole blob and returns the plaintext: every
+// chunk is authenticated under its positional associated data, the Merkle
+// tree is rebuilt from the chunk ciphertexts and checked against the root
+// the footer authenticates, and the stored inner-node region is compared
+// against the rebuilt tree, so tampering anywhere in the blob is detected.
+// workers bounds the goroutines opening chunks. Opening stops at the next
+// chunk boundary once ctx ends, so a disconnected client stops consuming
+// crypto CPU within one chunk, and the call returns an error wrapping the
+// context's cause. A nil ctx is never canceled.
+func (k *Keys) DecryptCtx(ctx context.Context, fileID, blob []byte, workers int) ([]byte, error) {
+	r, err := k.Open(fileID, bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		return nil, err
 	}
 	// Open validated the blob's structure, so the chunk and tree extents
 	// index it in bounds by construction.
 	w := window{
-		cipher: r.cipher,
+		cipher: k.cipher,
 		fileID: fileID,
 		plain:  make([]byte, r.ftr.plainSize),
 		sealed: blob[:r.chunksEnd],
@@ -269,4 +250,30 @@ func DecryptWorkersCtx(ctx context.Context, fileKey pae.Key, fileID, blob []byte
 		}
 	}
 	return w.plain, nil
+}
+
+// The package-level entry points take the raw file key: each call pays
+// NewKeys and then runs the method, so there is one kernel either way.
+
+// EncryptWorkers is NewKeys(fileKey) + AppendEncrypt onto a fresh slice.
+func EncryptWorkers(fileKey pae.Key, fileID, plaintext []byte, workers int) ([]byte, error) {
+	return AppendEncrypt(nil, fileKey, fileID, plaintext, workers)
+}
+
+// AppendEncrypt is NewKeys(fileKey) + Keys.AppendEncrypt.
+func AppendEncrypt(dst []byte, fileKey pae.Key, fileID, plaintext []byte, workers int) ([]byte, error) {
+	k, err := NewKeys(fileKey)
+	if err != nil {
+		return nil, err
+	}
+	return k.AppendEncrypt(dst, fileID, plaintext, workers)
+}
+
+// DecryptWorkers is NewKeys(fileKey) + Keys.DecryptCtx, never canceled.
+func DecryptWorkers(fileKey pae.Key, fileID, blob []byte, workers int) ([]byte, error) {
+	k, err := NewKeys(fileKey)
+	if err != nil {
+		return nil, err
+	}
+	return k.DecryptCtx(nil, fileID, blob, workers)
 }

@@ -192,7 +192,7 @@ func TestParentFixturesOpen(t *testing.T) {
 // same leaves — as one whole-file window.
 func TestWindowsComposeToOneShot(t *testing.T) {
 	key, fileID := compatKeyID(t)
-	cipher, err := chunkCipher(key)
+	keys, err := NewKeys(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestWindowsComposeToOneShot(t *testing.T) {
 			last := min(first+4, nc)
 			ptEnd := min(last*ChunkSize, len(plain))
 			ws = append(ws, window{
-				cipher: cipher,
+				cipher: keys.cipher,
 				fileID: fileID,
 				first:  int64(first),
 				plain:  plain[first*ChunkSize : ptEnd],
@@ -238,7 +238,7 @@ func TestWindowsComposeToOneShot(t *testing.T) {
 			t.Fatalf("seal window at chunk %d: %v", w.first, err)
 		}
 	}
-	all := window{cipher: cipher, fileID: fileID, plain: make([]byte, len(plain)), sealed: sealed, leaves: make([][hashSize]byte, nc)}
+	all := window{cipher: keys.cipher, fileID: fileID, plain: make([]byte, len(plain)), sealed: sealed, leaves: make([][hashSize]byte, nc)}
 	if err := all.open(nil, 1); err != nil {
 		t.Fatalf("whole-file open of window-sealed chunks: %v", err)
 	}
@@ -259,7 +259,7 @@ func TestWindowsComposeToOneShot(t *testing.T) {
 // under the same MAC key).
 func TestParallelFooterMatchesSerial(t *testing.T) {
 	key, fileID := compatKeyID(t)
-	mk, err := macKey(key)
+	keys, err := NewKeys(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +276,11 @@ func TestParallelFooterMatchesSerial(t *testing.T) {
 		if len(serial) != len(par) {
 			t.Fatalf("size %d: blob lengths differ: %d vs %d", size, len(serial), len(par))
 		}
-		fs, err := parseFooter(mk, serial[len(serial)-footerSize:])
+		fs, err := parseFooter(keys.mac, serial[len(serial)-footerSize:])
 		if err != nil {
 			t.Fatalf("size %d serial footer: %v", size, err)
 		}
-		fp, err := parseFooter(mk, par[len(par)-footerSize:])
+		fp, err := parseFooter(keys.mac, par[len(par)-footerSize:])
 		if err != nil {
 			t.Fatalf("size %d parallel footer: %v", size, err)
 		}

@@ -76,19 +76,40 @@ func storedNodeCount(n int64) int64 {
 	return total
 }
 
-// chunkCipher derives the chunk-encryption key and readies its AEAD; the
-// footer MAC uses a separate derived key so chunk and metadata
-// protection are domain separated.
-func chunkCipher(fileKey pae.Key) (*pae.Cipher, error) {
+// Keys is a file key's opened key schedule: the chunk AEAD and the
+// footer-MAC key, derived from the file key under separate labels so
+// chunk and metadata protection are domain separated. Deriving them costs
+// three HKDF runs and an AES-GCM key expansion — several times the work of
+// sealing one small file — so callers that touch a file repeatedly keep
+// its Keys. Immutable and safe for concurrent use; holding one is the
+// same trust statement as holding the file key.
+type Keys struct {
+	cipher *pae.Cipher
+	mac    []byte
+}
+
+// KeysSize is the heap one Keys retains, for callers that account cached
+// ones: the struct (32), the MAC key (32), the pae.Cipher (16), and the
+// standard library's AES-GCM object — encryption and decryption round
+// keys, GHASH product table and two size words, 760 bytes in the
+// allocator's 768-byte class.
+const KeysSize = 32 + 32 + 16 + 768
+
+// NewKeys derives and opens the key schedule of fileKey.
+func NewKeys(fileKey pae.Key) (*Keys, error) {
 	ck, err := pae.DeriveKey(fileKey[:], "pfs-chunk-key", nil)
 	if err != nil {
 		return nil, err
 	}
-	return pae.NewCipher(ck)
-}
-
-func macKey(fileKey pae.Key) ([]byte, error) {
-	return pae.DeriveBytes(fileKey[:], "pfs-footer-mac", nil, 32)
+	cipher, err := pae.NewCipher(ck)
+	if err != nil {
+		return nil, err
+	}
+	mac, err := pae.DeriveBytes(fileKey[:], "pfs-footer-mac", nil, 32)
+	if err != nil {
+		return nil, err
+	}
+	return &Keys{cipher: cipher, mac: mac}, nil
 }
 
 func chunkAAD(fileID []byte, index int64) []byte {

@@ -29,11 +29,7 @@ type Reader struct {
 // (whose total encoded length is size) and returns a Reader. It returns
 // ErrCorrupt if the footer fails authentication or the structure is
 // implausible.
-func Open(fileKey pae.Key, fileID []byte, src io.ReaderAt, size int64) (*Reader, error) {
-	mk, err := macKey(fileKey)
-	if err != nil {
-		return nil, err
-	}
+func (k *Keys) Open(fileID []byte, src io.ReaderAt, size int64) (*Reader, error) {
 	if size < footerSize {
 		return nil, ErrCorrupt
 	}
@@ -41,18 +37,13 @@ func Open(fileKey pae.Key, fileID []byte, src io.ReaderAt, size int64) (*Reader,
 	if _, err := src.ReadAt(rawFooter, size-footerSize); err != nil {
 		return nil, fmt.Errorf("pfs: read footer: %w", err)
 	}
-	ftr, err := parseFooter(mk, rawFooter)
-	if err != nil {
-		return nil, err
-	}
-
-	cipher, err := chunkCipher(fileKey)
+	ftr, err := parseFooter(k.mac, rawFooter)
 	if err != nil {
 		return nil, err
 	}
 
 	r := &Reader{
-		cipher: cipher,
+		cipher: k.cipher,
 		fileID: append([]byte(nil), fileID...),
 		src:    src,
 		ftr:    ftr,
@@ -77,6 +68,15 @@ func Open(fileKey pae.Key, fileID []byte, src io.ReaderAt, size int64) (*Reader,
 		return nil, ErrCorrupt
 	}
 	return r, nil
+}
+
+// Open is NewKeys(fileKey) + Keys.Open.
+func Open(fileKey pae.Key, fileID []byte, src io.ReaderAt, size int64) (*Reader, error) {
+	k, err := NewKeys(fileKey)
+	if err != nil {
+		return nil, err
+	}
+	return k.Open(fileID, src, size)
 }
 
 // Size returns the plaintext size of the protected file.
