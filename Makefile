@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` mirrors the tier-1 CI gate in
 # .github/workflows/verify.yml exactly — run it before pushing.
 
-RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal ./internal/pfs
+RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal ./internal/pfs ./internal/pae ./internal/dedup
 
 .PHONY: verify build test vet race bench bench-smoke bench-build chaos-smoke drain-smoke crash-smoke tcb advisory
 
@@ -51,10 +51,13 @@ drain-smoke:
 
 # Intent-journal pass: the crash-recovery harness (every mutation type
 # killed at every backend write, recovery installing the record's blobs
-# verbatim) and the journal package under -race, then ten seconds of
-# fuzzing the record decoder. Mirrors the crash-smoke CI job.
+# verbatim), the rollback-attack tests (cold and with a warm
+# verified-main cache: rolled-back nodes, dropped writes, restarts,
+# aborted intents, CA-authorized restores) and the journal package under
+# -race, then ten seconds of fuzzing the record decoder. Mirrors the
+# crash-smoke CI job.
 crash-smoke:
-	go test -race -run 'TestCrash|TestRecoveryInstalls|TestOverwriteLeaves' ./internal/core
+	go test -race -run 'TestCrash|TestRecoveryInstalls|TestOverwriteLeaves|Rollback' ./internal/core
 	go test -race ./internal/journal
 	go test -run '^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/journal
 

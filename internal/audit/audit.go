@@ -155,8 +155,13 @@ func DeriveKeys(rootKey []byte) (Keys, error) {
 //
 //	kind(1) ‖ seq(8, big-endian) ‖ len(4, big-endian) ‖ payload
 //
-// kind 1 (record): payload is PAE ciphertext of the JSON record, with
-// associated data binding the format version and sequence number.
+// kind 1 (record): payload is PAE ciphertext of the record, with
+// associated data binding the format version and sequence number. The
+// plaintext is recordCompact ‖ varint(time) ‖ uvarint(reqId) and then
+// uvarint(len) ‖ bytes for event, decision, op, user, target, group,
+// path and detail; the sequence number is the frame's. Logs written
+// before this encoding hold the JSON record, which begins with '{' and
+// still opens.
 // kind 2 (checkpoint): payload is seq(8) ‖ counter(8) ‖ head(32) ‖
 // mac(32), where head is the chain head over all preceding entries and
 // mac is HMAC-SHA256 under the checkpoint key.
@@ -190,11 +195,22 @@ func recordAssociatedData(seq uint64) []byte {
 	return ad
 }
 
+// recordCompact tags the binary record plaintext (see the wire format).
+const recordCompact byte = 1
+
+// recordStrings lists a record's string fields in their encoded order.
+func recordStrings(rec *Record) []*string {
+	return []*string{(*string)(&rec.Event), &rec.Decision, &rec.Op, &rec.User,
+		&rec.Target, &rec.Group, &rec.Path, &rec.Detail}
+}
+
 // sealRecord serializes and encrypts one record.
 func sealRecord(keys Keys, rec Record) ([]byte, error) {
-	plain, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("audit: marshal record: %w", err)
+	plain := binary.AppendVarint([]byte{recordCompact}, rec.TimeNanos)
+	plain = binary.AppendUvarint(plain, rec.RequestID)
+	for _, f := range recordStrings(&rec) {
+		plain = binary.AppendUvarint(plain, uint64(len(*f)))
+		plain = append(plain, *f...)
 	}
 	ct, err := pae.Encrypt(keys.Enc, plain, recordAssociatedData(rec.Seq))
 	if err != nil {
@@ -203,19 +219,46 @@ func sealRecord(keys Keys, rec Record) ([]byte, error) {
 	return ct, nil
 }
 
-// openRecord reverses sealRecord. Any authentication failure maps to
-// ErrRecordCorrupt.
+// openRecord reverses sealRecord, and opens the JSON records of older
+// logs. Any authentication or decoding failure maps to ErrRecordCorrupt.
 func openRecord(keys Keys, seq uint64, payload []byte) (Record, error) {
 	plain, err := pae.Decrypt(keys.Enc, payload, recordAssociatedData(seq))
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: entry %d", ErrRecordCorrupt, seq)
 	}
-	var rec Record
-	if err := json.Unmarshal(plain, &rec); err != nil {
-		return Record{}, fmt.Errorf("%w: entry %d: %v", ErrRecordCorrupt, seq, err)
+	rec := Record{Seq: seq}
+	if len(plain) > 0 && plain[0] == '{' {
+		if err := json.Unmarshal(plain, &rec); err != nil {
+			return Record{}, fmt.Errorf("%w: entry %d: %v", ErrRecordCorrupt, seq, err)
+		}
+		if rec.Seq != seq {
+			return Record{}, fmt.Errorf("%w: entry %d claims seq %d", ErrRecordCorrupt, seq, rec.Seq)
+		}
+		return rec, nil
 	}
-	if rec.Seq != seq {
-		return Record{}, fmt.Errorf("%w: entry %d claims seq %d", ErrRecordCorrupt, seq, rec.Seq)
+	bad := fmt.Errorf("%w: entry %d: malformed record", ErrRecordCorrupt, seq)
+	if len(plain) == 0 || plain[0] != recordCompact {
+		return Record{}, bad
+	}
+	p := plain[1:]
+	var n int
+	if rec.TimeNanos, n = binary.Varint(p); n <= 0 {
+		return Record{}, bad
+	}
+	p = p[n:]
+	if rec.RequestID, n = binary.Uvarint(p); n <= 0 {
+		return Record{}, bad
+	}
+	p = p[n:]
+	for _, f := range recordStrings(&rec) {
+		l, n := binary.Uvarint(p)
+		if n <= 0 || l > uint64(len(p)-n) {
+			return Record{}, bad
+		}
+		*f, p = string(p[n:n+int(l)]), p[n+int(l):]
+	}
+	if len(p) != 0 {
+		return Record{}, bad
 	}
 	return rec, nil
 }

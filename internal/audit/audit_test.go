@@ -12,6 +12,7 @@ import (
 
 	"segshare/internal/enclave"
 	"segshare/internal/obs"
+	"segshare/internal/pae"
 	"segshare/internal/store"
 )
 
@@ -530,5 +531,50 @@ func TestHeadIsLeakSafe(t *testing.T) {
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordEncodings pins the record plaintext: the compact encoding
+// round-trips every field and is smaller than the JSON one it replaced;
+// JSON records, as older logs hold them, still open; and a malformed
+// compact plaintext is a corrupt record, not a panic.
+func TestRecordEncodings(t *testing.T) {
+	keys := testKeys(t)
+	rec := Record{Seq: 7, TimeNanos: time.Now().UnixNano(), Event: EventGroupChange,
+		Decision: DecisionAllow, Op: "api_groups_add", RequestID: 1 << 40, User: "alice",
+		Target: "bob", Group: "finance", Path: "/team/plan.txt", Detail: "add"}
+	compact, err := sealRecord(keys, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainJSON, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := pae.Encrypt(keys.Enc, plainJSON, recordAssociatedData(rec.Seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("sealed record: %d B compact, %d B JSON", len(compact), len(legacy))
+	if len(compact) >= len(legacy)*3/4 {
+		t.Errorf("compact record is %d B, JSON %d B", len(compact), len(legacy))
+	}
+	for name, payload := range map[string][]byte{"compact": compact, "json": legacy} {
+		if got, err := openRecord(keys, rec.Seq, payload); err != nil || got != rec {
+			t.Fatalf("%s: openRecord = %+v, %v; want %+v", name, got, err, rec)
+		}
+	}
+	if _, err := openRecord(keys, rec.Seq+1, compact); !errors.Is(err, ErrRecordCorrupt) {
+		t.Fatalf("record opened under another seq: %v", err)
+	}
+	full := append([]byte{recordCompact}, bytes.Repeat([]byte{0x80}, 3)...)
+	for _, plain := range [][]byte{nil, {0x7f}, {recordCompact}, full, {recordCompact, 2, 0, 5, 'x'}} {
+		ct, err := pae.Encrypt(keys.Enc, plain, recordAssociatedData(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := openRecord(keys, 1, ct); !errors.Is(err, ErrRecordCorrupt) {
+			t.Fatalf("malformed plaintext %x: %v", plain, err)
+		}
 	}
 }

@@ -192,92 +192,85 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 }
 
 // TestAuditRollbackFailureRecorded forces a rollback-validation failure
-// and checks it lands in the audit trail.
+// and checks it lands in the audit trail: once for a rolled-back file
+// read back, once for a rolled-back root written through.
 func TestAuditRollbackFailureRecorded(t *testing.T) {
-	auditStore := store.NewMemory()
-	content := store.NewMemory()
-	authority, err := ca.New("audit test CA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := enclave.NewPlatform(enclave.PlatformConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := NewServer(platform, Config{
-		CACertPEM:    authority.CertificatePEM(),
-		ContentStore: content,
-		GroupStore:   store.NewMemory(),
-		Features:     Features{RollbackProtection: true},
-		Obs:          obs.NewRegistry(),
-		AuditStore:   auditStore,
-		Audit:        audit.Options{Overflow: audit.OverflowBlock},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &handlerFixture{server: server, authority: authority, certs: make(map[string]*x509.Certificate)}
+	for _, tc := range []struct {
+		name, object, method, target string
+	}{
+		{"file", "/a.txt", http.MethodGet, "/fs/a.txt"},
+		{"root", "/", http.MethodPut, "/fs/b.txt"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			auditStore := store.NewMemory()
+			content := store.NewMemory()
+			authority, err := ca.New("audit test CA")
+			if err != nil {
+				t.Fatal(err)
+			}
+			platform, err := enclave.NewPlatform(enclave.PlatformConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			server, err := NewServer(platform, Config{
+				CACertPEM:    authority.CertificatePEM(),
+				ContentStore: content,
+				GroupStore:   store.NewMemory(),
+				Features:     Features{RollbackProtection: true},
+				Obs:          obs.NewRegistry(),
+				AuditStore:   auditStore,
+				Audit:        audit.Options{Overflow: audit.OverflowBlock},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := &handlerFixture{server: server, authority: authority, certs: make(map[string]*x509.Certificate)}
 
-	if rec := f.do(t, "alice", http.MethodPut, "/fs/a.txt", []byte("v2"), nil); rec.Code != 201 {
-		t.Fatalf("PUT = %d: %s", rec.Code, rec.Body)
-	}
-	// Snapshot the content store, update the file, then roll back only the
-	// objects that changed EXCEPT one — a partial rollback the per-file
-	// hash tree must reject (restoring every object would be a consistent
-	// whole-store rollback, which needs the §V-E guard to catch and is
-	// exercised elsewhere).
-	snapshot := map[string][]byte{}
-	names, err := content.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range names {
-		data, err := content.Get(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snapshot[n] = data
-	}
-	if rec := f.do(t, "alice", http.MethodPut, "/fs/a.txt", []byte("v3"), nil); rec.Code != 204 {
-		t.Fatalf("PUT update = %d: %s", rec.Code, rec.Body)
-	}
-	restored := 0
-	for n, old := range snapshot {
-		cur, err := content.Get(n)
-		if err != nil {
-			continue
-		}
-		if bytes.Equal(cur, old) {
-			continue
-		}
-		if restored > 0 { // leave the remaining changed objects current
-			break
-		}
-		if err := content.Put(n, old); err != nil {
-			t.Fatal(err)
-		}
-		restored++
-	}
-	if restored == 0 {
-		t.Fatal("update changed no previously-existing object; cannot stage rollback")
-	}
-	rec := f.do(t, "alice", http.MethodGet, "/fs/a.txt", nil, nil)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("GET after rollback = %d (want 500): %s", rec.Code, rec.Body)
-	}
+			if rec := f.do(t, "alice", http.MethodPut, "/fs/a.txt", []byte("v2"), nil); rec.Code != 201 {
+				t.Fatalf("PUT = %d: %s", rec.Code, rec.Body)
+			}
+			// Remember one object, update the file, then roll back only
+			// that object and leave the others that changed with it
+			// current — a partial rollback the hash tree must reject
+			// (restoring every object would be a consistent whole-store
+			// rollback, which needs the §V-E guard to catch and is
+			// exercised elsewhere).
+			old, err := content.Get(tc.object)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := f.do(t, "alice", http.MethodPut, "/fs/a.txt", []byte("v3"), nil); rec.Code != 204 {
+				t.Fatalf("PUT update = %d: %s", rec.Code, rec.Body)
+			}
+			if cur, err := content.Get(tc.object); err != nil || bytes.Equal(cur, old) {
+				t.Fatalf("update left %s unchanged (%v); cannot stage rollback", tc.object, err)
+			}
+			if err := content.Put(tc.object, old); err != nil {
+				t.Fatal(err)
+			}
+			var body []byte
+			if tc.method == http.MethodPut {
+				body = []byte("new")
+			}
+			rec := f.do(t, "alice", tc.method, tc.target, body, nil)
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("%s %s after rollback = %d (want 500): %s", tc.method, tc.target, rec.Code, rec.Body)
+			}
 
-	keys, err := audit.DeriveKeys(server.RootKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var dump bytes.Buffer
-	if _, err := audit.Verify(auditStore, keys, audit.VerifyOptions{Dump: &dump}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(dump.Bytes(), []byte(`"event":"rollback_failure"`)) {
-		t.Fatalf("no rollback_failure record in audit dump:\n%s", dump.String())
+			keys, err := audit.DeriveKeys(server.RootKey())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := server.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var dump bytes.Buffer
+			if _, err := audit.Verify(auditStore, keys, audit.VerifyOptions{Dump: &dump}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(dump.Bytes(), []byte(`"event":"rollback_failure"`)) {
+				t.Fatalf("no rollback_failure record in audit dump:\n%s", dump.String())
+			}
+		})
 	}
 }

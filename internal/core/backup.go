@@ -64,6 +64,9 @@ func (s *Server) AcceptReset(signature []byte) error {
 	// The operator restored arbitrary store state; everything cached from
 	// the previous state is suspect.
 	s.fm.caches.flushAll()
+	if s.fm.dedup != nil {
+		s.fm.dedup.Reload()
+	}
 	// Finish any operation interrupted by the crash the operator is
 	// recovering from. The restored counter state is behind the live one
 	// by construction, so the strict tail bound cannot hold here.

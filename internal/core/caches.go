@@ -6,6 +6,7 @@ import (
 	"segshare/internal/acl"
 	"segshare/internal/cache"
 	"segshare/internal/pfs"
+	"segshare/internal/rollback"
 )
 
 // The in-enclave relation caches (IBBE-SGX makes the same observation:
@@ -63,31 +64,58 @@ func derivedCost(id string) int64 {
 	return pfs.KeysSize + derivedOverhead + 2*int64(len(id))
 }
 
+// The verified-main cache maps a rollback-tree node's treeID to the main
+// hash the enclave last proved current, so reading a cached node needs
+// no ancestor walk (validateNode). Entries come only from a walk that
+// reached the root guard or a cached ancestor, or from the enclave's own
+// applied write (publishVerified); writes invalidate them here, like the
+// relation caches; a restart starts empty and a restore flushes them.
+
+// verifiedOverhead is what a verified-main entry retains besides the
+// bytes of its key, at its worst, just after the containers grew: the
+// cache's entry with the 32-byte digest inline (64), a CLOCK ring slot
+// in a slice that doubled (16) and a map slot in a map that doubled at
+// 7/8 full (64). TestVerifiedCacheChargesRetainedSize measures it.
+const verifiedOverhead = 64 + 16 + 64
+
+// verifiedCost is the accounted size of one verified-main entry: about
+// 170 B, so the verified share of defaultCacheBytes holds ~5 000 nodes.
+func verifiedCost(id string) int64 { return verifiedOverhead + int64(len(id)) }
+
 // relCaches bundles one cache per relation kind plus the derived
-// per-file key schedules. Individual caches may be nil (always-miss); the
-// struct itself is never nil on a fileManager.
+// per-file key schedules and the verified mains. Individual caches may
+// be nil (always-miss); the struct itself is never nil on a fileManager.
 type relCaches struct {
 	acls    *cache.Cache[*acl.ACL]
 	dirs    *cache.Cache[*dirBody]
 	members *cache.Cache[*acl.MemberList]
 	groups  *cache.Cache[*acl.GroupList]
 	derived *cache.Cache[*derived]
+	// verified is nil unless rollback protection is on.
+	verified *cache.Cache[rollback.Digest]
 }
 
 // newRelCaches splits a total byte budget across the relation kinds.
-// A non-positive budget disables caching entirely.
-func newRelCaches(totalBytes int64, o *serverObs) *relCaches {
+// With rollback protection the verified mains take a tenth of it, half
+// from the ACL share and half from the directory share. A non-positive
+// budget disables caching entirely.
+func newRelCaches(totalBytes int64, rollbackOn bool, o *serverObs) *relCaches {
 	if totalBytes <= 0 {
 		return &relCaches{}
 	}
 	frac := func(pct int64) int64 { return totalBytes * pct / 100 }
-	return &relCaches{
-		acls:    cache.New[*acl.ACL](frac(35), o.cacheHooks("acls")),
-		dirs:    cache.New[*dirBody](frac(30), o.cacheHooks("dirs")),
-		members: cache.New[*acl.MemberList](frac(20), o.cacheHooks("memberships")),
-		groups:  cache.New[*acl.GroupList](frac(5), o.cacheHooks("grouplist")),
-		derived: cache.New[*derived](frac(10), o.cacheHooks("derived")),
+	aclPct, dirPct := int64(35), int64(30)
+	rc := &relCaches{}
+	if rollbackOn {
+		aclPct, dirPct = 30, 25
+		rc.verified = cache.New[rollback.Digest](frac(10), o.cacheHooks("verified"))
 	}
+	rc.acls = cache.New[*acl.ACL](frac(aclPct), o.cacheHooks("acls"))
+	rc.dirs = cache.New[*dirBody](frac(dirPct), o.cacheHooks("dirs"))
+	rc.members = cache.New[*acl.MemberList](frac(20), o.cacheHooks("memberships"))
+	rc.groups = cache.New[*acl.GroupList](frac(5), o.cacheHooks("grouplist"))
+	rc.derived = cache.New[*derived](frac(10), o.cacheHooks("derived"))
+	return rc
 }
 
 // flushAll empties every cache, e.g. after a backup restoration rebinds
@@ -97,15 +125,20 @@ func (rc *relCaches) flushAll() {
 	rc.dirs.Flush()
 	rc.members.Flush()
 	rc.groups.Flush()
+	rc.verified.Flush()
 	// Derived entries are a pure function of SK_r and the name — no store
 	// content enters them, so a restored state cannot make one stale —
 	// and they stay.
 }
 
-// invalidateRel drops the cached decodings of a logical name after its
-// blob in the untrusted store changed. Called with the store write
-// completed (invalidate-last; see package cache).
+// invalidateRel drops the cached decodings and the verified main of a
+// logical name after its blob in the untrusted store changed. Called
+// with the store write completed (invalidate-last; see package cache),
+// and when a journaled operation stages the write.
 func (fm *fileManager) invalidateRel(ns *namespace, name string) {
+	if fm.caches.verified != nil {
+		fm.caches.verified.Invalidate(treeID(ns, name))
+	}
 	if ns == fm.group {
 		switch {
 		case name == groupListName:
@@ -134,5 +167,6 @@ func (s *Server) CacheStats() map[string]cache.Stats {
 		"memberships": rc.members.Stats(),
 		"grouplist":   rc.groups.Stats(),
 		"derived":     rc.derived.Stats(),
+		"verified":    rc.verified.Stats(),
 	}
 }

@@ -61,7 +61,7 @@ type namespace struct {
 // context, and the lock manager serializes the mutations themselves.
 type fileManager struct {
 	rootKey []byte
-	hideKey []byte
+	hideMAC *pae.MACKey
 	hasher  *rollback.Hasher
 
 	content *namespace
@@ -70,7 +70,6 @@ type fileManager struct {
 
 	hidePaths  bool
 	rollbackOn bool
-	validate   bool
 
 	// caches holds decoded, validated relation objects and derived file
 	// keys in enclave memory (see caches.go); never nil, individual
@@ -222,12 +221,11 @@ func newFileManager(cfg fmConfig) (*fileManager, error) {
 	}
 	fm := &fileManager{
 		rootKey:       cfg.rootKey,
-		hideKey:       hideKey,
+		hideMAC:       pae.NewMACKey(hideKey),
 		hasher:        rollback.NewHasher(treeKey),
 		hidePaths:     cfg.hidePaths,
 		rollbackOn:    cfg.rollbackOn,
-		validate:      cfg.rollbackOn,
-		caches:        newRelCaches(cfg.cacheBytes, cfg.obs),
+		caches:        newRelCaches(cfg.cacheBytes, cfg.rollbackOn, cfg.obs),
 		journal:       cfg.journal,
 		shared:        &fmShared{recovery: cfg.recovery, degraded: cfg.degradedGate},
 		cryptoWorkers: workers,
@@ -312,7 +310,7 @@ func (fm *fileManager) storageName(ns *namespace, name string) string {
 	if !fm.hidePaths {
 		return name
 	}
-	mac := pae.MAC(fm.hideKey, []byte(ns.kind+":"+name))
+	mac := fm.hideMAC.Sum([]byte(ns.kind + ":" + name))
 	return hex.EncodeToString(mac[:])
 }
 
@@ -410,12 +408,14 @@ func (fm *fileManager) sealBlob(ns *namespace, name string, hdrEnc, body []byte)
 }
 
 // installBlob stores a sealed blob under the logical file's storage name.
+// A failed Put may still have changed the object, so it invalidates too.
 func (fm *fileManager) installBlob(ns *namespace, name string, blob []byte) error {
 	fm.rs.AddStoreOps(1)
-	if err := ns.backend.Put(fm.storageName(ns, name), blob); err != nil {
+	err := ns.backend.Put(fm.storageName(ns, name), blob)
+	fm.invalidateRel(ns, name)
+	if err != nil {
 		return fmt.Errorf("segshare: store %q: %w", name, err)
 	}
-	fm.invalidateRel(ns, name)
 	return nil
 }
 

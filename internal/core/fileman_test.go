@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"segshare/internal/acl"
+	"segshare/internal/ca"
 	"segshare/internal/enclave"
 	"segshare/internal/fspath"
+	"segshare/internal/journal"
 	"segshare/internal/rollback"
 	"segshare/internal/store"
 )
@@ -19,9 +22,13 @@ type fmFixture struct {
 	fm         *fileManager
 	contentAdv *store.Adversary
 	groupAdv   *store.Adversary
-	enclave    *enclave.Enclave
-	platform   *enclave.Platform
-	rootKey    []byte
+	dedupB     store.Backend
+	// plan schedules faults on both stores (disarmed unless a test arms it).
+	plan     *store.FaultPlan
+	enclave  *enclave.Enclave
+	platform *enclave.Platform
+	rootKey  []byte
+	opts     fmOptions
 }
 
 type fmOptions struct {
@@ -29,6 +36,11 @@ type fmOptions struct {
 	guard     GuardKind
 	dedup     bool
 	hidePaths bool
+	// journal and cache give the file manager an intent journal and the
+	// default relation-cache budget, as a server has; tests leave both
+	// off unless they exercise them.
+	journal bool
+	cache   bool
 }
 
 func newFMFixture(t *testing.T, opts fmOptions) *fmFixture {
@@ -37,15 +49,31 @@ func newFMFixture(t *testing.T, opts fmOptions) *fmFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encl, err := platform.Launch(enclave.CodeIdentity{Name: "segshare", Version: 1})
+	plan := store.NewFaultPlan()
+	fx := &fmFixture{
+		contentAdv: store.NewAdversary(store.NewFaultyWithPlan(store.NewMemory(), plan)),
+		groupAdv:   store.NewAdversary(store.NewFaultyWithPlan(store.NewMemory(), plan)),
+		dedupB:     store.NewMemory(),
+		plan:       plan,
+		platform:   platform,
+		rootKey:    bytes.Repeat([]byte{7}, 32),
+		opts:       opts,
+	}
+	fx.restart(t)
+	return fx
+}
+
+// restart launches a fresh enclave on the fixture's platform (monotonic
+// counters and protected memory survive, in-enclave caches do not) and
+// rebuilds the file manager over the surviving stores.
+func (fx *fmFixture) restart(t *testing.T) {
+	t.Helper()
+	encl, err := fx.platform.Launch(enclave.CodeIdentity{Name: "segshare", Version: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	contentAdv := store.NewAdversary(store.NewMemory())
-	groupAdv := store.NewAdversary(store.NewMemory())
-
 	var contentGuard, groupGuard rollback.RootGuard
-	switch opts.guard {
+	switch fx.opts.guard {
 	case GuardProtectedMemory:
 		contentGuard = rollback.NewProtectedMemoryGuard(encl, "content-root")
 		groupGuard = rollback.NewProtectedMemoryGuard(encl, "group-root")
@@ -53,30 +81,34 @@ func newFMFixture(t *testing.T, opts fmOptions) *fmFixture {
 		contentGuard = rollback.NewCounterGuard(encl, "content-root")
 		groupGuard = rollback.NewCounterGuard(encl, "group-root")
 	}
-
-	rootKey := bytes.Repeat([]byte{7}, 32)
-	fm, err := newFileManager(fmConfig{
-		rootKey:      rootKey,
-		contentStore: contentAdv,
-		groupStore:   groupAdv,
-		dedupStore:   store.NewMemory(),
-		hidePaths:    opts.hidePaths,
-		rollbackOn:   opts.rollback,
-		dedupEnabled: opts.dedup,
+	cfg := fmConfig{
+		rootKey:      fx.rootKey,
+		contentStore: fx.contentAdv,
+		groupStore:   fx.groupAdv,
+		dedupStore:   fx.dedupB,
+		hidePaths:    fx.opts.hidePaths,
+		rollbackOn:   fx.opts.rollback,
+		dedupEnabled: fx.opts.dedup,
 		contentGuard: contentGuard,
 		groupGuard:   groupGuard,
-	})
+	}
+	if fx.opts.cache {
+		cfg.cacheBytes = defaultCacheBytes
+	}
+	if fx.opts.journal {
+		keys, err := journal.DeriveKeys(fx.rootKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.journal, err = journal.Open(fx.groupAdv, keys, encl.Counter("journal"), journal.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fm, err := newFileManager(cfg)
 	if err != nil {
 		t.Fatalf("newFileManager: %v", err)
 	}
-	return &fmFixture{
-		fm:         fm,
-		contentAdv: contentAdv,
-		groupAdv:   groupAdv,
-		enclave:    encl,
-		platform:   platform,
-		rootKey:    rootKey,
-	}
+	fx.fm, fx.enclave = fm, encl
 }
 
 func mustPath(t *testing.T, s string) fspath.Path {
@@ -489,6 +521,317 @@ func TestWholeStoreRollbackUndetectedWithoutGuard(t *testing.T) {
 	}
 	if string(got) != "old" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// warmTree is a server-shaped file manager — rollback tree, counter
+// guard, intent journal, relation caches — holding /d/leaf and a second
+// file in the same bucket of /d/. The adversary remembered version 1 of
+// both files, of /d/ and of the root; both files were then rewritten and
+// read, so every node on the two paths is in the verified-main cache.
+type warmTree struct {
+	*fmFixture
+	ac      *accessControl
+	sibling string
+}
+
+func newWarmTree(t *testing.T) *warmTree {
+	t.Helper()
+	fx := newFMFixture(t, fmOptions{rollback: true, guard: GuardCounter, journal: true, cache: true})
+	w := &warmTree{fmFixture: fx, ac: &accessControl{fm: fx.fm}}
+	bucket := fx.fm.hasher.BucketIndex(treeID(fx.fm.content, "/d/leaf"))
+	for i := 0; w.sibling == ""; i++ {
+		if name := fmt.Sprintf("/d/s%d", i); fx.fm.hasher.BucketIndex(treeID(fx.fm.content, name)) == bucket {
+			w.sibling = name
+		}
+	}
+	if err := w.ac.PutDir("alice", mustPath(t, "/d/")); err != nil {
+		t.Fatal(err)
+	}
+	files := []string{"/d/leaf", w.sibling}
+	for _, name := range files {
+		w.put(t, name, "v1")
+	}
+	for _, name := range append(files, "/d/", "/") {
+		if err := fx.contentAdv.RememberObject(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range files {
+		w.put(t, name, "v2")
+		if got, err := w.ac.GetFile("alice", mustPath(t, name)); err != nil || string(got) != "v2" {
+			t.Fatalf("warm read of %s: %q %v", name, got, err)
+		}
+	}
+	for _, name := range append(files, "/d/", "/") {
+		if _, ok := fx.fm.caches.verified.Get(treeID(fx.fm.content, name)); !ok {
+			t.Fatalf("%s is not in the verified cache after a read", name)
+		}
+	}
+	return w
+}
+
+func (w *warmTree) put(t *testing.T, name, content string) {
+	t.Helper()
+	if _, err := w.ac.PutFile("alice", mustPath(t, name), []byte(content)); err != nil {
+		t.Fatalf("put %s: %v", name, err)
+	}
+}
+
+// readNode reads and validates one content node as every read path does
+// on a relation-cache miss.
+func (w *warmTree) readNode(name string) error {
+	hdr, body, err := w.fm.getBlob(w.fm.content, name)
+	if err != nil {
+		return err
+	}
+	return w.fm.validateNode(w.fm.content, name, hdr, body)
+}
+
+// TestWarmCacheRollbackDetected rolls one node back under a warm
+// verified cache: the file read, a file sharing its bucket, the parent
+// directory, the root. The next read of that node must fail as a
+// rollback and be counted (rollbackFailed also records it in the audit
+// trail); a write through a rolled-back directory must fail too instead
+// of folding the stale node into a new root.
+func TestWarmCacheRollbackDetected(t *testing.T) {
+	for _, target := range []string{"leaf", "sibling", "parent", "root"} {
+		t.Run(target, func(t *testing.T) {
+			w := newWarmTree(t)
+			name := map[string]string{"leaf": "/d/leaf", "sibling": w.sibling, "parent": "/d/", "root": "/"}[target]
+			failures := w.fm.obs.rollbackFailures.Value()
+			if err := w.contentAdv.RollbackObject(name); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.readNode(name); !errors.Is(err, ErrRollback) {
+				t.Fatalf("read of rolled-back %s: want ErrRollback, got %v", name, err)
+			}
+			if got := w.fm.obs.rollbackFailures.Value() - failures; got != 1 {
+				t.Fatalf("rollback failures counted: %d, want 1", got)
+			}
+			if !strings.HasSuffix(name, "/") {
+				if _, err := w.ac.GetFile("alice", mustPath(t, name)); !errors.Is(err, ErrRollback) {
+					t.Fatalf("GET of rolled-back %s: want ErrRollback, got %v", name, err)
+				}
+				return
+			}
+			if _, err := w.ac.PutFile("alice", mustPath(t, "/d/leaf"), []byte("v3")); !errors.Is(err, ErrRollback) {
+				t.Fatalf("PUT through rolled-back %s: want ErrRollback, got %v", name, err)
+			}
+		})
+	}
+}
+
+// TestEvictedAncestorRollbackCaughtOnWrite rolls back a directory (or
+// the root) whose verified main was evicted while the files below stay
+// cached. A PUT under it must not fold the stale node into a new
+// guard-committed root: it proves the uncached node first, fails as a
+// rollback and leaves the stored root untouched.
+func TestEvictedAncestorRollbackCaughtOnWrite(t *testing.T) {
+	for _, target := range []string{"/d/", "/"} {
+		t.Run(target, func(t *testing.T) {
+			w := newWarmTree(t)
+			for _, name := range []string{"/d/", "/"} {
+				w.fm.caches.verified.Invalidate(treeID(w.fm.content, name))
+			}
+			if err := w.contentAdv.RollbackObject(target); err != nil {
+				t.Fatal(err)
+			}
+			root, err := w.contentAdv.Get("/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			failures := w.fm.obs.rollbackFailures.Value()
+			if _, err := w.ac.PutFile("alice", mustPath(t, "/d/leaf"), []byte("v3")); !errors.Is(err, ErrRollback) {
+				t.Fatalf("PUT under rolled-back, evicted %s: want ErrRollback, got %v", target, err)
+			}
+			if w.fm.obs.rollbackFailures.Value() == failures {
+				t.Fatal("the rejected PUT counted no rollback failure")
+			}
+			if after, err := w.contentAdv.Get("/"); err != nil || !bytes.Equal(after, root) {
+				t.Fatalf("the rejected PUT rewrote the root (%v)", err)
+			}
+		})
+	}
+}
+
+// TestWarmCacheDroppedWriteRollbackDetected: a host that acknowledges a
+// PUT but drops it serves the previous version, which the cache — holding
+// the main the enclave wrote — rejects on the next GET.
+func TestWarmCacheDroppedWriteRollbackDetected(t *testing.T) {
+	w := newWarmTree(t)
+	w.contentAdv.SetDropWrites(true)
+	w.put(t, "/d/leaf", "v3")
+	w.contentAdv.SetDropWrites(false)
+	if got, err := w.ac.GetFile("alice", mustPath(t, "/d/leaf")); !errors.Is(err, ErrRollback) {
+		t.Fatalf("GET after a dropped PUT: want ErrRollback, got %q %v", got, err)
+	}
+}
+
+// TestWarmCacheWholeStoreRollbackAfterRestart: the cache does not survive
+// a restart, so a consistent whole-store rollback is left to the root
+// guard, which rejects it.
+func TestWarmCacheWholeStoreRollbackAfterRestart(t *testing.T) {
+	w := newWarmTree(t)
+	w.contentAdv.SnapshotStore()
+	w.put(t, "/d/leaf", "v3")
+	if _, err := w.ac.GetFile("alice", mustPath(t, "/d/leaf")); err != nil {
+		t.Fatal(err)
+	}
+	w.contentAdv.RollbackStore()
+	w.restart(t)
+	if n := w.fm.caches.verified.Stats().Entries; n != 0 {
+		t.Fatalf("verified cache holds %d entries after a restart", n)
+	}
+	ac := &accessControl{fm: w.fm}
+	if got, err := ac.GetFile("alice", mustPath(t, "/d/leaf")); !errors.Is(err, ErrRollback) {
+		t.Fatalf("GET after whole-store rollback and restart: want ErrRollback, got %q %v", got, err)
+	}
+}
+
+// TestWarmCacheAbortedWriteNoRollback fails a PUT's intent commit: the
+// operation aborts, publishes no main, and the file still reads — and
+// validates — as its previous version.
+func TestWarmCacheAbortedWriteNoRollback(t *testing.T) {
+	w := newWarmTree(t)
+	id := treeID(w.fm.content, "/d/leaf")
+	before, _ := w.fm.caches.verified.Get(id)
+	w.plan.FailAtOp(1, errInjected) // the first backend write of a PUT is its intent commit
+	if _, err := w.ac.PutFile("alice", mustPath(t, "/d/leaf"), []byte("v3")); !errors.Is(err, errInjected) {
+		t.Fatalf("PUT with a failing intent commit: %v", err)
+	}
+	if m, ok := w.fm.caches.verified.Get(id); ok && m != before {
+		t.Fatal("an aborted PUT published its main")
+	}
+	failures := w.fm.obs.rollbackFailures.Value()
+	if got, err := w.ac.GetFile("alice", mustPath(t, "/d/leaf")); err != nil || string(got) != "v2" {
+		t.Fatalf("GET after an aborted PUT: %q %v", got, err)
+	}
+	if m, ok := w.fm.caches.verified.Get(id); !ok || m != before {
+		t.Fatal("the read did not re-prove the previous main")
+	}
+	if w.fm.obs.rollbackFailures.Value() != failures {
+		t.Fatal("an aborted PUT raised a rollback alarm")
+	}
+}
+
+// TestVerifiedCacheReadsNothingItProved: with a file's main cached, an
+// overwrite does not read the old copy, and a GET after the write — whose
+// mains the write published — reads no bucket sibling. Corrupting either
+// object in the store therefore breaks neither.
+func TestVerifiedCacheReadsNothingItProved(t *testing.T) {
+	w := newWarmTree(t)
+	if err := w.contentAdv.FlipBit("/d/leaf", 60); err != nil {
+		t.Fatal(err)
+	}
+	w.put(t, "/d/leaf", "v3")
+	if err := w.contentAdv.FlipBit(w.sibling, 60); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := w.ac.GetFile("alice", mustPath(t, "/d/leaf")); err != nil || string(got) != "v3" {
+		t.Fatalf("GET after the overwrite: %q %v", got, err)
+	}
+}
+
+// TestWarmCacheRollbackResetByCA restores a backup under a server whose
+// caches are warm: reads are refused until the CA authorizes the restored
+// state; after that every cache — the verified mains and the dedup
+// reference table included — starts from the restored state, with no
+// false alarm.
+func TestWarmCacheRollbackResetByCA(t *testing.T) {
+	authority, err := ca.New("reset CA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := enclave.NewPlatform(enclave.PlatformConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := []store.Backend{store.NewMemory(), store.NewMemory(), store.NewMemory()}
+	s, err := NewServer(platform, Config{
+		CACertPEM:    authority.CertificatePEM(),
+		ContentStore: stores[0],
+		GroupStore:   stores[1],
+		DedupStore:   stores[2],
+		Features:     Features{RollbackProtection: true, Guard: GuardCounter, Dedup: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	alice := s.Direct("alice")
+	ref := func() string {
+		t.Helper()
+		_, body, err := s.fm.getBlob(s.fm.content, "/keep.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, hName, err := decodeContentBody(body)
+		if err != nil || hName == "" {
+			t.Fatalf("no dedup reference: %v", err)
+		}
+		return hName
+	}
+	if err := alice.Upload("/keep.txt", []byte("backed up")); err != nil {
+		t.Fatal(err)
+	}
+	backup := make([]store.Backend, len(stores))
+	for i, st := range stores {
+		backup[i] = store.NewMemory()
+		if err := store.Copy(backup[i], st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := alice.Upload("/keep.txt", []byte("post-backup change")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Download("/keep.txt"); err != nil {
+		t.Fatal(err)
+	}
+	changed := ref()
+	for i, st := range stores {
+		if err := store.CopyExact(st, backup[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := alice.Download("/keep.txt"); !errors.Is(err, ErrRollback) {
+		t.Fatalf("restored state served without a CA reset: %v", err)
+	}
+
+	nonce, err := s.ResetChallenge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := authority.SignReset(nonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AcceptReset(sig); err != nil {
+		t.Fatalf("AcceptReset: %v", err)
+	}
+	failures := s.fm.obs.rollbackFailures.Value()
+	if got, err := alice.Download("/keep.txt"); err != nil || string(got) != "backed up" {
+		t.Fatalf("after reset: %q %v", got, err)
+	}
+	restored := ref()
+	if err := alice.Upload("/keep.txt", []byte("after reset")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := alice.Download("/keep.txt"); err != nil || string(got) != "after reset" {
+		t.Fatalf("after reset and update: %q %v", got, err)
+	}
+	if n := s.fm.obs.rollbackFailures.Value() - failures; n != 0 {
+		t.Fatalf("%d rollback alarms after an authorized restore", n)
+	}
+	// The overwrite released the restored content's reference — which
+	// only the stored (restored) table knows about.
+	for hName, want := range map[string]uint32{restored: 0, changed: 0, ref(): 1} {
+		if n, err := s.fm.dedup.RefCount(hName); err != nil || n != want {
+			t.Fatalf("RefCount(%s…) = %d, %v; want %d", hName[:8], n, err, want)
+		}
+	}
+	if err := s.Fsck(); err != nil {
+		t.Fatalf("fsck after reset: %v", err)
 	}
 }
 

@@ -367,16 +367,13 @@ func (fm *fileManager) removePath(path fspath.Path, releaseDedup bool) error {
 
 	var fileMain, aclMain rollback.Digest
 	if fm.rollbackOn {
-		hdr, err := fm.readHeader(fm.content, name)
-		if err != nil {
+		var err error
+		if fileMain, err = fm.previousMain(fm.content, name); err != nil {
 			return err
 		}
-		fileMain = hdr.Main
-		aclHdr, err := fm.readHeader(fm.content, aclName(name))
-		if err != nil {
+		if aclMain, err = fm.previousMain(fm.content, aclName(name)); err != nil {
 			return err
 		}
-		aclMain = aclHdr.Main
 	}
 	// Parent first: once the directory entry is gone no reader can reach
 	// the blobs, so a fault between the steps leaves unreferenced objects

@@ -13,6 +13,7 @@ import (
 	"segshare/internal/acl"
 	"segshare/internal/obs"
 	"segshare/internal/pfs"
+	"segshare/internal/rollback"
 	"segshare/internal/store"
 )
 
@@ -80,14 +81,15 @@ func TestHotGetIsOneStoreCall(t *testing.T) {
 	modes := []struct {
 		name     string
 		features Features
-		// oneGet: an allowed read is exactly one Get. Rollback validation
-		// also reads the ancestors and bucket siblings, so there it is
-		// "at least one, and still no Exists".
+		// oneGet: an allowed read is exactly one Get. A cold rollback
+		// validation also reads the ancestors and bucket siblings; a hot
+		// one finds the file's main in the verified cache and reads
+		// nothing more, so a hot allowed read is one Get there too.
 		oneGet bool
 	}{
 		{"plain", Features{}, true},
 		{"hidePaths", Features{HidePaths: true}, true},
-		{"rollback", Features{RollbackProtection: true}, false},
+		{"rollback", Features{RollbackProtection: true}, true},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -532,6 +534,59 @@ func TestDerivedCacheChargesRetainedSize(t *testing.T) {
 	}
 	if st.Cost < int64(st.Entries)*floor {
 		t.Fatalf("derived cache accounts %d B for %d entries, below %d B each", st.Cost, st.Entries, floor)
+	}
+	runtime.KeepAlive(fm)
+}
+
+// TestVerifiedCacheChargesRetainedSize pins verifiedOverhead the way the
+// derived test above pins derivedOverhead: a verified-main entry must be
+// charged at least the heap it retains, and not much more. The cache
+// exists only with rollback protection on.
+func TestVerifiedCacheChargesRetainedSize(t *testing.T) {
+	fm, err := newFileManager(fmConfig{
+		rootKey:      bytes.Repeat([]byte{7}, 32),
+		contentStore: store.NewMemory(),
+		groupStore:   store.NewMemory(),
+		rollbackOn:   true,
+		cacheBytes:   8 * defaultCacheBytes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := fm.caches.verified
+	fill := func(prefix string, n int) {
+		for i := 0; i < n; i++ {
+			id := treeID(fm.content, fmt.Sprintf("/%s/%06d.acl", prefix, i))
+			vc.Put(id, rollback.Digest{}, verifiedCost(id), vc.Gen())
+		}
+	}
+	idLen := len(treeID(fm.content, "/heap/000000.acl"))
+	floor := int64(verifiedOverhead + idLen)
+	n := int(vc.Stats().Capacity/floor) / 2 // fits without eviction
+	fill("first", 16)
+	before := vc.Stats()
+	var heapBefore, heapAfter runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&heapBefore)
+	fill("heap", n)
+	runtime.GC()
+	runtime.ReadMemStats(&heapAfter)
+	after := vc.Stats()
+	if got := after.Entries - before.Entries; got != n || after.Evictions != before.Evictions {
+		t.Fatalf("inserted %d entries, cache grew by %d with %d evictions", n, got, after.Evictions-before.Evictions)
+	}
+	charged := (after.Cost - before.Cost) / int64(n)
+	retained := int64(heapAfter.HeapAlloc-heapBefore.HeapAlloc) / int64(n)
+	t.Logf("verified entry: charged %d B, retains %d B of heap; %d fit the default share",
+		charged, retained, defaultCacheBytes/10/charged)
+	if retained > charged {
+		t.Errorf("verified entry retains %d B of heap but is charged %d", retained, charged)
+	}
+	if retained < charged*3/4 {
+		t.Errorf("verified entry retains %d B of heap but is charged %d: the constants have gone stale", retained, charged)
+	}
+	if rc := newRelCaches(defaultCacheBytes, false, fm.obs); rc.verified != nil {
+		t.Fatal("verified cache allocated with rollback protection off")
 	}
 	runtime.KeepAlive(fm)
 }

@@ -45,13 +45,8 @@ func (fm *fileManager) writeLeaf(ns *namespace, name string, body []byte) (oldMa
 	if !fm.rollbackOn {
 		return rollback.Digest{}, rollback.Digest{}, fm.putBlob(ns, name, nil, body)
 	}
-	prev, err := fm.readHeader(ns, name)
-	switch {
-	case err == nil:
-		oldMain = prev.Main
-	case errors.Is(err, ErrNotFound):
-		// creating
-	default:
+	oldMain, err = fm.previousMain(ns, name)
+	if err != nil && !errors.Is(err, ErrNotFound) { // not found: creating
 		return oldMain, newMain, err
 	}
 	newMain = fm.hasher.LeafMain(treeID(ns, name), rollback.ContentDigest(body))
@@ -93,7 +88,16 @@ func (fm *fileManager) applyToParent(ns *namespace, parentName string, mutate fu
 	if !fm.rollbackOn && mutate == nil {
 		return nil
 	}
-	hdr, db, err := fm.loadDir(ns, parentName)
+	hdr, body, err := fm.getBlob(ns, parentName)
+	if err != nil {
+		return err
+	}
+	if fm.rollbackOn {
+		if err := fm.proveForWrite(ns, parentName, hdr, body); err != nil {
+			return err
+		}
+	}
+	db, err := decodeDirBody(body)
 	if err != nil {
 		return err
 	}
@@ -102,7 +106,7 @@ func (fm *fileManager) applyToParent(ns *namespace, parentName string, mutate fu
 			return err
 		}
 	}
-	body := db.encode()
+	body = db.encode()
 	if !fm.rollbackOn {
 		return fm.putBlob(ns, parentName, nil, body)
 	}
@@ -142,6 +146,9 @@ func (fm *fileManager) propagateReplace(ns *namespace, child string, oldMain, ne
 		depth++
 		hdr, body, err := fm.getBlob(ns, name)
 		if err != nil {
+			return err
+		}
+		if err := fm.proveForWrite(ns, name, hdr, body); err != nil {
 			return err
 		}
 		hdr.Buckets.ReplaceChild(fm.hasher, treeID(ns, child), oldMain, newMain)
@@ -188,8 +195,15 @@ func (fm *fileManager) treeChildren(ns *namespace, name string, db *dirBody) []s
 // ancestor level, the single bucket containing the child is recomputed
 // from the stored main hashes of the files sharing it; finally the root's
 // main hash is checked against the root guard (§V-E).
+//
+// The verified-main cache (caches.go) ends the walk early. A node whose
+// main equals the one the enclave last proved current is valid without
+// any ancestor; a walk stops at the first ancestor that is cached, once
+// that ancestor's bucket verified. A cached main that differs from the
+// stored one is a rollback. A walk that reached the guard or a cached
+// ancestor caches the main of every node it proved.
 func (fm *fileManager) validateNode(ns *namespace, name string, hdr *rollback.Header, body []byte) error {
-	if !fm.rollbackOn || !fm.validate {
+	if !fm.rollbackOn {
 		return nil
 	}
 	if hdr == nil {
@@ -206,13 +220,18 @@ func (fm *fileManager) validateNode(ns *namespace, name string, hdr *rollback.He
 	}
 	depth := 0
 	defer func() { fm.obs.treeValidateDepth.Observe(uint64(depth)) }()
+	gen := fm.caches.verified.Gen()
+	id := treeID(ns, name)
+	if hit, err := fm.checkVerified(name, id, hdr.Main); hit || err != nil {
+		return err
+	}
 	if name == ns.rootName {
 		if err := fm.guardCheck(ns, hdr); err != nil {
 			return fm.rollbackFailed(fmt.Errorf("%w: %s: %v", ErrRollback, name, err))
 		}
-		return nil
 	}
 
+	proven := []verifiedMain{{id, hdr.Main}}
 	child := name
 	childMain := hdr.Main
 	for anc := ns.parentOf(name); anc != ""; anc = ns.parentOf(anc) {
@@ -225,9 +244,14 @@ func (fm *fileManager) validateNode(ns *namespace, name string, hdr *rollback.He
 		if err != nil {
 			return err
 		}
-		recomputed := fm.hasher.InnerMain(treeID(ns, anc), rollback.ContentDigest(ancBody), &ancHdr.Buckets)
+		ancID := treeID(ns, anc)
+		recomputed := fm.hasher.InnerMain(ancID, rollback.ContentDigest(ancBody), &ancHdr.Buckets)
 		if recomputed != ancHdr.Main {
 			return fm.rollbackFailed(fmt.Errorf("%w: %s: stale main hash", ErrRollback, anc))
+		}
+		cached, err := fm.checkVerified(anc, ancID, ancHdr.Main)
+		if err != nil {
+			return err
 		}
 		// Recompute the single bucket holding child from the stored main
 		// hashes of the files sharing it.
@@ -252,14 +276,106 @@ func (fm *fileManager) validateNode(ns *namespace, name string, hdr *rollback.He
 		if err := ancHdr.Buckets.VerifyBucket(fm.hasher, childID, mains); err != nil {
 			return fm.rollbackFailed(fmt.Errorf("%w: %s: %v", ErrRollback, anc, err))
 		}
+		if cached {
+			break
+		}
 		if anc == ns.rootName {
 			if err := fm.guardCheck(ns, ancHdr); err != nil {
 				return fm.rollbackFailed(fmt.Errorf("%w: %s: %v", ErrRollback, anc, err))
 			}
 		}
+		proven = append(proven, verifiedMain{ancID, ancHdr.Main})
 		child, childMain = anc, ancHdr.Main
 	}
+	// Under the generation captured before the walk's first fetch: a
+	// write that invalidated any node meanwhile rejects them all. A
+	// staging view may have proven staged state, which the store does
+	// not hold yet.
+	if !fm.staging() {
+		for _, p := range proven {
+			fm.caches.verified.Put(p.id, p.main, verifiedCost(p.id), gen)
+		}
+	}
 	return nil
+}
+
+// verifiedMain is one node a validation walk proved current.
+type verifiedMain struct {
+	id   string
+	main rollback.Digest
+}
+
+// checkVerified looks a node's stored main up in the verified cache: hit
+// reports that the enclave proved this main current, and a cached main
+// that differs is a detected rollback. A name the active operation
+// staged is never a hit, as in the relation caches: staging invalidated
+// it, staging views never fill the cache, and the lock manager keeps
+// every other request off the namespace until the operation applied.
+func (fm *fileManager) checkVerified(name, id string, main rollback.Digest) (hit bool, err error) {
+	cached, ok := fm.caches.verified.Get(id)
+	if !ok {
+		return false, nil
+	}
+	if cached != main {
+		return true, fm.rollbackFailed(fmt.Errorf("%w: %s: main hash differs from the verified one", ErrRollback, name))
+	}
+	return true, nil
+}
+
+// proveForWrite makes sure an inner node a write is about to rehash into
+// the tree is current: a read of a cached descendant no longer walks
+// through its ancestors, so a rolled-back one folded into a new
+// guard-committed root would go unnoticed. A verified-cache hit compares
+// the mains; a miss runs the read-path check (validateNode), which walks
+// to the guard or the first cached ancestor. A node the active operation
+// already staged was derived in-enclave moments ago and needs neither.
+func (fm *fileManager) proveForWrite(ns *namespace, name string, hdr *rollback.Header, body []byte) error {
+	if fm.staging() {
+		if sp, _ := fm.tx.staged(ns, name); sp != nil {
+			return nil
+		}
+	}
+	if hit, err := fm.checkVerified(name, treeID(ns, name), hdr.Main); hit || err != nil {
+		return err
+	}
+	return fm.validateNode(ns, name, hdr, body)
+}
+
+// publishVerified caches the main of every blob an applied operation
+// wrote: the enclave computed each one, and the store now holds it —
+// roots included, whose guard commit applyIntent made before installing
+// them. Aborted operations, failed installs and recovery replays never
+// get here; they only invalidated.
+func (fm *fileManager) publishVerified(tx *opCtx) {
+	vc := fm.caches.verified
+	if vc == nil {
+		return
+	}
+	gen := vc.Gen()
+	for _, key := range tx.order {
+		sp, ok := tx.puts[key]
+		if !ok {
+			continue
+		}
+		if hdr, _, err := rollback.DecodeHeader(sp.hdrEnc); err == nil {
+			vc.Put(key, hdr.Main, verifiedCost(key), gen)
+		}
+	}
+}
+
+// previousMain returns the main hash a node's parent bucket holds for it
+// — the one a write must replace. The verified cache answers when it
+// can; otherwise the stored header does, as it did before the cache
+// (ErrNotFound for a node that does not exist).
+func (fm *fileManager) previousMain(ns *namespace, name string) (rollback.Digest, error) {
+	if m, ok := fm.caches.verified.Get(treeID(ns, name)); ok {
+		return m, nil
+	}
+	hdr, err := fm.readHeader(ns, name)
+	if err != nil {
+		return rollback.Digest{}, err
+	}
+	return hdr.Main, nil
 }
 
 // guardCheck verifies a root header against the namespace guard. While

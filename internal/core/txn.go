@@ -256,6 +256,7 @@ func (fm *fileManager) mutate(op string, fn func() error) error {
 		fm.shared.journalDirty.Store(true)
 		return err
 	}
+	fm.publishVerified(tx)
 	if err := fm.journal.MarkApplied(seq); err != nil {
 		// The operation applied fully; only the journal cleanup failed.
 		// Report success, but force a (harmless, idempotent) replay before

@@ -22,14 +22,12 @@
 package dedup
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"segshare/internal/obs"
@@ -64,6 +62,11 @@ type Store struct {
 	workers int
 
 	mu sync.Mutex
+	// refs is the decoded reference index, read from the backend on the
+	// first Put or Release and kept equal to the stored copy under mu:
+	// every change is saved before the call returns, and a failed save
+	// drops it so the next call reads the stored table again.
+	refs map[string]uint32
 
 	hits         *obs.Counter // Put of already-stored content
 	misses       *obs.Counter // Put of new content
@@ -312,26 +315,36 @@ func (s *Store) Release(hName string) (removed bool, err error) {
 	}
 	if n > 1 {
 		refs[hName] = n - 1
-		return false, s.saveRefsLocked(refs)
+		return false, s.saveRefsLocked()
 	}
-	delete(refs, hName)
 	if err := s.backend.Delete(hName); err != nil && !errors.Is(err, store.ErrNotExist) {
 		return false, err
 	}
+	delete(refs, hName)
 	s.removedTotal.Inc()
-	return true, s.saveRefsLocked(refs)
+	return true, s.saveRefsLocked()
 }
 
-// RefCount returns the current reference count of a content address
-// (zero if unknown).
+// RefCount returns the stored reference count of a content address
+// (zero if unknown). It reads and authenticates the stored index, not
+// the in-memory copy, so it reports what a restarted store would see.
 func (s *Store) RefCount(hName string) (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	refs, err := s.loadRefsLocked()
+	refs, err := s.readRefsLocked()
 	if err != nil {
 		return 0, err
 	}
 	return refs[hName], nil
+}
+
+// Reload forgets the in-memory reference index, so the next Put or
+// Release reads the stored one — after a backup restoration replaced
+// the backend's objects underneath the store.
+func (s *Store) Reload() {
+	s.mu.Lock()
+	s.refs = nil
+	s.mu.Unlock()
 }
 
 // TotalBytes reports the backend's stored bytes (the dedup savings
@@ -344,10 +357,24 @@ func (s *Store) addRefLocked(hName string, delta uint32) error {
 		return err
 	}
 	refs[hName] += delta
-	return s.saveRefsLocked(refs)
+	return s.saveRefsLocked()
 }
 
+// loadRefsLocked returns the in-memory reference index, reading it from
+// the backend first if this store holds none.
 func (s *Store) loadRefsLocked() (map[string]uint32, error) {
+	if s.refs == nil {
+		refs, err := s.readRefsLocked()
+		if err != nil {
+			return nil, err
+		}
+		s.refs = refs
+	}
+	return s.refs, nil
+}
+
+// readRefsLocked reads, authenticates and decodes the stored index.
+func (s *Store) readRefsLocked() (map[string]uint32, error) {
 	raw, err := s.backend.Get(refsName)
 	if errors.Is(err, store.ErrNotExist) {
 		return make(map[string]uint32), nil
@@ -362,32 +389,35 @@ func (s *Store) loadRefsLocked() (map[string]uint32, error) {
 	return decodeRefs(pt)
 }
 
-func (s *Store) saveRefsLocked(refs map[string]uint32) error {
-	ct, err := pae.Encrypt(s.refsKey, encodeRefs(refs), []byte(refsName))
-	if err != nil {
-		return err
+// saveRefsLocked seals and stores the in-memory index. On failure the
+// backend may hold either version, so the copy is dropped and the next
+// call reads whichever one is stored.
+func (s *Store) saveRefsLocked() error {
+	ct, err := pae.Encrypt(s.refsKey, encodeRefs(s.refs), []byte(refsName))
+	if err == nil {
+		err = s.backend.Put(refsName, ct)
 	}
-	return s.backend.Put(refsName, ct)
+	if err != nil {
+		s.refs = nil
+	}
+	return err
 }
 
+// encodeRefs serialises the index in map order: decodeRefs needs none,
+// and the encoding's size does not depend on it.
 func encodeRefs(refs map[string]uint32) []byte {
-	names := make([]string, 0, len(refs))
+	size := 4
 	for name := range refs {
-		names = append(names, name)
+		size += 8 + len(name)
 	}
-	sort.Strings(names)
-	var out bytes.Buffer
-	var scratch [4]byte
-	binary.BigEndian.PutUint32(scratch[:], uint32(len(names)))
-	out.Write(scratch[:])
-	for _, name := range names {
-		binary.BigEndian.PutUint32(scratch[:], uint32(len(name)))
-		out.Write(scratch[:])
-		out.WriteString(name)
-		binary.BigEndian.PutUint32(scratch[:], refs[name])
-		out.Write(scratch[:])
+	out := make([]byte, 0, size)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(refs)))
+	for name, n := range refs {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(name)))
+		out = append(out, name...)
+		out = binary.BigEndian.AppendUint32(out, n)
 	}
-	return out.Bytes()
+	return out
 }
 
 func decodeRefs(data []byte) (map[string]uint32, error) {

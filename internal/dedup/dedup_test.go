@@ -295,3 +295,47 @@ func TestPutFromPropagatesReaderError(t *testing.T) {
 		t.Fatalf("store holds %d bytes after failed upload", total)
 	}
 }
+
+// TestRefIndexFollowsStoredTable pins where the in-memory reference index
+// comes from: a new Store and a Reload read the stored table, and a save
+// that fails drops the copy it could not persist.
+func TestRefIndexFollowsStoredTable(t *testing.T) {
+	faulty := store.NewFaulty(store.NewMemory())
+	s, err := New(faulty, []byte("root-key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := []byte("counted")
+	hName, _, err := s.Put(content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A duplicate Put writes only the index; fail that write.
+	faulty.FailAfter("put", 1, errors.New("injected"))
+	if _, _, err := s.Put(content); err == nil {
+		t.Fatal("Put with a failing index save succeeded")
+	}
+	if _, _, err := s.Put(content); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.RefCount(hName); err != nil || n != 2 {
+		t.Fatalf("RefCount after a failed save and a retry = %d, %v; want 2", n, err)
+	}
+
+	// A second store over the same backend moves the stored table on;
+	// the first one sees that only after Reload.
+	other, err := New(faulty, []byte("root-key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed, err := other.Release(hName); err != nil || removed {
+		t.Fatalf("Release through a new store: removed=%v err=%v", removed, err)
+	}
+	s.Reload()
+	if removed, err := s.Release(hName); err != nil || !removed {
+		t.Fatalf("last Release after Reload: removed=%v err=%v", removed, err)
+	}
+	if n, err := other.RefCount(hName); err != nil || n != 0 {
+		t.Fatalf("stored RefCount = %d, %v; want 0", n, err)
+	}
+}

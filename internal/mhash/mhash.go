@@ -18,12 +18,13 @@
 package mhash
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"segshare/internal/pae"
 )
 
 // DigestSize is the size in bytes of the XOR accumulator.
@@ -113,24 +114,17 @@ func DecodeHash(b []byte) (Hash, error) {
 // SeGShare it is derived from the root key SK_r. An Accumulator is safe
 // for concurrent use.
 type Accumulator struct {
-	key []byte
+	mac *pae.MACKey
 }
 
 // NewAccumulator constructs an accumulator over key. The key is copied.
 func NewAccumulator(key []byte) *Accumulator {
-	k := make([]byte, len(key))
-	copy(k, key)
-	return &Accumulator{key: k}
+	return &Accumulator{mac: pae.NewMACKey(key)}
 }
 
 // ElementHash returns the hash of the singleton multiset {element}.
 func (a *Accumulator) ElementHash(element []byte) Hash {
-	mac := hmac.New(sha256.New, a.key)
-	mac.Write(element)
-	var h Hash
-	copy(h.acc[:], mac.Sum(nil))
-	h.card = 1
-	return h
+	return Hash{acc: a.mac.Sum(element), card: 1}
 }
 
 // Add returns the hash of the multiset with element added.

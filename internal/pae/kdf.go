@@ -4,6 +4,8 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
+	"hash"
+	"sync"
 )
 
 // hkdfExtract implements the HKDF-Extract step of RFC 5869 with SHA-256.
@@ -63,6 +65,36 @@ func MAC(key, data []byte) [sha256.Size]byte {
 	mac.Write(data)
 	var out [sha256.Size]byte
 	copy(out[:], mac.Sum(nil))
+	return out
+}
+
+// MACKey computes HMAC-SHA256 under one fixed key, for keys that MAC
+// on every request (the rollback tree's hashes, hidden storage names,
+// the multiset-hash elements). MAC builds a fresh HMAC per call, which
+// re-derives both padded key blocks; MACKey keeps keyed HMAC states in
+// a pool, and Reset restores a state's keyed inner hash from its saved
+// copy instead. Sum is byte-identical to MAC and safe for concurrent
+// use.
+type MACKey struct {
+	pool sync.Pool
+}
+
+// NewMACKey returns a MACKey over key. The key is copied.
+func NewMACKey(key []byte) *MACKey {
+	k := append([]byte(nil), key...)
+	m := &MACKey{}
+	m.pool.New = func() any { return hmac.New(sha256.New, k) }
+	return m
+}
+
+// Sum returns HMAC-SHA256 of data under the key.
+func (m *MACKey) Sum(data []byte) [sha256.Size]byte {
+	h := m.pool.Get().(hash.Hash)
+	h.Reset()
+	h.Write(data)
+	var out [sha256.Size]byte
+	h.Sum(out[:0])
+	m.pool.Put(h)
 	return out
 }
 

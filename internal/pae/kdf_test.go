@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -126,5 +128,55 @@ func TestQuickMAC(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMACKeyMatchesMAC pins MACKey.Sum to MAC and to RFC 4231 test
+// cases 1, 2 and 6 (a key longer than the block size), from 8 goroutines
+// sharing each MACKey so pooled states are reused across callers; run
+// it under -race.
+func TestMACKeyMatchesMAC(t *testing.T) {
+	vectors := []struct {
+		key, data []byte
+		want      string
+	}{
+		{bytes.Repeat([]byte{0x0b}, 20), []byte("Hi There"),
+			"b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+		{[]byte("Jefe"), []byte("what do ya want for nothing?"),
+			"5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+		{bytes.Repeat([]byte{0xaa}, 131), []byte("Test Using Larger Than Block-Size Key - Hash Key First"),
+			"60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+	}
+	for i, v := range vectors {
+		m := NewMACKey(v.key)
+		if got := MAC(v.key, v.data); hex.EncodeToString(got[:]) != v.want {
+			t.Fatalf("vector %d: MAC = %x", i, got)
+		}
+		errs := make(chan string, 8)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for n := 0; n < 200; n++ {
+					// Interleave the vector with other lengths so a pooled
+					// state always carries a previous caller's residue.
+					data := bytes.Repeat([]byte{byte(g)}, (g*37+n)%300)
+					if got, want := m.Sum(data), MAC(v.key, data); got != want {
+						errs <- fmt.Sprintf("goroutine %d: Sum(%d bytes) = %x, MAC = %x", g, len(data), got, want)
+						return
+					}
+					if got := m.Sum(v.data); hex.EncodeToString(got[:]) != v.want {
+						errs <- fmt.Sprintf("goroutine %d: Sum(vector) = %x", g, got)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatalf("vector %d: %s", i, e)
+		}
 	}
 }

@@ -66,15 +66,13 @@ var (
 // store's root key SK_r), making them unforgeable outside the enclave.
 // Hasher is safe for concurrent use.
 type Hasher struct {
-	key []byte
+	mac *pae.MACKey
 	acc *mhash.Accumulator
 }
 
 // NewHasher creates a Hasher over key. The key is copied.
 func NewHasher(key []byte) *Hasher {
-	k := make([]byte, len(key))
-	copy(k, key)
-	return &Hasher{key: k, acc: mhash.NewAccumulator(k)}
+	return &Hasher{mac: pae.NewMACKey(key), acc: mhash.NewAccumulator(key)}
 }
 
 // ContentDigest hashes a file's logical plaintext content.
@@ -107,12 +105,12 @@ func (h *Hasher) main(kind byte, path string, content Digest, buckets *Buckets) 
 			msg = append(msg, buckets[i].Encode()...)
 		}
 	}
-	return Digest(pae.MAC(h.key, msg))
+	return Digest(h.mac.Sum(msg))
 }
 
 // BucketIndex assigns a child path to a bucket.
 func (h *Hasher) BucketIndex(childPath string) int {
-	mac := pae.MAC(h.key, append([]byte("bucket\x00"), childPath...))
+	mac := h.mac.Sum(append([]byte("bucket\x00"), childPath...))
 	return int(binary.BigEndian.Uint32(mac[:4]) % NumBuckets)
 }
 
