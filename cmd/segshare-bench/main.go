@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig3|memb0|fig4|fig5|storage|revoke-ablation|switchless|audit|e10|e11|e12|e13|e14|e15|e16|all")
+		exp        = flag.String("exp", "all", "experiment: fig3|memb0|fig4|fig5|storage|revoke-ablation|switchless|audit|e11|e15|e16|all")
 		full       = flag.Bool("full", false, "use paper-scale parameters (slow)")
 		runs       = flag.Int("runs", 0, "override runs per data point")
 		maxExp     = flag.Int("maxexp", 0, "fig5: largest exponent x (paper: 14)")
@@ -110,33 +110,9 @@ func run(exp string, full bool, runs, maxExp int, wan bool) error {
 			return err
 		}
 	}
-	if all || exp == "e10" {
-		ran = true
-		if err := runE10(full, runs); err != nil {
-			return err
-		}
-	}
 	if all || exp == "e11" {
 		ran = true
 		if err := runE11(runs); err != nil {
-			return err
-		}
-	}
-	if all || exp == "e12" {
-		ran = true
-		if err := runE12(full, runs); err != nil {
-			return err
-		}
-	}
-	if all || exp == "e13" {
-		ran = true
-		if err := runE13(full, runs); err != nil {
-			return err
-		}
-	}
-	if all || exp == "e14" {
-		ran = true
-		if err := runE14(full, runs); err != nil {
 			return err
 		}
 	}
@@ -338,27 +314,6 @@ func runAudit(runs int) error {
 	return w.Flush()
 }
 
-func runE10(full bool, runs int) error {
-	cfg := bench.DefaultE10()
-	if full {
-		cfg.Ops = 2000
-	}
-	if runs > 0 {
-		cfg.Ops = runs
-	}
-	rows, err := bench.RunE10(cfg)
-	if err != nil {
-		return err
-	}
-	w := table(fmt.Sprintf("E10 — concurrent throughput, %d ops/client (sharded locks + relation cache vs global lock)", cfg.Ops),
-		"variant", "workload", "clients", "throughput", "cache hit rate")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%.0f op/s\t%.1f%%\n",
-			r.Variant, r.Workload, r.Clients, r.Throughput, 100*r.HitRate)
-	}
-	return w.Flush()
-}
-
 func runE11(runs int) error {
 	cfg := bench.DefaultE11()
 	if runs > 0 {
@@ -373,88 +328,6 @@ func runE11(runs int) error {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%v\t%v\t%+.1f%%\n",
 			r.Op, sizeLabel(r.Size), r.With.Mean.Round(time.Microsecond), r.Without.Mean.Round(time.Microsecond), 100*r.Overhead)
-	}
-	return w.Flush()
-}
-
-func runE12(full bool, runs int) error {
-	cfg := bench.DefaultE12()
-	if full {
-		cfg.Ops = 2000
-	}
-	if runs > 0 {
-		cfg.Ops = runs
-	}
-	rows, export, err := bench.RunE12(cfg)
-	if err != nil {
-		return err
-	}
-	w := table(fmt.Sprintf("E12 — wide-event + tail-sampling overhead, %d ops/client (vs telemetry off)", cfg.Ops),
-		"variant", "workload", "clients", "throughput", "overhead", "sampled/examined")
-	for _, r := range rows {
-		overhead := "—"
-		if r.Variant != "telemetry-off" {
-			overhead = fmt.Sprintf("%+.1f%%", r.OverheadPct)
-		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%.0f op/s\t%s\t%d/%d\n",
-			r.Variant, r.Workload, r.Clients, r.Throughput, overhead, r.Sampled, r.Examined)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("export pipeline: %d wide events, %d sampled traces delivered, %d dropped\n",
-		export.WideEvents, export.Traces, export.Dropped)
-	return nil
-}
-
-func runE13(full bool, runs int) error {
-	cfg := bench.DefaultE13()
-	if full {
-		cfg.Ops = 2000
-	}
-	if runs > 0 {
-		cfg.Ops = runs
-	}
-	rows, stats, err := bench.RunE13(cfg)
-	if err != nil {
-		return err
-	}
-	w := table(fmt.Sprintf("E13 — introspection overhead, %d ops/client (registry + SLO + top-k + profiler vs off)", cfg.Ops),
-		"variant", "workload", "clients", "throughput", "overhead")
-	for _, r := range rows {
-		overhead := "—"
-		if r.Variant != "introspect-off" {
-			overhead = fmt.Sprintf("%+.1f%%", r.OverheadPct)
-		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%.0f op/s\t%s\n",
-			r.Variant, r.Workload, r.Clients, r.Throughput, overhead)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("introspection live: %d SLO classes, %d hot groups, %d profile pairs captured\n",
-		stats.SLOClasses, stats.HotGroups, stats.ProfileCaptures)
-	return nil
-}
-
-func runE14(full bool, runs int) error {
-	cfg := bench.DefaultE14()
-	if full {
-		cfg.Ops = 20
-		cfg.Reps = 5
-	}
-	if runs > 0 {
-		cfg.Ops = runs
-	}
-	rows, err := bench.RunE14(cfg)
-	if err != nil {
-		return err
-	}
-	w := table(fmt.Sprintf("E14 — chunk-crypto worker sweep, single-stream %dMiB, %d ops/cell", cfg.FileMiB, cfg.Ops),
-		"workers", "op", "throughput", "allocs/op", "speedup vs w1")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%s\t%.0f MiB/s\t%.0f\t%.2fx\n",
-			r.Workers, r.Op, r.MiBPerSec, r.AllocsPerOp, r.Speedup)
 	}
 	return w.Flush()
 }

@@ -55,7 +55,6 @@ func run() error {
 		cacheKiB = flag.Int64("cache-kib", 0, "in-enclave relation cache budget in KiB (0 = default 8 MiB, negative disables)")
 		profMtx  = flag.Int("profile-mutex", 0, "mutex contention sampling for /debug/pprof/mutex: 1 = every event, n = 1/n, 0 = off")
 		profBlk  = flag.Int("profile-block", 0, "block profiling for /debug/pprof/block: record events blocking >= this many ns, 0 = off")
-		journal  = flag.Bool("journal", true, "crash-consistent mutations via the sealed intent journal (disable only for benchmarking)")
 
 		admitOn  = flag.Bool("admission", true, "adaptive admission control: AIMD concurrency limits per op class, bounded wait queue, priority shedding under overload")
 		maxInfl  = flag.Int("max-inflight", 0, "admission: concurrency ceiling for reads (mutations get a quarter of it); 0 = default 256")
@@ -71,7 +70,6 @@ func run() error {
 		brkCool  = flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before half-open probes (0 = default 3s)")
 		brkProbe = flag.Int("breaker-probes", 0, "consecutive half-open probe successes that close the breaker (0 = default 2)")
 
-		wideEv    = flag.Bool("wide-events", true, "emit one canonical wide event per request (disable only when measuring telemetry overhead)")
 		exportOut = flag.String("export-out", "", "append wide events and sampled traces as JSONL to this file")
 		exportURL = flag.String("export-url", "", "POST wide-event/trace batches as JSON to this URL (retried with backoff, dropped when the bounded queue fills)")
 		trcSlow   = flag.Duration("trace-slow", 50*time.Millisecond, "tail-sampling: retain traces slower than this")
@@ -92,7 +90,6 @@ func run() error {
 		profIvl  = flag.Duration("profile-interval", time.Minute, "continuous profiler capture cadence")
 		profCPU  = flag.Duration("profile-cpu", 5*time.Second, "CPU profile duration per capture")
 		profRing = flag.Int64("profile-ring-kib", 32*1024, "profile ring disk budget in KiB; oldest capture pairs evicted beyond it")
-		noInReg  = flag.Bool("no-request-registry", false, "disable the live in-flight request registry (/debug/requests; watchdog falls back to heuristic stall detection)")
 	)
 	flag.Parse()
 
@@ -208,18 +205,16 @@ func run() error {
 		return err
 	}
 	cfg := segshare.ServerConfig{
-		CACertPEM:         certPEM,
-		ContentStore:      contentStore,
-		GroupStore:        groupStore,
-		Features:          features,
-		FileSystemOwner:   *fso,
-		Logger:            logger,
-		CacheBytes:        *cacheKiB * 1024,
-		DisableJournal:    !*journal,
-		Obs:               reg,
-		Recovery:          recovery,
-		DisableWideEvents: !*wideEv,
-		Exporter:          exporter,
+		CACertPEM:       certPEM,
+		ContentStore:    contentStore,
+		GroupStore:      groupStore,
+		Features:        features,
+		FileSystemOwner: *fso,
+		Logger:          logger,
+		CacheBytes:      *cacheKiB * 1024,
+		Obs:             reg,
+		Recovery:        recovery,
+		Exporter:        exporter,
 		SamplePolicy: &obs.SamplePolicy{
 			SlowNs:       trcSlow.Nanoseconds(),
 			ErrorStatus:  500,
@@ -233,10 +228,9 @@ func run() error {
 			RecoveryOverrun: *wdRecov,
 			ShardSkew:       *wdSkew,
 		},
-		HotGroups:              *hotK,
-		DisableRequestRegistry: *noInReg,
-		Profiler:               profiler,
-		MaxBodyBytes:           *maxBody,
+		HotGroups:    *hotK,
+		Profiler:     profiler,
+		MaxBodyBytes: *maxBody,
 	}
 	if *admitOn {
 		cfg.Admission = &segshare.AdmissionConfig{
@@ -358,8 +352,8 @@ func run() error {
 		return err
 	}
 	health.SetReady(true)
-	fmt.Printf("serving on %s (features: dedup=%v hide=%v rollback=%v guard=%s audit=%v journal=%v wide-events=%v watchdog=%v slo=%v hot-k=%d profiler=%v resilience=%v)\n",
-		listenAddr, *dedup, *hide, *rollback, *guard, *auditOn, *journal, *wideEv, *wdOn, *sloOn, *hotK, *profDir != "", *resilOn)
+	fmt.Printf("serving on %s (features: dedup=%v hide=%v rollback=%v guard=%s audit=%v watchdog=%v slo=%v hot-k=%d profiler=%v resilience=%v)\n",
+		listenAddr, *dedup, *hide, *rollback, *guard, *auditOn, *wdOn, *sloOn, *hotK, *profDir != "", *resilOn)
 
 	<-sig
 	health.SetReady(false)

@@ -206,27 +206,3 @@ func TestRunE15Tiny(t *testing.T) {
 		t.Fatalf("fail-fast %v is not fast", brown.FailFast)
 	}
 }
-
-func TestRunE14Tiny(t *testing.T) {
-	rows, err := RunE14(E14Config{Workers: []int{1, 2}, FileMiB: 1, Ops: 1, Reps: 1})
-	if err != nil {
-		t.Fatalf("RunE14: %v", err)
-	}
-	if len(rows) != 4 { // 2 worker counts × {put, get}
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.MiBPerSec <= 0 {
-			t.Fatalf("non-positive throughput in %+v", r)
-		}
-		if r.AllocsPerOp < 0 {
-			t.Fatalf("negative allocs/op in %+v", r)
-		}
-		if r.Speedup <= 0 {
-			t.Fatalf("non-positive speedup in %+v", r)
-		}
-		if r.Op != "put" && r.Op != "get" {
-			t.Fatalf("unknown op in %+v", r)
-		}
-	}
-}

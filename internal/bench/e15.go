@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"segshare/internal/core"
@@ -56,18 +57,32 @@ type E15Row struct {
 	Recovery time.Duration // brownout: backend revival → first successful mutation
 }
 
+// throughputCell runs ops back-to-back operations of size bytes each
+// and returns the throughput in MiB/s. A GC first keeps the previous
+// cell's garbage from being collected on this cell's clock.
+func throughputCell(ops, size int, fn func() error) (float64, error) {
+	runtime.GC()
+	start := time.Now()
+	for i := 0; i < ops; i++ {
+		if err := fn(); err != nil {
+			return 0, err
+		}
+	}
+	return float64(ops) * float64(size) / (1 << 20) / time.Since(start).Seconds(), nil
+}
+
 // e15Rep measures one rep of single-stream PUT and GET throughput
-// against one deployment, reusing the E14 cell harness.
+// against one deployment.
 func e15Rep(sess *core.DirectSession, content []byte, ops int) (put, get float64, err error) {
 	size := len(content)
 	path := "/e15.bin"
-	put, _, err = e14Cell(ops, size, func(int) error {
+	put, err = throughputCell(ops, size, func() error {
 		return sess.Upload(path, content)
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	get, _, err = e14Cell(ops, size, func(int) error {
+	get, err = throughputCell(ops, size, func() error {
 		got, err := sess.Download(path)
 		if err != nil {
 			return err
@@ -158,7 +173,7 @@ func e15Brownout(cfg E15Config) (failFast, recovery time.Duration, err error) {
 }
 
 // RunE15 measures the resilient wrapper: healthy-path overhead on
-// single-stream PUT/GET (fresh deployment per configuration, as in E14)
+// single-stream PUT/GET (one fresh deployment per configuration)
 // and the brownout fail-fast/recovery cell.
 func RunE15(cfg E15Config) ([]E15Row, error) {
 	if cfg.FileMiB <= 0 || cfg.Ops <= 0 || cfg.FailFastOps <= 0 || cfg.Cooldown <= 0 {

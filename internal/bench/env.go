@@ -75,22 +75,9 @@ type EnvConfig struct {
 	// AuditOverflow selects the writer's full-queue policy when Audit is
 	// on.
 	AuditOverflow audit.Overflow
-	// LockShards and CacheBytes pass through to the server's concurrency
-	// tuning (see ServerConfig); zero keeps the defaults, and E10 sets
-	// LockShards=1 / CacheBytes=-1 to reproduce the global-lock,
-	// cache-free baseline.
-	LockShards int
-	CacheBytes int64
-	// CryptoWorkers passes through to the server's chunk-crypto worker
-	// pool; zero keeps the server default and E14 sweeps it explicitly
-	// (1 = the serial before-configuration).
-	CryptoWorkers int
 	// DisableJournal turns off the crash-consistency intent journal; E11
 	// uses it to measure the journal's write-path overhead.
 	DisableJournal bool
-	// DisableWideEvents turns off per-request wide events; E12 uses it as
-	// the before-configuration when measuring telemetry overhead.
-	DisableWideEvents bool
 	// SamplePolicy overrides the tail-sampling policy (nil keeps the
 	// server default).
 	SamplePolicy *obs.SamplePolicy
@@ -99,18 +86,6 @@ type EnvConfig struct {
 	// nil and trace capture is enabled (EnableTraceCapture), the env
 	// creates its own exporter into the shared capture sink.
 	Exporter *obs.Exporter
-	// SLO enables burn-rate evaluation; E13 uses it in the
-	// after-configuration when measuring introspection overhead.
-	SLO *obs.SLOConfig
-	// HotGroups bounds per-group heavy-hitter accounting (0 disables,
-	// negative = default bound).
-	HotGroups int
-	// DisableRequestRegistry turns off the in-flight request registry;
-	// E13 uses it as the before-configuration.
-	DisableRequestRegistry bool
-	// Profiler, when non-nil, is attached to the deployment. The caller
-	// owns it (Stop after Env.Close).
-	Profiler *obs.ContinuousProfiler
 	// Resilience, when non-nil, wraps the untrusted stores in the
 	// resilient I/O layer (deadlines, retries, circuit breaker); E15 uses
 	// it to price the healthy-path overhead and drive brownout recovery.
@@ -159,25 +134,16 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		return b
 	}
 	serverCfg := segshare.ServerConfig{
-		CACertPEM:         authority.CertificatePEM(),
-		ContentStore:      newStore(),
-		GroupStore:        newStore(),
-		Features:          features,
-		Bridge:            cfg.Bridge,
-		LockShards:        cfg.LockShards,
-		CacheBytes:        cfg.CacheBytes,
-		CryptoWorkers:     cfg.CryptoWorkers,
-		DisableJournal:    cfg.DisableJournal,
-		DisableWideEvents: cfg.DisableWideEvents,
-		SamplePolicy:      cfg.SamplePolicy,
-		Exporter:          cfg.Exporter,
-		SLO:               cfg.SLO,
-		HotGroups:         cfg.HotGroups,
-
-		DisableRequestRegistry: cfg.DisableRequestRegistry,
-		Profiler:               cfg.Profiler,
-		Resilience:             cfg.Resilience,
-		Admission:              cfg.Admission,
+		CACertPEM:      authority.CertificatePEM(),
+		ContentStore:   newStore(),
+		GroupStore:     newStore(),
+		Features:       features,
+		Bridge:         cfg.Bridge,
+		DisableJournal: cfg.DisableJournal,
+		SamplePolicy:   cfg.SamplePolicy,
+		Exporter:       cfg.Exporter,
+		Resilience:     cfg.Resilience,
+		Admission:      cfg.Admission,
 	}
 	var ownExporter *obs.Exporter
 	if serverCfg.Exporter == nil {

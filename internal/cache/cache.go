@@ -40,7 +40,7 @@ type entry[V any] struct {
 	val  V
 	cost int64
 	ref  atomic.Bool // CLOCK second-chance bit, set on Get
-	dead bool        // invalidated; skipped and reclaimed by the hand
+	dead bool        // invalidated or overwritten; value cleared, slot awaiting compaction
 }
 
 // Hooks are optional event callbacks, e.g. to feed metric counters.
@@ -65,6 +65,7 @@ type Cache[V any] struct {
 	used     int64
 	entries  map[string]*entry[V]
 	ring     []*entry[V] // CLOCK ring; may contain dead entries
+	dead     int         // dead entries still in ring
 	hand     int
 	gen      atomic.Uint64
 	hooks    Hooks
@@ -107,8 +108,10 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	}
 	c.mu.RLock()
 	e, ok := c.entries[key]
+	var val V
 	if ok {
 		e.ref.Store(true)
+		val = e.val // under the lock: removeEntry clears it
 	}
 	c.mu.RUnlock()
 	if !ok {
@@ -122,7 +125,7 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	if c.hooks.Hit != nil {
 		c.hooks.Hit()
 	}
-	return e.val, true
+	return val, true
 }
 
 // Put inserts key with the given cost, evicting CLOCK victims as needed.
@@ -146,13 +149,14 @@ func (c *Cache[V]) Put(key string, val V, cost int64, gen uint64) bool {
 	}
 	for c.used+cost > c.capacity {
 		if !c.evictOne() {
-			return false // nothing evictable left (all dead slots drained)
+			return false // no live entry left to evict
 		}
 	}
 	e := &entry[V]{key: key, val: val, cost: cost}
 	c.entries[key] = e
 	c.ring = append(c.ring, e)
 	c.used += cost
+	c.compact()
 	c.notifySize()
 	return true
 }
@@ -167,6 +171,7 @@ func (c *Cache[V]) Invalidate(key string) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.removeEntry(e)
+		c.compact()
 	}
 	c.gen.Add(1)
 	c.notifySize()
@@ -182,7 +187,9 @@ func (c *Cache[V]) Flush() {
 	}
 	c.mu.Lock()
 	c.entries = make(map[string]*entry[V])
+	clear(c.ring)
 	c.ring = c.ring[:0]
+	c.dead = 0
 	c.hand = 0
 	c.used = 0
 	c.gen.Add(1)
@@ -197,22 +204,55 @@ func (c *Cache[V]) notifySize() {
 	}
 }
 
-// removeEntry unlinks e from the map and accounting; the ring slot is
-// reclaimed lazily when the hand passes it. Caller holds mu.
+// removeEntry unlinks e from the map and accounting and drops its value;
+// the ring slot stays until the next compaction. Caller holds mu.
 func (c *Cache[V]) removeEntry(e *entry[V]) {
 	delete(c.entries, e.key)
 	if !e.dead {
-		e.dead = true
+		var zero V
+		e.dead, e.val = true, zero
 		c.used -= e.cost
+		c.dead++
 	}
 }
 
-// evictOne advances the CLOCK hand: dead slots are compacted away,
-// referenced entries get a second chance, and the first unreferenced
-// live entry is evicted. Caller holds mu. Returns false when the ring
-// holds no live entries.
+// compactSlack is how many dead slots beyond the live count the ring
+// tolerates before compacting, so a small cache does not rebuild its
+// ring on every invalidation.
+const compactSlack = 16
+
+// compact drops the ring's dead slots in one pass once they outnumber
+// the live entries by more than compactSlack. The ring therefore stays
+// within twice the live count plus the slack however long the cache
+// churns below its capacity, and each dead slot costs amortized O(1) to
+// reclaim. The hand keeps pointing at the same live entry. Caller holds
+// mu.
+func (c *Cache[V]) compact() {
+	if c.dead <= len(c.entries)+compactSlack {
+		return
+	}
+	n, hand := 0, 0
+	for i, e := range c.ring {
+		if e.dead {
+			continue
+		}
+		if i < c.hand {
+			hand++
+		}
+		c.ring[n] = e
+		n++
+	}
+	clear(c.ring[n:])
+	c.ring = c.ring[:n]
+	c.hand = hand
+	c.dead = 0
+}
+
+// evictOne advances the CLOCK hand: dead slots are skipped, referenced
+// entries get a second chance, and the first unreferenced live entry is
+// evicted. Caller holds mu. Returns false when no live entry is left.
 func (c *Cache[V]) evictOne() bool {
-	for sweep := 0; len(c.ring) > 0; {
+	for sweep := 0; len(c.entries) > 0; {
 		if c.hand >= len(c.ring) {
 			c.hand = 0
 			sweep++
@@ -221,16 +261,11 @@ func (c *Cache[V]) evictOne() bool {
 			}
 		}
 		e := c.ring[c.hand]
-		if e.dead {
-			c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
-			continue
-		}
-		if e.ref.Swap(false) {
-			c.hand++
+		c.hand++
+		if e.dead || e.ref.Swap(false) {
 			continue
 		}
 		c.removeEntry(e)
-		c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
 		c.evictions.Add(1)
 		if c.hooks.Evict != nil {
 			c.hooks.Evict()

@@ -167,3 +167,47 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("accounting broken: %+v", st)
 	}
 }
+
+// A cache that churns below its capacity never evicts, so the ring must
+// shed invalidated and overwritten slots — and their values — on its
+// own: it stays within twice the live count plus the compaction slack.
+func TestChurnKeepsRingBounded(t *testing.T) {
+	c := New[[]byte](1 << 20)
+	check := func(phase string) {
+		t.Helper()
+		live := len(c.entries)
+		if len(c.ring) > 2*live+compactSlack+1 {
+			t.Fatalf("%s: ring holds %d slots for %d live entries", phase, len(c.ring), live)
+		}
+		for _, e := range c.ring {
+			if e.dead && e.val != nil {
+				t.Fatalf("%s: dead slot %q still holds its value", phase, e.key)
+			}
+		}
+	}
+	val := make([]byte, 64)
+	for i := 0; i < 100_000; i++ {
+		c.Put("k", val, int64(len(val)), c.Gen())
+		c.Invalidate("k")
+	}
+	check("put+invalidate")
+	for i := 0; i < 100_000; i++ {
+		c.Put("k", val, int64(len(val)), c.Gen())
+	}
+	check("overwrite")
+	// Churn among a working set, with evictions mixed in, keeps the
+	// bound and the CLOCK still finds victims.
+	c = New[[]byte](10 * 64)
+	for i := 0; i < 10_000; i++ {
+		k := fmt.Sprintf("k%d", i%37)
+		c.Put(k, val, int64(len(val)), c.Gen())
+		if i%3 == 0 {
+			c.Invalidate(fmt.Sprintf("k%d", (i+5)%37))
+		}
+		c.Get(fmt.Sprintf("k%d", (i+1)%37))
+	}
+	check("working set")
+	if st := c.Stats(); st.Cost > st.Capacity || st.Entries != len(c.entries) || st.Evictions == 0 {
+		t.Fatalf("stats after churn = %+v", st)
+	}
+}

@@ -157,8 +157,7 @@ func (fm *fileManager) invalidateRel(ns *namespace, name string) {
 }
 
 // CacheStats reports each relation cache's counters, keyed by the same
-// kind names used for the cache metrics. Benchmarks read it to compute
-// hit rates.
+// kind names used for the cache metrics.
 func (s *Server) CacheStats() map[string]cache.Stats {
 	rc := s.fm.caches
 	return map[string]cache.Stats{

@@ -99,8 +99,7 @@ type fileManager struct {
 	ctx context.Context
 
 	// cryptoWorkers bounds the goroutines of the chunk-crypto kernel on
-	// the content data path (DESIGN §14); 1 means inline. Resolved in
-	// NewServer, never zero.
+	// the content data path (DESIGN §14): pfs.DefaultWorkers(), never zero.
 	cryptoWorkers int
 
 	obs *serverObs
@@ -116,9 +115,6 @@ type fmShared struct {
 	// recovery publishes journal-recovery progress for /readyz and the
 	// watchdog; may be nil.
 	recovery *RecoveryState
-	// reads coalesces concurrent content reads of the same path so a hot
-	// object is decrypted once per flight (see coalesce.go).
-	reads flightGroup
 	// degraded gates mutations while a store circuit breaker is open:
 	// non-nil only when resilience is configured, it returns an
 	// ErrDegraded-wrapped error to reject the mutation before any trusted
@@ -188,9 +184,6 @@ type fmConfig struct {
 	journal *journal.Journal
 	// recovery publishes journal-recovery progress; may be nil.
 	recovery *RecoveryState
-	// cryptoWorkers bounds the chunk-crypto goroutines (resolved value;
-	// < 1 is clamped to 1, the inline kernel).
-	cryptoWorkers int
 	// degradedGate rejects mutations with an ErrDegraded-wrapped error
 	// while a store circuit breaker is open; nil when resilience is off.
 	degradedGate func() error
@@ -215,10 +208,8 @@ func newFileManager(cfg fmConfig) (*fileManager, error) {
 	if cfg.obs == nil {
 		cfg.obs = newServerObs(nil, nil)
 	}
-	workers := cfg.cryptoWorkers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := pfs.DefaultWorkers()
+	cfg.obs.cryptoWorkers.Set(int64(workers))
 	fm := &fileManager{
 		rootKey:       cfg.rootKey,
 		hideMAC:       pae.NewMACKey(hideKey),

@@ -12,9 +12,9 @@ import (
 // Microbenchmarks for the introspection layer's per-request cost: the
 // in-process direct GET is the cheapest request the server can serve,
 // so any fixed per-request overhead (registry add/remove, SLO ring
-// writes, heavy-hitter offer) shows here at its worst. E13 measures the
-// same comparison end-to-end; this pair exists for quick profiling
-// (-cpuprofile) when the E13 overhead number moves.
+// writes, heavy-hitter offer) shows here at its worst. The benchmark
+// ledger measures the shipped configuration end-to-end; this pair exists
+// for quick profiling (-cpuprofile) when its per-request cost moves.
 
 func benchServer(b *testing.B, introspect bool) *Server {
 	b.Helper()

@@ -45,7 +45,7 @@ import (
 // the root node. Per-path exclusion would be incorrect; reads still
 // scale because they share the barrier.
 
-// defaultLockShards is the default shard count. 64 keeps the chance of
+// defaultLockShards is the server's shard count. 64 keeps the chance of
 // two concurrently-hot disjoint paths colliding low (< 2 % at 16 active
 // requests against 2×64 slots) at the cost of 64 RWMutexes (~1.5 KiB) of
 // enclave memory; it is deliberately far above typical core counts so
@@ -74,9 +74,6 @@ type lockManager struct {
 }
 
 func newLockManager(shards int, coupled bool, obs *serverObs) *lockManager {
-	if shards <= 0 {
-		shards = defaultLockShards
-	}
 	return &lockManager{
 		shards:    make([]sync.RWMutex, shards),
 		shardWait: make([]atomic.Int64, shards),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -177,9 +178,19 @@ func TestMoveLocksDirectoryEscalates(t *testing.T) {
 }
 
 // Heavy mixed traffic through every plan, under -race: deadlock-freedom
-// and ordered multi-shard acquisition. Failure mode is a test timeout.
+// and ordered multi-shard acquisition. Few shards mean frequent overlap;
+// one shard puts every path and its parent on the same mutex, the
+// degenerate plan a multi-path acquisition must still deduplicate.
+// Failure mode is a test timeout.
 func TestLockManagerMixedTrafficNoDeadlock(t *testing.T) {
-	lm := newLockManager(4, false, nil) // few shards => frequent overlap
+	for _, shards := range []int{4, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			mixedLockTraffic(t, newLockManager(shards, false, nil))
+		})
+	}
+}
+
+func mixedLockTraffic(t *testing.T, lm *lockManager) {
 	paths := []fspath.Path{
 		mustPath(t, "/a/x"), mustPath(t, "/a/y"), mustPath(t, "/b/x"),
 		mustPath(t, "/b/"), mustPath(t, "/c/d/e"), fspath.Root,

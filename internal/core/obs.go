@@ -78,16 +78,13 @@ type serverObs struct {
 	degraded func() bool
 
 	// Parallel chunk-crypto pipeline instruments (DESIGN §14):
-	// worker-pool size, one-shot seal/open counts by execution mode, and
-	// read-coalescing outcomes. Aggregate-only — no path or size labels.
+	// worker-pool size and one-shot seal/open counts by execution mode.
+	// Aggregate-only — no path or size labels.
 	cryptoWorkers      *obs.Gauge
 	cryptoSealSerial   *obs.Counter
 	cryptoSealParallel *obs.Counter
 	cryptoOpenSerial   *obs.Counter
 	cryptoOpenParallel *obs.Counter
-	coalesceLeader     *obs.Counter
-	coalesceShared     *obs.Counter
-	coalesceInflight   *obs.Gauge
 
 	// Overload-resilience instruments (DESIGN §16): client-cancelled
 	// requests (HTTP 499) and the graceful-drain outcome. The admission
@@ -151,12 +148,6 @@ func newServerObs(reg *obs.Registry, logger *slog.Logger) *serverObs {
 			"One-shot chunk-crypto operations by direction and execution mode.", obs.Labels{"op": "open", "mode": "serial"}),
 		cryptoOpenParallel: reg.Counter("segshare_crypto_ops_total",
 			"One-shot chunk-crypto operations by direction and execution mode.", obs.Labels{"op": "open", "mode": "parallel"}),
-		coalesceLeader: reg.Counter("segshare_crypto_coalesce_total",
-			"Coalesced content reads by role: the leader decrypts, shared callers ride its flight.", obs.Labels{"role": "leader"}),
-		coalesceShared: reg.Counter("segshare_crypto_coalesce_total",
-			"Coalesced content reads by role: the leader decrypts, shared callers ride its flight.", obs.Labels{"role": "shared"}),
-		coalesceInflight: reg.Gauge("segshare_crypto_coalesce_inflight",
-			"Content reads currently inside a coalescing flight.", nil),
 		cancelled: reg.Counter("segshare_requests_cancelled_total",
 			"Requests that ended because the client disconnected first (HTTP 499).", nil),
 		drainNs: reg.Gauge("segshare_drain_ns",

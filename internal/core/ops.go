@@ -206,33 +206,8 @@ func (fm *fileManager) dropDedupRef(hName string) {
 }
 
 // readContent returns a content file's plaintext, validating the
-// rollback tree and resolving deduplication indirections. Concurrent
-// reads of the same path are coalesced into one decryption flight: every
-// caller already holds the path's read lock (sharded lock manager), so
-// all flight members would observe identical bytes and the shared result
-// is exact. Staging views bypass coalescing — their reads may diverge
-// from the committed state the flight key describes.
+// rollback tree and resolving deduplication indirections.
 func (fm *fileManager) readContent(path fspath.Path) ([]byte, error) {
-	if fm.staging() {
-		return fm.readContentUncoalesced(path)
-	}
-	fm.obs.coalesceInflight.Add(1)
-	defer fm.obs.coalesceInflight.Add(-1)
-	val, shared, err := fm.shared.reads.do(fm.ctx, path.String(), func() ([]byte, error) {
-		return fm.readContentUncoalesced(path)
-	})
-	if shared {
-		fm.obs.coalesceShared.Inc()
-	} else {
-		fm.obs.coalesceLeader.Inc()
-	}
-	return val, err
-}
-
-// readContentUncoalesced is the single-flight body of readContent. The
-// returned slice may be shared across coalesced callers and must be
-// treated as read-only.
-func (fm *fileManager) readContentUncoalesced(path fspath.Path) ([]byte, error) {
 	if path.IsDir() {
 		return nil, fmt.Errorf("%w: %q is a directory path", ErrBadRequest, path)
 	}

@@ -16,9 +16,7 @@ type ByteRange struct {
 }
 
 // RangeResult is a resolved range read: the requested bytes plus the
-// offset and total size needed for a Content-Range response header. Data
-// may alias a buffer shared with coalesced readers and must be treated as
-// read-only.
+// offset and total size needed for a Content-Range response header.
 type RangeResult struct {
 	Data  []byte
 	Off   int64
@@ -56,7 +54,7 @@ func (br ByteRange) resolve(total int64) (off, length int64, err error) {
 // the range touches, verifying each chunk's Merkle path — the sibling
 // validation the format was designed for — instead of opening the whole
 // blob. Dedup indirections, rollback mode, and staged views fall back to
-// a full (coalesced) read plus slicing, because those paths need the
+// a full read plus slicing, because those paths need the
 // complete body to authenticate (full-content HMAC binding, header-over-
 // body validation) before any byte may be released.
 func (fm *fileManager) readContentRange(path fspath.Path, br ByteRange) (RangeResult, error) {

@@ -21,7 +21,6 @@ import (
 	"segshare/internal/enctls"
 	"segshare/internal/journal"
 	"segshare/internal/obs"
-	"segshare/internal/pfs"
 	"segshare/internal/rollback"
 	"segshare/internal/store"
 )
@@ -78,20 +77,10 @@ type Config struct {
 	// ignored and nothing is persisted: replicas re-run replication after
 	// a restart.
 	RootKey []byte
-	// LockShards sets the number of per-path lock shards in the request
-	// path (see locks.go). Zero means the default (64); 1 approximates
-	// the former single global RWMutex, which benchmarks use as the
-	// before-configuration.
-	LockShards int
 	// CacheBytes bounds the in-enclave relation caches (decoded ACLs,
 	// member lists, group list, directory bodies, derived file keys).
 	// Zero means the default (8 MiB); negative disables caching.
 	CacheBytes int64
-	// CryptoWorkers bounds the goroutines of the chunk-crypto kernel on
-	// the content data path (DESIGN §14). Zero means the default,
-	// min(GOMAXPROCS, 8); negative (or 1) keeps sealing/opening inline
-	// on the request's goroutine, which E14 sweeps against.
-	CryptoWorkers int
 	// Resilience, when non-nil, wraps the content, group, and dedup
 	// stores in store.Resilient (DESIGN §15): per-op-class deadlines,
 	// retry with backoff for retryable errors, and a per-backend circuit
@@ -129,8 +118,7 @@ type Config struct {
 	// checkpoint cadence). Ignored when AuditStore is nil.
 	Audit audit.Options
 	// DisableWideEvents turns off per-request wide-event collection and
-	// emission. Benchmarks use it as the before-configuration when
-	// measuring telemetry overhead.
+	// emission.
 	DisableWideEvents bool
 	// SamplePolicy selects which finished request traces are retained
 	// and exported (tail-based sampling); nil means
@@ -157,8 +145,7 @@ type Config struct {
 	HotGroups int
 	// DisableRequestRegistry turns off the live in-flight request
 	// registry (/debug/requests and the watchdog's exact over-deadline
-	// check fall back accordingly). Benchmarks use it as the
-	// before-configuration.
+	// check fall back accordingly).
 	DisableRequestRegistry bool
 	// Profiler, when non-nil, receives capture triggers on watchdog
 	// stall transitions and SLO fast-burn breaches. The caller owns it
@@ -518,14 +505,6 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 	case cacheBytes < 0:
 		cacheBytes = 0 // disabled
 	}
-	cryptoWorkers := cfg.CryptoWorkers
-	switch {
-	case cryptoWorkers == 0:
-		cryptoWorkers = pfs.DefaultWorkers()
-	case cryptoWorkers < 0:
-		cryptoWorkers = 1
-	}
-	sObs.cryptoWorkers.Set(int64(cryptoWorkers))
 	// The degraded gate runs at the head of every mutation (txn.go). It
 	// uses MutationsAllowed — not State — so that once a breaker's
 	// cooldown elapses the gating mutation itself flows down to the
@@ -543,21 +522,20 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 		}
 	}
 	fm, err := newFileManager(fmConfig{
-		rootKey:       rootKey,
-		contentStore:  cfg.ContentStore,
-		groupStore:    cfg.GroupStore,
-		dedupStore:    cfg.DedupStore,
-		hidePaths:     cfg.Features.HidePaths,
-		rollbackOn:    cfg.Features.RollbackProtection,
-		dedupEnabled:  cfg.Features.Dedup,
-		contentGuard:  contentGuard,
-		groupGuard:    groupGuard,
-		cacheBytes:    cacheBytes,
-		cryptoWorkers: cryptoWorkers,
-		journal:       jl,
-		recovery:      recovery,
-		degradedGate:  degradedGate,
-		obs:           sObs,
+		rootKey:      rootKey,
+		contentStore: cfg.ContentStore,
+		groupStore:   cfg.GroupStore,
+		dedupStore:   cfg.DedupStore,
+		hidePaths:    cfg.Features.HidePaths,
+		rollbackOn:   cfg.Features.RollbackProtection,
+		dedupEnabled: cfg.Features.Dedup,
+		contentGuard: contentGuard,
+		groupGuard:   groupGuard,
+		cacheBytes:   cacheBytes,
+		journal:      jl,
+		recovery:     recovery,
+		degradedGate: degradedGate,
+		obs:          sObs,
 	})
 	if err != nil {
 		return nil, err
@@ -580,7 +558,7 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 		// per-request view (withRequest) — the commit → apply → retire
 		// sequence is: intents apply in commit order, and a journalDirty
 		// recovery pass inside mutate replays the whole journal.
-		locks: newLockManager(cfg.LockShards, cfg.Features.RollbackProtection || jl != nil, sObs),
+		locks: newLockManager(defaultLockShards, cfg.Features.RollbackProtection || jl != nil, sObs),
 	}
 
 	// Adaptive admission control and the request-body cap (DESIGN §16).

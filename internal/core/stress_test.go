@@ -16,7 +16,7 @@ import (
 // newStressFixture builds a server with the audit log on a dedicated
 // memory backend (OverflowBlock, so the trail is complete) and returns
 // both for offline chain verification after the workload.
-func newStressFixture(t *testing.T, features Features, shards int) (*Server, store.Backend) {
+func newStressFixture(t *testing.T, features Features) (*Server, store.Backend) {
 	t.Helper()
 	authority, err := ca.New("stress CA")
 	if err != nil {
@@ -32,7 +32,6 @@ func newStressFixture(t *testing.T, features Features, shards int) (*Server, sto
 		ContentStore: store.NewMemory(),
 		GroupStore:   store.NewMemory(),
 		Features:     features,
-		LockShards:   shards,
 		AuditStore:   auditStore,
 		Audit:        audit.Options{CheckpointEvery: 16, Overflow: audit.OverflowBlock},
 	})
@@ -55,21 +54,19 @@ func TestConcurrentStress(t *testing.T) {
 	cases := []struct {
 		name     string
 		features Features
-		shards   int
 	}{
-		{"sharded", Features{}, 0},
-		{"single-shard", Features{}, 1},
-		{"coupled-rollback", Features{RollbackProtection: true, Guard: GuardCounter}, 0},
+		{"sharded", Features{}},
+		{"coupled-rollback", Features{RollbackProtection: true, Guard: GuardCounter}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			runConcurrentStress(t, tc.features, tc.shards)
+			runConcurrentStress(t, tc.features)
 		})
 	}
 }
 
-func runConcurrentStress(t *testing.T, features Features, shards int) {
-	server, auditStore := newStressFixture(t, features, shards)
+func runConcurrentStress(t *testing.T, features Features) {
+	server, auditStore := newStressFixture(t, features)
 	alice := server.Direct("alice")
 	bob := server.Direct("bob")
 
@@ -316,5 +313,144 @@ func runConcurrentStress(t *testing.T, features Features, shards int) {
 	}
 	if res.Records == 0 {
 		t.Fatal("audit log empty after workload")
+	}
+}
+
+// TestHotReadStress hammers one hot path with concurrent readers while a
+// writer overwrites it and the owner toggles another user's permission —
+// the revocation race the read path must stay exact under. Run with
+// -race; the content assertions check that no reader ever observes a
+// torn or never-written value, and that a revoked reader sees only a
+// clean permission denial.
+func TestHotReadStress(t *testing.T) {
+	authority, err := ca.New("hot-read CA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := enclave.NewPlatform(enclave.PlatformConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := NewServer(platform, Config{
+		CACertPEM:    authority.CertificatePEM(),
+		ContentStore: store.NewMemory(),
+		GroupStore:   store.NewMemory(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { server.Close() })
+
+	alice := server.Direct("alice")
+	bob := server.Direct("bob")
+	if err := alice.Mkdir("/shared/"); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.Upload("/shared/hot", []byte("seed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.AddUser("bob", "team"); err != nil {
+		t.Fatal(err)
+	}
+
+	const iters = 60
+	legal := sync.Map{}
+	legal.Store("seed", true)
+
+	var wg sync.WaitGroup
+	fail := make(chan error, 16)
+	report := func(format string, args ...any) {
+		select {
+		case fail <- fmt.Errorf(format, args...):
+		default:
+		}
+	}
+
+	// Writer: overwrites the hot file with distinct values.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < iters; j++ {
+			v := fmt.Sprintf("v-%d", j)
+			legal.Store(v, true)
+			if err := alice.Upload("/shared/hot", []byte(v)); err != nil {
+				report("upload: %v", err)
+				return
+			}
+		}
+	}()
+
+	// Permission toggler: grants and revokes bob's read access.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < iters; j++ {
+			spec := PermissionSpec("r")
+			if j%2 == 1 {
+				spec = "none"
+			}
+			if err := alice.SetPermission("/shared/hot", "team", spec); err != nil {
+				report("set permission: %v", err)
+				return
+			}
+		}
+	}()
+
+	// Readers: concurrent GETs of the same path. Any value ever written
+	// is legal; anything else means a read observed bytes across a write.
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < iters*2; j++ {
+				got, err := alice.Download("/shared/hot")
+				if err != nil {
+					report("alice download: %v", err)
+					return
+				}
+				if _, ok := legal.Load(string(got)); !ok {
+					report("alice read torn content %q", got)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < iters*2; j++ {
+				got, err := bob.Download("/shared/hot")
+				switch {
+				case err == nil:
+					if _, ok := legal.Load(string(got)); !ok {
+						report("bob read torn content %q", got)
+						return
+					}
+				case errors.Is(err, ErrPermissionDenied):
+				default:
+					report("bob download: %v", err)
+					return
+				}
+			}
+		}()
+	}
+
+	wg.Wait()
+	close(fail)
+	for err := range fail {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	// The final value is one that was actually written.
+	got, err := alice.Download("/shared/hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := legal.Load(string(got)); !ok {
+		t.Fatalf("final content %q was never written", got)
 	}
 }
