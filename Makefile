@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` mirrors the tier-1 CI gate in
 # .github/workflows/verify.yml exactly — run it before pushing.
 
-RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal ./internal/pfs ./internal/pae ./internal/dedup
+RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal ./internal/pfs ./internal/pae ./internal/dedup ./internal/enctls ./internal/client
 
 .PHONY: verify build test vet race bench bench-smoke bench-build chaos-smoke drain-smoke crash-smoke tcb advisory
 

@@ -170,22 +170,37 @@ func (c *Client) UploadStream(path string, r io.Reader, length int64) error {
 	return nil
 }
 
-// Download returns the content of the file at path.
+// maxPresized caps the buffer Download allocates up front from a
+// response's Content-Length; a longer body grows its buffer as it
+// arrives, so a lying header cannot make the client allocate at will.
+const maxPresized = 64 << 20
+
+// Download returns the content of the file at path. A body of known
+// length is read into one exactly sized buffer.
 func (c *Client) Download(path string) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.DownloadTo(path, &buf); err != nil {
+	resp, err := c.getFile(path)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	defer resp.Body.Close()
+	var data []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxPresized {
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		data = buf.Bytes()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("client: download %s: %w", path, err)
+	}
+	return data, nil
 }
 
 // DownloadTo streams the file at path into w.
 func (c *Client) DownloadTo(path string, w io.Writer) error {
-	req, err := http.NewRequest(http.MethodGet, c.fsURL(path), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req, http.StatusOK)
+	resp, err := c.getFile(path)
 	if err != nil {
 		return err
 	}
@@ -194,6 +209,15 @@ func (c *Client) DownloadTo(path string, w io.Writer) error {
 		return fmt.Errorf("client: download %s: %w", path, err)
 	}
 	return nil
+}
+
+// getFile issues a GET for the file at path and returns the 200 response.
+func (c *Client) getFile(path string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodGet, c.fsURL(path), nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.do(req, http.StatusOK)
 }
 
 // Mkdir creates the directory at path (which must end in "/").

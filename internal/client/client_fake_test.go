@@ -2,13 +2,18 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"crypto/tls"
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,6 +73,11 @@ func (f *fakeServer) serveFS(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, `{"error":"missing"}`, http.StatusNotFound)
 			return
 		}
+		if strings.HasSuffix(path, ".stream") {
+			w.(http.Flusher).Flush() // chunked, no Content-Length
+		} else {
+			w.Header().Set("Content-Length", strconv.Itoa(len(data))) // as the real handler does
+		}
 		w.Write(data)
 	case http.MethodDelete:
 		if _, ok := f.files[path]; !ok {
@@ -94,8 +104,8 @@ func (f *fakeServer) serveFS(w http.ResponseWriter, r *http.Request) {
 }
 
 // startFake brings up the fake server with mTLS under a throwaway CA and
-// returns a connected client.
-func startFake(t *testing.T) (*Client, *fakeServer) {
+// returns a connected client, its Config adjusted by opts.
+func startFake(t *testing.T, opts ...func(*Config)) (*Client, *fakeServer) {
 	t.Helper()
 	authority, err := ca.New("fake server CA")
 	if err != nil {
@@ -123,12 +133,16 @@ func startFake(t *testing.T) (*Client, *fakeServer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := New(Config{
+	cfg := Config{
 		Addr:       strings.TrimPrefix(srv.URL, "https://"),
 		ServerName: "127.0.0.1",
 		CACertPEM:  authority.CertificatePEM(),
 		Credential: cred,
-	})
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	client, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,5 +217,41 @@ func TestClientMethodsAgainstFakeServer(t *testing.T) {
 
 	if len(fake.calls) == 0 {
 		t.Fatal("fake server saw no calls")
+	}
+}
+
+// TestDownloadSizesBufferFromContentLength verifies that Download reads a
+// body of declared length into one exactly sized buffer — about the
+// object's size in allocations, where a growing buffer costs two to four
+// times that — without losing the keep-alive connection, and still reads
+// a body of unknown length.
+func TestDownloadSizesBufferFromContentLength(t *testing.T) {
+	var dials atomic.Int32
+	client, fake := startFake(t, func(cfg *Config) {
+		cfg.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dials.Add(1)
+			return (&net.Dialer{}).DialContext(ctx, network, addr)
+		}
+	})
+	data := bytes.Repeat([]byte("segshare"), 1<<17) // 1 MiB
+	fake.files["/big"] = data
+	fake.files["/big.stream"] = data
+	for _, path := range []string{"/big", "/big.stream"} {
+		if got, err := client.Download(path); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Download(%s) = %d bytes, %v", path, len(got), err)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := client.Download("/big"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(len(data))*3/2 {
+		t.Fatalf("Download of %d bytes allocated %d bytes", len(data), alloc)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d dials for three downloads, want 1 (keep-alive lost)", n)
 	}
 }

@@ -998,7 +998,7 @@ func (s *Server) CheckDraining() error {
 	return nil
 }
 
-// Close shuts the server down: terminator, HTTP server, endpoint, bridge,
+// Close shuts the server down: endpoint, terminator, HTTP server, bridge,
 // and the audit log (which drains its queue and seals a final checkpoint).
 func (s *Server) Close() error {
 	var err error
@@ -1009,13 +1009,13 @@ func (s *Server) Close() error {
 		if s.obs.slo != nil {
 			s.obs.slo.Stop()
 		}
+		s.endpoint.Close() // first: wakes terminator pumps parked delivering into a full conn
 		if s.terminator != nil {
 			err = s.terminator.Close()
 		}
 		if s.httpServer != nil {
 			s.httpServer.Close()
 		}
-		s.endpoint.Close()
 		s.bridge.Close()
 		if s.obs.audit != nil {
 			if aerr := s.obs.audit.Close(); aerr != nil && err == nil {

@@ -14,8 +14,8 @@ import (
 type CallMode int
 
 const (
-	// ModeSwitchless routes calls through task queues served by persistent
-	// worker threads, SGX SDK switchless-call style (paper §II-A, §VI).
+	// ModeSwitchless hands calls to persistent worker threads (SGX SDK
+	// switchless calls, paper §II-A, §VI), or blocks when none is idle.
 	ModeSwitchless CallMode = iota + 1
 	// ModeBlocking performs a synchronous enclave transition per call,
 	// paying the configured switch latency. Used for the ablation bench.
@@ -41,12 +41,9 @@ type BridgeConfig struct {
 	// Workers is the number of worker goroutines per direction in
 	// switchless mode. Defaults to 4.
 	Workers int
-	// QueueDepth is the task ring capacity per direction in switchless
-	// mode. Defaults to 64.
-	QueueDepth int
-	// SwitchLatency is the simulated cost of one enclave transition
-	// (enter or exit) in blocking mode. Defaults to 6µs, in the range
-	// reported for SGX ecall round trips.
+	// SwitchLatency is the simulated cost of one enclave transition (enter
+	// or exit) of a blocking call, switchless fallbacks included. Defaults
+	// to 6µs, in the range reported for SGX ecall round trips.
 	SwitchLatency time.Duration
 	// Obs is the metric registry the bridge reports into. Defaults to
 	// obs.Default(). Bridge telemetry is aggregate by design: call counts
@@ -63,9 +60,6 @@ func (c BridgeConfig) withDefaults() BridgeConfig {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 	if c.SwitchLatency <= 0 {
 		c.SwitchLatency = 6 * time.Microsecond
 	}
@@ -76,12 +70,13 @@ func (c BridgeConfig) withDefaults() BridgeConfig {
 }
 
 // bridgeInstruments are the per-direction obs instruments of one bridge
-// direction (ecall or ocall).
+// direction (ecall or ocall), plus the direction's busy-worker count.
 type bridgeInstruments struct {
 	calls     *obs.Counter
 	callNS    *obs.Histogram // handler execution time
 	queueNS   *obs.Histogram // wait between enqueue and worker pickup
 	errsTotal *obs.Counter
+	busy      atomic.Int32 // workers claimed by a caller and not yet free again
 }
 
 func newBridgeInstruments(reg *obs.Registry, call string) bridgeInstruments {
@@ -154,7 +149,7 @@ func NewBridge(cfg BridgeConfig) *Bridge {
 		done:        make(chan struct{}),
 		einst:       newBridgeInstruments(cfg.Obs, "ecall"),
 		oinst:       newBridgeInstruments(cfg.Obs, "ocall"),
-		transitions: cfg.Obs.Counter("segshare_bridge_transitions_total", "Synchronous enclave enter/exit transitions (blocking mode).", nil),
+		transitions: cfg.Obs.Counter("segshare_bridge_transitions_total", "Synchronous enclave enter/exit transitions (blocking mode and switchless fallbacks).", nil),
 	}
 	if cfg.Mode == ModeSwitchless {
 		b.etasks = make(chan bridgeTask)
@@ -182,6 +177,7 @@ func (b *Bridge) worker(tasks <-chan bridgeTask) {
 			if err != nil {
 				t.inst.errsTotal.Inc()
 			}
+			t.inst.busy.Add(-1) // free before the caller resumes, so its next call finds this worker
 			t.resp <- bridgeResult{data: data, err: err}
 		}
 	}
@@ -227,31 +223,34 @@ func (b *Bridge) call(table map[string]Handler, tasks chan bridgeTask, inst *bri
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownOp, op)
 	}
-	if b.cfg.Mode == ModeBlocking {
-		// One transition to enter, one to leave.
-		b.nTransitions.Add(2)
-		b.transitions.Add(2)
-		time.Sleep(2 * b.cfg.SwitchLatency)
-		start := time.Now()
-		data, err := fn(payload)
-		inst.callNS.ObserveDuration(time.Since(start))
-		if err != nil {
-			inst.errsTotal.Inc()
+	if b.cfg.Mode == ModeSwitchless {
+		if inst.busy.Add(1) <= int32(b.cfg.Workers) {
+			t := bridgeTask{handler: fn, payload: payload, resp: make(chan bridgeResult, 1), enqueued: time.Now(), inst: inst}
+			select {
+			case <-b.done:
+				return nil, ErrBridgeClosed
+			case tasks <- t:
+			}
+			select {
+			case <-b.done:
+				return nil, ErrBridgeClosed
+			case r := <-t.resp:
+				return r.data, r.err
+			}
 		}
-		return data, err
+		inst.busy.Add(-1) // none idle: fall back like the SGX SDK, never wait on a parked handler
 	}
-	t := bridgeTask{handler: fn, payload: payload, resp: make(chan bridgeResult, 1), enqueued: time.Now(), inst: inst}
-	select {
-	case <-b.done:
-		return nil, ErrBridgeClosed
-	case tasks <- t:
+	// One transition to enter, one to leave.
+	b.nTransitions.Add(2)
+	b.transitions.Add(2)
+	time.Sleep(2 * b.cfg.SwitchLatency)
+	start := time.Now()
+	data, err := fn(payload)
+	inst.callNS.ObserveDuration(time.Since(start))
+	if err != nil {
+		inst.errsTotal.Inc()
 	}
-	select {
-	case <-b.done:
-		return nil, ErrBridgeClosed
-	case r := <-t.resp:
-		return r.data, r.err
-	}
+	return data, err
 }
 
 // Pending returns the number of boundary calls currently in flight

@@ -138,3 +138,30 @@ func TestBridgeSwitchlessHasNoTransitions(t *testing.T) {
 		t.Fatalf("switchless mode recorded %d transitions", m.Transitions)
 	}
 }
+
+// TestBridgeFallsBackWhenWorkersParked verifies the SGX SDK-style
+// fallback: with the only worker parked in a handler, a second switchless
+// call runs on its caller's goroutine as a regular call (two transitions)
+// instead of waiting for the worker.
+func TestBridgeFallsBackWhenWorkersParked(t *testing.T) {
+	b := NewBridge(BridgeConfig{Workers: 1, SwitchLatency: time.Nanosecond})
+	defer b.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	b.RegisterECall("park", func(p []byte) ([]byte, error) { close(entered); <-release; return nil, nil })
+	b.RegisterECall("op", func(p []byte) ([]byte, error) { return p, nil })
+
+	parked := make(chan error, 1)
+	go func() { _, err := b.ECall("park", nil); parked <- err }()
+	<-entered
+	got, err := b.ECall("op", []byte("x"))
+	if err != nil || string(got) != "x" {
+		t.Fatalf("ECall beside a parked worker = %q, %v", got, err)
+	}
+	if m := b.Metrics(); m.Transitions != 2 {
+		t.Fatalf("fallback recorded %d transitions, want 2", m.Transitions)
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatalf("parked ECall: %v", err)
+	}
+}

@@ -391,6 +391,99 @@ func TestLargeTransfer(t *testing.T) {
 	}
 }
 
+// TestParkedDeliveriesDoNotStarveHandshakes pins the switchless fallback
+// at the split-TLS seam: four clients each push 4 MiB to a handler that
+// finished the handshake but reads nothing more (as a request waiting
+// for admission does), so every one of the bridge's four default ecall
+// workers parks in a delivery over the receive-buffer bound. A fifth
+// client must still complete its handshake.
+func TestParkedDeliveriesDoNotStarveHandshakes(t *testing.T) {
+	pki := newTestPKI(t)
+	bridge := enclave.NewBridge(enclave.BridgeConfig{})
+	endpoint := NewTrustedEndpoint(bridge, &tls.Config{
+		Certificates: []tls.Certificate{pki.serverCert},
+		ClientCAs:    pki.pool,
+	})
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := NewUntrustedTerminator(bridge, tcp)
+
+	// Server side: finish each handshake, then hold the connection unread.
+	var (
+		mu   sync.Mutex
+		held []*trustedConn
+	)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := endpoint.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func(conn *tls.Conn) {
+				defer wg.Done()
+				if conn.Handshake() != nil {
+					conn.Close()
+					return
+				}
+				mu.Lock()
+				held = append(held, conn.NetConn().(*trustedConn))
+				mu.Unlock()
+			}(conn.(*tls.Conn))
+		}
+	}()
+	t.Cleanup(func() {
+		endpoint.Close() // wakes the parked deliveries
+		term.Close()
+		bridge.Close()
+		wg.Wait()
+	})
+
+	const parked = 4 // BridgeConfig's default worker count per direction
+	push := make([]byte, 4<<20)
+	for i := 0; i < parked; i++ {
+		conn, err := tls.Dial("tcp", term.Addr().String(), clientConfig(pki, true))
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		go conn.Write(push) // returns once the connection closes
+	}
+
+	// Wait until every held connection's buffer is over the bound and a
+	// delivery is in flight for each: all four pumps are parked.
+	full := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, c := range held {
+			c.mu.Lock()
+			if len(c.buf) > maxBuffered {
+				n++
+			}
+			c.mu.Unlock()
+		}
+		return n == parked && bridge.Pending() == parked
+	}
+	for deadline := time.Now().Add(10 * time.Second); !full(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("deliveries never filled the held connections")
+		}
+	}
+
+	dialer := &net.Dialer{Timeout: 2 * time.Second} // covers the handshake
+	conn, err := tls.DialWithDialer(dialer, "tcp", term.Addr().String(), clientConfig(pki, true))
+	if err != nil {
+		t.Fatalf("fifth handshake with every ecall worker parked: %v", err)
+	}
+	conn.Close()
+}
+
 func TestTrustedConnReadDeadline(t *testing.T) {
 	conn := newTrustedConn(1, func(uint64, []byte) error { return nil }, func(uint64) {})
 

@@ -14,6 +14,8 @@ import (
 // Resilient errors, matched with errors.Is. All three are terminal for
 // the attempt that produced them: a deadline or open circuit is never
 // retried by the wrapper itself (see the retry-safety notes on do).
+// ErrDeadlineExceeded and ErrSaturated come from the worker pool, so a
+// backend that runs inline (see nonBlocking) never returns them.
 var (
 	// ErrDeadlineExceeded is returned when a backend operation overran its
 	// per-op-class deadline. The operation may still be running in a
@@ -27,6 +29,16 @@ var (
 	// its deadline.
 	ErrSaturated = errors.New("store: backend worker pool saturated")
 )
+
+// nonBlocking marks a backend whose every call is bounded work under its
+// own mutex and never waits on I/O — today only *Memory. Resilient runs
+// such a backend on the caller's goroutine: a call that cannot stall can
+// neither overrun its deadline nor pin a worker, so the pool, timer and
+// hand-off would buy nothing. The method is unexported, so no wrapper
+// outside this package can claim it; Disk (its calls fsync) and every
+// wrapper (Faulty, Adversary, Instrumented, foreign taps) keep the
+// worker dispatch.
+type nonBlocking interface{ nonBlocking() }
 
 // BreakerState is the circuit breaker's position. The zero value is
 // closed (healthy).
@@ -85,7 +97,7 @@ type ResilientOptions struct {
 	BreakerProbes int
 	// Workers bounds the background worker pool that executes backend
 	// calls so deadline-abandoned operations cannot pin unbounded
-	// goroutines (default 16).
+	// goroutines (default 16). A non-blocking backend uses no pool.
 	Workers int
 	// Obs receives the wrapper's metrics (nil = obs.Default()).
 	Obs *obs.Registry
@@ -144,7 +156,8 @@ func (o ResilientOptions) withDefaults() ResilientOptions {
 // only, and a per-backend circuit breaker. It composes with the other
 // wrappers in the usual Unwrapper idiom; the server wraps
 // Instrumented(Resilient(raw)) so the measured latency includes retries
-// and deadline waits.
+// and deadline waits. A non-blocking backend (Memory) runs inline on the
+// caller's goroutine with the same breaker, retry and metric accounting.
 //
 // # Retry safety, per operation
 //
@@ -160,9 +173,10 @@ func (o ResilientOptions) withDefaults() ResilientOptions {
 // abandoned attempt may still apply in its background worker, and a
 // concurrent second dispatch could reorder writes.
 type Resilient struct {
-	inner Backend
-	role  string
-	opt   ResilientOptions
+	inner  Backend
+	role   string
+	opt    ResilientOptions
+	inline bool // inner is nonBlocking: dispatch on the caller's goroutine
 
 	sem chan struct{}
 
@@ -205,11 +219,13 @@ func NewResilient(inner Backend, role string, opt ResilientOptions) *Resilient {
 		reg = obs.Default()
 	}
 	roleLabel := obs.Labels{"store": role}
+	_, inline := inner.(nonBlocking)
 	r := &Resilient{
-		inner: inner,
-		role:  role,
-		opt:   opt,
-		sem:   make(chan struct{}, opt.Workers),
+		inner:  inner,
+		role:   role,
+		opt:    opt,
+		inline: inline,
+		sem:    make(chan struct{}, opt.Workers),
 		retriesC: reg.Counter("segshare_store_retries_total",
 			"Backend operations re-attempted after a retryable failure.", roleLabel),
 		deadlinesC: reg.Counter("segshare_store_deadline_exceeded_total",
@@ -395,8 +411,16 @@ func (r *Resilient) dispatch(op string, deadline time.Duration, fn func() error)
 // dispatchCtx is dispatch with an optional caller context: when ctx ends
 // before fn completes, the caller stops waiting (the worker keeps its
 // pool slot until fn returns, exactly like a deadline expiry) and gets a
-// context error back. A nil ctx waits on the deadline alone.
+// context error back. A nil ctx waits on the deadline alone. For a
+// nonBlocking backend fn runs on the caller's goroutine instead; a
+// context that already ended is refused before the call.
 func (r *Resilient) dispatchCtx(ctx context.Context, op string, deadline time.Duration, fn func() error) error {
+	if r.inline {
+		if ctx != nil && ctx.Err() != nil {
+			return r.canceled(ctx, op)
+		}
+		return fn()
+	}
 	select {
 	case r.sem <- struct{}{}:
 	default:
@@ -425,9 +449,14 @@ func (r *Resilient) dispatchCtx(ctx context.Context, op string, deadline time.Du
 		r.deadlinesC.Inc()
 		return fmt.Errorf("%w: %s %s after %v", ErrDeadlineExceeded, r.role, op, deadline)
 	case <-ctxDone:
-		r.canceledC.Inc()
-		return fmt.Errorf("store: %s %s canceled: %w", r.role, op, context.Cause(ctx))
+		return r.canceled(ctx, op)
 	}
+}
+
+// canceled counts and reports an operation the caller's context ended.
+func (r *Resilient) canceled(ctx context.Context, op string) error {
+	r.canceledC.Inc()
+	return fmt.Errorf("store: %s %s canceled: %w", r.role, op, context.Cause(ctx))
 }
 
 // retryable reports whether a failed attempt may be re-dispatched.
@@ -524,7 +553,7 @@ func (r *Resilient) Get(name string) ([]byte, error) {
 // bounded by the caller's context. The inner backend call is not
 // interrupted — it runs to completion in its bounded worker — but the
 // caller stops waiting, stops retrying, and the abandoned result is
-// dropped.
+// dropped. For a non-blocking backend ctx is checked once, before the call.
 func (r *Resilient) GetContext(ctx context.Context, name string) ([]byte, error) {
 	var out []byte
 	err := r.doCtx(ctx, "get", classRead, func() error {

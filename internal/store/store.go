@@ -92,12 +92,19 @@ type Memory struct {
 	objects map[string][]byte
 }
 
-var _ Backend = (*Memory)(nil)
+var (
+	_ Backend     = (*Memory)(nil)
+	_ nonBlocking = (*Memory)(nil)
+)
 
 // NewMemory returns an empty in-memory backend.
 func NewMemory() *Memory {
 	return &Memory{objects: make(map[string][]byte)}
 }
+
+// nonBlocking implements nonBlocking: every call is in-memory work under
+// m.mu (a map access plus a copy on the data path), with no I/O to wait on.
+func (*Memory) nonBlocking() {}
 
 // Put implements Backend.
 func (m *Memory) Put(name string, data []byte) error {
