@@ -3,7 +3,7 @@
 
 RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal ./internal/pfs ./internal/pae ./internal/dedup ./internal/enctls ./internal/client
 
-.PHONY: verify build test vet race bench bench-smoke bench-build chaos-smoke drain-smoke crash-smoke tcb advisory
+.PHONY: verify build test vet race bench bench-smoke bench-build chaos-smoke drain-smoke crash-smoke fuzz-smoke tcb advisory
 
 verify: build test vet race bench-build
 
@@ -61,13 +61,26 @@ crash-smoke:
 	go test -race ./internal/journal
 	go test -run '^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/journal
 
+# Five seconds of every fuzz target in the module. `go test -fuzz`
+# takes one target per run, so the targets are listed first and fuzzed
+# one by one; the first failure stops the pass and leaves its input under
+# the package's testdata/fuzz. Mirrors the fuzz-smoke CI job.
+fuzz-smoke:
+	@list=$$(go test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ {f[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2, f[i]; n = 0}' | \
+	while read -r pkg fn; do \
+		echo "fuzz $$pkg $$fn"; \
+		go test -run '^$$' -fuzz="^$$fn\$$" -fuzztime=5s "$$pkg" || exit 1; \
+	done
+
 # Size of the trusted computing base: non-test Go lines of every package
 # that runs inside the enclave (for enctls, the trusted half only) and
 # the server's flag count. The paper reports 8 441 LoC (§VII) and counts
 # enclave code size as a security property, so this is a ratchet: it
 # fails when either number exceeds its ceiling in tcb.budget. A PR that
 # must grow one raises the ceiling in the same diff, where a reviewer
-# sees it; a PR that shrinks one lowers it. Mirrors the tcb CI step.
+# sees it; a PR that shrinks one lowers it. It also fails when a flag
+# has no row in README.md's server flag table. Mirrors the tcb CI step.
 TCB_PKGS := core obs acl pfs pae rollback mhash journal audit cache dedup fspath enclave
 tcb:
 	@total=0; \
@@ -77,14 +90,18 @@ tcb:
 	done; \
 	n=$$(cat internal/enctls/endpoint.go internal/enctls/conn.go | wc -l); \
 	printf '%-9s %6d  (trusted half: endpoint.go conn.go)\n' enctls $$n; total=$$((total+n)); \
-	flags=$$(go run ./cmd/segshare-server -h 2>&1 | grep -c '^  -'); \
+	names=$$(go run ./cmd/segshare-server -h 2>&1 | awk '/^  -/ {print $$1}'); \
+	flags=$$(echo "$$names" | grep -c .); \
 	max_lines=$$(awk '$$1 == "trusted_lines" {print $$2}' tcb.budget); \
 	max_flags=$$(awk '$$1 == "server_flags" {print $$2}' tcb.budget); \
 	printf '%-9s %6d  non-test Go lines inside the trust boundary (budget %d, paper 8441)\n' total $$total $$max_lines; \
 	printf 'segshare-server flags: %d (budget %d)\n' $$flags $$max_flags; \
 	if [ $$total -gt $$max_lines ] || [ $$flags -gt $$max_flags ]; then \
 		echo 'tcb: over budget — shrink the change, or raise tcb.budget in this PR and say why' >&2; exit 1; \
-	fi
+	fi; \
+	for f in $$names; do \
+		grep -qF -- "| \`$$f\` |" README.md || { echo "tcb: flag $$f has no row in README.md's server flag table" >&2; exit 1; }; \
+	done
 
 # Advisory static analysis — mirrors the non-blocking CI job. Needs
 # network access to fetch the tools; failures here never gate a merge.

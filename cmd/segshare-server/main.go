@@ -76,10 +76,7 @@ func run() error {
 		trcCont   = flag.Duration("trace-contention", 10*time.Millisecond, "tail-sampling: retain traces whose lock wait reached this")
 		trcKeep   = flag.Uint64("trace-keep-one-in", 100, "tail-sampling: retain one in N remaining traces as a baseline (0 disables the floor)")
 		wdOn      = flag.Bool("watchdog", true, "run the stall watchdog (snapshots on /debug/watchdog, audit event per trigger)")
-		wdIvl     = flag.Duration("watchdog-interval", time.Second, "watchdog sweep interval")
 		wdDeadl   = flag.Duration("watchdog-deadline", 30*time.Second, "watchdog: flag requests in flight longer than this")
-		wdRecov   = flag.Duration("watchdog-recovery", 30*time.Second, "watchdog: flag a journal recovery pass running longer than this")
-		wdSkew    = flag.Duration("watchdog-skew", 100*time.Millisecond, "watchdog: flag a lock shard absorbing this much more wait than its peers per sweep")
 
 		sloOn    = flag.Bool("slo", true, "evaluate per-op-class SLO burn rates (/debug/slo, segshare_slo_* metrics, audit event + forced traces on breach)")
 		sloObj   = flag.Float64("slo-objective", 0.999, "SLO success objective as a fraction (0.999 = three nines)")
@@ -223,10 +220,7 @@ func run() error {
 		},
 		Watchdog: segshare.WatchdogConfig{
 			Enable:          *wdOn,
-			Interval:        *wdIvl,
 			RequestDeadline: *wdDeadl,
-			RecoveryOverrun: *wdRecov,
-			ShardSkew:       *wdSkew,
 		},
 		HotGroups:    *hotK,
 		Profiler:     profiler,
@@ -327,8 +321,9 @@ func run() error {
 		if wd := server.Watchdog(); wd != nil {
 			opts = append(opts, obs.WithEndpoint("/debug/watchdog", wd.Handler()))
 		}
-		// These three answer 404 with a named reason when their feature is
-		// off, so operators can tell "disabled" from "wrong URL".
+		// /debug/slo and /debug/hot answer 404 with a named reason when
+		// their feature is off, so operators can tell "disabled" from
+		// "wrong URL".
 		opts = append(opts,
 			obs.WithEndpoint("/debug/slo", server.SLOHandler()),
 			obs.WithEndpoint("/debug/requests", server.RequestsHandler()),

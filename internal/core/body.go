@@ -137,6 +137,9 @@ func decodeDirBody(body []byte) (*dirBody, error) {
 		if len(rest) < 5 {
 			return nil, fmt.Errorf("%w: truncated directory body", ErrIntegrity)
 		}
+		if rest[0] > 1 {
+			return nil, fmt.Errorf("%w: directory entry flag %#x", ErrIntegrity, rest[0])
+		}
 		isDir := rest[0] == 1
 		l := binary.BigEndian.Uint32(rest[1:5])
 		rest = rest[5:]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -60,12 +61,15 @@ func TestDecodeDirBodyRejectsCorruption(t *testing.T) {
 	d.add("a", false)
 	d.add("b", true)
 	valid := d.encode()
+	badFlag := append([]byte{}, valid...)
+	badFlag[5] = 2 // first entry's is-directory byte
 
 	tests := []struct {
 		name string
 		give []byte
 	}{
 		{name: "empty", give: nil},
+		{name: "entry flag", give: badFlag},
 		{name: "wrong tag", give: append([]byte{bodyRaw}, valid[1:]...)},
 		{name: "truncated", give: valid[:len(valid)-1]},
 		{name: "trailing", give: append(append([]byte{}, valid...), 1)},
@@ -79,6 +83,27 @@ func TestDecodeDirBodyRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodeDirBody asserts that decoding never panics and that every
+// accepted directory body re-encodes byte for byte.
+func FuzzDecodeDirBody(f *testing.F) {
+	var d dirBody
+	d.add("a", false)
+	d.add("a", true)
+	d.add("docs", true)
+	f.Add((&dirBody{}).encode())
+	f.Add(d.encode())
+	f.Add([]byte{bodyDir, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeDirBody(data)
+		if err != nil {
+			return
+		}
+		if re := got.encode(); !bytes.Equal(re, data) {
+			t.Fatalf("non-canonical encoding: %x -> %x", data, re)
+		}
+	})
 }
 
 func TestContentBodyCodec(t *testing.T) {

@@ -81,10 +81,6 @@ func statusForErr(err error) int {
 // access-control view bound to it, and returns the response byte count
 // for the wide event.
 func (d *DirectSession) observeDirect(op string, bytesIn int64, fn func(rs *obs.ReqStats, ac *accessControl) (bytesOut int64, err error)) error {
-	if !d.s.obs.wideEvents {
-		_, err := fn(nil, d.s.ac)
-		return err
-	}
 	rs := &obs.ReqStats{}
 	tr := d.s.obs.beginRequest(op, rs)
 	d.s.obs.tagRequestGroup(tr, "user:"+string(d.u))

@@ -285,15 +285,11 @@ func (b *countingBody) Read(p []byte) (int, error) {
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		op := opClass(r)
-		var rs *obs.ReqStats
-		if s.obs.wideEvents {
-			rs = &obs.ReqStats{}
-		}
+		rs := &obs.ReqStats{}
 		tr := s.obs.beginRequest(op, rs)
 		// The trace id doubles as the request id in log lines and audit
 		// records, so all three can be joined after the fact.
 		id := tr.ID()
-		s.obs.inflight.Add(1)
 
 		ecall0, ocall0 := bridgeCallCounts(r)
 
@@ -324,7 +320,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if rw.status == 0 {
 			rw.status = http.StatusOK
 		}
-		s.obs.inflight.Add(-1)
 		// Attribute the connection's ecall/ocall delta to this request.
 		// HTTP keep-alive serializes requests per connection, so the delta
 		// belongs to this request alone.

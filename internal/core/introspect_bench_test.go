@@ -11,7 +11,7 @@ import (
 
 // Microbenchmarks for the introspection layer's per-request cost: the
 // in-process direct GET is the cheapest request the server can serve,
-// so any fixed per-request overhead (registry add/remove, SLO ring
+// so any fixed per-request overhead (live-set add/remove, SLO ring
 // writes, heavy-hitter offer) shows here at its worst. The benchmark
 // ledger measures the shipped configuration end-to-end; this pair exists
 // for quick profiling (-cpuprofile) when its per-request cost moves.
@@ -27,10 +27,9 @@ func benchServer(b *testing.B, introspect bool) *Server {
 		b.Fatal(err)
 	}
 	cfg := Config{
-		CACertPEM:              authority.CertificatePEM(),
-		ContentStore:           store.NewMemory(),
-		GroupStore:             store.NewMemory(),
-		DisableRequestRegistry: !introspect,
+		CACertPEM:    authority.CertificatePEM(),
+		ContentStore: store.NewMemory(),
+		GroupStore:   store.NewMemory(),
 	}
 	if introspect {
 		cfg.SLO = &obs.SLOConfig{}

@@ -28,8 +28,6 @@ type serverObs struct {
 	// NewServer, before any request runs.
 	audit *audit.Log
 
-	inflight *obs.Gauge
-
 	// Rollback hash-tree instruments (paper §V-D/E hot paths).
 	treeUpdateDepth   *obs.Histogram
 	treeValidateDepth *obs.Histogram
@@ -42,10 +40,8 @@ type serverObs struct {
 
 	// exporter ships wide events and sampled traces off the request path;
 	// nil discards them (Enqueue* are nil-safe). Set once in NewServer.
-	exporter *obs.Exporter
-	// wideEvents gates per-request wide-event collection and emission.
-	wideEvents bool
-	wideTotal  *obs.Counter
+	exporter  *obs.Exporter
+	wideTotal *obs.Counter
 
 	// reqMetrics caches per-op request instruments so the finish-request
 	// hot path never rebuilds label maps or takes the registry lock. Op
@@ -55,10 +51,6 @@ type serverObs struct {
 	bodyIn     *obs.Counter
 	bodyOut    *obs.Counter
 
-	// requests is the live in-flight registry backing /debug/requests
-	// and the watchdog's exact over-deadline check; nil when
-	// Config.DisableRequestRegistry (bench baseline).
-	requests *requestRegistry
 	// slo evaluates burn rates over the request stream; nil when
 	// Config.SLO is nil.
 	slo *obs.SLOEngine
@@ -127,11 +119,14 @@ func newServerObs(reg *obs.Registry, logger *slog.Logger) *serverObs {
 		lockWaits[scope] = reg.Histogram("segshare_lock_wait_ns",
 			"Request lock acquisition wait by lock scope (ns).", obs.Labels{"scope": scope})
 	}
+	traces := obs.NewTraceRecorder(obs.DefaultTraceCapacity)
+	traces.SetActiveGauge(reg.Gauge("segshare_requests_inflight",
+		"Requests currently being handled, HTTP and direct sessions alike (the trace recorder's live set).", nil))
 	return &serverObs{
 		reg:               reg,
 		logger:            logger,
-		traces:            obs.NewTraceRecorder(obs.DefaultTraceCapacity),
-		inflight:          reg.Gauge("segshare_requests_inflight", "Requests currently being handled.", nil),
+		traces:            traces,
+		wideTotal:         reg.Counter("segshare_wide_events_total", "Wide events emitted (one per finished request).", nil),
 		treeUpdateDepth:   reg.Histogram("segshare_rollback_tree_update_depth", "Ancestor levels written per rollback-tree update.", nil),
 		treeValidateDepth: reg.Histogram("segshare_rollback_tree_validate_depth", "Ancestor levels checked per rollback-tree validation.", nil),
 		rollbackFailures:  reg.Counter("segshare_rollback_failures_total", "Requests rejected by rollback/integrity verification.", nil),
@@ -246,68 +241,52 @@ func (o *serverObs) observeRequest(op string, status int, dur time.Duration, byt
 
 // finishRequest is the single chokepoint every finished request —
 // HTTP-handled or DirectSession — funnels through. It closes the trace
-// (the tail-sampling decision happens inside End), updates the
-// aggregate metrics with the request's trace id as an exemplar, and
-// emits the canonical wide event. Returns whether the trace was
-// sampled, for the request log line.
+// (the tail-sampling decision happens inside End, and the request
+// leaves the live set), charges the request's group in the heavy-hitter
+// sketch, updates the aggregate metrics with the request's trace id as
+// an exemplar, and emits the canonical wide event. Returns whether the
+// trace was sampled, for the request log line.
 func (o *serverObs) finishRequest(op string, status int, dur time.Duration, bytesIn, bytesOut int64, tr *obs.Trace, rs *obs.ReqStats) (sampled bool) {
-	var traceID uint64
-	if tr != nil {
-		traceID = tr.ID()
-		tr.Annotate("bytes_in", bytesIn)
-		tr.Annotate("bytes_out", bytesOut)
-		tr.Annotate(obs.LockWaitAnnotation, rs.LockWaitNs())
-		tr.SetStatus(status)
-		sampled = tr.End()
-	}
-	if o.requests != nil && traceID != 0 {
-		if a := o.requests.remove(traceID); a != nil && a.hotGroup != "" {
-			o.hot.Offer(a.hotGroup, 1, uint64(bytesIn+bytesOut))
-		}
+	traceID := tr.ID()
+	tr.Annotate("bytes_in", bytesIn)
+	tr.Annotate("bytes_out", bytesOut)
+	tr.Annotate(obs.LockWaitAnnotation, rs.LockWaitNs())
+	tr.SetStatus(status)
+	sampled = tr.End()
+	if g := tr.Group(); g != "" {
+		o.hot.Offer(g, 1, uint64(bytesIn+bytesOut))
 	}
 	if status == StatusClientClosedRequest {
 		o.cancelled.Inc()
 	}
 	o.slo.Record(op, status, dur)
 	o.observeRequest(op, status, dur, bytesIn, bytesOut, traceID)
-	if o.wideEvents {
-		ev := obs.NewWideEvent(op, statusClass(status), traceID, sampled, dur, bytesIn, bytesOut, rs)
-		o.exporter.EnqueueEvent(ev)
-		if o.wideTotal != nil {
-			o.wideTotal.Inc()
-		}
-	}
+	o.exporter.EnqueueEvent(obs.NewWideEvent(op, statusClass(status), traceID, sampled, dur, bytesIn, bytesOut, rs))
+	o.wideTotal.Inc()
 	return sampled
 }
 
-// beginRequest opens the per-request telemetry: the trace, and (when
-// the registry is on) the in-flight entry finishRequest later removes.
-// rs may be nil (wide events off); the registry tolerates it.
+// beginRequest opens the per-request telemetry: the trace, which enters
+// the recorder's live set until finishRequest ends it.
 func (o *serverObs) beginRequest(op string, rs *obs.ReqStats) *obs.Trace {
 	if o.degraded != nil && o.degraded() {
 		rs.MarkDegraded()
 	}
-	tr := o.traces.Start(op)
-	if o.requests != nil {
-		o.requests.add(&activeRequest{id: tr.ID(), op: op, start: tr.StartTime(), tr: tr, rs: rs})
-	}
-	return tr
+	return o.traces.Start(op, rs)
 }
 
 // tagRequestGroup attributes the request's traffic to a group for the
 // heavy-hitter sketch. The group id is pseudonymized here, before it is
-// stored anywhere — the registry and sketch only ever see the keyed
+// stored anywhere — the trace and sketch only ever see the keyed
 // pseudonym. Called from the request's own goroutine (handler after
 // authn, API group mutations, direct sessions); later calls overwrite,
 // so a group-management request is charged to its target group rather
 // than the caller's default group.
 func (o *serverObs) tagRequestGroup(tr *obs.Trace, groupID string) {
-	if o.hot == nil || o.requests == nil || groupID == "" {
+	if o.hot == nil || groupID == "" {
 		return
 	}
-	if a := o.requests.lookup(tr.ID()); a != nil {
-		a.hotGroup = o.pseud.Pseudonym(groupID)
-	}
+	tr.SetGroup(o.pseud.Pseudonym(groupID))
 }
 
 func statusClass(status int) string {

@@ -317,7 +317,7 @@ func TestDrainLifecycle(t *testing.T) {
 		inflight <- f.do(t, "alice", "GET", "/fs/docs/a.txt", nil, nil)
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for server.inflightCount() == 0 {
+	for server.Traces().Active() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow GET never became visible in flight")
 		}
@@ -422,7 +422,7 @@ func TestDrainDeadlineExpires(t *testing.T) {
 		f.do(t, "alice", "GET", "/fs/slow.txt", nil, nil)
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for server.inflightCount() == 0 {
+	for server.Traces().Active() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow GET never became visible in flight")
 		}

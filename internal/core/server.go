@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,8 +118,7 @@ type Config struct {
 	// Audit tunes the audit writer (overflow policy, buffer sizes,
 	// checkpoint cadence). Ignored when AuditStore is nil.
 	Audit audit.Options
-	// DisableWideEvents turns off per-request wide-event collection and
-	// emission.
+	// Deprecated: ignored. Every request emits its wide event.
 	DisableWideEvents bool
 	// SamplePolicy selects which finished request traces are retained
 	// and exported (tail-based sampling); nil means
@@ -143,9 +143,8 @@ type Config struct {
 	// bytes. 0 disables; negative means the default bound
 	// (obs.DefaultHotK).
 	HotGroups int
-	// DisableRequestRegistry turns off the live in-flight request
-	// registry (/debug/requests and the watchdog's exact over-deadline
-	// check fall back accordingly).
+	// Deprecated: ignored. The trace recorder's live set, which answers
+	// /debug/requests, cannot be turned off.
 	DisableRequestRegistry bool
 	// Profiler, when non-nil, receives capture triggers on watchdog
 	// stall transitions and SLO fast-burn breaches. The caller owns it
@@ -310,12 +309,7 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 	}
 
 	sObs := newServerObs(cfg.Obs, cfg.Logger)
-	sObs.wideEvents = !cfg.DisableWideEvents
 	sObs.exporter = cfg.Exporter
-	if sObs.wideEvents {
-		sObs.wideTotal = sObs.reg.Counter("segshare_wide_events_total",
-			"Wide events emitted (one per finished request).", nil)
-	}
 	// Tail-based sampling: the policy decides at End which traces stay in
 	// the ring; sampled ones additionally flow to the exporter.
 	policy := cfg.SamplePolicy
@@ -328,13 +322,7 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 			sObs.exporter.EnqueueTrace(tr.Snapshot())
 		}
 	})
-	if !cfg.DisableRequestRegistry {
-		sObs.requests = newRequestRegistry()
-	}
-	if cfg.HotGroups != 0 && sObs.requests != nil {
-		// Heavy-hitter accounting rides on the registry (the group tag
-		// lives on the in-flight entry), so disabling the registry
-		// disables it too.
+	if cfg.HotGroups != 0 {
 		k := cfg.HotGroups
 		if k < 0 {
 			k = obs.DefaultHotK
@@ -638,21 +626,11 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 			},
 		})
 		_ = wd.AddCheck("request_deadline", func() error {
-			if sObs.requests != nil {
-				// The registry is exact: it knows each live request's op
-				// and id, not just counts and ages.
-				n, oldest, oldestID, op := sObs.requests.overDeadline(wcfg.RequestDeadline)
-				if n > 0 {
-					lastDeadlineID.Store(oldestID)
-					return fmt.Errorf("%d requests in flight past %v (oldest %v, op %s)",
-						n, wcfg.RequestDeadline, oldest.Round(time.Millisecond), op)
-				}
-				return nil
-			}
-			n, oldest := sObs.traces.OverDeadline(wcfg.RequestDeadline)
+			n, oldest, oldestID, op := sObs.traces.OverDeadline(wcfg.RequestDeadline)
 			if n > 0 {
-				return fmt.Errorf("%d requests in flight past %v (oldest %v)",
-					n, wcfg.RequestDeadline, oldest.Round(time.Millisecond))
+				lastDeadlineID.Store(oldestID)
+				return fmt.Errorf("%d requests in flight past %v (oldest %v, op %s)",
+					n, wcfg.RequestDeadline, oldest.Round(time.Millisecond), op)
 			}
 			return nil
 		})
@@ -832,6 +810,28 @@ func (s *Server) SLOHandler() http.Handler {
 	})
 }
 
+// RequestsHandler serves GET /debug/requests: the trace recorder's live
+// set in leak-bounded form, oldest first. ?n= limits the listing
+// (default 100, clamped to 1000); count is always the whole set.
+func (s *Server) RequestsHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := 100
+		if v, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && v > 0 {
+			n = min(v, 1000)
+		}
+		writeJSON(w, http.StatusOK, inFlightStatus{
+			Count:    s.obs.traces.Active(),
+			Requests: s.obs.traces.InFlight(n),
+		})
+	})
+}
+
+// inFlightStatus is the /debug/requests JSON body.
+type inFlightStatus struct {
+	Count    int64                 `json:"count"`
+	Requests []obs.InFlightRequest `json:"requests"`
+}
+
 // HotHandler serves GET /debug/hot: the per-group heavy-hitter sketch
 // (pseudonymized ids, log2-bucketed counts).
 func (s *Server) HotHandler() http.Handler {
@@ -922,16 +922,6 @@ func (s *Server) Addr() net.Addr {
 	return s.terminator.Addr()
 }
 
-// inflightCount reports how many requests are currently inside the
-// handler chain, preferring the in-flight registry (exact, keyed by
-// trace id) and falling back to the inflight gauge.
-func (s *Server) inflightCount() int {
-	if s.obs.requests != nil {
-		return s.obs.requests.size()
-	}
-	return int(s.obs.inflight.Value())
-}
-
 // Drain gracefully quiesces the request plane ahead of Close. It stops
 // admitting new requests (admit returns ErrOverloaded, so callers see a
 // 503 with Retry-After and a load balancer watching CheckDraining stops
@@ -951,7 +941,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		start := time.Now()
 		s.draining.Store(true)
-		remaining := s.inflightCount()
+		remaining := s.obs.traces.Active()
 		if remaining > 0 {
 			ticker := time.NewTicker(5 * time.Millisecond)
 			defer ticker.Stop()
@@ -961,7 +951,7 @@ func (s *Server) Drain(ctx context.Context) error {
 				case <-ctx.Done():
 					break wait
 				case <-ticker.C:
-					remaining = s.inflightCount()
+					remaining = s.obs.traces.Active()
 				}
 			}
 		}

@@ -18,7 +18,7 @@ import (
 )
 
 // TestSLOBreachEvidenceTrail wires the full observability stack — SLO
-// engine, in-flight registry, heavy-hitter sketch, continuous profiler,
+// engine, in-flight set, heavy-hitter sketch, continuous profiler,
 // audit log — into one server and drives a burn-rate breach through it.
 // A breach must leave the complete evidence trail: an slo_breach audit
 // record, force-sampled traces of the offending op class, and a profile

@@ -182,8 +182,8 @@ func TestWatchdogSyntheticStall(t *testing.T) {
 	}
 
 	// Synthetic stall: a request that never finishes (entered through the
-	// same beginRequest chokepoint real requests use, so the in-flight
-	// registry sees it). With a 1ns deadline the next sweep must flag it.
+	// same beginRequest chokepoint real requests use, so the recorder's
+	// live set holds it). With a 1ns deadline the next sweep must flag it.
 	tr := f.server.obs.beginRequest("fs_get", &obs.ReqStats{})
 	time.Sleep(time.Microsecond)
 	wd.Sweep()

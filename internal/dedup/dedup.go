@@ -426,7 +426,9 @@ func decodeRefs(data []byte) (map[string]uint32, error) {
 	}
 	n := binary.BigEndian.Uint32(data)
 	data = data[4:]
-	refs := make(map[string]uint32, n)
+	// Every entry takes at least 8 bytes, so the remaining length bounds
+	// the size hint: a corrupt count cannot ask for a huge map.
+	refs := make(map[string]uint32, min(int(n), len(data)/8))
 	for i := uint32(0); i < n; i++ {
 		if len(data) < 4 {
 			return nil, ErrCorrupt

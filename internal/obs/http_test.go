@@ -13,7 +13,7 @@ func TestTracesQueryClampedToCapacity(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewTraceRecorder(8)
 	for i := 0; i < 20; i++ {
-		rec.Start("fs_get").End()
+		rec.Start("fs_get", nil).End()
 	}
 	h := Handler(reg, rec)
 

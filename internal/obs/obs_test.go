@@ -121,7 +121,7 @@ func TestVarsJSONRoundTrip(t *testing.T) {
 	reg.Counter("segshare_requests_total", "", Labels{"op": "fs_get"}).Inc()
 	reg.Histogram("segshare_req_ns", "", nil).Observe(100)
 	rec := NewTraceRecorder(4)
-	tr := rec.Start("fs_get")
+	tr := rec.Start("fs_get", nil)
 	tr.End()
 
 	var b strings.Builder

@@ -24,7 +24,7 @@ func TestTailSamplingDimensions(t *testing.T) {
 	t.Run("fast 2xx discarded", func(t *testing.T) {
 		r := NewTraceRecorder(8)
 		r.SetPolicy(strictPolicy())
-		tr := r.Start("fs_get")
+		tr := r.Start("fs_get", nil)
 		tr.SetStatus(200)
 		if tr.End() {
 			t.Fatal("unremarkable trace was sampled")
@@ -42,7 +42,7 @@ func TestTailSamplingDimensions(t *testing.T) {
 		p := strictPolicy()
 		p.SlowNs = 1 // any measurable duration is "slow"
 		r.SetPolicy(p)
-		tr := r.Start("fs_get")
+		tr := r.Start("fs_get", nil)
 		tr.SetStatus(200)
 		time.Sleep(time.Microsecond)
 		if !tr.End() {
@@ -56,7 +56,7 @@ func TestTailSamplingDimensions(t *testing.T) {
 	t.Run("error sampled", func(t *testing.T) {
 		r := NewTraceRecorder(8)
 		r.SetPolicy(strictPolicy())
-		tr := r.Start("fs_put")
+		tr := r.Start("fs_put", nil)
 		tr.SetStatus(503)
 		if !tr.End() {
 			t.Fatal("5xx trace was not sampled")
@@ -68,7 +68,7 @@ func TestTailSamplingDimensions(t *testing.T) {
 		p := strictPolicy()
 		p.ContentionNs = 1000
 		r.SetPolicy(p)
-		tr := r.Start("fs_move")
+		tr := r.Start("fs_move", nil)
 		tr.SetStatus(200)
 		tr.Annotate(LockWaitAnnotation, 5000)
 		if !tr.End() {
@@ -83,7 +83,7 @@ func TestTailSamplingDimensions(t *testing.T) {
 		r.SetPolicy(p)
 		var kept int
 		for i := 0; i < 9; i++ {
-			tr := r.Start("fs_get")
+			tr := r.Start("fs_get", nil)
 			tr.SetStatus(200)
 			if tr.End() {
 				kept++
@@ -96,7 +96,7 @@ func TestTailSamplingDimensions(t *testing.T) {
 
 	t.Run("nil policy retains all", func(t *testing.T) {
 		r := NewTraceRecorder(8)
-		tr := r.Start("fs_get")
+		tr := r.Start("fs_get", nil)
 		tr.SetStatus(200)
 		if !tr.End() {
 			t.Fatal("nil policy discarded a trace (v1 behavior is retain-all)")
@@ -106,7 +106,7 @@ func TestTailSamplingDimensions(t *testing.T) {
 	t.Run("force sample overrides policy", func(t *testing.T) {
 		r := NewTraceRecorder(8)
 		r.SetPolicy(strictPolicy())
-		tr := r.Start("fs_get")
+		tr := r.Start("fs_get", nil)
 		tr.SetStatus(200)
 		tr.ForceSample()
 		if !tr.End() {
@@ -131,14 +131,14 @@ func TestSamplingOnEndFeed(t *testing.T) {
 		mu.Unlock()
 	})
 
-	slow := r.Start("fs_get")
+	slow := r.Start("fs_get", nil)
 	time.Sleep(time.Microsecond)
 	slow.SetStatus(200)
 	slow.End()
 
 	// Swap in a policy nothing can satisfy for the fast trace.
 	r.SetPolicy(strictPolicy())
-	fast := r.Start("fs_get")
+	fast := r.Start("fs_get", nil)
 	fast.SetStatus(200)
 	fast.End()
 
@@ -194,7 +194,7 @@ func TestKeepOneInFloorConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				tr := r.Start("fs_get")
+				tr := r.Start("fs_get", nil)
 				tr.SetStatus(200)
 				tr.End()
 			}
@@ -226,7 +226,7 @@ func TestForceSampleOpConcurrent(t *testing.T) {
 
 	// An in-flight trace of the class is forced immediately and reported
 	// as the oldest.
-	live := r.Start("fs_get")
+	live := r.Start("fs_get", nil)
 	inFlight, oldestID := r.ForceSampleOp("fs_get", armed)
 	if inFlight != 1 || oldestID != live.ID() {
 		t.Fatalf("ForceSampleOp = (%d, %d), want (1, %d)", inFlight, oldestID, live.ID())
@@ -242,7 +242,7 @@ func TestForceSampleOpConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				tr := r.Start("fs_get")
+				tr := r.Start("fs_get", nil)
 				tr.SetStatus(200)
 				tr.End()
 			}
@@ -257,9 +257,47 @@ func TestForceSampleOpConcurrent(t *testing.T) {
 	}
 
 	// Other op classes are unaffected by the arming.
-	other := r.Start("fs_put")
+	other := r.Start("fs_put", nil)
 	other.SetStatus(200)
 	if other.End() {
 		t.Fatal("arming fs_get force-sampled an fs_put trace")
+	}
+}
+
+// TestForceSampleRearmNotLost races a re-arm against the Start that runs
+// the previous arming's counter out. That Start may delete only the
+// counter it exhausted: the new arming must survive to force the next
+// Start, unless the racing Start took the new credit itself.
+func TestForceSampleRearmNotLost(t *testing.T) {
+	// The window is a few instructions wide: a plain run needs ~10^5
+	// iterations to hit it; the race detector hits it far more often but
+	// runs slower, so the time cap keeps that run to two seconds.
+	const maxIterations = 200_000
+	stop := time.Now().Add(2 * time.Second)
+	r := NewTraceRecorder(4)
+	r.SetPolicy(strictPolicy())
+	forced := func() bool {
+		tr := r.Start("fs_get", nil)
+		tr.SetStatus(200)
+		return tr.End()
+	}
+	raced := make(chan bool)
+	lost, i := 0, 0
+	for ; i < maxIterations && time.Now().Before(stop); i++ {
+		r.ForceSampleOp("fs_get", 1)
+		if !forced() {
+			t.Fatal("an armed credit did not force the next start")
+		}
+		// The counter is at zero: the racing Start drives it negative and
+		// deletes it while the re-arm installs a fresh one.
+		go func() { raced <- forced() }()
+		r.ForceSampleOp("fs_get", 1)
+		tookNew := <-raced
+		if !forced() && !tookNew {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("re-arming was lost %d times in %d iterations", lost, i)
 	}
 }

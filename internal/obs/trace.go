@@ -16,21 +16,31 @@ import (
 // Retention is tail-based: a trace enters the ring when it *ends*, and
 // only if the sampling policy keeps it (slow, errored, contended, every
 // Nth, or force-sampled). With no policy installed every finished trace
-// is retained, which preserves the v1 uniform-window behavior. In-flight
-// traces live in a separate active set so the stall watchdog can find
-// over-deadline requests without them occupying ring slots.
+// is retained, which preserves the v1 uniform-window behavior.
+//
+// In-flight traces live in a separate live set — the server's only
+// record of what is running. /debug/requests, the watchdog's deadline
+// check, SLO force-sampling, graceful drain and the in-flight gauge all
+// read it (inflight.go). The set is sharded by trace id, so a request
+// that is not sampled takes only its own shard's lock, twice.
 //
 // Annotations are deliberately numeric-only: the API offers no way to
 // attach a string to a trace, so identity-bearing request data cannot be
 // smuggled into the export. Annotation keys pass the same token denylist
 // as metric names.
 type TraceRecorder struct {
+	seq  atomic.Uint64
+	live [liveShards]liveShard
+	// gauge follows the live set's size for export (SetActiveGauge).
+	// Several recorders may share one registry gauge, so Active counts
+	// the shards instead of reading it.
+	gauge *Gauge
+
+	// mu guards the ring of retained traces.
 	mu      sync.Mutex
 	ring    []*Trace
 	next    int
-	seq     uint64
 	dropped uint64
-	inFlight map[uint64]*Trace
 
 	policy   atomic.Pointer[SamplePolicy]
 	examined atomic.Uint64
@@ -49,8 +59,14 @@ type TraceRecorder struct {
 	// Snapshot only on the traces worth shipping. Set once during
 	// wiring, before traffic.
 	onEnd func(t *Trace, sampled bool)
+}
 
-	active Gauge
+// liveShards is the live set's shard count.
+const liveShards = 16
+
+type liveShard struct {
+	mu     sync.Mutex
+	traces map[uint64]*Trace
 }
 
 // DefaultTraceCapacity is the ring size used when none is given.
@@ -62,9 +78,33 @@ func NewTraceRecorder(capacity int) *TraceRecorder {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &TraceRecorder{
-		ring:     make([]*Trace, 0, capacity),
-		inFlight: make(map[uint64]*Trace),
+	r := &TraceRecorder{
+		ring:  make([]*Trace, 0, capacity),
+		gauge: &Gauge{},
+	}
+	for i := range r.live {
+		r.live[i].traces = make(map[uint64]*Trace)
+	}
+	return r
+}
+
+// SetActiveGauge exports the live set's size through g: every Start
+// adds one and every End subtracts one. Call once during wiring, before
+// any trace starts.
+func (r *TraceRecorder) SetActiveGauge(g *Gauge) { r.gauge = g }
+
+func (r *TraceRecorder) shard(id uint64) *liveShard { return &r.live[id%liveShards] }
+
+// eachLive calls fn for every live trace, holding that trace's shard
+// lock.
+func (r *TraceRecorder) eachLive(fn func(t *Trace)) {
+	for i := range r.live {
+		s := &r.live[i]
+		s.mu.Lock()
+		for _, t := range s.traces {
+			fn(t)
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -116,26 +156,33 @@ func (r *TraceRecorder) Examined() uint64 { return r.examined.Load() }
 // Sampled returns how many finished traces were retained.
 func (r *TraceRecorder) Sampled() uint64 { return r.sampled.Load() }
 
-// Trace is one in-flight or finished request.
+// Trace is one in-flight or finished request. id, op, start, stats and
+// rec are set before the trace is published and never change.
 type Trace struct {
+	id    uint64
+	op    string
+	start time.Time
+	// stats is the request's cost collector (nil-safe); the live set
+	// reads its lock wait so far.
+	stats *ReqStats
+	rec   *TraceRecorder
+
 	mu     sync.Mutex
-	id     uint64
-	op     string
-	start  time.Time
 	end    time.Time
 	status int
 	forced bool
 	spans  []span
 	// open is the stack of currently-open span names, innermost last —
-	// the in-flight registry reads its top to say where a live request
-	// is right now.
+	// the live set reads its top to say where a request is right now.
 	open   []string
 	annots []annotation
 	// annotsBuf backs annots for the first few annotations so the common
 	// request (a handful of numeric fields) never grows a heap slice.
 	annotsBuf [4]annotation
-
-	rec *TraceRecorder
+	// group is the pseudonymized group the request is charged to in the
+	// heavy-hitter sketch ("" = unattributed). It never enters a
+	// TraceSnapshot.
+	group string
 }
 
 type span struct {
@@ -149,27 +196,28 @@ type annotation struct {
 	value int64
 }
 
-// Start opens a new trace for the given operation class. The trace joins
-// the active set; whether it enters the ring is decided at End by the
-// sampling policy.
-func (r *TraceRecorder) Start(op string) *Trace {
-	t := &Trace{op: op, start: time.Now(), status: 0, rec: r}
+// Start opens a new trace for the given operation class; rs is the
+// request's cost collector, or nil. The trace joins the live set;
+// whether it enters the ring is decided at End by the sampling policy.
+func (r *TraceRecorder) Start(op string, rs *ReqStats) *Trace {
+	t := &Trace{id: r.seq.Add(1), op: op, start: time.Now(), stats: rs, rec: r}
 	t.annots = t.annotsBuf[:0]
 	if r.armedAny.Load() {
 		if v, ok := r.armed.Load(op); ok {
 			if v.(*atomic.Int64).Add(-1) >= 0 {
 				t.forced = true // t is not shared yet; no lock needed
 			} else {
-				r.armed.Delete(op)
+				// Only this counter: a ForceSampleOp that re-armed op since
+				// the Load keeps its credits.
+				r.armed.CompareAndDelete(op, v)
 			}
 		}
 	}
-	r.mu.Lock()
-	r.seq++
-	t.id = r.seq
-	r.inFlight[t.id] = t
-	r.mu.Unlock()
-	r.active.Add(1)
+	s := r.shard(t.id)
+	s.mu.Lock()
+	s.traces[t.id] = t
+	s.mu.Unlock()
+	r.gauge.Add(1)
 	return t
 }
 
@@ -180,24 +228,18 @@ func (r *TraceRecorder) Start(op string) *Trace {
 // how many in-flight traces were forced and the id of the oldest one
 // (0 when none), for correlating a triggered profile capture.
 func (r *TraceRecorder) ForceSampleOp(op string, n int64) (inFlight int, oldestID uint64) {
-	r.mu.Lock()
 	var oldest *Trace
-	for _, t := range r.inFlight {
+	r.eachLive(func(t *Trace) {
 		if t.op != op {
-			continue
+			return
 		}
 		inFlight++
 		if oldest == nil || t.start.Before(oldest.start) {
 			oldest = t
 		}
-		t.mu.Lock()
-		t.forced = true
-		t.mu.Unlock()
-	}
-	r.mu.Unlock()
-	if oldest != nil {
-		oldestID = oldest.ID()
-	}
+		t.ForceSample()
+	})
+	oldestID = oldest.ID()
 	if n > 0 {
 		c := &atomic.Int64{}
 		c.Store(n)
@@ -230,26 +272,15 @@ func (r *TraceRecorder) Dropped() uint64 {
 }
 
 // Active returns the number of started-but-unfinished traces.
-func (r *TraceRecorder) Active() int64 { return r.active.Value() }
-
-// OverDeadline reports how many in-flight traces started more than
-// deadline ago, and the age of the oldest one. The watchdog's
-// over-deadline check runs on it; only ages and counts leave, never ops
-// or ids.
-func (r *TraceRecorder) OverDeadline(deadline time.Duration) (n int, oldest time.Duration) {
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, t := range r.inFlight {
-		age := now.Sub(t.start)
-		if age >= deadline {
-			n++
-		}
-		if age > oldest {
-			oldest = age
-		}
+func (r *TraceRecorder) Active() int64 {
+	var n int
+	for i := range r.live {
+		s := &r.live[i]
+		s.mu.Lock()
+		n += len(s.traces)
+		s.mu.Unlock()
 	}
-	return n, oldest
+	return int64(n)
 }
 
 // Capacity returns the ring size: the maximum number of traces Recent can
@@ -267,18 +298,7 @@ func (t *Trace) ID() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.id
-}
-
-// StartTime returns when the trace was opened. The field is written
-// once at construction, so no lock is needed.
-func (t *Trace) StartTime() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
 }
 
 // SetStatus records the response status code.
@@ -302,6 +322,27 @@ func (t *Trace) ForceSample() {
 	t.mu.Unlock()
 }
 
+// SetGroup charges the request to a heavy-hitter group. The caller
+// passes a pseudonym, never a raw group id; a later call overwrites.
+func (t *Trace) SetGroup(pseudonym string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.group = pseudonym
+	t.mu.Unlock()
+}
+
+// Group returns the pseudonym SetGroup recorded, or "".
+func (t *Trace) Group() string {
+	if t == nil {
+		return ""
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.group
+}
+
 // Annotate attaches a numeric fact (byte counts, depths, item counts) to
 // the trace. Keys violating the leak-budget token rules are dropped.
 func (t *Trace) Annotate(key string, value int64) {
@@ -317,8 +358,7 @@ func (t *Trace) Annotate(key string, value int64) {
 }
 
 // Span times a sub-operation: call the returned func to close it. While
-// open, the span is visible to CurrentSpan (and through it the
-// in-flight registry).
+// open, the span is visible to /debug/requests (currentSpan).
 func (t *Trace) Span(name string) func() {
 	if t == nil {
 		return func() {}
@@ -346,12 +386,9 @@ func (t *Trace) Span(name string) func() {
 	}
 }
 
-// CurrentSpan returns the innermost currently-open span name, or ""
-// when none is open (or the trace is nil).
-func (t *Trace) CurrentSpan() string {
-	if t == nil {
-		return ""
-	}
+// currentSpan returns the innermost currently-open span name, or ""
+// when none is open.
+func (t *Trace) currentSpan() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.open) == 0 {
@@ -386,7 +423,7 @@ func (p *SamplePolicy) keep(t *Trace, nth uint64) bool {
 	return false
 }
 
-// End closes the trace: it leaves the active set, the sampling policy
+// End closes the trace: it leaves the live set, the sampling policy
 // decides retention, and the finished-trace observer (metrics, export
 // pipeline) runs. End reports whether the trace was retained.
 func (t *Trace) End() bool {
@@ -405,10 +442,11 @@ func (t *Trace) End() bool {
 	if r == nil {
 		return false
 	}
-	r.active.Add(-1)
-	r.mu.Lock()
-	delete(r.inFlight, t.id)
-	r.mu.Unlock()
+	s := r.shard(t.id)
+	s.mu.Lock()
+	delete(s.traces, t.id)
+	s.mu.Unlock()
+	r.gauge.Add(-1)
 
 	nth := r.examined.Add(1)
 	policy := r.policy.Load()

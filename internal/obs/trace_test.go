@@ -5,11 +5,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestTraceLifecycle(t *testing.T) {
 	rec := NewTraceRecorder(8)
-	tr := rec.Start("fs_put")
+	tr := rec.Start("fs_put", nil)
 	if got := rec.Active(); got != 1 {
 		t.Fatalf("active = %d, want 1", got)
 	}
@@ -41,7 +42,7 @@ func TestTraceLifecycle(t *testing.T) {
 
 func TestTraceLeakBudget(t *testing.T) {
 	rec := NewTraceRecorder(4)
-	tr := rec.Start("fs_get")
+	tr := rec.Start("fs_get", nil)
 	tr.Annotate("user_bytes", 1) // denied token in key: dropped
 	tr.Span("load_path")()       // denied token in span name: dropped
 	tr.Annotate("bytes_out", 2)
@@ -61,7 +62,7 @@ func TestTraceLeakBudget(t *testing.T) {
 func TestTraceRingEviction(t *testing.T) {
 	rec := NewTraceRecorder(3)
 	for i := 0; i < 5; i++ {
-		rec.Start("fs_get").End()
+		rec.Start("fs_get", nil).End()
 	}
 	if got := rec.Dropped(); got != 2 {
 		t.Fatalf("dropped = %d, want 2", got)
@@ -84,9 +85,11 @@ func TestTraceConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				tr := rec.Start("fs_get")
+				tr := rec.Start("fs_get", nil)
 				tr.Span("dispatch")()
 				tr.Annotate("bytes_out", int64(j))
+				_ = rec.InFlight(4)
+				_, _, _, _ = rec.OverDeadline(0)
 				tr.End()
 				_ = rec.Recent(4)
 			}
@@ -95,6 +98,30 @@ func TestTraceConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := rec.Active(); got != 0 {
 		t.Fatalf("active = %d, want 0", got)
+	}
+}
+
+// TestUnsampledTraceTakesNoRecorderLock holds the recorder-wide ring
+// lock while a request that is not sampled starts and ends: it must
+// finish on its live-set shard lock alone.
+func TestUnsampledTraceTakesNoRecorderLock(t *testing.T) {
+	rec := NewTraceRecorder(4)
+	rec.SetPolicy(strictPolicy())
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	done := make(chan bool)
+	go func() {
+		tr := rec.Start("fs_get", nil)
+		tr.SetStatus(200)
+		done <- tr.End()
+	}()
+	select {
+	case sampled := <-done:
+		if sampled {
+			t.Error("strict policy sampled an unremarkable trace")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an unsampled Start/End blocked on the recorder-wide lock")
 	}
 }
 
@@ -110,7 +137,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("segshare_requests_total", "", Labels{"op": "fs_get"}).Inc()
 	rec := NewTraceRecorder(4)
-	rec.Start("fs_get").End()
+	rec.Start("fs_get", nil).End()
 	h := Handler(reg, rec)
 
 	cases := []struct {

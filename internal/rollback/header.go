@@ -65,6 +65,9 @@ func DecodeHeader(data []byte) (*Header, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: bad tag", ErrHeader)
 	}
 	flags := data[1]
+	if flags&^flagInner != 0 {
+		return nil, nil, fmt.Errorf("%w: unknown flags %#x", ErrHeader, flags)
+	}
 	h := &Header{Inner: flags&flagInner != 0}
 	off := 2
 	if len(data) < off+DigestSize+8 {

@@ -170,6 +170,7 @@ func TestDecodeHeaderRejectsCorruption(t *testing.T) {
 	}{
 		{name: "empty", give: nil},
 		{name: "bad tag", give: append([]byte{0xFF}, valid[1:]...)},
+		{name: "unknown flag", give: append([]byte{headerTag, 0x02}, valid[2:]...)},
 		{name: "truncated main", give: valid[:10]},
 		{name: "truncated buckets", give: valid[:len(valid)-5]},
 	}
