@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig3|memb0|fig4|fig5|storage|revoke-ablation|switchless|audit|e11|e15|e16|all")
+		exp        = flag.String("exp", "all", "experiment: fig3|memb0|fig4|fig5|storage|revoke-ablation|switchless|audit|e15|e16|all")
 		full       = flag.Bool("full", false, "use paper-scale parameters (slow)")
 		runs       = flag.Int("runs", 0, "override runs per data point")
 		maxExp     = flag.Int("maxexp", 0, "fig5: largest exponent x (paper: 14)")
@@ -107,12 +107,6 @@ func run(exp string, full bool, runs, maxExp int, wan bool) error {
 	if all || exp == "audit" {
 		ran = true
 		if err := runAudit(runs); err != nil {
-			return err
-		}
-	}
-	if all || exp == "e11" {
-		ran = true
-		if err := runE11(runs); err != nil {
 			return err
 		}
 	}
@@ -310,24 +304,6 @@ func runAudit(runs int) error {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d\t%d\t%d\n",
 			r.Mode, ms(r.Upload.Mean), ms(r.Download.Mean), ms(r.Grant.Mean), r.Records, r.Drops, r.Bytes)
-	}
-	return w.Flush()
-}
-
-func runE11(runs int) error {
-	cfg := bench.DefaultE11()
-	if runs > 0 {
-		cfg.Runs = runs
-	}
-	rows, err := bench.RunE11(cfg)
-	if err != nil {
-		return err
-	}
-	w := table(fmt.Sprintf("E11 — intent-journal overhead on PUT (n=%d)", cfg.Runs),
-		"op", "size", "journal on", "journal off", "overhead")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%v\t%v\t%+.1f%%\n",
-			r.Op, sizeLabel(r.Size), r.With.Mean.Round(time.Microsecond), r.Without.Mean.Round(time.Microsecond), 100*r.Overhead)
 	}
 	return w.Flush()
 }

@@ -75,9 +75,6 @@ type EnvConfig struct {
 	// AuditOverflow selects the writer's full-queue policy when Audit is
 	// on.
 	AuditOverflow audit.Overflow
-	// DisableJournal turns off the crash-consistency intent journal; E11
-	// uses it to measure the journal's write-path overhead.
-	DisableJournal bool
 	// SamplePolicy overrides the tail-sampling policy (nil keeps the
 	// server default).
 	SamplePolicy *obs.SamplePolicy
@@ -134,16 +131,15 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		return b
 	}
 	serverCfg := segshare.ServerConfig{
-		CACertPEM:      authority.CertificatePEM(),
-		ContentStore:   newStore(),
-		GroupStore:     newStore(),
-		Features:       features,
-		Bridge:         cfg.Bridge,
-		DisableJournal: cfg.DisableJournal,
-		SamplePolicy:   cfg.SamplePolicy,
-		Exporter:       cfg.Exporter,
-		Resilience:     cfg.Resilience,
-		Admission:      cfg.Admission,
+		CACertPEM:    authority.CertificatePEM(),
+		ContentStore: newStore(),
+		GroupStore:   newStore(),
+		Features:     features,
+		Bridge:       cfg.Bridge,
+		SamplePolicy: cfg.SamplePolicy,
+		Exporter:     cfg.Exporter,
+		Resilience:   cfg.Resilience,
+		Admission:    cfg.Admission,
 	}
 	var ownExporter *obs.Exporter
 	if serverCfg.Exporter == nil {

@@ -228,7 +228,7 @@ func TestPermissionInheritance(t *testing.T) {
 func TestFSOBootstrapOwnsRoot(t *testing.T) {
 	ac := newAC(t, fmOptions{}, "admin")
 	// First contact of the FSO grants root ownership.
-	if _, err := ac.ensureUser("admin"); err != nil {
+	if err := inOp(ac.fm, func() error { _, err := ac.ensureUser("admin"); return err }); err != nil {
 		t.Fatal(err)
 	}
 	// The FSO can now manage root permissions, e.g. allow listing.

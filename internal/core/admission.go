@@ -156,13 +156,23 @@ func (a *admissionController) acquire(ctx context.Context, op string) (release f
 // already steers traffic away), then the adaptive controller. The
 // returned release is non-nil exactly when err is nil.
 func (s *Server) admit(ctx context.Context, op string) (func(time.Duration), error) {
-	if s.draining.Load() {
-		return nil, fmt.Errorf("%w: draining", ErrOverloaded)
+	if err := s.refuseDraining(); err != nil {
+		return nil, err
 	}
 	if s.admission == nil {
 		return func(time.Duration) {}, nil
 	}
 	return s.admission.acquire(ctx, op)
+}
+
+// refuseDraining is the drain half of admission. Direct sessions apply
+// it too; the adaptive limiter stays HTTP-only, because in-process
+// callers (corpus setup) are not the traffic it protects against.
+func (s *Server) refuseDraining() error {
+	if s.draining.Load() {
+		return fmt.Errorf("%w: draining", ErrOverloaded)
+	}
+	return nil
 }
 
 // waiter is one queued request. grant passes slot ownership by closing
@@ -292,9 +302,12 @@ func (l *classLimiter) acquire(ctx context.Context) (func(time.Duration), error)
 			return nil, fmt.Errorf("%w: canceled while queued: %v", ErrCanceled, context.Cause(ctx))
 		}
 		<-w.ch
-		// The slot is ours even though the client left; release it
-		// immediately and report the cancellation.
-		l.release(0)
+		// The slot is ours even though the client left: give it back
+		// without a latency sample — the request never ran — and report
+		// the cancellation.
+		l.mu.Lock()
+		l.freeLocked()
+		l.mu.Unlock()
 		return nil, fmt.Errorf("%w: canceled while queued: %v", ErrCanceled, context.Cause(ctx))
 	}
 }
@@ -316,11 +329,17 @@ func (l *classLimiter) cancelWaiter(w *waiter) bool {
 	return false
 }
 
-// release frees a slot, feeds the latency sample to AIMD, and hands the
-// slot to the next waiter if the (possibly just-shrunk) limit allows.
+// release feeds the latency sample to AIMD and frees the slot.
 func (l *classLimiter) release(dur time.Duration) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.recordLocked(dur)
+	l.freeLocked()
+}
+
+// freeLocked hands a slot to the next waiter if the (possibly
+// just-shrunk) limit allows, and otherwise returns it. Callers hold l.mu.
+func (l *classLimiter) freeLocked() {
 	if len(l.queue) > 0 && l.inflight <= l.limit {
 		// Transfer the slot: inflight stays constant.
 		w := l.queue[0]
@@ -329,11 +348,9 @@ func (l *classLimiter) release(dur time.Duration) {
 			l.queueG.Set(int64(len(l.queue)))
 		}
 		close(w.ch)
-		l.mu.Unlock()
 		return
 	}
 	l.inflight--
-	l.mu.Unlock()
 }
 
 // recordLocked updates the latency EWMA and runs one AIMD step per

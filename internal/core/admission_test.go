@@ -277,6 +277,58 @@ func TestLimiterCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// TestAdmissionCanceledGrantRecordsNoSample: a waiter whose context ends
+// after a grant already handed it the slot gives the slot back without a
+// latency sample — its request never ran, so a 0 ns sample would drag the
+// EWMA down and push the limiter toward raising its limit.
+func TestAdmissionCanceledGrantRecordsNoSample(t *testing.T) {
+	for attempt := 0; attempt < 20; attempt++ {
+		l, _ := testLimiter(t, AdmissionConfig{
+			MaxInFlight:  1,
+			MinInFlight:  1,
+			QueueLimit:   4,
+			QueueTimeout: time.Minute,
+		})
+		mustAcquire(t, l)
+		ctx, cancel := context.WithCancel(context.Background())
+		errCh := make(chan error, 1)
+		go func() {
+			rel, err := l.acquire(ctx)
+			if err == nil {
+				rel(0)
+			}
+			errCh <- err
+		}()
+		waitQueued(t, l, 1)
+		// Cancel under the limiter lock: a waiter parked in its select
+		// wakes on ctx.Done and waits for the lock in cancelWaiter. Then
+		// do what release(100ms) does, which grants it the slot.
+		l.mu.Lock()
+		cancel()
+		l.recordLocked(100 * time.Millisecond)
+		l.freeLocked()
+		l.mu.Unlock()
+		err := <-errCh
+		if err == nil {
+			continue // the waiter was not parked yet and took the grant
+		}
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("canceled acquire: err = %v, want ErrCanceled", err)
+		}
+		l.mu.Lock()
+		samples, ewma := l.samples, l.ewma
+		l.mu.Unlock()
+		if samples != 1 || ewma != 100*time.Millisecond {
+			t.Fatalf("after a canceled grant: %d samples, EWMA %v; want 1 sample of 100ms", samples, ewma)
+		}
+		if _, inflight, _ := l.snapshot(); inflight != 0 {
+			t.Fatalf("inflight = %d after the canceled grant gave its slot back, want 0", inflight)
+		}
+		return
+	}
+	t.Fatal("the canceled waiter never lost the race to a grant")
+}
+
 func TestAdmissionControllerExemptBypass(t *testing.T) {
 	ctrl := newAdmissionController(AdmissionConfig{
 		Enable:       true,

@@ -95,9 +95,10 @@ func (fm *fileManager) rebindRoot(ns *namespace) error {
 	}
 	if cg, ok := ns.guard.(*rollback.CounterGuard); ok {
 		// Overwrite the stored counter value with the TEE's current one
-		// (paper §V-G).
+		// (paper §V-G). This is the one write outside a mutation: it
+		// rewrites the token, not the tree, under the whole-tree barrier.
 		hdr.Token = cg.CurrentToken()
-		if err := fm.putBlob(ns, ns.rootName, hdr, body); err != nil {
+		if err := fm.putBlobRaw(ns, ns.rootName, hdr, body); err != nil {
 			return err
 		}
 	}

@@ -134,7 +134,7 @@ func (rc *relCaches) flushAll() {
 // invalidateRel drops the cached decodings and the verified main of a
 // logical name after its blob in the untrusted store changed. Called
 // with the store write completed (invalidate-last; see package cache),
-// and when a journaled operation stages the write.
+// and when an operation stages the write.
 func (fm *fileManager) invalidateRel(ns *namespace, name string) {
 	if fm.caches.verified != nil {
 		fm.caches.verified.Invalidate(treeID(ns, name))

@@ -10,7 +10,6 @@ import (
 	"segshare/internal/ca"
 	"segshare/internal/enclave"
 	"segshare/internal/fspath"
-	"segshare/internal/journal"
 	"segshare/internal/rollback"
 	"segshare/internal/store"
 )
@@ -34,13 +33,12 @@ type crashFixture struct {
 	platform *enclave.Platform
 	rootKey  []byte
 	opts     fmOptions
-	journal  bool
 
 	fm *fileManager
 	ac *accessControl
 }
 
-func newCrashFixture(t *testing.T, opts fmOptions, withJournal bool) *crashFixture {
+func newCrashFixture(t *testing.T, opts fmOptions) *crashFixture {
 	t.Helper()
 	platform, err := enclave.NewPlatform(enclave.PlatformConfig{})
 	if err != nil {
@@ -56,7 +54,6 @@ func newCrashFixture(t *testing.T, opts fmOptions, withJournal bool) *crashFixtu
 		platform: platform,
 		rootKey:  append([]byte(nil), testRootKey...),
 		opts:     opts,
-		journal:  withJournal,
 	}
 	if err := fx.boot(); err != nil {
 		t.Fatalf("boot: %v", err)
@@ -84,28 +81,17 @@ func (fx *crashFixture) boot() error {
 		contentGuard = rollback.NewCounterGuard(encl, "content-root")
 		groupGuard = rollback.NewCounterGuard(encl, "group-root")
 	}
-	var jl *journal.Journal
-	if fx.journal {
-		keys, err := journal.DeriveKeys(fx.rootKey)
-		if err != nil {
-			return err
-		}
-		jl, err = journal.Open(fx.group, keys, encl.Counter("journal"), journal.Options{})
-		if err != nil {
-			return err
-		}
-	}
 	fm, err := newFileManager(fmConfig{
-		rootKey:      fx.rootKey,
-		contentStore: fx.content,
-		groupStore:   fx.group,
-		dedupStore:   fx.dedupB,
-		hidePaths:    fx.opts.hidePaths,
-		rollbackOn:   fx.opts.rollback,
-		dedupEnabled: fx.opts.dedup,
-		contentGuard: contentGuard,
-		groupGuard:   groupGuard,
-		journal:      jl,
+		rootKey:        fx.rootKey,
+		contentStore:   fx.content,
+		groupStore:     fx.group,
+		dedupStore:     fx.dedupB,
+		hidePaths:      fx.opts.hidePaths,
+		rollbackOn:     fx.opts.rollback,
+		dedupEnabled:   fx.opts.dedup,
+		contentGuard:   contentGuard,
+		groupGuard:     groupGuard,
+		journalCounter: encl.Counter("journal"),
 	})
 	if err != nil {
 		return err
@@ -339,7 +325,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			// Dry run to learn the schedule length.
-			dry := newCrashFixture(t, opts, true)
+			dry := newCrashFixture(t, opts)
 			seedCorpus(t, dry)
 			before := dry.plan.Ops()
 			if err := sc.run(dry); err != nil {
@@ -352,7 +338,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			for k := 1; k <= mutations; k++ {
 				for _, kill := range []bool{false, true} {
 					label := fmt.Sprintf("op%d/kill=%v", k, kill)
-					fx := newCrashFixture(t, opts, true)
+					fx := newCrashFixture(t, opts)
 					seedCorpus(t, fx)
 					if kill {
 						fx.plan.KillAtOp(k, errInjected)
@@ -383,7 +369,7 @@ func TestCrashRecoveryAcrossFeatureCombos(t *testing.T) {
 	for name, opts := range allOptionCombos() {
 		opts := opts
 		t.Run(name, func(t *testing.T) {
-			dry := newCrashFixture(t, opts, true)
+			dry := newCrashFixture(t, opts)
 			seedCorpus(t, dry)
 			before := dry.plan.Ops()
 			if err := sc.run(dry); err != nil {
@@ -391,7 +377,7 @@ func TestCrashRecoveryAcrossFeatureCombos(t *testing.T) {
 			}
 			mutations := dry.plan.Ops() - before
 			for k := 1; k <= mutations; k++ {
-				fx := newCrashFixture(t, opts, true)
+				fx := newCrashFixture(t, opts)
 				seedCorpus(t, fx)
 				fx.plan.KillAtOp(k, errInjected)
 				opErr := sc.run(fx)
@@ -405,41 +391,6 @@ func TestCrashRecoveryAcrossFeatureCombos(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestCrashWithoutJournalCorrupts demonstrates the defect the journal
-// fixes: with the journal disabled, at least one kill schedule leaves the
-// store in a state that fails recovery or the fsck walk.
-func TestCrashWithoutJournalCorrupts(t *testing.T) {
-	opts := fmOptions{rollback: true, guard: GuardCounter, dedup: true, hidePaths: true}
-	sc := crashScenarios()[2] // put-update
-
-	dry := newCrashFixture(t, opts, false)
-	seedCorpus(t, dry)
-	before := dry.plan.Ops()
-	if err := sc.run(dry); err != nil {
-		t.Fatalf("dry run: %v", err)
-	}
-	mutations := dry.plan.Ops() - before
-
-	corrupted := 0
-	for k := 1; k <= mutations; k++ {
-		fx := newCrashFixture(t, opts, false)
-		seedCorpus(t, fx)
-		fx.plan.KillAtOp(k, errInjected)
-		_ = sc.run(fx)
-		if err := fx.restart(); err != nil {
-			corrupted++
-			continue
-		}
-		if err := fx.fm.validateAll(); err != nil {
-			corrupted++
-		}
-	}
-	if corrupted == 0 {
-		t.Fatalf("expected at least one of %d kill schedules to corrupt the journal-less store", mutations)
-	}
-	t.Logf("journal-less store corrupted by %d/%d kill schedules", corrupted, mutations)
 }
 
 // TestCrashRecoveryStress hammers a full Server (journal on) with

@@ -79,13 +79,18 @@ func statusForErr(err error) int {
 // observeDirect runs one direct operation through the request telemetry
 // chokepoint. fn receives the per-call stats collector and the
 // access-control view bound to it, and returns the response byte count
-// for the wide event.
+// for the wide event. A draining server refuses the call as it refuses
+// an HTTP request: ErrOverloaded, one wide event with status 503.
 func (d *DirectSession) observeDirect(op string, bytesIn int64, fn func(rs *obs.ReqStats, ac *accessControl) (bytesOut int64, err error)) error {
 	rs := &obs.ReqStats{}
 	tr := d.s.obs.beginRequest(op, rs)
 	d.s.obs.tagRequestGroup(tr, "user:"+string(d.u))
 	start := time.Now()
-	bytesOut, err := fn(rs, d.s.ac.withStats(rs))
+	var bytesOut int64
+	err := d.s.refuseDraining()
+	if err == nil {
+		bytesOut, err = fn(rs, d.s.ac.withStats(rs))
+	}
 	d.s.obs.finishRequest(op, statusForErr(err), time.Since(start), bytesIn, bytesOut, tr, rs)
 	return err
 }

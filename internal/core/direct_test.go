@@ -108,25 +108,26 @@ func TestStorageFaultsSurfaceAsErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	fm, err := newFileManager(fmConfig{
-		rootKey:      bytes.Repeat([]byte{1}, 32),
-		contentStore: faulty,
-		groupStore:   store.NewMemory(),
-		rollbackOn:   true,
-		contentGuard: rollback.NewProtectedMemoryGuard(encl, "c"),
-		groupGuard:   rollback.NewProtectedMemoryGuard(encl, "g"),
+		rootKey:        bytes.Repeat([]byte{1}, 32),
+		contentStore:   faulty,
+		groupStore:     store.NewMemory(),
+		rollbackOn:     true,
+		contentGuard:   rollback.NewProtectedMemoryGuard(encl, "c"),
+		groupGuard:     rollback.NewProtectedMemoryGuard(encl, "g"),
+		journalCounter: encl.Counter("journal"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	errInject := errors.New("disk on fire")
-	if _, err := fm.writeContent(mustPath(t, "/ok"), []byte("fine"), ownedACL(1)); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/ok"), []byte("fine"), ownedACL(1)); return err }); err != nil {
 		t.Fatal(err)
 	}
 
 	// Fail a write mid-operation.
 	faulty.FailAfter("put", 1, errInject)
-	if _, err := fm.writeContent(mustPath(t, "/fail"), []byte("x"), ownedACL(1)); !errors.Is(err, errInject) {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/fail"), []byte("x"), ownedACL(1)); return err }); !errors.Is(err, errInject) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	faulty.Clear()
@@ -166,12 +167,13 @@ func TestCounterGuardSurvivesRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		fm, err := newFileManager(fmConfig{
-			rootKey:      rootKey,
-			contentStore: content,
-			groupStore:   group,
-			rollbackOn:   true,
-			contentGuard: rollback.NewCounterGuard(encl, "content-root"),
-			groupGuard:   rollback.NewCounterGuard(encl, "group-root"),
+			rootKey:        rootKey,
+			contentStore:   content,
+			groupStore:     group,
+			rollbackOn:     true,
+			contentGuard:   rollback.NewCounterGuard(encl, "content-root"),
+			groupGuard:     rollback.NewCounterGuard(encl, "group-root"),
+			journalCounter: encl.Counter("journal"),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +182,10 @@ func TestCounterGuardSurvivesRestart(t *testing.T) {
 	}
 
 	fm1 := build()
-	if _, err := fm1.writeContent(mustPath(t, "/persist"), []byte("counted"), ownedACL(1)); err != nil {
+	if err := inOp(fm1, func() error {
+		_, err := fm1.writeContent(mustPath(t, "/persist"), []byte("counted"), ownedACL(1))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	fm2 := build()
@@ -189,7 +194,7 @@ func TestCounterGuardSurvivesRestart(t *testing.T) {
 		t.Fatalf("after restart: %q %v", got, err)
 	}
 	// And updates keep working (counter continues from its value).
-	if _, err := fm2.writeContent(mustPath(t, "/persist"), []byte("again"), nil); err != nil {
+	if err := inOp(fm2, func() error { _, err := fm2.writeContent(mustPath(t, "/persist"), []byte("again"), nil); return err }); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := fm2.readContent(mustPath(t, "/persist")); err != nil || string(got) != "again" {
@@ -209,19 +214,23 @@ func TestCounterWearOutSurfacesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	fm, err := newFileManager(fmConfig{
-		rootKey:      bytes.Repeat([]byte{2}, 32),
-		contentStore: store.NewMemory(),
-		groupStore:   store.NewMemory(),
-		rollbackOn:   true,
-		contentGuard: rollback.NewCounterGuard(encl, "content-root"),
-		groupGuard:   rollback.NewCounterGuard(encl, "group-root"),
+		rootKey:        bytes.Repeat([]byte{2}, 32),
+		contentStore:   store.NewMemory(),
+		groupStore:     store.NewMemory(),
+		rollbackOn:     true,
+		contentGuard:   rollback.NewCounterGuard(encl, "content-root"),
+		groupGuard:     rollback.NewCounterGuard(encl, "group-root"),
+		journalCounter: encl.Counter("journal"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wearErr error
 	for i := 0; i < 20 && wearErr == nil; i++ {
-		_, wearErr = fm.writeContent(mustPath(t, "/wear"), []byte{byte(i)}, ownedACL(1))
+		wearErr = inOp(fm, func() error {
+			_, err := fm.writeContent(mustPath(t, "/wear"), []byte{byte(i)}, ownedACL(1))
+			return err
+		})
 	}
 	if !errors.Is(wearErr, enclave.ErrCounterWornOut) {
 		t.Fatalf("want ErrCounterWornOut, got %v", wearErr)

@@ -76,8 +76,8 @@ type fileManager struct {
 	// caches may be (always-miss).
 	caches *relCaches
 
-	// journal is the write-ahead intent journal (see txn.go); nil
-	// disables crash-consistent mutations (writes apply directly).
+	// journal is the write-ahead intent journal every mutation commits
+	// through (see txn.go).
 	journal *journal.Journal
 	// tx is the operation in flight on this view (nil on the base value
 	// between operations), so a request's staging state is never visible
@@ -179,9 +179,9 @@ type fmConfig struct {
 	// cacheBytes bounds the in-enclave relation caches; <= 0 disables
 	// them (the resolved value — Config defaulting happens in NewServer).
 	cacheBytes int64
-	// journal enables crash-consistent mutations; nil applies writes
-	// directly (see txn.go).
-	journal *journal.Journal
+	// journalCounter is the enclave monotonic counter the intent journal
+	// binds its sequence numbers to; required.
+	journalCounter journal.Counter
 	// recovery publishes journal-recovery progress; may be nil.
 	recovery *RecoveryState
 	// degradedGate rejects mutations with an ErrDegraded-wrapped error
@@ -191,6 +191,9 @@ type fmConfig struct {
 }
 
 func newFileManager(cfg fmConfig) (*fileManager, error) {
+	if cfg.journalCounter == nil {
+		return nil, errors.New("segshare: file manager needs a journal counter")
+	}
 	hideKey, err := pae.DeriveBytes(cfg.rootKey, "path-hiding", nil, 32)
 	if err != nil {
 		return nil, err
@@ -208,6 +211,16 @@ func newFileManager(cfg fmConfig) (*fileManager, error) {
 	if cfg.obs == nil {
 		cfg.obs = newServerObs(nil, nil)
 	}
+	jKeys, err := journal.DeriveKeys(cfg.rootKey)
+	if err != nil {
+		return nil, err
+	}
+	// Journal records live next to the !meta:* objects in the group store.
+	jl, err := journal.Open(cfg.groupStore, jKeys, cfg.journalCounter,
+		journal.Options{Obs: cfg.obs.reg, OnScan: cfg.recovery.progress})
+	if err != nil {
+		return nil, fmt.Errorf("segshare: open journal: %w", err)
+	}
 	workers := pfs.DefaultWorkers()
 	cfg.obs.cryptoWorkers.Set(int64(workers))
 	fm := &fileManager{
@@ -217,7 +230,7 @@ func newFileManager(cfg fmConfig) (*fileManager, error) {
 		hidePaths:     cfg.hidePaths,
 		rollbackOn:    cfg.rollbackOn,
 		caches:        newRelCaches(cfg.cacheBytes, cfg.rollbackOn, cfg.obs),
-		journal:       cfg.journal,
+		journal:       jl,
 		shared:        &fmShared{recovery: cfg.recovery, degraded: cfg.degradedGate},
 		cryptoWorkers: workers,
 		obs:           cfg.obs,
@@ -330,42 +343,26 @@ func (fm *fileManager) derive(ns *namespace, name string) (*derived, error) {
 	return d, nil
 }
 
-// putBlob writes a logical file. Inside a journaled operation the write
-// is staged (txn.go), sealed when the intent commits and only hits the
-// backend at apply time; otherwise it applies directly via putBlobRaw.
-// Either way body now belongs to the file manager.
-func (fm *fileManager) putBlob(ns *namespace, name string, hdr *rollback.Header, body []byte) error {
-	if fm.staging() {
-		fm.tx.stagePut(ns, name, hdr, body, false)
-		fm.invalidateRel(ns, name)
-		return nil
-	}
-	return fm.putBlobRaw(ns, name, hdr, body)
+// putBlob stages a logical file write in the active mutation (txn.go):
+// it is sealed when the intent commits and only hits the backend at apply
+// time. body now belongs to the file manager.
+func (fm *fileManager) putBlob(ns *namespace, name string, hdr *rollback.Header, body []byte) {
+	fm.tx.stagePut(ns, name, hdr, body, false)
+	fm.invalidateRel(ns, name)
 }
 
-// putRootBlob writes a namespace root together with its guard commit.
-// The guard commit must coincide with the write becoming durable: staged
-// root writes defer it to apply time (a fresh token per apply keeps
-// recovery replays valid, and an aborted operation cannot advance the
-// guard past the stored root), direct writes commit inline.
-func (fm *fileManager) putRootBlob(ns *namespace, hdr *rollback.Header, body []byte) error {
-	if hdr == nil {
-		return fm.putBlob(ns, ns.rootName, nil, body)
-	}
-	if fm.staging() {
-		fm.tx.stagePut(ns, ns.rootName, hdr, body, true)
-		fm.invalidateRel(ns, ns.rootName)
-		return nil
-	}
-	token, err := ns.guard.Commit(hdr.Main)
-	if err != nil {
-		return err
-	}
-	hdr.Token = token
-	return fm.putBlobRaw(ns, ns.rootName, hdr, body)
+// putRootBlob stages a namespace root write. Its guard commit must
+// coincide with the write becoming durable, so it is deferred to apply
+// time: a fresh token per apply keeps recovery replays valid, and an
+// aborted operation cannot advance the guard past the stored root.
+func (fm *fileManager) putRootBlob(ns *namespace, hdr *rollback.Header, body []byte) {
+	fm.tx.stagePut(ns, ns.rootName, hdr, body, hdr != nil)
+	fm.invalidateRel(ns, ns.rootName)
 }
 
-// putBlobRaw seals and stores a logical file in one step.
+// putBlobRaw seals and stores a logical file in one step, outside any
+// intent: applyIntent uses it for root writes, and rebindRoot for the
+// guard rebind after a CA-authorized restore.
 func (fm *fileManager) putBlobRaw(ns *namespace, name string, hdr *rollback.Header, body []byte) error {
 	var hdrEnc []byte
 	if hdr != nil {
@@ -555,28 +552,18 @@ func (fm *fileManager) exists(ns *namespace, name string) (bool, error) {
 	return ok, nil
 }
 
-// deleteBlob removes a logical file, or stages the removal inside a
-// journaled operation (preserving ErrNotFound semantics by probing the
-// staged state and the backend).
+// deleteBlob stages the removal of a logical file in the active
+// mutation, preserving ErrNotFound semantics by probing the staged state
+// and the backend.
 func (fm *fileManager) deleteBlob(ns *namespace, name string) error {
-	if fm.staging() {
-		if sp, deleted := fm.tx.staged(ns, name); deleted {
-			return fmt.Errorf("%w: %s", ErrNotFound, name)
-		} else if sp == nil {
-			fm.rs.AddStoreOps(1)
-			ok, err := ns.backend.Exists(fm.storageName(ns, name))
-			if err != nil {
-				return fmt.Errorf("segshare: stat %q: %w", name, err)
-			}
-			if !ok {
-				return fmt.Errorf("%w: %s", ErrNotFound, name)
-			}
-		}
-		fm.tx.stageDelete(ns, name)
-		fm.invalidateRel(ns, name)
-		return nil
+	if ok, err := fm.exists(ns, name); err != nil {
+		return err
+	} else if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	return fm.deleteBlobRaw(ns, name)
+	fm.tx.stageDelete(ns, name)
+	fm.invalidateRel(ns, name)
+	return nil
 }
 
 func (fm *fileManager) deleteBlobRaw(ns *namespace, name string) error {
@@ -599,39 +586,32 @@ func (fm *fileManager) initRoots() error {
 	if ok, err := fm.exists(fm.content, fm.content.rootName); err != nil {
 		return err
 	} else if !ok {
-		if err := fm.initContentRoot(); err != nil {
-			return err
-		}
+		fm.initContentRoot()
 	}
 	if ok, err := fm.exists(fm.group, groupRootName); err != nil {
 		return err
 	} else if !ok {
-		if err := fm.writeRootNode(fm.group, &dirBody{}); err != nil {
-			return err
-		}
+		fm.writeRootNode(fm.group, &dirBody{})
 	}
 	return nil
 }
 
 // initContentRoot writes the root directory file and its (empty) ACL.
 // The root ACL is a tree child of the root itself.
-func (fm *fileManager) initContentRoot() error {
+func (fm *fileManager) initContentRoot() {
 	aclBody := (&acl.ACL{}).Encode()
 	rootBody := (&dirBody{}).encode()
 	rootACL := aclName(fm.content.rootName) // "/.acl"
 	if !fm.rollbackOn {
-		if err := fm.putBlob(fm.content, rootACL, nil, aclBody); err != nil {
-			return err
-		}
-		return fm.putBlob(fm.content, fm.content.rootName, nil, rootBody)
+		fm.putBlob(fm.content, rootACL, nil, aclBody)
+		fm.putBlob(fm.content, fm.content.rootName, nil, rootBody)
+		return
 	}
 	aclID := treeID(fm.content, rootACL)
 	aclMain := fm.hasher.LeafMain(aclID, rollback.ContentDigest(aclBody))
-	if err := fm.putBlob(fm.content, rootACL, &rollback.Header{Main: aclMain}, aclBody); err != nil {
-		return err
-	}
+	fm.putBlob(fm.content, rootACL, &rollback.Header{Main: aclMain}, aclBody)
 	hdr := &rollback.Header{Inner: true}
 	hdr.Buckets.AddChild(fm.hasher, aclID, aclMain)
 	hdr.Main = fm.hasher.InnerMain(treeID(fm.content, fm.content.rootName), rollback.ContentDigest(rootBody), &hdr.Buckets)
-	return fm.putRootBlob(fm.content, hdr, rootBody)
+	fm.putRootBlob(fm.content, hdr, rootBody)
 }

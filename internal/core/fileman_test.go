@@ -36,11 +36,9 @@ type fmOptions struct {
 	guard     GuardKind
 	dedup     bool
 	hidePaths bool
-	// journal and cache give the file manager an intent journal and the
-	// default relation-cache budget, as a server has; tests leave both
-	// off unless they exercise them.
-	journal bool
-	cache   bool
+	// cache gives the file manager the default relation-cache budget, as
+	// a server has; tests leave it off unless they exercise it.
+	cache bool
 }
 
 func newFMFixture(t *testing.T, opts fmOptions) *fmFixture {
@@ -82,33 +80,47 @@ func (fx *fmFixture) restart(t *testing.T) {
 		groupGuard = rollback.NewCounterGuard(encl, "group-root")
 	}
 	cfg := fmConfig{
-		rootKey:      fx.rootKey,
-		contentStore: fx.contentAdv,
-		groupStore:   fx.groupAdv,
-		dedupStore:   fx.dedupB,
-		hidePaths:    fx.opts.hidePaths,
-		rollbackOn:   fx.opts.rollback,
-		dedupEnabled: fx.opts.dedup,
-		contentGuard: contentGuard,
-		groupGuard:   groupGuard,
+		rootKey:        fx.rootKey,
+		contentStore:   fx.contentAdv,
+		groupStore:     fx.groupAdv,
+		dedupStore:     fx.dedupB,
+		hidePaths:      fx.opts.hidePaths,
+		rollbackOn:     fx.opts.rollback,
+		dedupEnabled:   fx.opts.dedup,
+		contentGuard:   contentGuard,
+		groupGuard:     groupGuard,
+		journalCounter: encl.Counter("journal"),
 	}
 	if fx.opts.cache {
 		cfg.cacheBytes = defaultCacheBytes
-	}
-	if fx.opts.journal {
-		keys, err := journal.DeriveKeys(fx.rootKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.journal, err = journal.Open(fx.groupAdv, keys, encl.Counter("journal"), journal.Options{}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	fm, err := newFileManager(cfg)
 	if err != nil {
 		t.Fatalf("newFileManager: %v", err)
 	}
 	fx.fm, fx.enclave = fm, encl
+}
+
+// inOp runs fn as one mutation, the way accessControl runs every write:
+// the file manager's write methods stage into the mutation's intent,
+// which commits and applies when fn returns.
+func inOp(fm *fileManager, fn func() error) error {
+	return fm.mutate("test", fn)
+}
+
+// testCounter returns a journal counter on a fresh enclave, for tests
+// that build a file manager without a fixture.
+func testCounter(t *testing.T) journal.Counter {
+	t.Helper()
+	platform, err := enclave.NewPlatform(enclave.PlatformConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encl, err := platform.Launch(enclave.CodeIdentity{Name: "segshare", Version: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encl.Counter("journal")
 }
 
 func mustPath(t *testing.T, s string) fspath.Path {
@@ -147,20 +159,24 @@ func TestFileManagerCRUDMatrix(t *testing.T) {
 			fm := fx.fm
 
 			// Create directory tree /docs/reports/.
-			if err := fm.createDir(mustPath(t, "/docs/"), ownedACL(1)); err != nil {
+			if err := inOp(fm, func() error { return fm.createDir(mustPath(t, "/docs/"), ownedACL(1)) }); err != nil {
 				t.Fatalf("createDir /docs/: %v", err)
 			}
-			if err := fm.createDir(mustPath(t, "/docs/reports/"), ownedACL(1)); err != nil {
+			if err := inOp(fm, func() error { return fm.createDir(mustPath(t, "/docs/reports/"), ownedACL(1)) }); err != nil {
 				t.Fatalf("createDir /docs/reports/: %v", err)
 			}
 			// Duplicate create fails.
-			if err := fm.createDir(mustPath(t, "/docs/"), ownedACL(1)); !errors.Is(err, ErrExists) {
+			if err := inOp(fm, func() error { return fm.createDir(mustPath(t, "/docs/"), ownedACL(1)) }); !errors.Is(err, ErrExists) {
 				t.Fatalf("duplicate createDir: %v", err)
 			}
 
 			// Create and read back a file.
 			file := mustPath(t, "/docs/reports/q1.txt")
-			created, err := fm.writeContent(file, []byte("quarter one"), ownedACL(1))
+			var created bool
+			err := inOp(fm, func() (err error) {
+				created, err = fm.writeContent(file, []byte("quarter one"), ownedACL(1))
+				return err
+			})
 			if err != nil || !created {
 				t.Fatalf("writeContent: created=%v err=%v", created, err)
 			}
@@ -170,7 +186,10 @@ func TestFileManagerCRUDMatrix(t *testing.T) {
 			}
 
 			// Update in place.
-			created, err = fm.writeContent(file, []byte("revised"), nil)
+			err = inOp(fm, func() (err error) {
+				created, err = fm.writeContent(file, []byte("revised"), nil)
+				return err
+			})
 			if err != nil || created {
 				t.Fatalf("update: created=%v err=%v", created, err)
 			}
@@ -196,7 +215,7 @@ func TestFileManagerCRUDMatrix(t *testing.T) {
 			}
 			a = a.Clone() // readACL's result is shared; writers clone
 			a.SetPermission(42, acl.PermRead)
-			if err := fm.writeACL(file, a); err != nil {
+			if err := inOp(fm, func() error { return fm.writeACL(file, a) }); err != nil {
 				t.Fatalf("writeACL: %v", err)
 			}
 			a2, err := fm.readACL(file)
@@ -209,7 +228,7 @@ func TestFileManagerCRUDMatrix(t *testing.T) {
 
 			// Move the file.
 			dst := mustPath(t, "/docs/q1-final.txt")
-			if err := fm.movePath(file, dst); err != nil {
+			if err := inOp(fm, func() error { return fm.movePath(file, dst) }); err != nil {
 				t.Fatalf("movePath: %v", err)
 			}
 			if ok, _ := fm.pathExists(file); ok {
@@ -228,13 +247,13 @@ func TestFileManagerCRUDMatrix(t *testing.T) {
 			}
 
 			// Remove.
-			if err := fm.removePath(mustPath(t, "/docs/"), true); !errors.Is(err, ErrNotEmpty) {
+			if err := inOp(fm, func() error { return fm.removePath(mustPath(t, "/docs/"), true) }); !errors.Is(err, ErrNotEmpty) {
 				t.Fatalf("remove non-empty dir: %v", err)
 			}
-			if err := fm.removePath(dst, true); err != nil {
+			if err := inOp(fm, func() error { return fm.removePath(dst, true) }); err != nil {
 				t.Fatalf("remove file: %v", err)
 			}
-			if err := fm.removePath(mustPath(t, "/docs/reports/"), true); err != nil {
+			if err := inOp(fm, func() error { return fm.removePath(mustPath(t, "/docs/reports/"), true) }); err != nil {
 				t.Fatalf("remove empty dir: %v", err)
 			}
 			if _, err := fm.readContent(dst); !errors.Is(err, ErrNotFound) {
@@ -250,18 +269,21 @@ func TestFileManagerDirectoryMove(t *testing.T) {
 			fx := newFMFixture(t, allOptionCombos()[name])
 			fm := fx.fm
 			for _, dir := range []string{"/a/", "/a/b/", "/dst/"} {
-				if err := fm.createDir(mustPath(t, dir), ownedACL(1)); err != nil {
+				if err := inOp(fm, func() error { return fm.createDir(mustPath(t, dir), ownedACL(1)) }); err != nil {
 					t.Fatalf("createDir %s: %v", dir, err)
 				}
 			}
-			if _, err := fm.writeContent(mustPath(t, "/a/f1"), []byte("one"), ownedACL(1)); err != nil {
+			if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/a/f1"), []byte("one"), ownedACL(1)); return err }); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fm.writeContent(mustPath(t, "/a/b/f2"), []byte("two"), ownedACL(1)); err != nil {
+			if err := inOp(fm, func() error {
+				_, err := fm.writeContent(mustPath(t, "/a/b/f2"), []byte("two"), ownedACL(1))
+				return err
+			}); err != nil {
 				t.Fatal(err)
 			}
 
-			if err := fm.movePath(mustPath(t, "/a/"), mustPath(t, "/dst/a/")); err != nil {
+			if err := inOp(fm, func() error { return fm.movePath(mustPath(t, "/a/"), mustPath(t, "/dst/a/")) }); err != nil {
 				t.Fatalf("move dir: %v", err)
 			}
 			got, err := fm.readContent(mustPath(t, "/dst/a/b/f2"))
@@ -273,7 +295,7 @@ func TestFileManagerDirectoryMove(t *testing.T) {
 			}
 
 			// Moving a directory into itself is rejected.
-			if err := fm.movePath(mustPath(t, "/dst/"), mustPath(t, "/dst/a/x/")); !errors.Is(err, ErrBadRequest) {
+			if err := inOp(fm, func() error { return fm.movePath(mustPath(t, "/dst/"), mustPath(t, "/dst/a/x/")) }); !errors.Is(err, ErrBadRequest) {
 				t.Fatalf("move into self: %v", err)
 			}
 		})
@@ -292,7 +314,7 @@ func TestFileManagerGroupFiles(t *testing.T) {
 			ml := &acl.MemberList{}
 			ml.Add(3)
 			ml.Add(1)
-			if err := fm.writeMemberList("alice", ml); err != nil {
+			if err := inOp(fm, func() error { return fm.writeMemberList("alice", ml) }); err != nil {
 				t.Fatalf("writeMemberList: %v", err)
 			}
 			got, err := fm.readMemberList("alice")
@@ -300,7 +322,7 @@ func TestFileManagerGroupFiles(t *testing.T) {
 				t.Fatalf("readMemberList: %v %v", got, err)
 			}
 			ml.Add(9)
-			if err := fm.writeMemberList("alice", ml); err != nil {
+			if err := inOp(fm, func() error { return fm.writeMemberList("alice", ml) }); err != nil {
 				t.Fatalf("update member list: %v", err)
 			}
 
@@ -312,7 +334,7 @@ func TestFileManagerGroupFiles(t *testing.T) {
 			if _, err := gl.Create("team"); err != nil {
 				t.Fatal(err)
 			}
-			if err := fm.writeGroupList(gl); err != nil {
+			if err := inOp(fm, func() error { return fm.writeGroupList(gl) }); err != nil {
 				t.Fatalf("writeGroupList: %v", err)
 			}
 			gl2, err := fm.readGroupList()
@@ -344,12 +366,13 @@ func TestFileManagerPersistsAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		fm, err := newFileManager(fmConfig{
-			rootKey:      rootKey,
-			contentStore: content,
-			groupStore:   group,
-			rollbackOn:   true,
-			contentGuard: rollback.NewProtectedMemoryGuard(encl, "content-root"),
-			groupGuard:   rollback.NewProtectedMemoryGuard(encl, "group-root"),
+			rootKey:        rootKey,
+			contentStore:   content,
+			groupStore:     group,
+			rollbackOn:     true,
+			contentGuard:   rollback.NewProtectedMemoryGuard(encl, "content-root"),
+			groupGuard:     rollback.NewProtectedMemoryGuard(encl, "group-root"),
+			journalCounter: encl.Counter("journal"),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -358,7 +381,10 @@ func TestFileManagerPersistsAcrossRestart(t *testing.T) {
 	}
 
 	fm1 := build()
-	if _, err := fm1.writeContent(mustPath(t, "/persisted.txt"), []byte("survives"), ownedACL(1)); err != nil {
+	if err := inOp(fm1, func() error {
+		_, err := fm1.writeContent(mustPath(t, "/persisted.txt"), []byte("survives"), ownedACL(1))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -377,7 +403,7 @@ func TestTamperedContentDetected(t *testing.T) {
 			fx := newFMFixture(t, fmOptions{rollback: withRollback})
 			fm := fx.fm
 			file := mustPath(t, "/secret.txt")
-			if _, err := fm.writeContent(file, []byte("confidential"), ownedACL(1)); err != nil {
+			if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("confidential"), ownedACL(1)); return err }); err != nil {
 				t.Fatal(err)
 			}
 			if err := fx.contentAdv.FlipBit("/secret.txt", 100); err != nil {
@@ -393,10 +419,10 @@ func TestTamperedContentDetected(t *testing.T) {
 func TestSwappedFilesDetected(t *testing.T) {
 	fx := newFMFixture(t, fmOptions{})
 	fm := fx.fm
-	if _, err := fm.writeContent(mustPath(t, "/a.txt"), []byte("aaa"), ownedACL(1)); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/a.txt"), []byte("aaa"), ownedACL(1)); return err }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fm.writeContent(mustPath(t, "/b.txt"), []byte("bbb"), ownedACL(1)); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/b.txt"), []byte("bbb"), ownedACL(1)); return err }); err != nil {
 		t.Fatal(err)
 	}
 	// Swap the two ciphertexts: the per-file key and AAD must catch it
@@ -428,13 +454,13 @@ func TestIndividualFileRollbackDetected(t *testing.T) {
 	fm := fx.fm
 	file := mustPath(t, "/versioned.txt")
 
-	if _, err := fm.writeContent(file, []byte("version-1"), ownedACL(1)); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("version-1"), ownedACL(1)); return err }); err != nil {
 		t.Fatal(err)
 	}
 	if err := fx.contentAdv.RememberObject("/versioned.txt"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fm.writeContent(file, []byte("version-2"), nil); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("version-2"), nil); return err }); err != nil {
 		t.Fatal(err)
 	}
 	// Roll the single file back to version 1: decryption succeeds, but
@@ -455,7 +481,7 @@ func TestMemberListRollbackDetected(t *testing.T) {
 
 	ml := &acl.MemberList{}
 	ml.Add(7)
-	if err := fm.writeMemberList("bob", ml); err != nil {
+	if err := inOp(fm, func() error { return fm.writeMemberList("bob", ml) }); err != nil {
 		t.Fatal(err)
 	}
 	name := memberListName("bob")
@@ -464,7 +490,7 @@ func TestMemberListRollbackDetected(t *testing.T) {
 	}
 	// Revoke group 7.
 	ml.Remove(7)
-	if err := fm.writeMemberList("bob", ml); err != nil {
+	if err := inOp(fm, func() error { return fm.writeMemberList("bob", ml) }); err != nil {
 		t.Fatal(err)
 	}
 	// Adversary restores the pre-revocation member list.
@@ -482,14 +508,14 @@ func TestWholeStoreRollbackDetected(t *testing.T) {
 			fx := newFMFixture(t, fmOptions{rollback: true, guard: guard})
 			fm := fx.fm
 			file := mustPath(t, "/state.txt")
-			if _, err := fm.writeContent(file, []byte("old"), ownedACL(1)); err != nil {
+			if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("old"), ownedACL(1)); return err }); err != nil {
 				t.Fatal(err)
 			}
 			// Snapshot the ENTIRE content store (root file included), make
 			// an update, then roll the whole store back — internally
 			// consistent, but stale (§V-E).
 			fx.contentAdv.SnapshotStore()
-			if _, err := fm.writeContent(file, []byte("new"), nil); err != nil {
+			if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("new"), nil); return err }); err != nil {
 				t.Fatal(err)
 			}
 			fx.contentAdv.RollbackStore()
@@ -507,11 +533,11 @@ func TestWholeStoreRollbackUndetectedWithoutGuard(t *testing.T) {
 	fx := newFMFixture(t, fmOptions{rollback: true})
 	fm := fx.fm
 	file := mustPath(t, "/state.txt")
-	if _, err := fm.writeContent(file, []byte("old"), ownedACL(1)); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("old"), ownedACL(1)); return err }); err != nil {
 		t.Fatal(err)
 	}
 	fx.contentAdv.SnapshotStore()
-	if _, err := fm.writeContent(file, []byte("new"), nil); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("new"), nil); return err }); err != nil {
 		t.Fatal(err)
 	}
 	fx.contentAdv.RollbackStore()
@@ -537,7 +563,7 @@ type warmTree struct {
 
 func newWarmTree(t *testing.T) *warmTree {
 	t.Helper()
-	fx := newFMFixture(t, fmOptions{rollback: true, guard: GuardCounter, journal: true, cache: true})
+	fx := newFMFixture(t, fmOptions{rollback: true, guard: GuardCounter, cache: true})
 	w := &warmTree{fmFixture: fx, ac: &accessControl{fm: fx.fm}}
 	bucket := fx.fm.hasher.BucketIndex(treeID(fx.fm.content, "/d/leaf"))
 	for i := 0; w.sibling == ""; i++ {
@@ -840,14 +866,14 @@ func TestDedupSharedStorage(t *testing.T) {
 	fm := fx.fm
 	content := bytes.Repeat([]byte("dedup me "), 4096)
 
-	if _, err := fm.writeContent(mustPath(t, "/copy1"), content, ownedACL(1)); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/copy1"), content, ownedACL(1)); return err }); err != nil {
 		t.Fatal(err)
 	}
 	size1, err := fm.dedup.TotalBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fm.writeContent(mustPath(t, "/copy2"), content, ownedACL(2)); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/copy2"), content, ownedACL(2)); return err }); err != nil {
 		t.Fatal(err)
 	}
 	size2, err := fm.dedup.TotalBytes()
@@ -863,13 +889,13 @@ func TestDedupSharedStorage(t *testing.T) {
 	}
 
 	// Removing one copy keeps the object; removing both frees it.
-	if err := fm.removePath(mustPath(t, "/copy1"), true); err != nil {
+	if err := inOp(fm, func() error { return fm.removePath(mustPath(t, "/copy1"), true) }); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := fm.readContent(mustPath(t, "/copy2")); err != nil || !bytes.Equal(got, content) {
 		t.Fatalf("copy2 after removing copy1: %v", err)
 	}
-	if err := fm.removePath(mustPath(t, "/copy2"), true); err != nil {
+	if err := inOp(fm, func() error { return fm.removePath(mustPath(t, "/copy2"), true) }); err != nil {
 		t.Fatal(err)
 	}
 	size3, err := fm.dedup.TotalBytes()
@@ -884,10 +910,13 @@ func TestDedupSharedStorage(t *testing.T) {
 func TestHidePathsHidesStructure(t *testing.T) {
 	fx := newFMFixture(t, fmOptions{hidePaths: true})
 	fm := fx.fm
-	if err := fm.createDir(mustPath(t, "/secret-project/"), ownedACL(1)); err != nil {
+	if err := inOp(fm, func() error { return fm.createDir(mustPath(t, "/secret-project/"), ownedACL(1)) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fm.writeContent(mustPath(t, "/secret-project/plans.txt"), []byte("x"), ownedACL(1)); err != nil {
+	if err := inOp(fm, func() error {
+		_, err := fm.writeContent(mustPath(t, "/secret-project/plans.txt"), []byte("x"), ownedACL(1))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	names, err := fx.contentAdv.List()
@@ -967,7 +996,7 @@ func TestHidePathsHidesGroupStoreNames(t *testing.T) {
 	fx := newFMFixture(t, fmOptions{hidePaths: true})
 	ml := &acl.MemberList{}
 	ml.Add(1)
-	if err := fx.fm.writeMemberList("very-identifiable-user", ml); err != nil {
+	if err := inOp(fx.fm, func() error { return fx.fm.writeMemberList("very-identifiable-user", ml) }); err != nil {
 		t.Fatal(err)
 	}
 	names, err := fx.groupAdv.List()

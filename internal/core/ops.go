@@ -39,17 +39,14 @@ func (fm *fileManager) createDir(path fspath.Path, dirACL *acl.ACL) error {
 		return err
 	}
 	body := (&dirBody{}).encode()
+	var hdr *rollback.Header
 	var dirMain rollback.Digest
 	if fm.rollbackOn {
-		hdr := &rollback.Header{Inner: true}
+		hdr = &rollback.Header{Inner: true}
 		hdr.Main = fm.hasher.InnerMain(treeID(fm.content, name), rollback.ContentDigest(body), &hdr.Buckets)
 		dirMain = hdr.Main
-		if err := fm.putBlob(fm.content, name, hdr, body); err != nil {
-			return err
-		}
-	} else if err := fm.putBlob(fm.content, name, nil, body); err != nil {
-		return err
 	}
+	fm.putBlob(fm.content, name, hdr, body)
 
 	return fm.applyToParent(fm.content, path.Parent().String(), func(db *dirBody) error {
 		if !db.add(path.Name(), true) {
@@ -74,72 +71,37 @@ func (fm *fileManager) writeContent(path fspath.Path, content []byte, newACL *ac
 		return false, err
 	}
 
-	// Dedup refcount discipline: acquire the new reference first, release
-	// the old one only after the whole operation durably commits, and
-	// drop the fresh reference if the operation fails before the leaf is
-	// durable. The old ordering (release before the leaf write) could
-	// garbage-collect content that live files still referenced when a
-	// later write failed.
+	// Dedup refcount discipline: acquire the new reference first, drop it
+	// if the operation aborts before its intent commits, and release the
+	// old one only after the whole operation durably commits. When the
+	// rewrite stores identical content (oldHName == newHName), Put
+	// acquired a second reference on the same object, so one release
+	// still balances the books.
 	body, newHName, err := fm.encodeContent(content)
 	if err != nil {
 		return false, err
 	}
-	var oldHName string
+	if newHName != "" {
+		fm.onOpAbort(func() { fm.dropDedupRef(newHName) })
+	}
 	if existed && fm.dedup != nil {
-		oldHName, err = fm.contentRefName(name)
+		oldHName, err := fm.contentRefName(name)
 		if err != nil {
-			fm.dropDedupRef(newHName)
 			return false, err
 		}
-	}
-	leafDurable := false
-	committed := false
-	if newHName != "" {
-		releaseNew := func() {
-			if !leafDurable {
-				fm.dropDedupRef(newHName)
-			}
-		}
-		fm.onOpAbort(releaseNew)
-		if fm.tx == nil {
-			defer func() {
-				if !committed {
-					releaseNew()
-				}
-			}()
-		}
+		fm.afterOp(func() { fm.dropDedupRef(oldHName) })
 	}
 
 	oldMain, newMain, err := fm.writeLeaf(fm.content, name, body)
 	if err != nil {
 		return false, err
 	}
-	if !fm.staging() {
-		// The leaf hit the backend: it now references newHName, so an
-		// abort must not release it anymore.
-		leafDurable = true
-	}
-	// Releasing the old reference waits for the durable commit. When the
-	// rewrite stored identical content (oldHName == newHName), Put above
-	// acquired a second reference on the same object, so one release
-	// still balances the books.
-	finish := func() {
-		if oldHName != "" {
-			name := oldHName
-			fm.afterOp(func() { fm.dropDedupRef(name) })
-		}
-		committed = true
-	}
 	parent := path.Parent().String()
 	if existed {
 		err := fm.applyToParent(fm.content, parent, nil, []bucketOp{
 			{child: treeID(fm.content, name), oldMain: oldMain, newMain: newMain},
 		})
-		if err != nil {
-			return false, err
-		}
-		finish()
-		return false, nil
+		return false, err
 	}
 
 	_, aclMain, err := fm.writeLeaf(fm.content, aclName(name), newACL.Encode())
@@ -156,7 +118,6 @@ func (fm *fileManager) writeContent(path fspath.Path, content []byte, newACL *ac
 	if err != nil {
 		return false, err
 	}
-	finish()
 	return true, nil
 }
 

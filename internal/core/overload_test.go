@@ -106,8 +106,8 @@ func TestCancelledMutationBeforeCommitLeavesNoState(t *testing.T) {
 	if rec := f.do(t, "alice", "GET", "/fs/never.txt", nil, nil); rec.Code != 404 {
 		t.Fatalf("GET after canceled PUT = %d, want 404", rec.Code)
 	}
-	if jl := f.server.fm.journal; jl != nil && jl.PendingCount() != 0 {
-		t.Fatalf("canceled PUT left %d pending intents", jl.PendingCount())
+	if n := f.server.fm.journal.PendingCount(); n != 0 {
+		t.Fatalf("canceled PUT left %d pending intents", n)
 	}
 }
 
@@ -350,9 +350,6 @@ func TestDrainLifecycle(t *testing.T) {
 
 	// Journal: closed against new commits, nothing left to replay.
 	jl := server.fm.journal
-	if jl == nil {
-		t.Fatal("test expects the journal enabled")
-	}
 	if n := jl.PendingCount(); n != 0 {
 		t.Fatalf("journal has %d pending intents after a clean drain", n)
 	}
@@ -397,6 +394,35 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 	if !sawDrain {
 		t.Fatal("audit trail has no drain event")
+	}
+}
+
+// TestDrainRejectsDirectSessions: once Drain returned, in-process
+// sessions are refused as HTTP requests are — ErrOverloaded, a 503, one
+// wide event per call — instead of reading on (200) or failing their
+// intent commit against the closed journal (500).
+func TestDrainRejectsDirectSessions(t *testing.T) {
+	f, reg := newOverloadFixture(t, nil)
+	alice := f.server.Direct("alice")
+	if err := alice.Upload("/a.txt", []byte("before drain")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.server.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wide := reg.Counter("segshare_wide_events_total", "", nil)
+	for name, call := range map[string]func() error{
+		"download": func() error { _, err := alice.Download("/a.txt"); return err },
+		"upload":   func() error { return alice.Upload("/a.txt", []byte("after drain")) },
+	} {
+		before := wide.Value()
+		err := call()
+		if !errors.Is(err, ErrOverloaded) || statusForErr(err) != http.StatusServiceUnavailable {
+			t.Fatalf("%s after drain: %v (status %d), want ErrOverloaded and 503", name, err, statusForErr(err))
+		}
+		if n := wide.Value() - before; n != 1 {
+			t.Fatalf("%s after drain emitted %d wide events, want 1", name, n)
+		}
 	}
 }
 

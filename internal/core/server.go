@@ -20,7 +20,6 @@ import (
 	"segshare/internal/audit"
 	"segshare/internal/enclave"
 	"segshare/internal/enctls"
-	"segshare/internal/journal"
 	"segshare/internal/obs"
 	"segshare/internal/rollback"
 	"segshare/internal/store"
@@ -104,11 +103,8 @@ type Config struct {
 	// obs.Default(). Exported telemetry is bounded by the leak budget
 	// documented in package obs.
 	Obs *obs.Registry
-	// DisableJournal turns off the write-ahead intent journal that makes
-	// multi-blob mutations atomic-on-recovery (see internal/journal and
-	// txn.go). The journal is deliberately NOT part of the measured
-	// Features: it changes durability, not the security surface clients
-	// attest.
+	// Deprecated: ignored. Every mutation commits through the intent
+	// journal, which cannot be turned off.
 	DisableJournal bool
 	// AuditStore, when non-nil, enables the tamper-evident audit log:
 	// security events (authn, authz decisions, ACL/group mutations,
@@ -471,21 +467,6 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 	if recovery == nil {
 		recovery = &RecoveryState{}
 	}
-	var jl *journal.Journal
-	if !cfg.DisableJournal {
-		jKeys, err := journal.DeriveKeys(rootKey)
-		if err != nil {
-			return nil, err
-		}
-		// Journal records live next to the !meta:* objects in the group
-		// store; sequence numbers bind to an enclave monotonic counter.
-		jl, err = journal.Open(cfg.GroupStore, jKeys, encl.Counter("journal"),
-			journal.Options{Obs: sObs.reg, OnScan: recovery.progress})
-		if err != nil {
-			return nil, fmt.Errorf("segshare: open journal: %w", err)
-		}
-	}
-
 	cacheBytes := cfg.CacheBytes
 	switch {
 	case cacheBytes == 0:
@@ -510,20 +491,20 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 		}
 	}
 	fm, err := newFileManager(fmConfig{
-		rootKey:      rootKey,
-		contentStore: cfg.ContentStore,
-		groupStore:   cfg.GroupStore,
-		dedupStore:   cfg.DedupStore,
-		hidePaths:    cfg.Features.HidePaths,
-		rollbackOn:   cfg.Features.RollbackProtection,
-		dedupEnabled: cfg.Features.Dedup,
-		contentGuard: contentGuard,
-		groupGuard:   groupGuard,
-		cacheBytes:   cacheBytes,
-		journal:      jl,
-		recovery:     recovery,
-		degradedGate: degradedGate,
-		obs:          sObs,
+		rootKey:        rootKey,
+		contentStore:   cfg.ContentStore,
+		groupStore:     cfg.GroupStore,
+		dedupStore:     cfg.DedupStore,
+		hidePaths:      cfg.Features.HidePaths,
+		rollbackOn:     cfg.Features.RollbackProtection,
+		dedupEnabled:   cfg.Features.Dedup,
+		contentGuard:   contentGuard,
+		groupGuard:     groupGuard,
+		cacheBytes:     cacheBytes,
+		journalCounter: encl.Counter("journal"),
+		recovery:       recovery,
+		degradedGate:   degradedGate,
+		obs:            sObs,
 	})
 	if err != nil {
 		return nil, err
@@ -540,13 +521,14 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 		certifier: newCertifier(encl, cfg.GroupStore, caPub),
 		obs:       sObs,
 		recovery:  recovery,
-		// The journal relies on at most one mutation being in flight,
-		// which coupled mode guarantees; rollback protection needs it
-		// anyway. Staging state is not the reason — it lives on the
-		// per-request view (withRequest) — the commit → apply → retire
+		// Coupled mode, always: the journal relies on at most one mutation
+		// being in flight. Staging state is not the reason — it lives on
+		// the per-request view (withRequest) — the commit → apply → retire
 		// sequence is: intents apply in commit order, and a journalDirty
-		// recovery pass inside mutate replays the whole journal.
-		locks: newLockManager(defaultLockShards, cfg.Features.RollbackProtection || jl != nil, sObs),
+		// recovery pass inside mutate replays the whole journal. The
+		// uncoupled mode stays for the intent-scoped write-lock plan
+		// (ROADMAP item 1(a)), which owns this argument.
+		locks: newLockManager(defaultLockShards, true, sObs),
 	}
 
 	// Adaptive admission control and the request-body cap (DESIGN §16).
@@ -567,9 +549,9 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 	}
 
 	// segshare_build_info pins the deployment's shape next to its
-	// metrics: the enclave version and which durability/integrity
-	// subsystems are on. All values come from a closed configuration
-	// set — never request data.
+	// metrics: the enclave version and which integrity subsystems are
+	// on. All values come from a closed configuration set — never
+	// request data.
 	onOff := func(b bool) string {
 		if b {
 			return "on"
@@ -580,7 +562,6 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 		"Constant 1; labels carry the enclave version and feature switches.",
 		obs.Labels{
 			"version":  fmt.Sprintf("v%d", cfg.Version),
-			"journal":  onOff(jl != nil),
 			"rollback": onOff(cfg.Features.RollbackProtection),
 			"audit":    onOff(sObs.audit != nil),
 		}).Set(1)
@@ -648,11 +629,9 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 				return nil
 			})
 		}
-		if jl != nil {
-			_ = wd.AddCheck("journal_recovery", func() error {
-				return recovery.Overrun(wcfg.RecoveryOverrun)
-			})
-		}
+		_ = wd.AddCheck("journal_recovery", func() error {
+			return recovery.Overrun(wcfg.RecoveryOverrun)
+		})
 		_ = wd.AddCheck("lock_shard_skew", s.locks.skewProbe(wcfg.ShardSkew))
 		wd.Start()
 		s.watchdog = wd
@@ -956,9 +935,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			}
 		}
 		waited := time.Since(start)
-		if s.fm.journal != nil {
-			s.fm.journal.Close()
-		}
+		s.fm.journal.Close()
 		s.obs.drainNs.Set(int64(waited))
 		s.obs.drainRemaining.Set(int64(remaining))
 		s.obs.auditEmit(audit.Event{

@@ -478,10 +478,11 @@ func TestDerivedCacheChargesRetainedSize(t *testing.T) {
 	// Eight times the default budget: thousands of entries fit, so what
 	// other goroutines allocate meanwhile vanishes in the per-entry figure.
 	fm, err := newFileManager(fmConfig{
-		rootKey:      bytes.Repeat([]byte{7}, 32),
-		contentStore: store.NewMemory(),
-		groupStore:   store.NewMemory(),
-		cacheBytes:   8 * defaultCacheBytes,
+		rootKey:        bytes.Repeat([]byte{7}, 32),
+		contentStore:   store.NewMemory(),
+		groupStore:     store.NewMemory(),
+		cacheBytes:     8 * defaultCacheBytes,
+		journalCounter: testCounter(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -544,11 +545,12 @@ func TestDerivedCacheChargesRetainedSize(t *testing.T) {
 // exists only with rollback protection on.
 func TestVerifiedCacheChargesRetainedSize(t *testing.T) {
 	fm, err := newFileManager(fmConfig{
-		rootKey:      bytes.Repeat([]byte{7}, 32),
-		contentStore: store.NewMemory(),
-		groupStore:   store.NewMemory(),
-		rollbackOn:   true,
-		cacheBytes:   8 * defaultCacheBytes,
+		rootKey:        bytes.Repeat([]byte{7}, 32),
+		contentStore:   store.NewMemory(),
+		groupStore:     store.NewMemory(),
+		rollbackOn:     true,
+		cacheBytes:     8 * defaultCacheBytes,
+		journalCounter: testCounter(t),
 	})
 	if err != nil {
 		t.Fatal(err)

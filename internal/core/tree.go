@@ -43,14 +43,16 @@ type bucketOp struct {
 // rollback protection is off, or when the file did not exist).
 func (fm *fileManager) writeLeaf(ns *namespace, name string, body []byte) (oldMain, newMain rollback.Digest, err error) {
 	if !fm.rollbackOn {
-		return rollback.Digest{}, rollback.Digest{}, fm.putBlob(ns, name, nil, body)
+		fm.putBlob(ns, name, nil, body)
+		return rollback.Digest{}, rollback.Digest{}, nil
 	}
 	oldMain, err = fm.previousMain(ns, name)
 	if err != nil && !errors.Is(err, ErrNotFound) { // not found: creating
 		return oldMain, newMain, err
 	}
 	newMain = fm.hasher.LeafMain(treeID(ns, name), rollback.ContentDigest(body))
-	return oldMain, newMain, fm.putBlob(ns, name, &rollback.Header{Main: newMain}, body)
+	fm.putBlob(ns, name, &rollback.Header{Main: newMain}, body)
+	return oldMain, newMain, nil
 }
 
 // loadDir loads an inner node's header and decoded directory body.
@@ -68,14 +70,14 @@ func (fm *fileManager) loadDir(ns *namespace, name string) (*rollback.Header, *d
 
 // writeRootNode initializes a namespace root with the given body and no
 // children (group store) — used only at first start.
-func (fm *fileManager) writeRootNode(ns *namespace, db *dirBody) error {
+func (fm *fileManager) writeRootNode(ns *namespace, db *dirBody) {
 	body := db.encode()
 	var hdr *rollback.Header
 	if fm.rollbackOn {
 		hdr = &rollback.Header{Inner: true}
 		hdr.Main = fm.hasher.InnerMain(treeID(ns, ns.rootName), rollback.ContentDigest(body), &hdr.Buckets)
 	}
-	return fm.putRootBlob(ns, hdr, body)
+	fm.putRootBlob(ns, hdr, body)
 }
 
 // applyToParent mutates an inner node: an optional directory-body change
@@ -108,17 +110,17 @@ func (fm *fileManager) applyToParent(ns *namespace, parentName string, mutate fu
 	}
 	body = db.encode()
 	if !fm.rollbackOn {
-		return fm.putBlob(ns, parentName, nil, body)
+		fm.putBlob(ns, parentName, nil, body)
+		return nil
 	}
 	oldMain := hdr.Main
 	fm.applyBucketOps(hdr, ops)
 	hdr.Main = fm.hasher.InnerMain(treeID(ns, parentName), rollback.ContentDigest(body), &hdr.Buckets)
 	if parentName == ns.rootName {
-		return fm.putRootBlob(ns, hdr, body)
+		fm.putRootBlob(ns, hdr, body)
+		return nil
 	}
-	if err := fm.putBlob(ns, parentName, hdr, body); err != nil {
-		return err
-	}
+	fm.putBlob(ns, parentName, hdr, body)
 	return fm.propagateReplace(ns, parentName, oldMain, hdr.Main)
 }
 
@@ -155,11 +157,9 @@ func (fm *fileManager) propagateReplace(ns *namespace, child string, oldMain, ne
 		prev := hdr.Main
 		hdr.Main = fm.hasher.InnerMain(treeID(ns, name), rollback.ContentDigest(body), &hdr.Buckets)
 		if name == ns.rootName {
-			if err := fm.putRootBlob(ns, hdr, body); err != nil {
-				return err
-			}
-		} else if err := fm.putBlob(ns, name, hdr, body); err != nil {
-			return err
+			fm.putRootBlob(ns, hdr, body)
+		} else {
+			fm.putBlob(ns, name, hdr, body)
 		}
 		child, oldMain, newMain = name, prev, hdr.Main
 	}

@@ -55,7 +55,7 @@ func TestTreeConsistencyUnderRandomOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fm.writeContent(child, content(step), ownedACL(1)); err != nil {
+			if err := inOp(fm, func() error { _, err := fm.writeContent(child, content(step), ownedACL(1)); return err }); err != nil {
 				t.Fatalf("step %d: create %s: %v", step, child, err)
 			}
 			files = append(files, node{path: child})
@@ -65,7 +65,7 @@ func TestTreeConsistencyUnderRandomOps(t *testing.T) {
 				continue
 			}
 			f := files[rng.Intn(len(files))]
-			if _, err := fm.writeContent(f.path, content(step), nil); err != nil {
+			if err := inOp(fm, func() error { _, err := fm.writeContent(f.path, content(step), nil); return err }); err != nil {
 				t.Fatalf("step %d: update %s: %v", step, f.path, err)
 			}
 
@@ -78,7 +78,7 @@ func TestTreeConsistencyUnderRandomOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fm.createDir(child, ownedACL(1)); err != nil {
+			if err := inOp(fm, func() error { return fm.createDir(child, ownedACL(1)) }); err != nil {
 				t.Fatalf("step %d: mkdir %s: %v", step, child, err)
 			}
 			dirs = append(dirs, node{path: child, isDir: true})
@@ -94,7 +94,7 @@ func TestTreeConsistencyUnderRandomOps(t *testing.T) {
 			}
 			a = a.Clone() // readACL's result is shared; writers clone
 			a.SetPermission(acl.GroupID(rng.Intn(50)+2), acl.PermRead)
-			if err := fm.writeACL(f.path, a); err != nil {
+			if err := inOp(fm, func() error { return fm.writeACL(f.path, a) }); err != nil {
 				t.Fatalf("step %d: writeACL: %v", step, err)
 			}
 
@@ -108,7 +108,7 @@ func TestTreeConsistencyUnderRandomOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fm.movePath(files[i].path, dst); err != nil {
+			if err := inOp(fm, func() error { return fm.movePath(files[i].path, dst) }); err != nil {
 				t.Fatalf("step %d: move %s -> %s: %v", step, files[i].path, dst, err)
 			}
 			files[i].path = dst
@@ -118,7 +118,7 @@ func TestTreeConsistencyUnderRandomOps(t *testing.T) {
 				continue
 			}
 			i := rng.Intn(len(files))
-			if err := fm.removePath(files[i].path, true); err != nil {
+			if err := inOp(fm, func() error { return fm.removePath(files[i].path, true) }); err != nil {
 				t.Fatalf("step %d: remove %s: %v", step, files[i].path, err)
 			}
 			files = append(files[:i], files[i+1:]...)
@@ -156,7 +156,7 @@ func TestGroupStoreTreeConsistency(t *testing.T) {
 		} else {
 			ml.Add(acl.GroupID(rng.Intn(100) + 1))
 		}
-		if err := fm.writeMemberList(u, ml); err != nil {
+		if err := inOp(fm, func() error { return fm.writeMemberList(u, ml) }); err != nil {
 			t.Fatalf("step %d: write member list: %v", step, err)
 		}
 	}

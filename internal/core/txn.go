@@ -18,9 +18,9 @@ import (
 // installed on the backends verbatim, and marked applied. A crash or
 // fault between any two backend writes is repaired by recoverJournal:
 // committed intents are re-applied (roll forward), an intent torn during
-// its commit is discarded (roll back). Without a journal, mutate still
-// runs — writes go straight through as before, only the compensation
-// hooks (dedup refcounts) keep their ordering guarantees.
+// its commit is discarded (roll back). The journal is always on: every
+// write of the trusted file manager goes through this path, except the
+// guard rebind after a CA-authorized restore (backup.go).
 
 // stagedPut is one buffered blob write. Header and body stay plaintext
 // (the encoded rollback header and the logical body) so the operation can
@@ -46,10 +46,9 @@ type stagedDel struct {
 // opCtx is one in-flight logical operation: the staged write/delete set
 // plus compensation hooks. It hangs off the per-request view running the
 // mutation (fileManager.tx); at most one exists at a time, because the
-// lock manager serializes mutations whenever staging is on (coupled mode).
+// lock manager serializes mutations (coupled mode).
 type opCtx struct {
-	op      string
-	staging bool
+	op string
 
 	order    []string
 	puts     map[string]*stagedPut
@@ -150,37 +149,28 @@ func (tx *opCtx) runAbortHooks() {
 	}
 }
 
-// staging reports whether the active operation buffers writes for a
-// journal intent (used by the putBlob/deleteBlob chokepoints and the
-// relation caches, which must not cache uncommitted state).
+// staging reports whether a mutation is in flight on this view: its
+// writes buffer for a journal intent (the putBlob/deleteBlob chokepoints
+// stage them), and the relation caches must not cache uncommitted state.
 func (fm *fileManager) staging() bool {
-	return fm.tx != nil && fm.tx.staging
+	return fm.tx != nil
 }
 
-// afterOp schedules fn for after the operation durably commits. Outside
-// any operation context (direct fileManager use in tests), the work has
-// already hit the backends, so fn runs immediately.
+// afterOp schedules fn for after the operation durably commits.
 func (fm *fileManager) afterOp(fn func()) {
-	if fm.tx != nil {
-		fm.tx.onCommit = append(fm.tx.onCommit, fn)
-		return
-	}
-	fn()
+	fm.tx.onCommit = append(fm.tx.onCommit, fn)
 }
 
 // onOpAbort schedules fn for when the operation aborts before its intent
-// committed. Outside an operation context callers compensate inline.
+// committed.
 func (fm *fileManager) onOpAbort(fn func()) {
-	if fm.tx != nil {
-		fm.tx.onAbort = append(fm.tx.onAbort, fn)
-	}
+	fm.tx.onAbort = append(fm.tx.onAbort, fn)
 }
 
 // mutate runs one logical operation. Re-entrant calls join the active
-// operation (directory moves recurse through movePath/removePath). With
-// a journal, writes stage into an intent that commits before any backend
-// object changes; without one, fn's writes apply directly and only the
-// hook ordering is provided.
+// operation (directory moves recurse through movePath/removePath). fn's
+// writes stage into an intent that commits before any backend object
+// changes.
 func (fm *fileManager) mutate(op string, fn func() error) error {
 	if fm.tx != nil {
 		return fn()
@@ -211,10 +201,9 @@ func (fm *fileManager) mutate(op string, fn func() error) error {
 		}
 	}
 	tx := &opCtx{
-		op:      op,
-		staging: fm.journal != nil,
-		puts:    make(map[string]*stagedPut),
-		dels:    make(map[string]*stagedDel),
+		op:   op,
+		puts: make(map[string]*stagedPut),
+		dels: make(map[string]*stagedDel),
 	}
 	fm.tx = tx
 	defer func() { fm.tx = nil }()
@@ -223,7 +212,7 @@ func (fm *fileManager) mutate(op string, fn func() error) error {
 		tx.runAbortHooks()
 		return err
 	}
-	if !tx.staging || (len(tx.order) == 0 && len(tx.delOrder) == 0) {
+	if len(tx.order) == 0 && len(tx.delOrder) == 0 {
 		tx.runCommitHooks()
 		return nil
 	}
@@ -335,9 +324,6 @@ type recoverOpts struct {
 // trail, and with validate set, every object a replay touched is
 // re-validated against the rollback tree afterwards.
 func (fm *fileManager) recoverJournal(opts recoverOpts) error {
-	if fm.journal == nil {
-		return nil
-	}
 	fm.shared.recovery.begin()
 	defer fm.shared.recovery.finish()
 	set, err := fm.journal.Recover(opts.strict)

@@ -7,6 +7,7 @@ import (
 	"segshare/internal/enclave"
 	"segshare/internal/journal"
 	"segshare/internal/obs"
+	"segshare/internal/store"
 )
 
 // pendingIntents reads the fixture's journal the way a restart would,
@@ -51,7 +52,7 @@ func TestRecoveryInstallsRecordBlobsVerbatim(t *testing.T) {
 	sc := crashScenarios()[2] // put-update
 	for name, opts := range allOptionCombos() {
 		t.Run(name, func(t *testing.T) {
-			dry := newCrashFixture(t, opts, true)
+			dry := newCrashFixture(t, opts)
 			seedCorpus(t, dry)
 			before := dry.plan.Ops()
 			if err := sc.run(dry); err != nil {
@@ -59,7 +60,7 @@ func TestRecoveryInstallsRecordBlobsVerbatim(t *testing.T) {
 			}
 			replays := 0
 			for k := 1; k <= dry.plan.Ops()-before; k++ {
-				fx := newCrashFixture(t, opts, true)
+				fx := newCrashFixture(t, opts)
 				seedCorpus(t, fx)
 				fx.plan.KillAtOp(k, errInjected)
 				_ = sc.run(fx)
@@ -111,7 +112,7 @@ func TestOverwriteLeavesUnchangedParentAlone(t *testing.T) {
 		return err
 	}
 	t.Run("rollback-off", func(t *testing.T) {
-		fx := newCrashFixture(t, fmOptions{}, true)
+		fx := newCrashFixture(t, fmOptions{})
 		seedCorpus(t, fx)
 		parent := fx.stored(fx.fm.content, "/docs/")
 		// Mutation 1 is the intent's commit, 2 the first apply write.
@@ -155,7 +156,7 @@ func TestOverwriteLeavesUnchangedParentAlone(t *testing.T) {
 		}
 	})
 	t.Run("rollback-on", func(t *testing.T) {
-		fx := newCrashFixture(t, fmOptions{rollback: true, guard: GuardCounter}, true)
+		fx := newCrashFixture(t, fmOptions{rollback: true, guard: GuardCounter})
 		seedCorpus(t, fx)
 		parent := fx.stored(fx.fm.content, "/docs/")
 		old, err := fx.fm.readHeader(fx.fm.content, "/docs/")
@@ -176,4 +177,39 @@ func TestOverwriteLeavesUnchangedParentAlone(t *testing.T) {
 			t.Fatalf("fsck: %v", err)
 		}
 	})
+}
+
+// TestJournalCannotBeDisabled: the deprecated Config.DisableJournal is
+// ignored. The server still opens the journal, and a PUT commits one
+// intent through it.
+func TestJournalCannotBeDisabled(t *testing.T) {
+	f, reg := newOverloadFixture(t, func(cfg *Config) { cfg.DisableJournal = true })
+	if f.server.fm.journal == nil {
+		t.Fatal("the server opened no journal")
+	}
+	alice := f.server.Direct("alice")
+	if err := alice.Upload("/first", []byte("provisions alice")); err != nil {
+		t.Fatal(err)
+	}
+	commits := reg.Counter("segshare_journal_commits_total", "", nil)
+	before := commits.Value()
+	if err := alice.Upload("/second", []byte("one intent")); err != nil {
+		t.Fatal(err)
+	}
+	if n := commits.Value() - before; n != 1 {
+		t.Fatalf("a PUT committed %d journal intents, want 1", n)
+	}
+}
+
+// TestFileManagerNeedsJournalCounter: there is no journal-less file
+// manager to build.
+func TestFileManagerNeedsJournalCounter(t *testing.T) {
+	_, err := newFileManager(fmConfig{
+		rootKey:      bytes.Repeat([]byte{7}, 32),
+		contentStore: store.NewMemory(),
+		groupStore:   store.NewMemory(),
+	})
+	if err == nil {
+		t.Fatal("newFileManager without a journal counter succeeded")
+	}
 }
