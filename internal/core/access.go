@@ -25,19 +25,9 @@ type accessControl struct {
 	fso acl.UserID
 }
 
-// withStats returns a view of ac whose file manager attributes work to
-// rs (see fileManager.withStats). A nil rs returns ac unchanged.
-func (ac *accessControl) withStats(rs *obs.ReqStats) *accessControl {
-	if rs == nil {
-		return ac
-	}
-	v := *ac
-	v.fm = ac.fm.withStats(rs)
-	return &v
-}
-
 // withRequest returns a view of ac bound to one request's stats and
-// cancellation context (see fileManager.withRequest).
+// cancellation context (see fileManager.withRequest); with neither it
+// is ac itself.
 func (ac *accessControl) withRequest(rs *obs.ReqStats, ctx context.Context) *accessControl {
 	if rs == nil && ctx == nil {
 		return ac

@@ -17,14 +17,12 @@ import (
 // embedded API for programs that link the server in-process, and fast
 // corpus setup for the benchmark harness (populating thousands of files
 // through TLS would measure the network, not the system under test).
-// Authorization is enforced exactly as over the wire; only transport and
-// certificate parsing are skipped.
-//
-// Direct operations flow through the same telemetry chokepoint as HTTP
-// requests (finishRequest): one trace, one ReqStats collector, one wide
-// event per call — unless wide events are disabled, in which case the
-// wrapper degenerates to a plain call with a nil collector so baseline
-// benchmarks measure the un-instrumented path.
+// Only transport and certificate parsing are skipped: every call runs
+// the same request layer (request.go) as an HTTP request — lock plan,
+// provisioning, authorization, audit record — and the same telemetry
+// chokepoint (finishRequest): one trace, one ReqStats collector, one
+// wide event. The one difference in the audit trail is that a session
+// writes no authentication record, because nothing was authenticated.
 type DirectSession struct {
 	s *Server
 	u acl.UserID
@@ -35,10 +33,6 @@ type DirectSession struct {
 // come from client certificates.
 func (s *Server) Direct(user string) *DirectSession {
 	return &DirectSession{s: s, u: acl.UserID(user)}
-}
-
-func (d *DirectSession) parse(path string) (fspath.Path, error) {
-	return fspath.Parse(path)
 }
 
 // statusForErr is the one error→status table: writeMappedErr answers
@@ -77,19 +71,18 @@ func statusForErr(err error) int {
 }
 
 // observeDirect runs one direct operation through the request telemetry
-// chokepoint. fn receives the per-call stats collector and the
-// access-control view bound to it, and returns the response byte count
-// for the wide event. A draining server refuses the call as it refuses
-// an HTTP request: ErrOverloaded, one wide event with status 503.
-func (d *DirectSession) observeDirect(op string, bytesIn int64, fn func(rs *obs.ReqStats, ac *accessControl) (bytesOut int64, err error)) error {
+// chokepoint. fn receives the call's request (passed by value, so it
+// adds no allocation) and returns the response byte count for the wide
+// event. A draining server refuses the call as it refuses an HTTP
+// request: ErrOverloaded, one wide event with status 503.
+func (d *DirectSession) observeDirect(op string, bytesIn int64, fn func(rq request) (bytesOut int64, err error)) error {
 	rs := &obs.ReqStats{}
 	tr := d.s.obs.beginRequest(op, rs)
-	d.s.obs.tagRequestGroup(tr, "user:"+string(d.u))
 	start := time.Now()
 	var bytesOut int64
 	err := d.s.refuseDraining()
 	if err == nil {
-		bytesOut, err = fn(rs, d.s.ac.withStats(rs))
+		bytesOut, err = fn(d.s.newRequest(d.u, op, tr, rs, nil))
 	}
 	d.s.obs.finishRequest(op, statusForErr(err), time.Since(start), bytesIn, bytesOut, tr, rs)
 	return err
@@ -97,49 +90,37 @@ func (d *DirectSession) observeDirect(op string, bytesIn int64, fn func(rs *obs.
 
 // Mkdir creates a directory.
 func (d *DirectSession) Mkdir(path string) error {
-	p, err := d.parse(path)
+	p, err := fspath.Parse(path)
 	if err != nil {
 		return err
 	}
-	return d.observeDirect("fs_mkcol", 0, func(rs *obs.ReqStats, ac *accessControl) (int64, error) {
-		if err := d.s.provisionUser(rs, d.u); err != nil {
-			return 0, err
-		}
-		unlock := d.s.locks.fsWrite(rs, false, p)
-		defer unlock()
-		return 0, ac.PutDir(d.u, p)
+	return d.observeDirect("fs_mkcol", 0, func(rq request) (int64, error) {
+		return 0, rq.mkdir(p)
 	})
 }
 
 // Upload creates or updates a content file.
 func (d *DirectSession) Upload(path string, content []byte) error {
-	p, err := d.parse(path)
+	p, err := fspath.Parse(path)
 	if err != nil {
 		return err
 	}
-	return d.observeDirect("fs_put", int64(len(content)), func(rs *obs.ReqStats, ac *accessControl) (int64, error) {
-		if err := d.s.provisionUser(rs, d.u); err != nil {
-			return 0, err
-		}
-		unlock := d.s.locks.fsWrite(rs, false, p)
-		defer unlock()
-		_, err := ac.PutFile(d.u, p, content)
+	return d.observeDirect("fs_put", int64(len(content)), func(rq request) (int64, error) {
+		_, err := rq.putFile(p, content)
 		return 0, err
 	})
 }
 
 // Download returns a file's content.
 func (d *DirectSession) Download(path string) ([]byte, error) {
-	p, err := d.parse(path)
+	p, err := fspath.Parse(path)
 	if err != nil {
 		return nil, err
 	}
 	var content []byte
-	err = d.observeDirect("fs_get", 0, func(rs *obs.ReqStats, ac *accessControl) (int64, error) {
-		unlock := d.s.locks.fsRead(rs, p)
-		defer unlock()
+	err = d.observeDirect("fs_get", 0, func(rq request) (int64, error) {
 		var gerr error
-		content, gerr = ac.GetFile(d.u, p)
+		content, gerr = rq.getFile(p)
 		return int64(len(content)), gerr
 	})
 	return content, err
@@ -147,16 +128,14 @@ func (d *DirectSession) Download(path string) ([]byte, error) {
 
 // List returns a directory listing.
 func (d *DirectSession) List(path string) ([]ListedEntry, error) {
-	p, err := d.parse(path)
+	p, err := fspath.Parse(path)
 	if err != nil {
 		return nil, err
 	}
 	var entries []ListedEntry
-	err = d.observeDirect("fs_get", 0, func(rs *obs.ReqStats, ac *accessControl) (int64, error) {
-		unlock := d.s.locks.fsRead(rs, p)
-		defer unlock()
+	err = d.observeDirect("fs_get", 0, func(rq request) (int64, error) {
 		var gerr error
-		entries, gerr = ac.GetDir(d.u, p)
+		entries, gerr = rq.listDir(p)
 		return 0, gerr
 	})
 	return entries, err
@@ -164,37 +143,33 @@ func (d *DirectSession) List(path string) ([]ListedEntry, error) {
 
 // Remove deletes a file or empty directory.
 func (d *DirectSession) Remove(path string) error {
-	p, err := d.parse(path)
+	p, err := fspath.Parse(path)
 	if err != nil {
 		return err
 	}
-	return d.observeDirect("fs_delete", 0, func(rs *obs.ReqStats, ac *accessControl) (int64, error) {
-		unlock := d.s.locks.fsWrite(rs, false, p)
-		defer unlock()
-		return 0, ac.Remove(d.u, p)
+	return d.observeDirect("fs_delete", 0, func(rq request) (int64, error) {
+		return 0, rq.remove(p)
 	})
 }
 
 // Move relocates a file or directory subtree.
 func (d *DirectSession) Move(src, dst string) error {
-	sp, err := d.parse(src)
+	sp, err := fspath.Parse(src)
 	if err != nil {
 		return err
 	}
-	dp, err := d.parse(dst)
+	dp, err := fspath.Parse(dst)
 	if err != nil {
 		return err
 	}
-	return d.observeDirect("fs_move", 0, func(rs *obs.ReqStats, ac *accessControl) (int64, error) {
-		unlock := d.s.locks.moveLocks(rs, sp, dp)
-		defer unlock()
-		return 0, ac.Move(d.u, sp, dp)
+	return d.observeDirect("fs_move", 0, func(rq request) (int64, error) {
+		return 0, rq.move(sp, dp)
 	})
 }
 
 // SetPermission sets a group's permission on a path ("none" clears).
 func (d *DirectSession) SetPermission(path, group string, permission PermissionSpec) error {
-	p, err := d.parse(path)
+	p, err := fspath.Parse(path)
 	if err != nil {
 		return err
 	}
@@ -202,47 +177,33 @@ func (d *DirectSession) SetPermission(path, group string, permission PermissionS
 	if err != nil {
 		return err
 	}
-	return d.observeDirect("api_permission", 0, func(rs *obs.ReqStats, ac *accessControl) (int64, error) {
-		unlock := d.s.locks.fsWrite(rs, true, p)
-		defer unlock()
-		return 0, ac.SetPermission(d.u, p, acl.GroupName(group), perm)
+	return d.observeDirect("api_permission", 0, func(rq request) (int64, error) {
+		return 0, rq.setPermission(p, acl.GroupName(group), perm)
 	})
 }
 
 // SetInherit toggles permission inheritance.
 func (d *DirectSession) SetInherit(path string, inherit bool) error {
-	p, err := d.parse(path)
+	p, err := fspath.Parse(path)
 	if err != nil {
 		return err
 	}
-	return d.observeDirect("api_inherit", 0, func(rs *obs.ReqStats, ac *accessControl) (int64, error) {
-		unlock := d.s.locks.fsWrite(rs, false, p)
-		defer unlock()
-		return 0, ac.SetInherit(d.u, p, inherit)
+	return d.observeDirect("api_inherit", 0, func(rq request) (int64, error) {
+		return 0, rq.setInherit(p, inherit)
 	})
 }
 
 // AddUser adds a user to a group (creating it on first use).
 func (d *DirectSession) AddUser(user, group string) error {
-	return d.observeDirect("api_groups_add", 0, func(rs *obs.ReqStats, ac *accessControl) (int64, error) {
-		if err := d.s.provisionUser(rs, d.u, acl.UserID(user)); err != nil {
-			return 0, err
-		}
-		unlock := d.s.locks.groupWrite(rs)
-		defer unlock()
-		return 0, ac.AddUser(d.u, acl.UserID(user), acl.GroupName(group))
+	return d.observeDirect("api_groups_add", 0, func(rq request) (int64, error) {
+		return 0, rq.addUser(acl.UserID(user), acl.GroupName(group))
 	})
 }
 
 // RemoveUser removes a user from a group.
 func (d *DirectSession) RemoveUser(user, group string) error {
-	return d.observeDirect("api_groups_remove", 0, func(rs *obs.ReqStats, ac *accessControl) (int64, error) {
-		if err := d.s.provisionUser(rs, d.u); err != nil {
-			return 0, err
-		}
-		unlock := d.s.locks.groupWrite(rs)
-		defer unlock()
-		return 0, ac.RemoveUser(d.u, acl.UserID(user), acl.GroupName(group))
+	return d.observeDirect("api_groups_remove", 0, func(rq request) (int64, error) {
+		return 0, rq.removeUser(acl.UserID(user), acl.GroupName(group))
 	})
 }
 

@@ -87,7 +87,7 @@ type fileManager struct {
 	shared *fmShared
 
 	// rs is the per-request stats collector carried by a view (see
-	// withStats); nil on the base fileManager, and every ReqStats method
+	// withRequest); nil on the base fileManager, and every ReqStats method
 	// is nil-safe, so non-request paths pay one predicted branch.
 	rs *obs.ReqStats
 
@@ -106,7 +106,7 @@ type fileManager struct {
 }
 
 // fmShared is the cross-view mutable state of a fileManager. Views made
-// by withStats are shallow copies; anything a view writes that later
+// by withRequest are shallow copies; anything a view writes that later
 // views must see lives here.
 type fmShared struct {
 	// journalDirty forces a recovery pass before the next mutation: a
@@ -122,25 +122,12 @@ type fmShared struct {
 	degraded func() error
 }
 
-// withStats returns a shallow view of fm that attributes store, cache,
-// journal, and audit timings to rs. A nil rs returns fm unchanged. The
-// view shares every backing object (caches, journal, namespaces,
-// shared state) but carries its own tx slot.
-func (fm *fileManager) withStats(rs *obs.ReqStats) *fileManager {
-	if rs == nil {
-		return fm
-	}
-	v := *fm
-	v.tx = nil
-	v.rs = rs
-	return &v
-}
-
 // withRequest returns a shallow view of fm bound to one request: its
-// stats collector (may be nil) and its cancellation context. Like
-// withStats the view shares every backing object but carries its own tx
-// slot, so one request's staging state and cancellation never leak into
-// another's.
+// stats collector, which store, cache, journal and audit timings are
+// charged to, and its cancellation context (nil: never cancelled); with
+// neither it is fm itself. The view shares every backing object (caches,
+// journal, namespaces, shared state) but carries its own tx slot, so one
+// request's staging state and cancellation never leak into another's.
 func (fm *fileManager) withRequest(rs *obs.ReqStats, ctx context.Context) *fileManager {
 	if rs == nil && ctx == nil {
 		return fm

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,10 +20,11 @@ import (
 )
 
 // The request handler (paper Fig. 1) parses each request, allocates it to
-// the user identified by the client certificate, and dispatches to the
-// access control component. The protocol is WebDAV-flavoured HTTP under
-// /fs/ (GET, PUT, DELETE, MKCOL, MOVE, PROPFIND) plus a JSON management
-// API under /api/ for the permission and group requests of Algo 1.
+// the user identified by the client certificate, and dispatches through
+// the request layer (request.go) to the access control component. The
+// protocol is WebDAV-flavoured HTTP under /fs/ (GET, PUT, DELETE, MKCOL,
+// MOVE, PROPFIND) plus a JSON management API under /api/ for the
+// permission and group requests of Algo 1.
 
 // FSPrefix is the URL prefix of the file-system namespace.
 const FSPrefix = "/fs"
@@ -95,41 +95,36 @@ type apiError struct {
 }
 
 func (s *Server) handler() http.Handler {
-	return s.instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tr := traceFrom(r)
+	return s.instrument(func(w http.ResponseWriter, r *http.Request, op string, tr *obs.Trace, rs *obs.ReqStats) {
 		endAuthn := tr.Span("authn")
 		id, err := identityFromRequest(r)
 		endAuthn()
 		if err != nil {
-			s.obs.auditEmit(audit.Event{
+			s.obs.auditEmitStats(rs, audit.Event{
 				Event:     audit.EventAuthnFailure,
-				Op:        opClass(r),
+				Op:        op,
 				RequestID: tr.ID(),
 			})
 			writeErr(w, http.StatusUnauthorized, err)
 			return
 		}
-		s.obs.auditEmit(audit.Event{
+		s.obs.auditEmitStats(rs, audit.Event{
 			Event:     audit.EventAuthnSuccess,
-			Op:        opClass(r),
+			Op:        op,
 			RequestID: tr.ID(),
 			User:      id.UserID,
 		})
-		// Charge the request to the caller's default group ("user:<id>")
-		// for heavy-hitter accounting; group-targeted API mutations
-		// retag with their target group below.
-		s.obs.tagRequestGroup(tr, "user:"+id.UserID)
-		u := acl.UserID(id.UserID)
+		rq := s.newRequest(acl.UserID(id.UserID), op, tr, rs, r.Context())
 		defer tr.Span("dispatch")()
 		switch {
 		case r.URL.Path == FSPrefix || strings.HasPrefix(r.URL.Path, FSPrefix+"/"):
-			s.serveFS(w, r, u)
+			s.serveFS(w, r, rq)
 		case strings.HasPrefix(r.URL.Path, "/api/"):
-			s.serveAPI(w, r, id)
+			serveAPI(w, r, rq, id)
 		default:
 			writeErr(w, http.StatusNotFound, fmt.Errorf("%w: unknown path %s", ErrBadRequest, r.URL.Path))
 		}
-	}))
+	})
 }
 
 // opClass buckets a request into its operation class — the only request
@@ -183,47 +178,9 @@ func opClass(r *http.Request) string {
 	}
 }
 
-// traceCtxKey carries the request's obs trace through the context.
-type traceCtxKey struct{}
-
-func contextWithTrace(ctx context.Context, tr *obs.Trace) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tr)
-}
-
-// traceFrom returns the request's trace, or nil (safe to use) outside the
-// instrumented handler.
-func traceFrom(r *http.Request) *obs.Trace {
-	tr, _ := r.Context().Value(traceCtxKey{}).(*obs.Trace)
-	return tr
-}
-
-// statsCtxKey carries the request's ReqStats collector through the
-// context; connCtxKey carries the server-side net.Conn (installed by
-// http.Server.ConnContext in Serve).
-type (
-	statsCtxKey struct{}
-	connCtxKey  struct{}
-)
-
-func contextWithStats(ctx context.Context, rs *obs.ReqStats) context.Context {
-	return context.WithValue(ctx, statsCtxKey{}, rs)
-}
-
-// statsFrom returns the request's stats collector, or nil (all ReqStats
-// methods are nil-safe) outside the instrumented handler.
-func statsFrom(r *http.Request) *obs.ReqStats {
-	rs, _ := r.Context().Value(statsCtxKey{}).(*obs.ReqStats)
-	return rs
-}
-
-// reqAC returns the request's access-control view and stats collector.
-// The view attributes store/cache/journal work done on behalf of this
-// request to its wide event and carries the request's cancellation
-// context end to end (DESIGN §16); without either it is s.ac itself.
-func (s *Server) reqAC(r *http.Request) (*accessControl, *obs.ReqStats) {
-	rs := statsFrom(r)
-	return s.ac.withRequest(rs, r.Context()), rs
-}
+// connCtxKey carries the server-side net.Conn through the request
+// context (installed by http.Server.ConnContext in Serve).
+type connCtxKey struct{}
 
 // bridgeCallCounts unwraps the request's connection down to the
 // enclave-TLS bridge conn and reads its cumulative ecall/ocall
@@ -281,8 +238,9 @@ func (b *countingBody) Read(p []byte) (int, error) {
 // wide event per request, labeled by operation class only, plus a
 // structured log line (request id, op class, status, duration — byte
 // counts are already visible to the host via TLS record sizes, so
-// logging them leaks nothing new).
-func (s *Server) instrument(next http.Handler) http.Handler {
+// logging them leaks nothing new). next receives the op class, trace and
+// stats collector as arguments.
+func (s *Server) instrument(next func(w http.ResponseWriter, r *http.Request, op string, tr *obs.Trace, rs *obs.ReqStats)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		op := opClass(r)
 		rs := &obs.ReqStats{}
@@ -296,9 +254,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		body := &countingBody{ReadCloser: r.Body}
 		r.Body = body
 		rw := &statusRecorder{ResponseWriter: w}
-		ctx := contextWithTrace(r.Context(), tr)
-		ctx = contextWithStats(ctx, rs)
-		r = r.WithContext(ctx)
 
 		start := time.Now()
 		// Admission (DESIGN §16): drain rejects everything new; the
@@ -312,7 +267,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			if s.maxBody > 0 {
 				r.Body = http.MaxBytesReader(rw, r.Body, s.maxBody)
 			}
-			next.ServeHTTP(rw, r)
+			next(rw, r, op, tr, rs)
 			release(time.Since(start))
 		}
 		dur := time.Since(start)
@@ -351,58 +306,25 @@ func fsPath(r *http.Request) (fspath.Path, error) {
 	if raw == "" {
 		raw = "/"
 	}
-	p, err := fspath.Parse(raw)
-	if err != nil {
-		return fspath.Path{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return p, nil
+	return parseAPIPath(raw)
 }
 
-// auditAuthz records the outcome of one file authorization check. Only
-// definitive decisions are logged: a nil err is an allow, ErrPermissionDenied
-// a deny; other errors (not found, bad request, integrity) are not
-// authorization outcomes.
-func (s *Server) auditAuthz(r *http.Request, u acl.UserID, path string, err error) {
-	if s.obs.audit == nil {
-		return
-	}
-	ev := audit.Event{
-		Op:        opClass(r),
-		RequestID: traceFrom(r).ID(),
-		User:      string(u),
-		Path:      path,
-	}
-	switch {
-	case err == nil:
-		ev.Event, ev.Decision = audit.EventFileAuthzAllow, audit.DecisionAllow
-	case errors.Is(err, ErrPermissionDenied):
-		ev.Event, ev.Decision = audit.EventFileAuthzDeny, audit.DecisionDeny
-	default:
-		return
-	}
-	s.obs.auditEmit(ev)
-}
-
-func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, u acl.UserID) {
+func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, rq request) {
 	path, err := fsPath(r)
 	if err != nil {
 		writeMappedErr(w, err)
 		return
 	}
-	ac, rs := s.reqAC(r)
 	switch r.Method {
 	case "PROPFIND":
-		s.servePropfind(w, r, u, path)
+		servePropfind(w, r, rq, path)
 
 	case http.MethodOptions:
 		serveOptions(w)
 
 	case http.MethodGet, http.MethodHead:
 		if path.IsDir() {
-			unlock := s.locks.fsRead(rs, path)
-			entries, err := ac.GetDir(u, path)
-			unlock()
-			s.auditAuthz(r, u, path.String(), err)
+			entries, err := rq.listDir(path)
 			if err != nil {
 				writeMappedErr(w, err)
 				return
@@ -428,10 +350,7 @@ func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, u acl.UserID) {
 		// splice ranges of two different file versions at the client.
 		if br, ok := parseRangeHeader(r.Header.Get("Range")); ok &&
 			r.Method == http.MethodGet && r.Header.Get("If-Range") == "" {
-			unlock := s.locks.fsRead(rs, path)
-			res, err := ac.GetFileRange(u, path, br)
-			unlock()
-			s.auditAuthz(r, u, path.String(), err)
+			res, err := rq.getFileRange(path, br)
 			if errors.Is(err, ErrRangeNotSatisfiable) {
 				w.Header().Set("Accept-Ranges", "bytes")
 				w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", res.Total))
@@ -451,10 +370,7 @@ func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, u acl.UserID) {
 			_, _ = w.Write(res.Data)
 			return
 		}
-		unlock := s.locks.fsRead(rs, path)
-		content, err := ac.GetFile(u, path)
-		unlock()
-		s.auditAuthz(r, u, path.String(), err)
+		content, err := rq.getFile(path)
 		if err != nil {
 			writeMappedErr(w, err)
 			return
@@ -480,14 +396,7 @@ func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, u acl.UserID) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		var created bool
-		err = s.provisionUser(rs, u)
-		if err == nil {
-			unlock := s.locks.fsWrite(rs, false, path)
-			created, err = ac.PutFile(u, path, content)
-			unlock()
-		}
-		s.auditAuthz(r, u, path.String(), err)
+		created, err := rq.putFile(path, content)
 		if err != nil {
 			writeMappedErr(w, err)
 			return
@@ -499,25 +408,14 @@ func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, u acl.UserID) {
 		}
 
 	case "MKCOL":
-		err := s.provisionUser(rs, u)
-		if err == nil {
-			unlock := s.locks.fsWrite(rs, false, path)
-			err = ac.PutDir(u, path)
-			unlock()
-		}
-		s.auditAuthz(r, u, path.String(), err)
-		if err != nil {
+		if err := rq.mkdir(path); err != nil {
 			writeMappedErr(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusCreated)
 
 	case http.MethodDelete:
-		unlock := s.locks.fsWrite(rs, false, path)
-		err := ac.Remove(u, path)
-		unlock()
-		s.auditAuthz(r, u, path.String(), err)
-		if err != nil {
+		if err := rq.remove(path); err != nil {
 			writeMappedErr(w, err)
 			return
 		}
@@ -534,11 +432,7 @@ func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, u acl.UserID) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		unlock := s.locks.moveLocks(rs, path, dst)
-		err = ac.Move(u, path, dst)
-		unlock()
-		s.auditAuthz(r, u, path.String()+" -> "+dst.String(), err)
-		if err != nil {
+		if err := rq.move(path, dst); err != nil {
 			writeMappedErr(w, err)
 			return
 		}
@@ -579,23 +473,14 @@ type (
 	}
 )
 
-func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, id ca.Identity) {
-	u := acl.UserID(id.UserID)
+func serveAPI(w http.ResponseWriter, r *http.Request, rq request, id ca.Identity) {
 	route := strings.TrimPrefix(r.URL.Path, "/api/")
-	ac, rs := s.reqAC(r)
-
 	if r.Method == http.MethodGet {
 		if route != "whoami" {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("%w: unknown API %q", ErrBadRequest, route))
 			return
 		}
-		unlock := s.locks.groupRead(rs)
-		groups, err := ac.Memberships(u)
-		var owned []acl.GroupName
-		if err == nil {
-			owned, err = ac.OwnedGroups(u)
-		}
-		unlock()
+		groups, owned, err := rq.whoami()
 		if err != nil {
 			writeMappedErr(w, err)
 			return
@@ -614,10 +499,6 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, id ca.Identity
 		return
 	}
 
-	// ev collects the audit shape of the mutation; cases that parse
-	// successfully fill it in, and auditAPIChange records the decision
-	// once the outcome is known.
-	var ev audit.Event
 	var err error
 	switch route {
 	case "permission":
@@ -633,13 +514,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, id ca.Identity
 		if path, err = parseAPIPath(req.Path); err != nil {
 			break
 		}
-		ev = audit.Event{Event: audit.EventACLChange, Path: path.String(),
-			Group: req.Group, Detail: "permission=" + string(req.Permission)}
-		// groupWrite: granting to a default group ("user:x") may create
-		// its group-list record on demand.
-		unlock := s.locks.fsWrite(rs, true, path)
-		err = ac.SetPermission(u, path, acl.GroupName(req.Group), p)
-		unlock()
+		err = rq.setPermission(path, acl.GroupName(req.Group), p)
 
 	case "inherit":
 		var req inheritReq
@@ -650,11 +525,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, id ca.Identity
 		if path, err = parseAPIPath(req.Path); err != nil {
 			break
 		}
-		ev = audit.Event{Event: audit.EventACLChange, Path: path.String(),
-			Detail: fmt.Sprintf("inherit=%t", req.Inherit)}
-		unlock := s.locks.fsWrite(rs, false, path)
-		err = ac.SetInherit(u, path, req.Inherit)
-		unlock()
+		err = rq.setInherit(path, req.Inherit)
 
 	case "owner":
 		var req ownerReq
@@ -665,104 +536,40 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, id ca.Identity
 		if path, err = parseAPIPath(req.Path); err != nil {
 			break
 		}
-		ev = audit.Event{Event: audit.EventACLChange, Path: path.String(),
-			Group: req.Group, Detail: fmt.Sprintf("owner=%t", req.Owner)}
-		unlock := s.locks.fsWrite(rs, true, path)
-		err = ac.SetFileOwner(u, path, acl.GroupName(req.Group), req.Owner)
-		unlock()
+		err = rq.setFileOwner(path, acl.GroupName(req.Group), req.Owner)
 
 	case "groups/add":
 		var req membershipReq
-		if err = decodeJSON(r, &req); err != nil {
-			break
-		}
-		ev = audit.Event{Event: audit.EventGroupChange, Target: req.User, Group: req.Group}
-		// Provision both principals first: adding a never-seen user must
-		// not bootstrap identity relations (or the FSO root ACL) inside
-		// the group-only critical section.
-		err = s.provisionUser(rs, u, acl.UserID(req.User))
-		if err == nil {
-			unlock := s.locks.groupWrite(rs)
-			err = ac.AddUser(u, acl.UserID(req.User), acl.GroupName(req.Group))
-			unlock()
+		if err = decodeJSON(r, &req); err == nil {
+			err = rq.addUser(acl.UserID(req.User), acl.GroupName(req.Group))
 		}
 
 	case "groups/remove":
 		var req membershipReq
-		if err = decodeJSON(r, &req); err != nil {
-			break
-		}
-		ev = audit.Event{Event: audit.EventGroupChange, Target: req.User, Group: req.Group}
-		err = s.provisionUser(rs, u)
-		if err == nil {
-			unlock := s.locks.groupWrite(rs)
-			err = ac.RemoveUser(u, acl.UserID(req.User), acl.GroupName(req.Group))
-			unlock()
+		if err = decodeJSON(r, &req); err == nil {
+			err = rq.removeUser(acl.UserID(req.User), acl.GroupName(req.Group))
 		}
 
 	case "groups/owner":
 		var req groupOwnerReq
-		if err = decodeJSON(r, &req); err != nil {
-			break
-		}
-		ev = audit.Event{Event: audit.EventGroupChange, Group: req.Group,
-			Detail: fmt.Sprintf("ownerGroup=%s owner=%t", req.OwnerGroup, req.Owner)}
-		err = s.provisionUser(rs, u)
-		if err == nil {
-			unlock := s.locks.groupWrite(rs)
-			err = ac.SetGroupOwner(u, acl.GroupName(req.Group), acl.GroupName(req.OwnerGroup), req.Owner)
-			unlock()
+		if err = decodeJSON(r, &req); err == nil {
+			err = rq.setGroupOwner(acl.GroupName(req.Group), acl.GroupName(req.OwnerGroup), req.Owner)
 		}
 
 	case "groups/delete":
 		var req groupDeleteReq
-		if err = decodeJSON(r, &req); err != nil {
-			break
-		}
-		ev = audit.Event{Event: audit.EventGroupChange, Group: req.Group, Detail: "delete"}
-		err = s.provisionUser(rs, u)
-		if err == nil {
-			unlock := s.locks.groupWrite(rs)
-			err = ac.DeleteGroup(u, acl.GroupName(req.Group))
-			unlock()
+		if err = decodeJSON(r, &req); err == nil {
+			err = rq.deleteGroup(acl.GroupName(req.Group))
 		}
 
 	default:
 		err = fmt.Errorf("%w: unknown API %q", ErrBadRequest, route)
 	}
-	// Group-targeted mutations are charged to their target group in the
-	// heavy-hitter sketch, not the caller's default group.
-	if ev.Group != "" {
-		s.obs.tagRequestGroup(traceFrom(r), ev.Group)
-	}
-	s.auditAPIChange(r, u, ev, err)
 	if err != nil {
 		writeMappedErr(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// auditAPIChange records one management-API mutation outcome. Requests
-// that failed before reaching access control (parse errors) carry an
-// empty event and are skipped, as are outcomes that are not
-// authorization decisions.
-func (s *Server) auditAPIChange(r *http.Request, u acl.UserID, ev audit.Event, err error) {
-	if s.obs.audit == nil || ev.Event == "" {
-		return
-	}
-	switch {
-	case err == nil:
-		ev.Decision = audit.DecisionAllow
-	case errors.Is(err, ErrPermissionDenied):
-		ev.Decision = audit.DecisionDeny
-	default:
-		return
-	}
-	ev.Op = opClass(r)
-	ev.RequestID = traceFrom(r).ID()
-	ev.User = string(u)
-	s.obs.auditEmit(ev)
 }
 
 // parseRangeHeader parses a single-range "bytes=a-b" / "bytes=a-" /

@@ -294,7 +294,7 @@ func (lm *lockManager) wholeTree(rs *obs.ReqStats) (unlock func()) {
 // event: it writes the group store and, for the FSO, the root ACL in
 // the content store.
 func (s *Server) provisionUser(rs *obs.ReqStats, users ...acl.UserID) error {
-	ac := s.ac.withStats(rs)
+	ac := s.ac.withRequest(rs, nil)
 	for _, u := range users {
 		unlock := s.locks.groupRead(rs)
 		_, err := ac.fm.readMemberList(u)

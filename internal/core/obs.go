@@ -94,10 +94,14 @@ type opRequestMetrics struct {
 	byCode  [6]atomic.Pointer[obs.Counter]
 }
 
-// auditEmit forwards one security event to the audit log, if enabled,
-// charging the (queue-send-only) cost to the request's stats.
+// auditEmit forwards one security event that belongs to no request (key
+// operations, breaker, SLO, watchdog, drain) to the audit log, if
+// enabled.
 func (o *serverObs) auditEmit(ev audit.Event) { o.auditEmitStats(nil, ev) }
 
+// auditEmitStats forwards one request's security event, charging the
+// enqueue — a channel send that only OverflowBlock can stall — to the
+// request's stats, so the wide event's auditEnqueueNsLe shows it.
 func (o *serverObs) auditEmitStats(rs *obs.ReqStats, ev audit.Event) {
 	if o.audit == nil {
 		return
@@ -278,10 +282,10 @@ func (o *serverObs) beginRequest(op string, rs *obs.ReqStats) *obs.Trace {
 // tagRequestGroup attributes the request's traffic to a group for the
 // heavy-hitter sketch. The group id is pseudonymized here, before it is
 // stored anywhere — the trace and sketch only ever see the keyed
-// pseudonym. Called from the request's own goroutine (handler after
-// authn, API group mutations, direct sessions); later calls overwrite,
-// so a group-management request is charged to its target group rather
-// than the caller's default group.
+// pseudonym. Called from the request's own goroutine by the request
+// layer (newRequest, then record for group-targeted mutations); later
+// calls overwrite, so a group-management request is charged to its
+// target group rather than the caller's default group.
 func (o *serverObs) tagRequestGroup(tr *obs.Trace, groupID string) {
 	if o.hot == nil || groupID == "" {
 		return

@@ -239,13 +239,13 @@ func TestCachedRelationsNeverMutated(t *testing.T) {
 		rs := &obs.ReqStats{}
 		unlock := s.locks.fsWrite(rs, true, mustPath(t, path))
 		defer unlock()
-		return fn(s.ac.withStats(rs))
+		return fn(s.ac.withRequest(rs, nil))
 	}
 	groupWrite := func(fn func(ac *accessControl) error) error {
 		rs := &obs.ReqStats{}
 		unlock := s.locks.groupWrite(rs)
 		defer unlock()
-		return fn(s.ac.withStats(rs))
+		return fn(s.ac.withRequest(rs, nil))
 	}
 
 	paths := []string{"/", "/d/", "/d/f", "/d/g", "/d/h", "/d/sub/", "/eve.txt"}
@@ -394,7 +394,7 @@ func seedGroups(t *testing.T, s *Server, n int) {
 	t.Helper()
 	unlock := s.locks.groupWrite(nil)
 	defer unlock()
-	fm := s.fm.withStats(&obs.ReqStats{})
+	fm := s.fm.withRequest(&obs.ReqStats{}, nil)
 	err := fm.mutate("seed_groups", func() error {
 		gl, err := fm.readGroupList()
 		if err != nil {

@@ -25,7 +25,7 @@ func treeID(ns *namespace, name string) string { return ns.kind + ":" + name }
 // the threat model), and passes the error through.
 func (fm *fileManager) rollbackFailed(err error) error {
 	fm.obs.rollbackFailures.Inc()
-	fm.obs.auditEmit(audit.Event{Event: audit.EventRollbackFailure, Detail: err.Error()})
+	fm.obs.auditEmitStats(fm.rs, audit.Event{Event: audit.EventRollbackFailure, Detail: err.Error()})
 	return err
 }
 

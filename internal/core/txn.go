@@ -341,7 +341,7 @@ func (fm *fileManager) recoverJournal(opts recoverOpts) error {
 	}
 	fm.shared.journalDirty.Store(false)
 	if len(set.Pending) > 0 || set.Discarded > 0 {
-		fm.obs.auditEmit(audit.Event{
+		fm.obs.auditEmitStats(fm.rs, audit.Event{
 			Event:  audit.EventRecovery,
 			Detail: fmt.Sprintf("replayed=%d discarded=%d", len(set.Pending), set.Discarded),
 		})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"segshare/internal/acl"
 	"segshare/internal/fspath"
 )
 
@@ -59,7 +58,7 @@ func davEntry(href, name string, isDir bool, size int64) davResponse {
 }
 
 // servePropfind answers PROPFIND on a file or directory.
-func (s *Server) servePropfind(w http.ResponseWriter, r *http.Request, u acl.UserID, path fspath.Path) {
+func servePropfind(w http.ResponseWriter, r *http.Request, rq request, path fspath.Path) {
 	depth := r.Header.Get("Depth")
 	if depth == "" {
 		depth = "1"
@@ -68,45 +67,19 @@ func (s *Server) servePropfind(w http.ResponseWriter, r *http.Request, u acl.Use
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("%w: Depth must be 0 or 1", ErrBadRequest))
 		return
 	}
-
-	ac, rs := s.reqAC(r)
-	unlock := s.locks.fsRead(rs, path)
-	defer unlock()
-
+	size, entries, sizes, err := rq.propfind(path, depth == "1")
+	if err != nil {
+		writeMappedErr(w, err)
+		return
+	}
 	ms := davMultistatus{XMLNS: "DAV:"}
-	if path.IsDir() {
-		entries, err := ac.GetDir(u, path)
-		s.auditAuthz(r, u, path.String(), err)
-		if err != nil {
-			writeMappedErr(w, err)
-			return
+	ms.Responses = append(ms.Responses, davEntry(FSPrefix+path.String(), path.Name(), path.IsDir(), size))
+	for i, e := range entries {
+		href := FSPrefix + path.String() + e.Name
+		if e.IsDir {
+			href += "/"
 		}
-		ms.Responses = append(ms.Responses, davEntry(FSPrefix+path.String(), path.Name(), true, 0))
-		if depth == "1" {
-			for _, e := range entries {
-				href := FSPrefix + path.String() + e.Name
-				if e.IsDir {
-					href += "/"
-				}
-				size := int64(0)
-				if !e.IsDir && e.Permission.Has(acl.PermRead) {
-					if child, err := path.ChildFile(e.Name); err == nil {
-						if content, err := ac.GetFile(u, child); err == nil {
-							size = int64(len(content))
-						}
-					}
-				}
-				ms.Responses = append(ms.Responses, davEntry(href, e.Name, e.IsDir, size))
-			}
-		}
-	} else {
-		content, err := ac.GetFile(u, path)
-		s.auditAuthz(r, u, path.String(), err)
-		if err != nil {
-			writeMappedErr(w, err)
-			return
-		}
-		ms.Responses = append(ms.Responses, davEntry(FSPrefix+path.String(), path.Name(), false, int64(len(content))))
+		ms.Responses = append(ms.Responses, davEntry(href, e.Name, e.IsDir, sizes[i]))
 	}
 
 	w.Header().Set("Content-Type", `application/xml; charset="utf-8"`)

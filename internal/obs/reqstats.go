@@ -9,13 +9,13 @@ import (
 // long lock acquisition blocked, how the relation caches behaved, how
 // many untrusted-store objects the request touched, and how long the
 // journal commit and audit enqueue took. A single ReqStats travels with
-// the request (context on the network path, a closure on the direct
-// path) and is written from whatever goroutine happens to execute the
-// subsystem, so every field is atomic.
+// the request (an argument from the transport into the request layer,
+// then the access-control view) and is written from whatever goroutine
+// happens to execute the subsystem, so every field is atomic.
 //
-// All methods are nil-safe: uninstrumented paths (startup, tests, the
-// wide-events-off baseline) pass a nil *ReqStats and pay only a nil
-// check per call site.
+// All methods are nil-safe: paths that belong to no request (startup,
+// recovery, background events, tests) pass a nil *ReqStats and pay only
+// a nil check per call site.
 type ReqStats struct {
 	lockWaitNs      atomic.Int64
 	cacheHits       atomic.Int64
