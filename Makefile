@@ -37,10 +37,11 @@ bench-build:
 	go -C benchmark test ./...
 
 # Deterministic chaos pass under -race: the brownout recovery contract
-# (degraded read-only mode, breaker lifecycle, audit evidence) and the
+# (degraded read-only mode, breaker lifecycle, audit evidence, the audit
+# store outside the gate), the server's always-on store wrapper and the
 # resilient-wrapper unit suite. Mirrors the chaos-smoke CI job.
 chaos-smoke:
-	go test -race -run 'TestBrownout|TestResilient|TestBackendConformance' ./internal/core ./internal/store
+	go test -race -run 'TestBrownout|TestResilient|TestBackendConformance|TestServerStoresAlwaysResilient' ./internal/core ./internal/store
 
 # Overload-resilience pass under -race (admission limiter, end-to-end
 # cancellation, graceful drain) plus the real-process SIGTERM smoke

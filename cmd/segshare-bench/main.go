@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig3|memb0|fig4|fig5|storage|revoke-ablation|switchless|audit|e15|e16|all")
+		exp        = flag.String("exp", "all", "experiment: fig3|memb0|fig4|fig5|storage|revoke-ablation|switchless|audit|e16|all")
 		full       = flag.Bool("full", false, "use paper-scale parameters (slow)")
 		runs       = flag.Int("runs", 0, "override runs per data point")
 		maxExp     = flag.Int("maxexp", 0, "fig5: largest exponent x (paper: 14)")
@@ -107,12 +107,6 @@ func run(exp string, full bool, runs, maxExp int, wan bool) error {
 	if all || exp == "audit" {
 		ran = true
 		if err := runAudit(runs); err != nil {
-			return err
-		}
-	}
-	if all || exp == "e15" {
-		ran = true
-		if err := runE15(full, runs); err != nil {
 			return err
 		}
 	}
@@ -304,34 +298,6 @@ func runAudit(runs int) error {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d\t%d\t%d\n",
 			r.Mode, ms(r.Upload.Mean), ms(r.Download.Mean), ms(r.Grant.Mean), r.Records, r.Drops, r.Bytes)
-	}
-	return w.Flush()
-}
-
-func runE15(full bool, runs int) error {
-	cfg := bench.DefaultE15()
-	if full {
-		cfg.Ops = 20
-		cfg.Reps = 5
-		cfg.FailFastOps = 512
-	}
-	if runs > 0 {
-		cfg.Ops = runs
-	}
-	rows, err := bench.RunE15(cfg)
-	if err != nil {
-		return err
-	}
-	w := table(fmt.Sprintf("E15 — resilient store wrapper, single-stream %dMiB, %d ops/cell", cfg.FileMiB, cfg.Ops),
-		"cell", "baseline", "resilient", "overhead", "fail-fast", "recovery")
-	for _, r := range rows {
-		if r.Op == "brownout" {
-			fmt.Fprintf(w, "%s\t-\t-\t-\t%v/op\t%v\n",
-				r.Op, r.FailFast.Round(time.Microsecond), r.Recovery.Round(time.Millisecond))
-			continue
-		}
-		fmt.Fprintf(w, "%s\t%.0f MiB/s\t%.0f MiB/s\t%.2f%%\t-\t-\n",
-			r.Op, r.Baseline, r.Resilient, r.OverheadPct)
 	}
 	return w.Flush()
 }

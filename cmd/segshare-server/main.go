@@ -62,7 +62,6 @@ func run() error {
 		drainTmo = flag.Duration("drain-timeout", 30*time.Second, "graceful drain: how long SIGTERM waits for in-flight requests before forcing shutdown")
 		maxBody  = flag.Int64("max-body", 0, "largest accepted request body in bytes (0 = default 64 MiB, negative disables the cap)")
 
-		resilOn  = flag.Bool("store-resilience", true, "wrap the untrusted stores in the resilient I/O layer: deadlines, retry with backoff, circuit breaker, degraded read-only mode")
 		sDeadl   = flag.Duration("store-deadline", 0, "deadline per store mutation (Put/Delete/Rename); 0 = default 15s, negative disables")
 		sRDeadl  = flag.Duration("store-read-deadline", 0, "deadline per store read (Get/Exists/List); 0 = default 5s, negative disables")
 		sRetries = flag.Int("store-retries", 0, "retries per store op after a transient failure; 0 = default 2, negative disables retries")
@@ -222,6 +221,14 @@ func run() error {
 			Enable:          *wdOn,
 			RequestDeadline: *wdDeadl,
 		},
+		Resilience: &segshare.ResilientOptions{
+			MutationDeadline: *sDeadl,
+			ReadDeadline:     *sRDeadl,
+			Retries:          *sRetries,
+			BreakerThreshold: *brkThr,
+			BreakerCooldown:  *brkCool,
+			BreakerProbes:    *brkProbe,
+		},
 		HotGroups:    *hotK,
 		Profiler:     profiler,
 		MaxBodyBytes: *maxBody,
@@ -231,16 +238,6 @@ func run() error {
 			Enable:       true,
 			MaxInFlight:  *maxInfl,
 			QueueTimeout: *queueTmo,
-		}
-	}
-	if *resilOn {
-		cfg.Resilience = &segshare.ResilientOptions{
-			MutationDeadline: *sDeadl,
-			ReadDeadline:     *sRDeadl,
-			Retries:          *sRetries,
-			BreakerThreshold: *brkThr,
-			BreakerCooldown:  *brkCool,
-			BreakerProbes:    *brkProbe,
 		}
 	}
 	if *sloOn {
@@ -347,8 +344,8 @@ func run() error {
 		return err
 	}
 	health.SetReady(true)
-	fmt.Printf("serving on %s (features: dedup=%v hide=%v rollback=%v guard=%s audit=%v watchdog=%v slo=%v hot-k=%d profiler=%v resilience=%v)\n",
-		listenAddr, *dedup, *hide, *rollback, *guard, *auditOn, *wdOn, *sloOn, *hotK, *profDir != "", *resilOn)
+	fmt.Printf("serving on %s (features: dedup=%v hide=%v rollback=%v guard=%s audit=%v watchdog=%v slo=%v hot-k=%d profiler=%v)\n",
+		listenAddr, *dedup, *hide, *rollback, *guard, *auditOn, *wdOn, *sloOn, *hotK, *profDir != "")
 
 	<-sig
 	health.SetReady(false)

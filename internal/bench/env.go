@@ -83,13 +83,9 @@ type EnvConfig struct {
 	// nil and trace capture is enabled (EnableTraceCapture), the env
 	// creates its own exporter into the shared capture sink.
 	Exporter *obs.Exporter
-	// Resilience, when non-nil, wraps the untrusted stores in the
-	// resilient I/O layer (deadlines, retries, circuit breaker); E15 uses
-	// it to price the healthy-path overhead and drive brownout recovery.
-	Resilience *store.ResilientOptions
 	// FaultPlan, when non-nil, interposes store.Faulty between the raw
-	// memory backends and the server so experiments can inject failures
-	// and latency (E15 brownouts).
+	// memory backends and the server's store wrappers so experiments can
+	// inject failures and latency (E16's store latency).
 	FaultPlan *store.FaultPlan
 	// Admission, when non-nil, enables adaptive admission control on the
 	// HTTP request path; E16 uses it to measure goodput under overload
@@ -138,7 +134,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		Bridge:       cfg.Bridge,
 		SamplePolicy: cfg.SamplePolicy,
 		Exporter:     cfg.Exporter,
-		Resilience:   cfg.Resilience,
 		Admission:    cfg.Admission,
 	}
 	var ownExporter *obs.Exporter

@@ -98,7 +98,8 @@ func TestDirectSessionFullFlow(t *testing.T) {
 // file manager and checks they surface as errors without corrupting
 // state.
 func TestStorageFaultsSurfaceAsErrors(t *testing.T) {
-	faulty := store.NewFaulty(store.NewMemory())
+	plan := store.NewFaultPlan()
+	faulty := store.NewFaultyWithPlan(store.NewMemory(), plan)
 	platform, err := enclave.NewPlatform(enclave.PlatformConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -126,18 +127,18 @@ func TestStorageFaultsSurfaceAsErrors(t *testing.T) {
 	}
 
 	// Fail a write mid-operation.
-	faulty.FailAfter("put", 1, errInject)
+	plan.FailAtOp(1, errInject)
 	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/fail"), []byte("x"), ownedACL(1)); return err }); !errors.Is(err, errInject) {
 		t.Fatalf("want injected error, got %v", err)
 	}
-	faulty.Clear()
+	plan.Revive()
 
 	// Fail a read.
-	faulty.FailAfter("get", 1, errInject)
+	plan.FailReadsAtOp(1, errInject)
 	if _, err := fm.readContent(mustPath(t, "/ok")); !errors.Is(err, errInject) {
 		t.Fatalf("want injected error, got %v", err)
 	}
-	faulty.Clear()
+	plan.Revive()
 
 	// The pre-existing file remains readable and valid afterwards.
 	got, err := fm.readContent(mustPath(t, "/ok"))

@@ -172,7 +172,8 @@ type fmConfig struct {
 	// recovery publishes journal-recovery progress; may be nil.
 	recovery *RecoveryState
 	// degradedGate rejects mutations with an ErrDegraded-wrapped error
-	// while a store circuit breaker is open; nil when resilience is off.
+	// while a store circuit breaker is open. NewServer always sets it;
+	// file-manager fixtures over bare backends leave it nil.
 	degradedGate func() error
 	obs          *serverObs
 }
@@ -396,9 +397,9 @@ func (fm *fileManager) installBlob(ns *namespace, name string, blob []byte) erro
 
 // fetch is the one place a logical file's stored blob is read: it loads
 // the blob through the namespace backend, bounded by the view's request
-// context (checked first, then handed to backends that take one —
-// Resilient and Instrumented do; bare test backends get a plain Get),
-// and recalls the derived keys that open it.
+// context (checked first, then handed to backends that take one — the
+// server's store.Resilient does; the bare backends of file-manager
+// fixtures get a plain Get), and recalls the derived keys that open it.
 func (fm *fileManager) fetch(ns *namespace, name string) (raw []byte, d *derived, err error) {
 	if err := fm.ctxErr(); err != nil {
 		return nil, nil, err

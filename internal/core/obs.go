@@ -63,10 +63,10 @@ type serverObs struct {
 	// profiler. The caller owns its lifecycle.
 	profiler *obs.ContinuousProfiler
 
-	// degraded reports whether any store circuit breaker is not closed —
-	// the same exported bit as segshare_store_breaker_state — so every
-	// request served during a degraded episode carries the wide-event
-	// flag. Nil when resilience is off.
+	// degraded reports whether a content, group or dedup store circuit
+	// breaker is not closed — the same exported bit as
+	// segshare_store_breaker_state — so every request served during a
+	// degraded episode carries the wide-event flag. Set by NewServer.
 	degraded func() bool
 
 	// Parallel chunk-crypto pipeline instruments (DESIGN §14):

@@ -262,10 +262,10 @@ func TestOneLiveSetForHTTPAndDirect(t *testing.T) {
 	}
 }
 
-// TestWarmDirectGetAllocs pins what the cheapest request costs in heap
-// objects. The per-request telemetry is one trace, one ReqStats and one
-// wide event; a second in-flight record would show up here.
-func TestWarmDirectGetAllocs(t *testing.T) {
+// warmDirectSession returns a direct session on a server built like the
+// binary's (every store behind its store.Resilient) holding /f.txt.
+func warmDirectSession(t *testing.T) *DirectSession {
+	t.Helper()
 	authority, err := ca.New("alloc test CA")
 	if err != nil {
 		t.Fatal(err)
@@ -289,6 +289,15 @@ func TestWarmDirectGetAllocs(t *testing.T) {
 	if err := d.Upload("/f.txt", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
+	return d
+}
+
+// TestWarmDirectGetAllocs pins what the cheapest request costs in heap
+// objects. The per-request telemetry is one trace, one ReqStats and one
+// wide event; a second in-flight record, or a store wrapper allocating
+// per call, would show up here.
+func TestWarmDirectGetAllocs(t *testing.T) {
+	d := warmDirectSession(t)
 	get := func() {
 		if _, err := d.Download("/f.txt"); err != nil {
 			t.Fatal(err)
@@ -298,5 +307,32 @@ func TestWarmDirectGetAllocs(t *testing.T) {
 	const budget = 33
 	if n := testing.AllocsPerRun(200, get); n > budget {
 		t.Fatalf("warm direct GET = %.0f allocs, budget %d", n, budget)
+	}
+}
+
+// TestWarmDirectPutAllocs pins the same for an overwrite: the journaled
+// mutation path, with its intent record, apply and retire, through the
+// same store wrappers.
+func TestWarmDirectPutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled key-derivation and hash scratch at random")
+	}
+	d := warmDirectSession(t)
+	payload := []byte("payload")
+	put := func() {
+		if err := d.Upload("/f.txt", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the relation and key-schedule caches. A PUT invalidates the
+	// file's cached keys and only a read refills them, so a GET warms
+	// them first, as it does in a mixed workload.
+	if _, err := d.Download("/f.txt"); err != nil {
+		t.Fatal(err)
+	}
+	put()
+	const budget = 68
+	if n := testing.AllocsPerRun(200, put); n > budget {
+		t.Fatalf("warm direct PUT = %.0f allocs, budget %d", n, budget)
 	}
 }

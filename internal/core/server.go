@@ -81,16 +81,17 @@ type Config struct {
 	// member lists, group list, directory bodies, derived file keys).
 	// Zero means the default (8 MiB); negative disables caching.
 	CacheBytes int64
-	// Resilience, when non-nil, wraps the content, group, and dedup
-	// stores in store.Resilient (DESIGN §15): per-op-class deadlines,
-	// retry with backoff for retryable errors, and a per-backend circuit
-	// breaker. An open breaker flips the server into degraded read-only
-	// mode: mutations fail fast with ErrDegraded at the mutate()
-	// chokepoint while reads keep flowing, CheckDegraded reports the
-	// episode for /readyz, every breaker transition emits an
-	// EventDegraded audit record, and affected requests carry the
-	// degraded wide-event flag. The Obs and OnState fields are
-	// overwritten by the server during wiring (OnState is chained).
+	// Resilience tunes the store.Resilient wrapper around every store
+	// (DESIGN §15): per-op-class deadlines, retry with backoff for
+	// retryable errors, and a per-backend circuit breaker. Nil means the
+	// defaults; the wrapper is always on. An open content, group or dedup
+	// breaker flips the server into degraded read-only mode: mutations
+	// fail fast with ErrDegraded at the mutate() chokepoint while reads
+	// keep flowing, CheckDegraded reports the episode for /readyz, every
+	// such breaker transition emits an EventDegraded audit record, and
+	// affected requests carry the degraded wide-event flag. The audit
+	// store's breaker does none of these. The Obs field is overwritten by
+	// the server during wiring; OnState is chained.
 	Resilience *store.ResilientOptions
 	// Bridge tunes the switchless call bridge.
 	Bridge enclave.BridgeConfig
@@ -235,8 +236,8 @@ type Server struct {
 	// recovery publishes journal-recovery progress for readiness gating
 	// and the watchdog.
 	recovery *RecoveryState
-	// resilient holds the store resilience wrappers (empty unless
-	// Config.Resilience), for degraded-mode readiness checks.
+	// resilient holds the content, group and dedup store wrappers, for
+	// degraded-mode readiness checks.
 	resilient []*store.Resilient
 	// watchdog is the stall detector, nil unless Config.Watchdog.Enable.
 	watchdog *obs.Watchdog
@@ -342,59 +343,53 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 			return m
 		})
 	}
-	// The resilience layer wraps the raw backends first, then
-	// store.Instrumented wraps the Resilient chain, so the measured
-	// latency is what the trusted side experiences — retries, deadline
-	// waits, and fast failures included. Breaker transitions feed the
+	// Every store gets one store.Resilient (DESIGN §15): deadlines,
+	// retries, a circuit breaker and the per-operation metrics, measured
+	// over the whole logical call — retries, deadline waits and fast
+	// failures included. The content, group and dedup breakers gate
+	// mutations (degraded read-only mode) and their transitions feed the
 	// audit trail; sObs.audit is nil until the log opens below, and
-	// auditEmit tolerates that (pre-launch transitions cannot happen —
-	// no request runs yet).
-	var resilientStores []*store.Resilient
-	wrapResilient := func(b store.Backend, role string) store.Backend {
-		if cfg.Resilience == nil {
-			return b
-		}
-		opt := *cfg.Resilience
-		opt.Obs = sObs.reg
-		userOnState := opt.OnState
+	// auditEmit tolerates that (pre-launch transitions cannot happen — no
+	// request runs yet). The audit store's breaker gates nothing: audit
+	// failures never blocked a mutation.
+	var resOpt store.ResilientOptions
+	if cfg.Resilience != nil {
+		resOpt = *cfg.Resilience
+	}
+	resOpt.Obs = sObs.reg
+	var gated []*store.Resilient
+	wrapGated := func(b store.Backend, role string) store.Backend {
+		opt := resOpt
 		opt.OnState = func(from, to store.BreakerState) {
 			sObs.auditEmit(audit.Event{
 				Event:  audit.EventDegraded,
 				Detail: role + " " + from.String() + "->" + to.String(),
 			})
-			if userOnState != nil {
-				userOnState(from, to)
+			if resOpt.OnState != nil {
+				resOpt.OnState(from, to)
 			}
 		}
 		rw := store.NewResilient(b, role, opt)
-		resilientStores = append(resilientStores, rw)
+		gated = append(gated, rw)
 		return rw
 	}
-	cfg.ContentStore = wrapResilient(cfg.ContentStore, "content")
-	cfg.GroupStore = wrapResilient(cfg.GroupStore, "group")
+	cfg.ContentStore = wrapGated(cfg.ContentStore, "content")
+	cfg.GroupStore = wrapGated(cfg.GroupStore, "group")
 	if cfg.DedupStore != nil {
-		cfg.DedupStore = wrapResilient(cfg.DedupStore, "dedup")
+		cfg.DedupStore = wrapGated(cfg.DedupStore, "dedup")
 	}
-	if len(resilientStores) > 0 {
-		// Wide events carry a degraded flag for every request that runs
-		// during an episode, not only the rejected mutations.
-		sObs.degraded = func() bool {
-			for _, rw := range resilientStores {
-				if rw.State() != store.BreakerClosed {
-					return true
-				}
+	if cfg.AuditStore != nil {
+		cfg.AuditStore = store.NewResilient(cfg.AuditStore, "audit", resOpt)
+	}
+	// Wide events carry a degraded flag for every request that runs
+	// during an episode, not only the rejected mutations.
+	sObs.degraded = func() bool {
+		for _, rw := range gated {
+			if rw.State() != store.BreakerClosed {
+				return true
 			}
-			return false
 		}
-	}
-
-	// All backend traffic is measured through store.Instrumented; the
-	// labels name the store role only. The bridge reports into the same
-	// registry.
-	cfg.ContentStore = store.NewInstrumented(cfg.ContentStore, "content", sObs.reg)
-	cfg.GroupStore = store.NewInstrumented(cfg.GroupStore, "group", sObs.reg)
-	if cfg.DedupStore != nil {
-		cfg.DedupStore = store.NewInstrumented(cfg.DedupStore, "dedup", sObs.reg)
+		return false
 	}
 	if cfg.Bridge.Obs == nil {
 		cfg.Bridge.Obs = sObs.reg
@@ -442,8 +437,7 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 		if auditOpt.Obs == nil {
 			auditOpt.Obs = sObs.reg
 		}
-		auditBackend := store.NewInstrumented(cfg.AuditStore, "audit", sObs.reg)
-		log, err := audit.Open(auditBackend, auditKeys, encl.Counter("audit-log"), auditOpt)
+		log, err := audit.Open(cfg.AuditStore, auditKeys, encl.Counter("audit-log"), auditOpt)
 		if err != nil {
 			return nil, fmt.Errorf("segshare: open audit log: %w", err)
 		}
@@ -479,16 +473,13 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 	// cooldown elapses the gating mutation itself flows down to the
 	// store layer as a half-open probe; gating on State alone would
 	// leave no traffic to close the breaker with.
-	var degradedGate func() error
-	if len(resilientStores) > 0 {
-		degradedGate = func() error {
-			for _, rw := range resilientStores {
-				if !rw.MutationsAllowed() {
-					return fmt.Errorf("%w (%s store breaker %s)", ErrDegraded, rw.Role(), rw.State())
-				}
+	degradedGate := func() error {
+		for _, rw := range gated {
+			if !rw.MutationsAllowed() {
+				return fmt.Errorf("%w (%s store breaker %s)", ErrDegraded, rw.Role(), rw.State())
 			}
-			return nil
 		}
+		return nil
 	}
 	fm, err := newFileManager(fmConfig{
 		rootKey:        rootKey,
@@ -516,7 +507,7 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 		caPub:     caPub,
 		caPool:    pool,
 		fm:        fm,
-		resilient: resilientStores,
+		resilient: gated,
 		ac:        &accessControl{fm: fm, fso: userID(cfg.FileSystemOwner)},
 		certifier: newCertifier(encl, cfg.GroupStore, caPub),
 		obs:       sObs,
@@ -744,8 +735,8 @@ func (s *Server) CheckStore() error {
 // closed, i.e. the server is serving in degraded read-only mode. Wire it
 // as a /readyz check named "store_degraded"; the health endpoint prints
 // only the check name, and the error body here names only the store role
-// and breaker state (both closed sets). Deployments without
-// Config.Resilience always pass.
+// and breaker state (both closed sets). The audit store's breaker is not
+// checked: audit failures never gate mutations.
 func (s *Server) CheckDegraded() error {
 	for _, rw := range s.resilient {
 		if st := rw.State(); st != store.BreakerClosed {

@@ -353,7 +353,9 @@ func TestCachedRelationsNeverMutated(t *testing.T) {
 		}
 		// The first backend write of a journaled mutation is its intent
 		// commit: failing it aborts the operation with nothing applied.
-		plan.FailAtOp(1, errInjected)
+		// The store wrapper retries a one-shot fault, so the fault lasts
+		// until Revive.
+		plan.KillAtOp(1, errInjected)
 		if err := m.run(); !errors.Is(err, errInjected) {
 			t.Fatalf("%s under fault: err = %v, want the injected fault", m.name, err)
 		}

@@ -300,7 +300,8 @@ func TestPutFromPropagatesReaderError(t *testing.T) {
 // comes from: a new Store and a Reload read the stored table, and a save
 // that fails drops the copy it could not persist.
 func TestRefIndexFollowsStoredTable(t *testing.T) {
-	faulty := store.NewFaulty(store.NewMemory())
+	plan := store.NewFaultPlan()
+	faulty := store.NewFaultyWithPlan(store.NewMemory(), plan)
 	s, err := New(faulty, []byte("root-key"))
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +312,7 @@ func TestRefIndexFollowsStoredTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A duplicate Put writes only the index; fail that write.
-	faulty.FailAfter("put", 1, errors.New("injected"))
+	plan.FailAtOp(1, errors.New("injected"))
 	if _, _, err := s.Put(content); err == nil {
 		t.Fatal("Put with a failing index save succeeded")
 	}

@@ -115,8 +115,8 @@ func (a *Adversary) RollbackObject(name string) error {
 // whole-store rollback. It requires a *Memory store at the bottom of the
 // wrapper chain (tests) and panics otherwise, because a partial snapshot
 // would silently weaken adversary tests. Intermediate wrappers (e.g.
-// Instrumented) are walked through, so an instrumented store can still be
-// attacked.
+// Resilient) are walked through, so the server's wrapped store can still
+// be attacked.
 func (a *Adversary) SnapshotStore() {
 	mem, ok := Innermost(a.inner).(*Memory)
 	if !ok {

@@ -30,19 +30,19 @@ func conformanceBackends(t *testing.T) map[string]Backend {
 		MutationDeadline: -1, // it checks answers, not timing
 		Obs:              obs.NewRegistry(),
 	}
+	diskUnder, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]Backend{
 		"memory": NewMemory(),
 		"disk":   disk,
 		"resilient_memory": NewResilient(
 			NewMemory(), "content", resilientOpts),
-		"instrumented_faulty_memory": NewInstrumented(
-			NewFaulty(NewMemory()), "content", obs.NewRegistry()),
-		"resilient_instrumented_memory": NewResilient(
-			NewInstrumented(NewMemory(), "content", obs.NewRegistry()),
-			"content", resilientOpts),
-		"instrumented_resilient_faultplan_memory": NewInstrumented(
-			NewResilient(NewFaultyWithPlan(NewMemory(), NewFaultPlan()), "content", resilientOpts),
-			"content", obs.NewRegistry()),
+		"resilient_disk": NewResilient(
+			diskUnder, "content", resilientOpts),
+		"resilient_faultplan_memory": NewResilient(
+			NewFaultyWithPlan(NewMemory(), NewFaultPlan()), "content", resilientOpts),
 	}
 }
 

@@ -171,16 +171,12 @@ func (p *FaultPlan) check(op string) error {
 	return err
 }
 
-// Faulty wraps a Backend and injects errors on selected operations. It is
-// the failure-injection harness used by tests to verify that I/O faults
-// surface as errors instead of corrupting trusted state.
+// Faulty wraps a Backend and injects the failures its FaultPlan
+// schedules. It is the failure-injection harness used by tests to verify
+// that I/O faults surface as errors instead of corrupting trusted state.
 type Faulty struct {
 	inner Backend
 	plan  *FaultPlan
-
-	mu        sync.Mutex
-	failAfter map[string]int // op name -> remaining successes before failing
-	failWith  error
 }
 
 var (
@@ -191,59 +187,17 @@ var (
 // Unwrap returns the wrapped backend.
 func (f *Faulty) Unwrap() Backend { return f.inner }
 
-// NewFaulty wraps inner. Until FailAfter is called it is transparent.
-func NewFaulty(inner Backend) *Faulty {
-	return &Faulty{inner: inner, failAfter: make(map[string]int)}
-}
-
 // NewFaultyWithPlan wraps inner and attaches a shared FaultPlan. Several
 // backends (content, group, dedup stores) can share one plan so that a
-// schedule covers an operation's writes wherever they land.
+// schedule covers an operation's writes wherever they land. Until the
+// plan is armed the wrapper is transparent.
 func NewFaultyWithPlan(inner Backend, plan *FaultPlan) *Faulty {
-	return &Faulty{inner: inner, plan: plan, failAfter: make(map[string]int)}
-}
-
-// FailAfter arranges for the n-th subsequent invocation of op ("put",
-// "get", "delete", "rename", "exists", "list") to fail with err, counting
-// from 1. n == 1 fails the next call.
-func (f *Faulty) FailAfter(op string, n int, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failAfter[op] = n
-	f.failWith = err
-}
-
-// Clear removes all pending fault injections.
-func (f *Faulty) Clear() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failAfter = make(map[string]int)
-}
-
-func (f *Faulty) shouldFail(op string) error {
-	if f.plan != nil {
-		if err := f.plan.check(op); err != nil {
-			return err
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, ok := f.failAfter[op]
-	if !ok {
-		return nil
-	}
-	n--
-	if n > 0 {
-		f.failAfter[op] = n
-		return nil
-	}
-	delete(f.failAfter, op)
-	return f.failWith
+	return &Faulty{inner: inner, plan: plan}
 }
 
 // Put implements Backend.
 func (f *Faulty) Put(name string, data []byte) error {
-	if err := f.shouldFail("put"); err != nil {
+	if err := f.plan.check("put"); err != nil {
 		return err
 	}
 	return f.inner.Put(name, data)
@@ -251,7 +205,7 @@ func (f *Faulty) Put(name string, data []byte) error {
 
 // Get implements Backend.
 func (f *Faulty) Get(name string) ([]byte, error) {
-	if err := f.shouldFail("get"); err != nil {
+	if err := f.plan.check("get"); err != nil {
 		return nil, err
 	}
 	return f.inner.Get(name)
@@ -259,7 +213,7 @@ func (f *Faulty) Get(name string) ([]byte, error) {
 
 // Delete implements Backend.
 func (f *Faulty) Delete(name string) error {
-	if err := f.shouldFail("delete"); err != nil {
+	if err := f.plan.check("delete"); err != nil {
 		return err
 	}
 	return f.inner.Delete(name)
@@ -267,7 +221,7 @@ func (f *Faulty) Delete(name string) error {
 
 // Rename implements Backend.
 func (f *Faulty) Rename(oldName, newName string) error {
-	if err := f.shouldFail("rename"); err != nil {
+	if err := f.plan.check("rename"); err != nil {
 		return err
 	}
 	return f.inner.Rename(oldName, newName)
@@ -275,7 +229,7 @@ func (f *Faulty) Rename(oldName, newName string) error {
 
 // Exists implements Backend.
 func (f *Faulty) Exists(name string) (bool, error) {
-	if err := f.shouldFail("exists"); err != nil {
+	if err := f.plan.check("exists"); err != nil {
 		return false, err
 	}
 	return f.inner.Exists(name)
@@ -283,7 +237,7 @@ func (f *Faulty) Exists(name string) (bool, error) {
 
 // List implements Backend.
 func (f *Faulty) List() ([]string, error) {
-	if err := f.shouldFail("list"); err != nil {
+	if err := f.plan.check("list"); err != nil {
 		return nil, err
 	}
 	return f.inner.List()

@@ -13,7 +13,8 @@ import (
 
 // Resilient errors, matched with errors.Is. All three are terminal for
 // the attempt that produced them: a deadline or open circuit is never
-// retried by the wrapper itself (see the retry-safety notes on do).
+// retried by the wrapper itself (see the retry-safety notes on
+// Resilient).
 // ErrDeadlineExceeded and ErrSaturated come from the worker pool, so a
 // backend that runs inline (see nonBlocking) never returns them.
 var (
@@ -31,13 +32,14 @@ var (
 )
 
 // nonBlocking marks a backend whose every call is bounded work under its
-// own mutex and never waits on I/O — today only *Memory. Resilient runs
-// such a backend on the caller's goroutine: a call that cannot stall can
-// neither overrun its deadline nor pin a worker, so the pool, timer and
-// hand-off would buy nothing. The method is unexported, so no wrapper
-// outside this package can claim it; Disk (its calls fsync) and every
-// wrapper (Faulty, Adversary, Instrumented, foreign taps) keep the
-// worker dispatch.
+// own mutex and never waits on I/O — today only *Memory. Whether the
+// inner backend carries it is Resilient's only dispatch decision: such a
+// backend runs on the caller's goroutine, because a call that cannot
+// stall can neither overrun its deadline nor pin a worker, so the pool,
+// timer and hand-off would buy nothing. The method is unexported, so no
+// wrapper outside this package can claim it; Disk (its calls fsync) and
+// every wrapper (Faulty, Adversary, foreign taps) keep the worker
+// dispatch.
 type nonBlocking interface{ nonBlocking() }
 
 // BreakerState is the circuit breaker's position. The zero value is
@@ -150,25 +152,33 @@ func (o ResilientOptions) withDefaults() ResilientOptions {
 	return o
 }
 
-// Resilient wraps a Backend with the I/O discipline a remote store
-// needs: per-op-class deadlines enforced through a bounded worker pool,
-// retry with exponential backoff and full jitter for retryable errors
-// only, and a per-backend circuit breaker. It composes with the other
-// wrappers in the usual Unwrapper idiom; the server wraps
-// Instrumented(Resilient(raw)) so the measured latency includes retries
-// and deadline waits. A non-blocking backend (Memory) runs inline on the
-// caller's goroutine with the same breaker, retry and metric accounting.
+// Resilient is the one wrapper the server puts around every store it
+// opens. It gives a backend the I/O discipline a remote store needs:
+// per-op-class deadlines enforced through a bounded worker pool, retry
+// with exponential backoff and full jitter for retryable errors only, and
+// a per-backend circuit breaker. It also records each logical call's
+// latency, error and byte traffic, so the measured latency is what the
+// trusted side experiences — retries, deadline waits and fast failures
+// included. A non-blocking backend (Memory) runs inline on the caller's
+// goroutine with the same breaker, retry and metric accounting. It
+// composes with the test-side wrappers in the usual Unwrapper idiom.
+//
+// The role label names the store ("content", "group", "dedup",
+// "audit"); the set is a compile-time constant, so the labels stay inside
+// the leak budget — and the operations themselves are executed *by* the
+// untrusted host, which learns nothing from their aggregate timing that
+// it could not measure itself.
 //
 // # Retry safety, per operation
 //
 // Get/Exists/List/TotalBytes are reads — always safe. Put is a full
 // overwrite — idempotent. A retried Delete that finds the object gone
-// (ErrNotExist on attempt > 0) is treated as success: the previous
-// attempt applied before its error surfaced. Rename is safe to retry
-// because every Backend implements idempotent completion (retrying a
-// partially-applied rename — both names present with equal payloads —
-// finishes it); a retry of a fully-applied rename surfaces
-// ErrNotExist/ErrExist, which the caller's own existence checks
+// (ErrNotExist after an earlier attempt reached the backend) is treated
+// as success: the previous attempt applied before its error surfaced.
+// Rename is safe to retry because every Backend implements idempotent
+// completion (retrying a partially-applied rename — both names present
+// with equal payloads — finishes it); a retry of a fully-applied rename
+// surfaces ErrNotExist/ErrExist, which the caller's own existence checks
 // disambiguate. A deadline expiry is NEVER retried for any class: the
 // abandoned attempt may still apply in its background worker, and a
 // concurrent second dispatch could reorder writes.
@@ -193,13 +203,17 @@ type Resilient struct {
 	canceledC    *obs.Counter
 	transitionsC map[BreakerState]*obs.Counter
 	stateG       *obs.Gauge
+
+	opNS       [numOps]*obs.Histogram
+	opErrs     [numOps]*obs.Counter
+	writeBytes *obs.Counter
+	readBytes  *obs.Counter
 }
 
 var (
 	_ Backend       = (*Resilient)(nil)
 	_ Unwrapper     = (*Resilient)(nil)
 	_ ContextGetter = (*Resilient)(nil)
-	_ ContextGetter = (*Instrumented)(nil)
 )
 
 type opClass int
@@ -209,9 +223,36 @@ const (
 	classMutation
 )
 
+// opKind is one Backend method, the closed set behind the op label.
+type opKind uint8
+
+const (
+	opPut opKind = iota
+	opGet
+	opDelete
+	opRename
+	opExists
+	opList
+	opBytes
+	numOps
+)
+
+var opNames = [numOps]string{"put", "get", "delete", "rename", "exists", "list", "bytes"}
+
+// String returns the op's metric-label form.
+func (k opKind) String() string { return opNames[k] }
+
+func (k opKind) class() opClass {
+	switch k {
+	case opPut, opDelete, opRename:
+		return classMutation
+	}
+	return classRead
+}
+
 // NewResilient wraps inner for the given store role ("content", "group",
-// "dedup" — a compile-time set, so the metric label stays inside the
-// leak budget).
+// "dedup", "audit" — a compile-time set, so the metric label stays inside
+// the leak budget).
 func NewResilient(inner Backend, role string, opt ResilientOptions) *Resilient {
 	opt = opt.withDefaults()
 	reg := opt.Obs
@@ -237,6 +278,15 @@ func NewResilient(inner Backend, role string, opt ResilientOptions) *Resilient {
 		transitionsC: make(map[BreakerState]*obs.Counter, 3),
 		stateG: reg.Gauge("segshare_store_breaker_state",
 			"Circuit breaker position: 0 closed, 1 half-open, 2 open.", roleLabel),
+		writeBytes: reg.Counter("segshare_store_write_bytes_total",
+			"Ciphertext bytes written to the untrusted backend.", roleLabel),
+		readBytes: reg.Counter("segshare_store_read_bytes_total",
+			"Ciphertext bytes read from the untrusted backend.", roleLabel),
+	}
+	for op := range numOps {
+		labels := obs.Labels{"store": role, "op": op.String()}
+		r.opNS[op] = reg.Histogram("segshare_store_op_ns", "Untrusted backend operation latency (ns).", labels)
+		r.opErrs[op] = reg.Counter("segshare_store_errors_total", "Untrusted backend operations returning an error.", labels)
 	}
 	for _, st := range []BreakerState{BreakerClosed, BreakerHalfOpen, BreakerOpen} {
 		r.transitionsC[st] = reg.Counter("segshare_store_breaker_transitions_total",
@@ -245,6 +295,13 @@ func NewResilient(inner Backend, role string, opt ResilientOptions) *Resilient {
 	}
 	return r
 }
+
+// NewInstrumented returns inner unchanged: Resilient records the
+// per-operation metrics itself.
+//
+// Deprecated: wrap the backend with NewResilient. Kept only for the
+// benchmark module's wrapper probe, and deleted together with its call.
+func NewInstrumented(inner Backend, role string, reg *obs.Registry) Backend { return inner }
 
 // Unwrap returns the wrapped backend.
 func (r *Resilient) Unwrap() Backend { return r.inner }
@@ -401,37 +458,83 @@ func (r *Resilient) settle(class opClass, probe bool, err error) {
 	r.fire(notify)
 }
 
-// dispatch runs fn in a bounded worker and waits for it up to the
-// class deadline. On expiry the worker keeps running (it still holds
-// its pool slot until fn returns) but the caller gets its budget back.
-func (r *Resilient) dispatch(op string, deadline time.Duration, fn func() error) error {
-	return r.dispatchCtx(nil, op, deadline, fn)
+// call is one logical backend operation: which Backend method, its
+// arguments, and how many earlier attempts of the same call reached the
+// backend. It is passed by value, so a call allocates nothing beyond what
+// the backend itself does.
+type call struct {
+	op      opKind
+	name    string
+	newName string // rename only
+	data    []byte // put only
+	attempt int    // earlier attempts that reached the backend
 }
 
-// dispatchCtx is dispatch with an optional caller context: when ctx ends
-// before fn completes, the caller stops waiting (the worker keeps its
-// pool slot until fn returns, exactly like a deadline expiry) and gets a
-// context error back. A nil ctx waits on the deadline alone. For a
-// nonBlocking backend fn runs on the caller's goroutine instead; a
-// context that already ended is refused before the call.
-func (r *Resilient) dispatchCtx(ctx context.Context, op string, deadline time.Duration, fn func() error) error {
+// result carries whichever return value the call's Backend method has.
+type result struct {
+	data  []byte   // get
+	names []string // list
+	n     int64    // bytes
+	ok    bool     // exists
+	err   error
+}
+
+// exec runs one attempt of c against the inner backend. A Delete that
+// finds the object gone after an earlier attempt reached the backend
+// reports success: that attempt applied, only its acknowledgment was
+// lost.
+func (r *Resilient) exec(c call) (res result) {
+	switch c.op {
+	case opPut:
+		res.err = r.inner.Put(c.name, c.data)
+	case opGet:
+		res.data, res.err = r.inner.Get(c.name)
+	case opDelete:
+		res.err = r.inner.Delete(c.name)
+		if c.attempt > 0 && errors.Is(res.err, ErrNotExist) {
+			res.err = nil
+		}
+	case opRename:
+		res.err = r.inner.Rename(c.name, c.newName)
+	case opExists:
+		res.ok, res.err = r.inner.Exists(c.name)
+	case opList:
+		res.names, res.err = r.inner.List()
+	case opBytes:
+		res.n, res.err = r.inner.TotalBytes()
+	}
+	return res
+}
+
+// work runs c on a pool worker and releases the worker's slot after
+// delivering the result.
+func (r *Resilient) work(c call, done chan<- result) {
+	done <- r.exec(c)
+	<-r.sem
+}
+
+// dispatch runs one attempt of c and waits for it up to the class
+// deadline or until ctx (optional) ends. A non-blocking backend runs on
+// the caller's goroutine; a context that already ended is refused before
+// the call. Any other backend runs on a bounded worker: on expiry or
+// cancellation the worker keeps running (it holds its pool slot until the
+// backend returns) but the caller gets its budget back and the result is
+// dropped.
+func (r *Resilient) dispatch(ctx context.Context, c call, deadline time.Duration) result {
 	if r.inline {
 		if ctx != nil && ctx.Err() != nil {
-			return r.canceled(ctx, op)
+			return result{err: r.canceled(ctx, c.op)}
 		}
-		return fn()
+		return r.exec(c)
 	}
 	select {
 	case r.sem <- struct{}{}:
 	default:
 		r.saturatedC.Inc()
-		return fmt.Errorf("%w: %s %s", ErrSaturated, r.role, op)
+		return result{err: fmt.Errorf("%w: %s %s", ErrSaturated, r.role, c.op)}
 	}
-	done := make(chan error, 1)
-	go func() {
-		defer func() { <-r.sem }()
-		done <- fn()
-	}()
+	done := make(chan result, 1)
+	go r.work(c, done)
 	var ctxDone <-chan struct{}
 	if ctx != nil {
 		ctxDone = ctx.Done()
@@ -443,18 +546,18 @@ func (r *Resilient) dispatchCtx(ctx context.Context, op string, deadline time.Du
 		timerC = timer.C
 	}
 	select {
-	case err := <-done:
-		return err
+	case res := <-done:
+		return res
 	case <-timerC:
 		r.deadlinesC.Inc()
-		return fmt.Errorf("%w: %s %s after %v", ErrDeadlineExceeded, r.role, op, deadline)
+		return result{err: fmt.Errorf("%w: %s %s after %v", ErrDeadlineExceeded, r.role, c.op, deadline)}
 	case <-ctxDone:
-		return r.canceled(ctx, op)
+		return result{err: r.canceled(ctx, c.op)}
 	}
 }
 
 // canceled counts and reports an operation the caller's context ended.
-func (r *Resilient) canceled(ctx context.Context, op string) error {
+func (r *Resilient) canceled(ctx context.Context, op opKind) error {
 	r.canceledC.Inc()
 	return fmt.Errorf("store: %s %s canceled: %w", r.role, op, context.Cause(ctx))
 }
@@ -479,38 +582,54 @@ func retryable(err error) bool {
 	return true
 }
 
-// do runs one logical backend operation: breaker admission, then up to
-// 1+Retries dispatch attempts with full-jitter backoff between them,
-// then one breaker settlement with the final outcome.
-func (r *Resilient) do(op string, class opClass, fn func() error) error {
-	return r.doCtx(nil, op, class, fn)
+// do runs one logical backend operation and records it: breaker
+// admission, then up to 1+Retries dispatch attempts with full-jitter
+// backoff between them, then one breaker settlement with the final
+// outcome. One latency observation covers the whole call — admission,
+// every attempt, backoff sleeps, deadline waits and fast ErrCircuitOpen
+// rejections — so the metric is what the trusted side waited. A
+// cancellation is terminal (never retried) and settles the breaker as a
+// non-failure.
+func (r *Resilient) do(ctx context.Context, c call) result {
+	start := time.Now()
+	res := r.run(ctx, c)
+	r.opNS[c.op].ObserveDuration(time.Since(start))
+	switch {
+	case res.err != nil:
+		r.opErrs[c.op].Inc()
+	case c.op == opPut:
+		r.writeBytes.Add(uint64(len(c.data)))
+	case c.op == opGet:
+		r.readBytes.Add(uint64(len(res.data)))
+	}
+	return res
 }
 
-// doCtx is do with an optional caller context threaded into each
-// dispatch. A cancellation is terminal (never retried) and settles the
-// breaker as a non-failure.
-func (r *Resilient) doCtx(ctx context.Context, op string, class opClass, fn func() error) error {
+// run is do without the recording.
+func (r *Resilient) run(ctx context.Context, c call) result {
+	class := c.op.class()
 	probe, err := r.admit(class)
 	if err != nil {
-		return err
+		return result{err: err}
 	}
 	deadline := r.opt.ReadDeadline
 	if class == classMutation {
 		deadline = r.opt.MutationDeadline
 	}
-	for attempt := 0; ; attempt++ {
-		err = r.dispatchCtx(ctx, op, deadline, fn)
-		if err == nil || attempt >= r.opt.Retries || !retryable(err) {
+	var res result
+	for retry := 0; ; retry++ {
+		res = r.dispatch(ctx, c, deadline)
+		if res.err == nil || retry >= r.opt.Retries || !retryable(res.err) {
 			break
 		}
+		if !errors.Is(res.err, ErrSaturated) {
+			c.attempt++ // a saturated attempt never reached the backend
+		}
 		r.retriesC.Inc()
-		r.opt.Sleep(r.backoff(attempt))
+		r.opt.Sleep(r.backoff(retry))
 	}
-	if op == "delete" && err != nil && errors.Is(err, ErrNotExist) && r.deleteAppliedEarlier(err) {
-		err = nil
-	}
-	r.settle(class, probe, err)
-	return err
+	r.settle(class, probe, res.err)
+	return res
 }
 
 // backoff returns the full-jitter sleep before re-attempt n+1:
@@ -523,25 +642,9 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 	return time.Duration(rand.Int63n(int64(ceil) + 1))
 }
 
-// deleteAppliedEarlier reports whether an ErrNotExist from Delete is the
-// echo of an earlier attempt of the same logical call that applied
-// before its error surfaced. Tracked per call via the retried marker.
-func (r *Resilient) deleteAppliedEarlier(err error) bool {
-	var m *retriedMarker
-	return errors.As(err, &m)
-}
-
-// retriedMarker wraps an error returned by a retry attempt (attempt>0)
-// so post-loop policy can distinguish "first answer" from "answer after
-// the backend already absorbed an attempt".
-type retriedMarker struct{ err error }
-
-func (m *retriedMarker) Error() string { return m.err.Error() }
-func (m *retriedMarker) Unwrap() error { return m.err }
-
 // Put implements Backend.
 func (r *Resilient) Put(name string, data []byte) error {
-	return r.do("put", classMutation, func() error { return r.inner.Put(name, data) })
+	return r.do(nil, call{op: opPut, name: name, data: data}).err
 }
 
 // Get implements Backend.
@@ -555,19 +658,11 @@ func (r *Resilient) Get(name string) ([]byte, error) {
 // caller stops waiting, stops retrying, and the abandoned result is
 // dropped. For a non-blocking backend ctx is checked once, before the call.
 func (r *Resilient) GetContext(ctx context.Context, name string) ([]byte, error) {
-	var out []byte
-	err := r.doCtx(ctx, "get", classRead, func() error {
-		data, err := r.inner.Get(name)
-		if err != nil {
-			return err
-		}
-		out = data
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	res := r.do(ctx, call{op: opGet, name: name})
+	if res.err != nil {
+		return nil, res.err
 	}
-	return out, nil
+	return res.data, nil
 }
 
 // Delete implements Backend. An ErrNotExist surfaced by a retry attempt
@@ -575,56 +670,33 @@ func (r *Resilient) GetContext(ctx context.Context, name string) ([]byte, error)
 // backend — reports success: the delete applied, only its first
 // acknowledgment was lost.
 func (r *Resilient) Delete(name string) error {
-	attempts := 0
-	return r.do("delete", classMutation, func() error {
-		attempts++
-		err := r.inner.Delete(name)
-		if attempts > 1 && err != nil && errors.Is(err, ErrNotExist) {
-			return &retriedMarker{err: err}
-		}
-		return err
-	})
+	return r.do(nil, call{op: opDelete, name: name}).err
 }
 
 // Rename implements Backend. Safe to retry because every Backend
 // completes a partially-applied rename idempotently (equal payloads
 // under both names → finish by removing the old one).
 func (r *Resilient) Rename(oldName, newName string) error {
-	return r.do("rename", classMutation, func() error { return r.inner.Rename(oldName, newName) })
+	return r.do(nil, call{op: opRename, name: oldName, newName: newName}).err
 }
 
 // Exists implements Backend.
 func (r *Resilient) Exists(name string) (bool, error) {
-	var out bool
-	err := r.do("exists", classRead, func() error {
-		ok, err := r.inner.Exists(name)
-		out = ok
-		return err
-	})
-	return out, err
+	res := r.do(nil, call{op: opExists, name: name})
+	return res.ok, res.err
 }
 
 // List implements Backend.
 func (r *Resilient) List() ([]string, error) {
-	var out []string
-	err := r.do("list", classRead, func() error {
-		names, err := r.inner.List()
-		out = names
-		return err
-	})
-	if err != nil {
-		return nil, err
+	res := r.do(nil, call{op: opList})
+	if res.err != nil {
+		return nil, res.err
 	}
-	return out, nil
+	return res.names, nil
 }
 
 // TotalBytes implements Backend.
 func (r *Resilient) TotalBytes() (int64, error) {
-	var out int64
-	err := r.do("bytes", classRead, func() error {
-		n, err := r.inner.TotalBytes()
-		out = n
-		return err
-	})
-	return out, err
+	res := r.do(nil, call{op: opBytes})
+	return res.n, res.err
 }

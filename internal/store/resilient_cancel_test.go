@@ -86,16 +86,20 @@ func TestGetContextNilMatchesGet(t *testing.T) {
 	}
 }
 
-// TestInstrumentedGetContextForwards verifies the instrumented wrapper
-// forwards context reads to a context-capable inner store and still
-// satisfies ContextGetter over a plain one.
+// TestInstrumentedGetContextForwards pins the deprecated NewInstrumented
+// shim: it returns its argument, so a Resilient passed through it is
+// still the one wrapper, context-aware reads included.
 func TestInstrumentedGetContextForwards(t *testing.T) {
 	mem := NewMemory()
 	if err := mem.Put("obj", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	inst := NewInstrumented(mem, "content", nil)
-	got, err := inst.GetContext(context.Background(), "obj")
+	r := NewResilient(&slowBackend{Backend: mem, delay: 50 * time.Millisecond}, "content", fastOpts(nil))
+	inst := NewInstrumented(r, "content", nil)
+	if inst != Backend(r) {
+		t.Fatalf("NewInstrumented = %T, want its argument unchanged", inst)
+	}
+	got, err := inst.(ContextGetter).GetContext(context.Background(), "obj")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +109,7 @@ func TestInstrumentedGetContextForwards(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewResilient(&slowBackend{Backend: mem, delay: 50 * time.Millisecond}, "content", fastOpts(nil))
-	instr := NewInstrumented(r, "content", nil)
-	if _, err := instr.GetContext(ctx, "obj"); !errors.Is(err, context.Canceled) {
+	if _, err := inst.(ContextGetter).GetContext(ctx, "obj"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("instrumented over resilient: err = %v, want context.Canceled", err)
 	}
 }

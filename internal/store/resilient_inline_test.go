@@ -22,13 +22,12 @@ func TestResilientInlineOnlyForMemory(t *testing.T) {
 		b      Backend
 		inline bool
 	}{
-		"memory":       {NewMemory(), true},
-		"disk":         {disk, false},
-		"faulty":       {NewFaulty(NewMemory()), false},
-		"faultplan":    {NewFaultyWithPlan(NewMemory(), NewFaultPlan()), false},
-		"adversary":    {NewAdversary(NewMemory()), false},
-		"instrumented": {NewInstrumented(NewMemory(), "content", obs.NewRegistry()), false},
-		"foreign":      {&slowBackend{Backend: NewMemory()}, false},
+		"memory":    {NewMemory(), true},
+		"disk":      {disk, false},
+		"faultplan": {NewFaultyWithPlan(NewMemory(), NewFaultPlan()), false},
+		"adversary": {NewAdversary(NewMemory()), false},
+		"resilient": {NewResilient(NewMemory(), "content", fastOpts(nil)), false},
+		"foreign":   {&slowBackend{Backend: NewMemory()}, false},
 	}
 	for name, tc := range inners {
 		if got := NewResilient(tc.b, "content", fastOpts(nil)).inline; got != tc.inline {
@@ -38,25 +37,20 @@ func TestResilientInlineOnlyForMemory(t *testing.T) {
 
 	chains := conformanceBackends(t)
 	for name, inline := range map[string]bool{
-		"resilient_memory":                        true,
-		"instrumented_resilient_faultplan_memory": false,
+		"resilient_memory":           true,
+		"resilient_disk":             false,
+		"resilient_faultplan_memory": false,
 	} {
 		b := chains[name]
-		for {
-			if r, ok := b.(*Resilient); ok {
-				if r.inline != inline {
-					t.Errorf("conformance chain %s: inline = %v, want %v", name, r.inline, inline)
-				}
-				break
-			}
-			b = b.(Unwrapper).Unwrap()
+		if r := b.(*Resilient); r.inline != inline {
+			t.Errorf("conformance chain %s: inline = %v, want %v", name, r.inline, inline)
 		}
 	}
 }
 
 // TestResilientInlineAllocs pins the inline path's cost: a Get or Put
-// through Resilient(Memory) allocates what the bare Memory call does plus
-// the operation closure and, for Get, its captured result — no done
+// through Resilient(Memory) allocates exactly what the bare Memory call
+// does — the call travels by value, and there is no closure, done
 // channel, timer or goroutine.
 func TestResilientInlineAllocs(t *testing.T) {
 	mem := NewMemory()
@@ -72,12 +66,11 @@ func TestResilientInlineAllocs(t *testing.T) {
 	}
 	barePut, bareGet := allocs(mem)
 	wrappedPut, wrappedGet := allocs(r)
-	const slack = 2
-	if wrappedPut > barePut+slack {
-		t.Errorf("Resilient(Memory).Put = %.0f allocs, bare Memory.Put = %.0f (slack %d)", wrappedPut, barePut, slack)
+	if wrappedPut > barePut {
+		t.Errorf("Resilient(Memory).Put = %.0f allocs, bare Memory.Put = %.0f", wrappedPut, barePut)
 	}
-	if wrappedGet > bareGet+slack {
-		t.Errorf("Resilient(Memory).Get = %.0f allocs, bare Memory.Get = %.0f (slack %d)", wrappedGet, bareGet, slack)
+	if wrappedGet > bareGet {
+		t.Errorf("Resilient(Memory).Get = %.0f allocs, bare Memory.Get = %.0f", wrappedGet, bareGet)
 	}
 }
 
@@ -113,15 +106,14 @@ func TestResilientInlinePreCanceled(t *testing.T) {
 }
 
 // TestResilientDeadlineFaultPlanChain runs the conformance suite's
-// worker-path chain, Instrumented(Resilient(Faulty(Memory))), against
-// injected latency: the deadline still cuts the wait, and the abandoned
-// read is dispatched exactly once.
+// worker-path chain, Resilient(Faulty(Memory)), against injected
+// latency: the deadline still cuts the wait, and the abandoned read is
+// dispatched exactly once.
 func TestResilientDeadlineFaultPlanChain(t *testing.T) {
 	plan := NewFaultPlan()
 	opts := fastOpts(nil)
 	opts.ReadDeadline = 10 * time.Millisecond
-	b := NewInstrumented(NewResilient(NewFaultyWithPlan(NewMemory(), plan), "content", opts),
-		"content", obs.NewRegistry())
+	b := NewResilient(NewFaultyWithPlan(NewMemory(), plan), "content", opts)
 	if err := b.Put("a", []byte("v")); err != nil {
 		t.Fatal(err)
 	}

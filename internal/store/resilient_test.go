@@ -71,11 +71,11 @@ func (c *countingBackend) Delete(name string) error {
 }
 
 func TestResilientRetriesTransientFaults(t *testing.T) {
-	faulty := NewFaulty(NewMemory())
+	plan := NewFaultPlan()
 	opts := fastOpts(nil)
-	r := NewResilient(faulty, "content", opts)
+	r := NewResilient(NewFaultyWithPlan(NewMemory(), plan), "content", opts)
 
-	faulty.FailAfter("put", 1, errTransient)
+	plan.FailAtOp(1, errTransient)
 	if err := r.Put("a", []byte("v")); err != nil {
 		t.Fatalf("Put with one transient fault = %v, want success via retry", err)
 	}
@@ -83,7 +83,7 @@ func TestResilientRetriesTransientFaults(t *testing.T) {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
 
-	faulty.FailAfter("get", 1, errTransient)
+	plan.FailReadsAtOp(1, errTransient)
 	if got, err := r.Get("a"); err != nil || string(got) != "v" {
 		t.Fatalf("Get with one transient fault = %q, %v", got, err)
 	}

@@ -58,16 +58,15 @@ type Backend interface {
 }
 
 // ContextGetter is implemented by backends whose Get can stop waiting
-// when the caller's context ends (Resilient, and wrappers that forward
-// it). GetContext with a nil context behaves exactly like Get. Callers
+// when the caller's context ends (Resilient). GetContext with a nil context behaves exactly like Get. Callers
 // type-assert: plain backends without the method are simply read
 // uninterruptibly.
 type ContextGetter interface {
 	GetContext(ctx context.Context, name string) ([]byte, error)
 }
 
-// Unwrapper is implemented by every Backend wrapper (Instrumented,
-// Faulty, Adversary), exposing the wrapped backend so that wrappers
+// Unwrapper is implemented by every Backend wrapper (Resilient, Faulty,
+// Adversary), exposing the wrapped backend so that wrappers
 // compose in any order and capability probes (like the Adversary's
 // whole-store snapshot, which needs the underlying Memory store) can walk
 // the chain.

@@ -24,7 +24,7 @@ func backendsUnderTest(t *testing.T) map[string]Backend {
 		"memory":    NewMemory(),
 		"disk":      disk,
 		"adversary": NewAdversary(NewMemory()),
-		"faulty":    NewFaulty(NewMemory()),
+		"faulty":    NewFaultyWithPlan(NewMemory(), NewFaultPlan()),
 	}
 }
 
@@ -269,8 +269,9 @@ func TestAdversaryDropWrites(t *testing.T) {
 
 func TestFaultyInjection(t *testing.T) {
 	errInjected := errors.New("injected")
-	f := NewFaulty(NewMemory())
-	f.FailAfter("put", 2, errInjected)
+	plan := NewFaultPlan()
+	f := NewFaultyWithPlan(NewMemory(), plan)
+	plan.FailAtOp(2, errInjected)
 
 	if err := f.Put("a", nil); err != nil {
 		t.Fatalf("first put should succeed: %v", err)
@@ -282,17 +283,17 @@ func TestFaultyInjection(t *testing.T) {
 		t.Fatalf("third put should succeed: %v", err)
 	}
 
-	f.FailAfter("get", 1, errInjected)
+	plan.FailReadsAtOp(1, errInjected)
 	if _, err := f.Get("a"); !errors.Is(err, errInjected) {
 		t.Fatalf("get: want injected error, got %v", err)
 	}
-	f.FailAfter("list", 1, errInjected)
+	plan.FailReadsAtOp(1, errInjected)
 	if _, err := f.List(); !errors.Is(err, errInjected) {
 		t.Fatalf("list: want injected error, got %v", err)
 	}
-	f.Clear()
+	plan.Revive()
 	if _, err := f.Get("a"); err != nil {
-		t.Fatalf("after Clear: %v", err)
+		t.Fatalf("after Revive: %v", err)
 	}
 }
 

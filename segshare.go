@@ -101,9 +101,10 @@ type (
 
 	// Backend is untrusted object storage.
 	Backend = store.Backend
-	// ResilientOptions tunes the resilient store I/O layer — per-op
-	// deadlines, retry with backoff, and the per-backend circuit breaker
-	// (ServerConfig.Resilience).
+	// ResilientOptions tunes the store wrapper the server puts around
+	// every store — per-op deadlines, retry with backoff, and the
+	// per-backend circuit breaker (ServerConfig.Resilience; nil means the
+	// defaults).
 	ResilientOptions = store.ResilientOptions
 
 	// ReplicationProvider is the root-enclave side of §V-F replication.
