@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig3|memb0|fig4|fig5|storage|revoke-ablation|switchless|audit|e16|all")
+		exp        = flag.String("exp", "all", "experiment: fig3|memb0|fig4|fig5|storage|revoke-ablation|switchless|audit|all")
 		full       = flag.Bool("full", false, "use paper-scale parameters (slow)")
 		runs       = flag.Int("runs", 0, "override runs per data point")
 		maxExp     = flag.Int("maxexp", 0, "fig5: largest exponent x (paper: 14)")
@@ -107,12 +107,6 @@ func run(exp string, full bool, runs, maxExp int, wan bool) error {
 	if all || exp == "audit" {
 		ran = true
 		if err := runAudit(runs); err != nil {
-			return err
-		}
-	}
-	if all || exp == "e16" {
-		ran = true
-		if err := runE16(full); err != nil {
 			return err
 		}
 	}
@@ -298,30 +292,6 @@ func runAudit(runs int) error {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d\t%d\t%d\n",
 			r.Mode, ms(r.Upload.Mean), ms(r.Download.Mean), ms(r.Grant.Mean), r.Records, r.Drops, r.Bytes)
-	}
-	return w.Flush()
-}
-
-func runE16(full bool) error {
-	cfg := bench.DefaultE16()
-	if full {
-		cfg.Window = 5 * time.Second
-		cfg.BaseClients = 8
-	}
-	rows, err := bench.RunE16(cfg)
-	if err != nil {
-		return err
-	}
-	w := table(fmt.Sprintf("E16 — overload shedding, %dKiB GETs, %d-client capacity, %v/cell",
-		cfg.FileKiB, cfg.BaseClients, cfg.Window),
-		"load", "admission", "goodput", "p50", "p99", "ok", "shed", "errors")
-	for _, r := range rows {
-		onOff := "off"
-		if r.Admission {
-			onOff = "on"
-		}
-		fmt.Fprintf(w, "%s\t%s\t%.0f op/s\t%s\t%s\t%d\t%d\t%d\n",
-			r.Load, onOff, r.Goodput, ms(r.P50), ms(r.P99), r.OK, r.Shed, r.Errors)
 	}
 	return w.Flush()
 }

@@ -56,7 +56,6 @@ func run() error {
 		profMtx  = flag.Int("profile-mutex", 0, "mutex contention sampling for /debug/pprof/mutex: 1 = every event, n = 1/n, 0 = off")
 		profBlk  = flag.Int("profile-block", 0, "block profiling for /debug/pprof/block: record events blocking >= this many ns, 0 = off")
 
-		admitOn  = flag.Bool("admission", true, "adaptive admission control: AIMD concurrency limits per op class, bounded wait queue, priority shedding under overload")
 		maxInfl  = flag.Int("max-inflight", 0, "admission: concurrency ceiling for reads (mutations get a quarter of it); 0 = default 256")
 		queueTmo = flag.Duration("queue-timeout", 0, "admission: longest a request waits for a slot before a 503 (0 = default 100ms)")
 		drainTmo = flag.Duration("drain-timeout", 30*time.Second, "graceful drain: how long SIGTERM waits for in-flight requests before forcing shutdown")
@@ -74,14 +73,11 @@ func run() error {
 		trcSlow   = flag.Duration("trace-slow", 50*time.Millisecond, "tail-sampling: retain traces slower than this")
 		trcCont   = flag.Duration("trace-contention", 10*time.Millisecond, "tail-sampling: retain traces whose lock wait reached this")
 		trcKeep   = flag.Uint64("trace-keep-one-in", 100, "tail-sampling: retain one in N remaining traces as a baseline (0 disables the floor)")
-		wdOn      = flag.Bool("watchdog", true, "run the stall watchdog (snapshots on /debug/watchdog, audit event per trigger)")
 		wdDeadl   = flag.Duration("watchdog-deadline", 30*time.Second, "watchdog: flag requests in flight longer than this")
 
-		sloOn    = flag.Bool("slo", true, "evaluate per-op-class SLO burn rates (/debug/slo, segshare_slo_* metrics, audit event + forced traces on breach)")
 		sloObj   = flag.Float64("slo-objective", 0.999, "SLO success objective as a fraction (0.999 = three nines)")
-		sloLat   = flag.Duration("slo-latency", 250*time.Millisecond, "SLO latency threshold: slower 2xx responses count against the error budget")
-		sloLatOp = flag.String("slo-latency-op", "", "per-op-class latency overrides, comma-separated op=duration (e.g. fs_put=1s,fs_copy=2s)")
-		hotK     = flag.Int("hot-k", -1, "heavy-hitter slots for per-group accounting on /debug/hot (-1 = default 32, 0 disables)")
+		sloLat   = flag.Duration("slo-latency", 250*time.Millisecond, "SLO latency threshold: slower 2xx responses count against the error budget; also the admission limiter's latency target")
+		sloLatOp = flag.String("slo-latency-op", "", "per-op-class latency overrides, comma-separated op=duration with op an op class and duration > 0 (e.g. fs_put=1s,fs_propfind=500ms)")
 		profDir  = flag.String("profile-dir", "", "directory for the continuous profiler's on-disk ring of CPU+heap profiles (empty disables)")
 		profIvl  = flag.Duration("profile-interval", time.Minute, "continuous profiler capture cadence")
 		profCPU  = flag.Duration("profile-cpu", 5*time.Second, "CPU profile duration per capture")
@@ -126,6 +122,10 @@ func run() error {
 		features.Guard = segshare.GuardCounter
 	default:
 		return fmt.Errorf("unknown guard %q", *guard)
+	}
+	perOp, err := parsePerOpLatency(*sloLatOp)
+	if err != nil {
+		return err
 	}
 
 	// The registry, recovery state, and health checks exist before the
@@ -217,10 +217,7 @@ func run() error {
 			ContentionNs: trcCont.Nanoseconds(),
 			KeepOneIn:    *trcKeep,
 		},
-		Watchdog: segshare.WatchdogConfig{
-			Enable:          *wdOn,
-			RequestDeadline: *wdDeadl,
-		},
+		Watchdog: segshare.WatchdogConfig{RequestDeadline: *wdDeadl},
 		Resilience: &segshare.ResilientOptions{
 			MutationDeadline: *sDeadl,
 			ReadDeadline:     *sRDeadl,
@@ -229,27 +226,17 @@ func run() error {
 			BreakerCooldown:  *brkCool,
 			BreakerProbes:    *brkProbe,
 		},
-		HotGroups:    *hotK,
 		Profiler:     profiler,
 		MaxBodyBytes: *maxBody,
-	}
-	if *admitOn {
-		cfg.Admission = &segshare.AdmissionConfig{
-			Enable:       true,
+		Admission: &segshare.AdmissionConfig{
 			MaxInFlight:  *maxInfl,
 			QueueTimeout: *queueTmo,
-		}
-	}
-	if *sloOn {
-		perOp, err := parsePerOpLatency(*sloLatOp)
-		if err != nil {
-			return err
-		}
-		cfg.SLO = &obs.SLOConfig{
+		},
+		SLO: &obs.SLOConfig{
 			Objective:        *sloObj,
 			LatencyThreshold: *sloLat,
 			PerOpLatency:     perOp,
-		}
+		},
 	}
 	if features.Dedup {
 		dedupStore, err := segshare.NewDiskStore(filepath.Join(*dataDir, "dedup"))
@@ -315,13 +302,8 @@ func run() error {
 		if server.AuditLog() != nil {
 			opts = append(opts, obs.WithEndpoint("/debug/audit/head", server.AuditHeadHandler()))
 		}
-		if wd := server.Watchdog(); wd != nil {
-			opts = append(opts, obs.WithEndpoint("/debug/watchdog", wd.Handler()))
-		}
-		// /debug/slo and /debug/hot answer 404 with a named reason when
-		// their feature is off, so operators can tell "disabled" from
-		// "wrong URL".
 		opts = append(opts,
+			obs.WithEndpoint("/debug/watchdog", server.Watchdog().Handler()),
 			obs.WithEndpoint("/debug/slo", server.SLOHandler()),
 			obs.WithEndpoint("/debug/requests", server.RequestsHandler()),
 			obs.WithEndpoint("/debug/hot", server.HotHandler()))
@@ -344,8 +326,8 @@ func run() error {
 		return err
 	}
 	health.SetReady(true)
-	fmt.Printf("serving on %s (features: dedup=%v hide=%v rollback=%v guard=%s audit=%v watchdog=%v slo=%v hot-k=%d profiler=%v)\n",
-		listenAddr, *dedup, *hide, *rollback, *guard, *auditOn, *wdOn, *sloOn, *hotK, *profDir != "")
+	fmt.Printf("serving on %s (features: dedup=%v hide=%v rollback=%v guard=%s audit=%v profiler=%v)\n",
+		listenAddr, *dedup, *hide, *rollback, *guard, *auditOn, *profDir != "")
 
 	<-sig
 	health.SetReady(false)

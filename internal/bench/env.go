@@ -83,14 +83,6 @@ type EnvConfig struct {
 	// nil and trace capture is enabled (EnableTraceCapture), the env
 	// creates its own exporter into the shared capture sink.
 	Exporter *obs.Exporter
-	// FaultPlan, when non-nil, interposes store.Faulty between the raw
-	// memory backends and the server's store wrappers so experiments can
-	// inject failures and latency (E16's store latency).
-	FaultPlan *store.FaultPlan
-	// Admission, when non-nil, enables adaptive admission control on the
-	// HTTP request path; E16 uses it to measure goodput under overload
-	// with shedding on vs off.
-	Admission *segshare.AdmissionConfig
 }
 
 // Env is a full in-process SeGShare deployment listening on loopback.
@@ -119,22 +111,14 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		return nil, err
 	}
 	features := cfg.Features
-	newStore := func() segshare.Backend {
-		b := segshare.NewMemoryStore()
-		if cfg.FaultPlan != nil {
-			return store.NewFaultyWithPlan(b, cfg.FaultPlan)
-		}
-		return b
-	}
 	serverCfg := segshare.ServerConfig{
 		CACertPEM:    authority.CertificatePEM(),
-		ContentStore: newStore(),
-		GroupStore:   newStore(),
+		ContentStore: segshare.NewMemoryStore(),
+		GroupStore:   segshare.NewMemoryStore(),
 		Features:     features,
 		Bridge:       cfg.Bridge,
 		SamplePolicy: cfg.SamplePolicy,
 		Exporter:     cfg.Exporter,
-		Admission:    cfg.Admission,
 	}
 	var ownExporter *obs.Exporter
 	if serverCfg.Exporter == nil {
@@ -144,7 +128,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		}
 	}
 	if features.Dedup {
-		serverCfg.DedupStore = newStore()
+		serverCfg.DedupStore = segshare.NewMemoryStore()
 	}
 	if cfg.Audit {
 		serverCfg.AuditStore = segshare.NewMemoryStore()

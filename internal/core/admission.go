@@ -21,11 +21,11 @@ import (
 //     construction: they never share a limit). Health, attestation, and
 //     OPTIONS traffic bypasses admission entirely and is never shed.
 //   - Each limiter runs AIMD on an EWMA of observed request latency
-//     against a target derived from the SLO latency threshold
-//     (internal/obs/slo.go): multiplicative decrease when the EWMA
-//     exceeds the target, additive increase when latency is comfortably
-//     under target *and* the current limit actually bound concurrency
-//     during the interval (no open-loop growth while idle).
+//     against the SLO latency threshold (internal/obs/slo.go):
+//     multiplicative decrease when the EWMA exceeds the target, additive
+//     increase when latency is comfortably under target *and* the
+//     current limit actually bound concurrency during the interval (no
+//     open-loop growth while idle).
 //   - A small bounded FIFO wait queue absorbs sub-RTT bursts. Waiters
 //     time out controlled-delay style after QueueTimeout — a request that
 //     cannot start promptly is better rejected early with Retry-After
@@ -36,10 +36,11 @@ import (
 // leak-safe 503 with Retry-After. The error text names only the class
 // and mechanism, never request attributes.
 
-// AdmissionConfig tunes adaptive admission control. The zero value
-// disables admission entirely (every request is admitted immediately).
+// AdmissionConfig tunes adaptive admission control. Zero fields take
+// the defaults. A deployment behind an external limiter raises
+// MaxInFlight rather than turning admission off.
 type AdmissionConfig struct {
-	// Enable turns the limiter on. Off, acquire always succeeds.
+	// Deprecated: ignored. Admission control always runs.
 	Enable bool
 	// MaxInFlight caps the adaptive concurrency limit per class
 	// (default 256 for reads; mutations use a quarter of it).
@@ -51,9 +52,6 @@ type AdmissionConfig struct {
 	// QueueTimeout bounds how long a request may wait for a slot before
 	// being shed (default 100ms).
 	QueueTimeout time.Duration
-	// LatencyTarget is the EWMA latency above which the limit shrinks.
-	// Defaults to the SLO latency threshold (250ms when unset).
-	LatencyTarget time.Duration
 	// AdjustInterval paces AIMD adjustments (default 1s).
 	AdjustInterval time.Duration
 
@@ -77,9 +75,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 100 * time.Millisecond
 	}
-	if c.LatencyTarget <= 0 {
-		c.LatencyTarget = 250 * time.Millisecond
-	}
 	if c.AdjustInterval <= 0 {
 		c.AdjustInterval = time.Second
 	}
@@ -89,28 +84,30 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	return c
 }
 
-// admitClass buckets an op class for admission. The set mirrors
-// opClass() and is closed; unknown ops are exempt so health and
-// attestation endpoints (served outside the handler) and OPTIONS
-// preflights can never be shed.
+// admitClass buckets an op class for admission. Exempt ops — OPTIONS
+// preflights, and "other" for health and attestation endpoints served
+// outside the handler — can never be shed.
 const (
 	admitExempt = iota
 	admitRead
 	admitMutation
 )
 
-func admitClassOf(op string) int {
-	switch op {
-	case "fs_get", "fs_propfind", "fs_other", "api_whoami", "api_other":
-		return admitRead
-	case "fs_put", "fs_delete", "fs_mkcol", "fs_move",
-		"api_permission", "api_inherit", "api_owner",
-		"api_groups_add", "api_groups_remove", "api_groups_owner", "api_groups_delete":
-		return admitMutation
-	default: // fs_options, "other" (health, attestation, unknown)
-		return admitExempt
-	}
+// opAdmitClass is the closed op-class set — every value opClass() and
+// the direct sessions produce — with each class's admission bucket.
+var opAdmitClass = map[string]int{
+	"fs_get": admitRead, "fs_propfind": admitRead, "fs_other": admitRead,
+	"api_whoami": admitRead, "api_other": admitRead,
+	"fs_put": admitMutation, "fs_delete": admitMutation, "fs_mkcol": admitMutation, "fs_move": admitMutation,
+	"api_permission": admitMutation, "api_inherit": admitMutation, "api_owner": admitMutation,
+	"api_groups_add": admitMutation, "api_groups_remove": admitMutation,
+	"api_groups_owner": admitMutation, "api_groups_delete": admitMutation,
+	"fs_options": admitExempt, "other": admitExempt,
 }
+
+// admitClassOf returns op's admission bucket; an op outside the set is
+// exempt.
+func admitClassOf(op string) int { return opAdmitClass[op] }
 
 // admissionController owns the per-class limiters.
 type admissionController struct {
@@ -118,7 +115,9 @@ type admissionController struct {
 	mutation *classLimiter
 }
 
-func newAdmissionController(cfg AdmissionConfig, reg *obs.Registry) *admissionController {
+// newAdmissionController builds both limiters. target is the AIMD
+// latency target, the SLO latency threshold.
+func newAdmissionController(cfg AdmissionConfig, target time.Duration, reg *obs.Registry) *admissionController {
 	cfg = cfg.withDefaults()
 	mcfg := cfg
 	// Mutations get a quarter of the read budget: they hold write locks
@@ -128,8 +127,8 @@ func newAdmissionController(cfg AdmissionConfig, reg *obs.Registry) *admissionCo
 	mcfg.MinInFlight = 1
 	mcfg.QueueLimit = max(1, cfg.QueueLimit/4)
 	return &admissionController{
-		read:     newClassLimiter("read", cfg, reg),
-		mutation: newClassLimiter("mutation", mcfg, reg),
+		read:     newClassLimiter("read", cfg, target, reg),
+		mutation: newClassLimiter("mutation", mcfg, target, reg),
 	}
 }
 
@@ -138,9 +137,6 @@ func newAdmissionController(cfg AdmissionConfig, reg *obs.Registry) *admissionCo
 // frees the slot and feeds the latency sample to AIMD. Exempt classes
 // return a no-op release.
 func (a *admissionController) acquire(ctx context.Context, op string) (release func(time.Duration), err error) {
-	if a == nil {
-		return func(time.Duration) {}, nil
-	}
 	switch admitClassOf(op) {
 	case admitRead:
 		return a.read.acquire(ctx)
@@ -158,9 +154,6 @@ func (a *admissionController) acquire(ctx context.Context, op string) (release f
 func (s *Server) admit(ctx context.Context, op string) (func(time.Duration), error) {
 	if err := s.refuseDraining(); err != nil {
 		return nil, err
-	}
-	if s.admission == nil {
-		return func(time.Duration) {}, nil
 	}
 	return s.admission.acquire(ctx, op)
 }
@@ -215,7 +208,8 @@ type classLimiter struct {
 	waitNs   *obs.Histogram
 }
 
-func newClassLimiter(class string, cfg AdmissionConfig, reg *obs.Registry) *classLimiter {
+func newClassLimiter(class string, cfg AdmissionConfig, target time.Duration, reg *obs.Registry) *classLimiter {
+	lbl := obs.Labels{"class": class}
 	l := &classLimiter{
 		class:        class,
 		now:          cfg.now,
@@ -224,20 +218,17 @@ func newClassLimiter(class string, cfg AdmissionConfig, reg *obs.Registry) *clas
 		max:          cfg.MaxInFlight,
 		queueLimit:   cfg.QueueLimit,
 		queueTimeout: cfg.QueueTimeout,
-		target:       cfg.LatencyTarget,
+		target:       target,
 		interval:     cfg.AdjustInterval,
 		lastAdjust:   cfg.now(),
+		limitG:       reg.Gauge("segshare_admission_limit", "Current adaptive concurrency limit.", lbl),
+		queueG:       reg.Gauge("segshare_admission_queue_depth", "Requests waiting for an admission slot.", lbl),
+		shedC:        reg.Counter("segshare_admission_shed_total", "Requests rejected because the wait queue was full.", lbl),
+		timeoutC:     reg.Counter("segshare_admission_queue_timeout_total", "Requests shed after waiting longer than the queue timeout.", lbl),
+		admitted:     reg.Counter("segshare_admission_admitted_total", "Requests granted an admission slot.", lbl),
+		waitNs:       reg.Histogram("segshare_admission_wait_ns", "Time spent waiting for an admission slot (ns).", lbl),
 	}
-	if reg != nil {
-		lbl := obs.Labels{"class": class}
-		l.limitG = reg.Gauge("segshare_admission_limit", "Current adaptive concurrency limit.", lbl)
-		l.queueG = reg.Gauge("segshare_admission_queue_depth", "Requests waiting for an admission slot.", lbl)
-		l.shedC = reg.Counter("segshare_admission_shed_total", "Requests rejected because the wait queue was full.", lbl)
-		l.timeoutC = reg.Counter("segshare_admission_queue_timeout_total", "Requests shed after waiting longer than the queue timeout.", lbl)
-		l.admitted = reg.Counter("segshare_admission_admitted_total", "Requests granted an admission slot.", lbl)
-		l.waitNs = reg.Histogram("segshare_admission_wait_ns", "Time spent waiting for an admission slot (ns).", lbl)
-		l.limitG.Set(int64(l.limit))
-	}
+	l.limitG.Set(int64(l.limit))
 	return l
 }
 
@@ -250,26 +241,18 @@ func (l *classLimiter) acquire(ctx context.Context) (func(time.Duration), error)
 			l.peak = l.inflight
 		}
 		l.mu.Unlock()
-		if l.admitted != nil {
-			l.admitted.Inc()
-		}
-		if l.waitNs != nil {
-			l.waitNs.Observe(0)
-		}
+		l.admitted.Inc()
+		l.waitNs.Observe(0)
 		return l.release, nil
 	}
 	if len(l.queue) >= l.queueLimit {
 		l.mu.Unlock()
-		if l.shedC != nil {
-			l.shedC.Inc()
-		}
+		l.shedC.Inc()
 		return nil, fmt.Errorf("%w: %s queue full", ErrOverloaded, l.class)
 	}
 	w := &waiter{ch: make(chan struct{})}
 	l.queue = append(l.queue, w)
-	if l.queueG != nil {
-		l.queueG.Set(int64(len(l.queue)))
-	}
+	l.queueG.Set(int64(len(l.queue)))
 	l.mu.Unlock()
 
 	waitStart := l.now()
@@ -277,25 +260,17 @@ func (l *classLimiter) acquire(ctx context.Context) (func(time.Duration), error)
 	defer timer.Stop()
 	select {
 	case <-w.ch:
-		if l.admitted != nil {
-			l.admitted.Inc()
-		}
-		if l.waitNs != nil {
-			l.waitNs.ObserveDuration(l.now().Sub(waitStart))
-		}
+		l.admitted.Inc()
+		l.waitNs.ObserveDuration(l.now().Sub(waitStart))
 		return l.release, nil
 	case <-timer.C:
 		if l.cancelWaiter(w) {
-			if l.timeoutC != nil {
-				l.timeoutC.Inc()
-			}
+			l.timeoutC.Inc()
 			return nil, fmt.Errorf("%w: %s queue timeout", ErrOverloaded, l.class)
 		}
 		// Lost the race: a grant already transferred the slot to us.
 		<-w.ch
-		if l.admitted != nil {
-			l.admitted.Inc()
-		}
+		l.admitted.Inc()
 		return l.release, nil
 	case <-ctx.Done():
 		if l.cancelWaiter(w) {
@@ -320,9 +295,7 @@ func (l *classLimiter) cancelWaiter(w *waiter) bool {
 	for i, q := range l.queue {
 		if q == w {
 			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			if l.queueG != nil {
-				l.queueG.Set(int64(len(l.queue)))
-			}
+			l.queueG.Set(int64(len(l.queue)))
 			return true
 		}
 	}
@@ -344,9 +317,7 @@ func (l *classLimiter) freeLocked() {
 		// Transfer the slot: inflight stays constant.
 		w := l.queue[0]
 		l.queue = l.queue[1:]
-		if l.queueG != nil {
-			l.queueG.Set(int64(len(l.queue)))
-		}
+		l.queueG.Set(int64(len(l.queue)))
 		close(w.ch)
 		return
 	}
@@ -380,9 +351,7 @@ func (l *classLimiter) recordLocked(dur time.Duration) {
 		l.limit = min(l.max, l.limit+1)
 	}
 	l.peak = l.inflight
-	if l.limitG != nil {
-		l.limitG.Set(int64(l.limit))
-	}
+	l.limitG.Set(int64(l.limit))
 }
 
 // snapshot returns (limit, inflight, queued) for tests and drain logs.

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"segshare/internal/obs"
 )
 
 // fakeClock is a manually advanced clock so the AIMD tests are
@@ -29,13 +31,15 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func testLimiter(t *testing.T, cfg AdmissionConfig) (*classLimiter, *fakeClock) {
+// testLimiter builds a read limiter on a fake clock with the given AIMD
+// latency target. Tests that never advance the clock never adjust the
+// limit, so the target only matters to the AIMD tests.
+func testLimiter(t *testing.T, target time.Duration, cfg AdmissionConfig) (*classLimiter, *fakeClock) {
 	t.Helper()
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	cfg.Enable = true
 	cfg.now = clk.now
 	cfg = cfg.withDefaults()
-	return newClassLimiter("read", cfg, nil), clk
+	return newClassLimiter("read", cfg, target, obs.NewRegistry()), clk
 }
 
 func mustAcquire(t *testing.T, l *classLimiter) func(time.Duration) {
@@ -84,10 +88,9 @@ func TestAdmitClassOf(t *testing.T) {
 }
 
 func TestLimiterMultiplicativeDecreaseOnSlowLatency(t *testing.T) {
-	l, clk := testLimiter(t, AdmissionConfig{
+	l, clk := testLimiter(t, 100*time.Millisecond, AdmissionConfig{
 		MaxInFlight:    16,
 		MinInFlight:    2,
-		LatencyTarget:  100 * time.Millisecond,
 		AdjustInterval: time.Second,
 	})
 	// Three slow samples, each a full adjust interval apart. The first
@@ -104,10 +107,9 @@ func TestLimiterMultiplicativeDecreaseOnSlowLatency(t *testing.T) {
 }
 
 func TestLimiterDecreaseFloorsAtMin(t *testing.T) {
-	l, clk := testLimiter(t, AdmissionConfig{
+	l, clk := testLimiter(t, 50*time.Millisecond, AdmissionConfig{
 		MaxInFlight:    8,
 		MinInFlight:    3,
-		LatencyTarget:  50 * time.Millisecond,
 		AdjustInterval: time.Second,
 	})
 	for i := 0; i < 10; i++ {
@@ -121,10 +123,9 @@ func TestLimiterDecreaseFloorsAtMin(t *testing.T) {
 }
 
 func TestLimiterAdditiveIncreaseOnlyWhenBound(t *testing.T) {
-	l, clk := testLimiter(t, AdmissionConfig{
+	l, clk := testLimiter(t, 100*time.Millisecond, AdmissionConfig{
 		MaxInFlight:    16,
 		MinInFlight:    2,
-		LatencyTarget:  100 * time.Millisecond,
 		AdjustInterval: time.Second,
 	})
 	// Start from a previously shrunk limit with a warm, fast EWMA — the
@@ -163,7 +164,7 @@ func TestLimiterAdditiveIncreaseOnlyWhenBound(t *testing.T) {
 }
 
 func TestLimiterShedsWhenQueueFull(t *testing.T) {
-	l, _ := testLimiter(t, AdmissionConfig{
+	l, _ := testLimiter(t, defaultSLOLatency, AdmissionConfig{
 		MaxInFlight:  1,
 		MinInFlight:  1,
 		QueueLimit:   1,
@@ -198,7 +199,7 @@ func TestLimiterShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestLimiterQueueTimeout(t *testing.T) {
-	l, _ := testLimiter(t, AdmissionConfig{
+	l, _ := testLimiter(t, defaultSLOLatency, AdmissionConfig{
 		MaxInFlight:  1,
 		MinInFlight:  1,
 		QueueLimit:   4,
@@ -217,7 +218,7 @@ func TestLimiterQueueTimeout(t *testing.T) {
 }
 
 func TestLimiterSlotTransferToWaiter(t *testing.T) {
-	l, _ := testLimiter(t, AdmissionConfig{
+	l, _ := testLimiter(t, defaultSLOLatency, AdmissionConfig{
 		MaxInFlight:  1,
 		MinInFlight:  1,
 		QueueLimit:   4,
@@ -252,7 +253,7 @@ func TestLimiterSlotTransferToWaiter(t *testing.T) {
 }
 
 func TestLimiterCancelWhileQueued(t *testing.T) {
-	l, _ := testLimiter(t, AdmissionConfig{
+	l, _ := testLimiter(t, defaultSLOLatency, AdmissionConfig{
 		MaxInFlight:  1,
 		MinInFlight:  1,
 		QueueLimit:   4,
@@ -283,7 +284,7 @@ func TestLimiterCancelWhileQueued(t *testing.T) {
 // EWMA down and push the limiter toward raising its limit.
 func TestAdmissionCanceledGrantRecordsNoSample(t *testing.T) {
 	for attempt := 0; attempt < 20; attempt++ {
-		l, _ := testLimiter(t, AdmissionConfig{
+		l, _ := testLimiter(t, defaultSLOLatency, AdmissionConfig{
 			MaxInFlight:  1,
 			MinInFlight:  1,
 			QueueLimit:   4,
@@ -331,12 +332,11 @@ func TestAdmissionCanceledGrantRecordsNoSample(t *testing.T) {
 
 func TestAdmissionControllerExemptBypass(t *testing.T) {
 	ctrl := newAdmissionController(AdmissionConfig{
-		Enable:       true,
 		MaxInFlight:  1,
 		MinInFlight:  1,
 		QueueLimit:   1,
 		QueueTimeout: time.Millisecond,
-	}, nil)
+	}, defaultSLOLatency, obs.NewRegistry())
 	// Exhaust both limiters.
 	relR, err := ctrl.acquire(context.Background(), "fs_get")
 	if err != nil {
@@ -363,12 +363,11 @@ func TestAdmissionPrioritySeparation(t *testing.T) {
 	// Mutations saturating their (smaller) limiter must not consume read
 	// slots: reads keep flowing while every PUT sheds.
 	ctrl := newAdmissionController(AdmissionConfig{
-		Enable:       true,
 		MaxInFlight:  8, // mutations get 8/4 = 2
 		MinInFlight:  1,
 		QueueLimit:   4, // mutation queue: 1
 		QueueTimeout: time.Millisecond,
-	}, nil)
+	}, defaultSLOLatency, obs.NewRegistry())
 
 	var mutRels []func(time.Duration)
 	for {
@@ -398,7 +397,7 @@ func TestAdmissionPrioritySeparation(t *testing.T) {
 // under -race: goodput must be sustained (every admitted request
 // completes), inflight never exceeds the limit, and accounting balances.
 func TestLimiterSaturationStress(t *testing.T) {
-	l, _ := testLimiter(t, AdmissionConfig{
+	l, _ := testLimiter(t, defaultSLOLatency, AdmissionConfig{
 		MaxInFlight:  8,
 		MinInFlight:  2,
 		QueueLimit:   8,

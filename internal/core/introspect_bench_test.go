@@ -5,18 +5,17 @@ import (
 
 	"segshare/internal/ca"
 	"segshare/internal/enclave"
-	"segshare/internal/obs"
 	"segshare/internal/store"
 )
 
-// Microbenchmarks for the introspection layer's per-request cost: the
+// Microbenchmarks for the serving stack's fixed per-request cost: the
 // in-process direct GET is the cheapest request the server can serve,
 // so any fixed per-request overhead (live-set add/remove, SLO ring
 // writes, heavy-hitter offer) shows here at its worst. The benchmark
-// ledger measures the shipped configuration end-to-end; this pair exists
-// for quick profiling (-cpuprofile) when its per-request cost moves.
+// ledger measures the shipped configuration end-to-end; these exist for
+// quick profiling (-cpuprofile) when the per-request cost moves.
 
-func benchServer(b *testing.B, introspect bool) *Server {
+func benchServer(b *testing.B) *Server {
 	b.Helper()
 	authority, err := ca.New("bench CA")
 	if err != nil {
@@ -26,16 +25,11 @@ func benchServer(b *testing.B, introspect bool) *Server {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{
+	s, err := NewServer(platform, Config{
 		CACertPEM:    authority.CertificatePEM(),
 		ContentStore: store.NewMemory(),
 		GroupStore:   store.NewMemory(),
-	}
-	if introspect {
-		cfg.SLO = &obs.SLOConfig{}
-		cfg.HotGroups = -1
-	}
-	s, err := NewServer(platform, cfg)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,8 +37,8 @@ func benchServer(b *testing.B, introspect bool) *Server {
 	return s
 }
 
-func benchGet(b *testing.B, introspect bool) {
-	s := benchServer(b, introspect)
+func BenchmarkDirectGet(b *testing.B) {
+	s := benchServer(b)
 	d := s.Direct("alice")
 	if err := d.Upload("/f.txt", []byte("payload payload payload")); err != nil {
 		b.Fatal(err)
@@ -57,11 +51,8 @@ func benchGet(b *testing.B, introspect bool) {
 	}
 }
 
-func BenchmarkGetIntrospectOff(b *testing.B) { benchGet(b, false) }
-func BenchmarkGetIntrospectOn(b *testing.B)  { benchGet(b, true) }
-
-func benchMixedParallel(b *testing.B, introspect bool) {
-	s := benchServer(b, introspect)
+func BenchmarkDirectMixedParallel(b *testing.B) {
+	s := benchServer(b)
 	d := s.Direct("alice")
 	if err := d.Upload("/f.txt", []byte("payload payload payload")); err != nil {
 		b.Fatal(err)
@@ -86,6 +77,3 @@ func benchMixedParallel(b *testing.B, introspect bool) {
 		}
 	})
 }
-
-func BenchmarkMixedParallelIntrospectOff(b *testing.B) { benchMixedParallel(b, false) }
-func BenchmarkMixedParallelIntrospectOn(b *testing.B)  { benchMixedParallel(b, true) }

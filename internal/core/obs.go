@@ -51,11 +51,10 @@ type serverObs struct {
 	bodyIn     *obs.Counter
 	bodyOut    *obs.Counter
 
-	// slo evaluates burn rates over the request stream; nil when
-	// Config.SLO is nil.
+	// slo evaluates burn rates over the request stream.
 	slo *obs.SLOEngine
 	// hot is the per-group heavy-hitter sketch and pseud the keyed
-	// pseudonymizer feeding it; both nil when Config.HotGroups is 0.
+	// pseudonymizer feeding it.
 	hot   *obs.TopK
 	pseud *obs.Pseudonymizer
 	// profiler receives capture triggers on watchdog and SLO fast-burn
@@ -287,7 +286,7 @@ func (o *serverObs) beginRequest(op string, rs *obs.ReqStats) *obs.Trace {
 // calls overwrite, so a group-management request is charged to its
 // target group rather than the caller's default group.
 func (o *serverObs) tagRequestGroup(tr *obs.Trace, groupID string) {
-	if o.hot == nil || groupID == "" {
+	if groupID == "" {
 		return
 	}
 	tr.SetGroup(o.pseud.Pseudonym(groupID))

@@ -233,7 +233,6 @@ func TestOverloadSheds503WithRetryAfter(t *testing.T) {
 	f, reg := newOverloadFixture(t, func(cfg *Config) {
 		cfg.ContentStore = store.NewFaultyWithPlan(store.NewMemory(), plan)
 		cfg.Admission = &AdmissionConfig{
-			Enable:       true,
 			MaxInFlight:  1,
 			MinInFlight:  1,
 			QueueLimit:   1,

@@ -123,7 +123,6 @@ func newAuditedServer(t *testing.T, exporter *obs.Exporter) (*handlerFixture, st
 		AuditStore:   auditStore,
 		Audit:        audit.Options{Overflow: audit.OverflowBlock},
 		Exporter:     exporter,
-		HotGroups:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)

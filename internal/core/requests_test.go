@@ -16,10 +16,10 @@ import (
 	"segshare/internal/store"
 )
 
-// newRegistryObs builds a serverObs with heavy-hitter accounting wired,
-// on a fresh metric registry — enough to exercise
-// beginRequest/finishRequest and the recorder's live set without a full
-// server.
+// newRegistryObs builds a serverObs with the SLO engine and heavy-hitter
+// accounting wired, as NewServer wires them, on a fresh metric registry —
+// enough to exercise beginRequest/finishRequest and the recorder's live
+// set without a full server.
 func newRegistryObs(t *testing.T) *serverObs {
 	t.Helper()
 	o := newServerObs(obs.NewRegistry(), nil)
@@ -29,6 +29,7 @@ func newRegistryObs(t *testing.T) *serverObs {
 	}
 	o.pseud = p
 	o.hot = obs.NewTopK(4)
+	o.slo = obs.NewSLOEngine(obs.SLOConfig{Obs: o.reg})
 	return o
 }
 
@@ -279,7 +280,6 @@ func warmDirectSession(t *testing.T) *DirectSession {
 		ContentStore: store.NewMemory(),
 		GroupStore:   store.NewMemory(),
 		Obs:          obs.NewRegistry(),
-		HotGroups:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)

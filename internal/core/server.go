@@ -126,19 +126,21 @@ type Config struct {
 	// trace on a bounded async queue. The server does not own it: the
 	// caller Closes it after Server.Close so the final batch drains.
 	Exporter *obs.Exporter
-	// Watchdog configures the stall watchdog; the zero value disables it.
+	// Watchdog tunes the stall watchdog, which always runs; zero fields
+	// take the defaults.
 	Watchdog WatchdogConfig
-	// SLO, when non-nil, enables per-op-class burn-rate evaluation over
-	// the request stream (objectives, windows, thresholds — see
-	// obs.SLOConfig). Breaches emit an audit event, force-sample traces
-	// of the offending op class, and (fast burns) trigger a profile
-	// capture. The engine's Obs and OnBreach fields are overwritten by
-	// the server during wiring.
+	// SLO tunes the per-op-class burn-rate engine that always watches the
+	// request stream (objectives, windows, thresholds — see
+	// obs.SLOConfig); nil means the defaults. Breaches emit an audit
+	// event, force-sample traces of the offending op class, and (fast
+	// burns) trigger a profile capture. Its LatencyThreshold is also the
+	// admission limiter's AIMD target. PerOpLatency keys must name op
+	// classes and their durations must be positive; NewServer rejects
+	// the configuration otherwise. The engine's Obs and OnBreach fields
+	// are overwritten by the server during wiring.
 	SLO *obs.SLOConfig
-	// HotGroups bounds the per-group heavy-hitter sketch behind
-	// /debug/hot: the top-k tenant pseudonyms by request volume and
-	// bytes. 0 disables; negative means the default bound
-	// (obs.DefaultHotK).
+	// Deprecated: ignored. The per-group heavy-hitter sketch behind
+	// /debug/hot always holds obs.DefaultHotK slots.
 	HotGroups int
 	// Deprecated: ignored. The trace recorder's live set, which answers
 	// /debug/requests, cannot be turned off.
@@ -153,11 +155,10 @@ type Config struct {
 	// the state and register its readiness check before calling NewServer.
 	// Nil means the server allocates its own (see Server.Recovery).
 	Recovery *RecoveryState
-	// Admission, when non-nil with Enable set, turns on adaptive
-	// admission control: per-op-class AIMD concurrency limits with a
-	// bounded wait queue and priority shedding (DESIGN §16). The
-	// LatencyTarget defaults to the SLO latency threshold when an SLO is
-	// configured.
+	// Admission tunes adaptive admission control, which always guards
+	// the HTTP request path: per-op-class AIMD concurrency limits with a
+	// bounded wait queue and priority shedding (DESIGN §16). Nil means
+	// the defaults.
 	Admission *AdmissionConfig
 	// MaxBodyBytes caps request bodies via http.MaxBytesReader; requests
 	// exceeding it get a leak-safe 413. 0 means the default (64 MiB),
@@ -168,7 +169,7 @@ type Config struct {
 // WatchdogConfig tunes the stall watchdog (see obs.Watchdog). All
 // durations default when zero.
 type WatchdogConfig struct {
-	// Enable turns the watchdog on.
+	// Deprecated: ignored. The watchdog always runs.
 	Enable bool
 	// Interval is the sweep cadence (default 1s).
 	Interval time.Duration
@@ -239,11 +240,10 @@ type Server struct {
 	// resilient holds the content, group and dedup store wrappers, for
 	// degraded-mode readiness checks.
 	resilient []*store.Resilient
-	// watchdog is the stall detector, nil unless Config.Watchdog.Enable.
+	// watchdog is the stall detector.
 	watchdog *obs.Watchdog
 
-	// admission is the adaptive admission controller, nil unless
-	// Config.Admission.Enable (see admission.go).
+	// admission is the adaptive admission controller (see admission.go).
 	admission *admissionController
 	// maxBody is the resolved request-body cap; <= 0 disables it.
 	maxBody int64
@@ -294,7 +294,7 @@ func ExpectedMeasurement(cfg Config) (enclave.Measurement, error) {
 // the server. The returned server has no TLS identity yet unless a
 // previously provisioned certificate is found in storage; run the CA's
 // ProvisionServer against Certifier() before Serve.
-func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
+func NewServer(platform *enclave.Platform, cfg Config) (_ *Server, err error) {
 	if cfg.ContentStore == nil || cfg.GroupStore == nil {
 		return nil, errors.New("segshare: content and group stores are required")
 	}
@@ -304,6 +304,31 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 	if cfg.Features.Guard != 0 && cfg.Features.Guard != GuardNone && !cfg.Features.RollbackProtection {
 		return nil, errors.New("segshare: whole-file-system guard requires rollback protection")
 	}
+	sloCfg := obs.SLOConfig{}
+	if cfg.SLO != nil {
+		sloCfg = *cfg.SLO
+	}
+	if err := checkPerOpLatency(sloCfg.PerOpLatency); err != nil {
+		return nil, err
+	}
+	// The threshold is resolved here, not left to the engine's default,
+	// because the admission limiter's AIMD target is the same number:
+	// "overloaded" and "missing the SLO" mean the same thing.
+	if sloCfg.LatencyThreshold <= 0 {
+		sloCfg.LatencyThreshold = defaultSLOLatency
+	}
+
+	// undo releases, newest first, what NewServer started before a later
+	// step failed: the audit writer, the bridge and endpoint, the SLO
+	// evaluator and the watchdog all run goroutines.
+	var undo []func()
+	defer func() {
+		if err != nil {
+			for i := len(undo) - 1; i >= 0; i-- {
+				undo[i]()
+			}
+		}
+	}()
 
 	sObs := newServerObs(cfg.Obs, cfg.Logger)
 	sObs.exporter = cfg.Exporter
@@ -319,28 +344,16 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 			sObs.exporter.EnqueueTrace(tr.Snapshot())
 		}
 	})
-	if cfg.HotGroups != 0 {
-		k := cfg.HotGroups
-		if k < 0 {
-			k = obs.DefaultHotK
-		}
-		pseud, err := obs.NewPseudonymizer()
-		if err != nil {
-			return nil, err
-		}
-		sObs.pseud = pseud
-		sObs.hot = obs.NewTopK(k)
+	if sObs.pseud, err = obs.NewPseudonymizer(); err != nil {
+		return nil, err
 	}
+	sObs.hot = obs.NewTopK(obs.DefaultHotK)
 	sObs.profiler = cfg.Profiler
 	if cfg.Exporter != nil {
 		hot := sObs.hot
 		cfg.Exporter.SetMeta(func() obs.BatchMeta {
-			var m obs.BatchMeta // the exporter fills time/depth/drops
-			if hot != nil {
-				h := hot.Snapshot()
-				m.Hot = &h
-			}
-			return m
+			h := hot.Snapshot()
+			return obs.BatchMeta{Hot: &h} // the exporter fills time/depth/drops
 		})
 	}
 	// Every store gets one store.Resilient (DESIGN §15): deadlines,
@@ -442,6 +455,7 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("segshare: open audit log: %w", err)
 		}
 		sObs.audit = log
+		undo = append(undo, func() { log.Close() })
 		// The first record of every run documents how the enclave came by
 		// SK_r: generated fresh, unsealed from storage, or replicated.
 		log.Emit(audit.Event{Event: audit.EventKeyOp, Detail: keyOrigin})
@@ -523,15 +537,11 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 	}
 
 	// Adaptive admission control and the request-body cap (DESIGN §16).
-	// The AIMD latency target inherits the SLO threshold so "overloaded"
-	// and "missing the SLO" mean the same thing.
-	if cfg.Admission != nil && cfg.Admission.Enable {
-		acfg := *cfg.Admission
-		if acfg.LatencyTarget <= 0 && cfg.SLO != nil && cfg.SLO.LatencyThreshold > 0 {
-			acfg.LatencyTarget = cfg.SLO.LatencyThreshold
-		}
-		s.admission = newAdmissionController(acfg, sObs.reg)
+	var acfg AdmissionConfig
+	if cfg.Admission != nil {
+		acfg = *cfg.Admission
 	}
+	s.admission = newAdmissionController(acfg, sloCfg.LatencyThreshold, sObs.reg)
 	switch {
 	case cfg.MaxBodyBytes == 0:
 		s.maxBody = defaultMaxBodyBytes
@@ -561,81 +571,99 @@ func NewServer(platform *enclave.Platform, cfg Config) (*Server, error) {
 	// a breach retains the evidence trail: force-sampled traces of the
 	// offending op class, an audit record, and (fast burns) a profile
 	// pair captured at the moment of breach, all joined by trace id.
-	if cfg.SLO != nil {
-		sloCfg := *cfg.SLO
-		sloCfg.Obs = sObs.reg
-		sloCfg.OnBreach = func(op, speed string, burnMilli int64) {
-			_, oldestID := sObs.traces.ForceSampleOp(op, sloForceSampleNext)
-			sObs.auditEmit(audit.Event{
-				Event:     audit.EventSLOBreach,
-				Op:        op,
-				Detail:    speed,
-				RequestID: oldestID,
-			})
-			if speed == obs.BreachFast {
-				sObs.profiler.Trigger("slo_"+speed, oldestID)
-			}
-		}
-		sObs.slo = obs.NewSLOEngine(sloCfg)
-		sObs.slo.Start()
-	}
-
-	if cfg.Watchdog.Enable {
-		wcfg := cfg.Watchdog.withDefaults()
-		// lastDeadlineID remembers the oldest over-deadline request's
-		// trace id so the triggered profile capture can name it.
-		var lastDeadlineID atomic.Uint64
-		wd := obs.NewWatchdog(obs.WatchdogOptions{
-			Interval: wcfg.Interval,
-			Obs:      sObs.reg,
-			OnTrigger: func(check string) {
-				sObs.auditEmit(audit.Event{Event: audit.EventWatchdog, Detail: check})
-				var tid uint64
-				if check == "request_deadline" {
-					tid = lastDeadlineID.Load()
-				}
-				sObs.profiler.Trigger("watchdog_"+check, tid)
-			},
+	sloCfg.Obs = sObs.reg
+	sloCfg.OnBreach = func(op, speed string, burnMilli int64) {
+		_, oldestID := sObs.traces.ForceSampleOp(op, sloForceSampleNext)
+		sObs.auditEmit(audit.Event{
+			Event:     audit.EventSLOBreach,
+			Op:        op,
+			Detail:    speed,
+			RequestID: oldestID,
 		})
-		_ = wd.AddCheck("request_deadline", func() error {
-			n, oldest, oldestID, op := sObs.traces.OverDeadline(wcfg.RequestDeadline)
-			if n > 0 {
-				lastDeadlineID.Store(oldestID)
-				return fmt.Errorf("%d requests in flight past %v (oldest %v, op %s)",
-					n, wcfg.RequestDeadline, oldest.Round(time.Millisecond), op)
+		if speed == obs.BreachFast {
+			sObs.profiler.Trigger("slo_"+speed, oldestID)
+		}
+	}
+	sObs.slo = obs.NewSLOEngine(sloCfg)
+	sObs.slo.Start()
+	undo = append(undo, sObs.slo.Stop)
+
+	wcfg := cfg.Watchdog.withDefaults()
+	// lastDeadlineID remembers the oldest over-deadline request's trace
+	// id so the triggered profile capture can name it.
+	var lastDeadlineID atomic.Uint64
+	wd := obs.NewWatchdog(obs.WatchdogOptions{
+		Interval: wcfg.Interval,
+		Obs:      sObs.reg,
+		OnTrigger: func(check string) {
+			sObs.auditEmit(audit.Event{Event: audit.EventWatchdog, Detail: check})
+			var tid uint64
+			if check == "request_deadline" {
+				tid = lastDeadlineID.Load()
+			}
+			sObs.profiler.Trigger("watchdog_"+check, tid)
+		},
+	})
+	_ = wd.AddCheck("request_deadline", func() error {
+		n, oldest, oldestID, op := sObs.traces.OverDeadline(wcfg.RequestDeadline)
+		if n > 0 {
+			lastDeadlineID.Store(oldestID)
+			return fmt.Errorf("%d requests in flight past %v (oldest %v, op %s)",
+				n, wcfg.RequestDeadline, oldest.Round(time.Millisecond), op)
+		}
+		return nil
+	})
+	if cfg.Exporter != nil {
+		// Sustained export drops become a stalled-state transition
+		// instead of only a counter quietly climbing.
+		_ = wd.AddCheck("export_saturation", cfg.Exporter.SaturationProbe(5))
+	}
+	if sObs.audit != nil {
+		_ = wd.AddCheck("audit_backlog", func() error {
+			queued, capacity := sObs.audit.Backlog()
+			if capacity > 0 && queued*10 >= capacity*9 {
+				return fmt.Errorf("audit queue %d/%d (>= 90%%): writer wedged or lagging", queued, capacity)
 			}
 			return nil
 		})
-		if cfg.Exporter != nil {
-			// Sustained export drops become a stalled-state transition
-			// instead of only a counter quietly climbing.
-			_ = wd.AddCheck("export_saturation", cfg.Exporter.SaturationProbe(5))
-		}
-		if sObs.audit != nil {
-			_ = wd.AddCheck("audit_backlog", func() error {
-				queued, capacity := sObs.audit.Backlog()
-				if capacity > 0 && queued*10 >= capacity*9 {
-					return fmt.Errorf("audit queue %d/%d (>= 90%%): writer wedged or lagging", queued, capacity)
-				}
-				return nil
-			})
-		}
-		_ = wd.AddCheck("journal_recovery", func() error {
-			return recovery.Overrun(wcfg.RecoveryOverrun)
-		})
-		_ = wd.AddCheck("lock_shard_skew", s.locks.skewProbe(wcfg.ShardSkew))
-		wd.Start()
-		s.watchdog = wd
 	}
+	_ = wd.AddCheck("journal_recovery", func() error {
+		return recovery.Overrun(wcfg.RecoveryOverrun)
+	})
+	_ = wd.AddCheck("lock_shard_skew", s.locks.skewProbe(wcfg.ShardSkew))
+	wd.Start()
+	undo = append(undo, wd.Stop)
+	s.watchdog = wd
 
 	s.bridge = enclave.NewBridge(cfg.Bridge)
+	undo = append(undo, s.bridge.Close)
 	s.endpoint = enctls.NewTrustedEndpoint(s.bridge, &tls.Config{ClientCAs: pool})
+	undo = append(undo, func() { s.endpoint.Close() })
 	s.certifier.setOnInstall(s.endpoint.SetCertificate)
 	if _, err := s.certifier.loadPersisted(); err != nil {
-		s.bridge.Close()
 		return nil, err
 	}
 	return s, nil
+}
+
+// defaultSLOLatency is the SLO latency threshold, and so the admission
+// limiter's AIMD target, when Config.SLO leaves it unset (the same
+// 250ms obs.SLOConfig defaults to).
+const defaultSLOLatency = 250 * time.Millisecond
+
+// checkPerOpLatency rejects SLO latency overrides the engine would
+// silently ignore: a key outside the closed op-class set is never
+// recorded, and a duration <= 0 falls back to the global threshold.
+func checkPerOpLatency(perOp map[string]time.Duration) error {
+	for op, d := range perOp {
+		if _, ok := opAdmitClass[op]; !ok {
+			return fmt.Errorf("segshare: SLO latency override %q: not an op class", op)
+		}
+		if d <= 0 {
+			return fmt.Errorf("segshare: SLO latency override %q: duration %v is not positive", op, d)
+		}
+	}
+	return nil
 }
 
 // loadOrCreateRootKey unseals SK_r from untrusted storage or generates
@@ -765,20 +793,12 @@ func (s *Server) Obs() *obs.Registry { return s.obs.reg }
 // Traces returns the server's request trace recorder.
 func (s *Server) Traces() *obs.TraceRecorder { return s.obs.traces }
 
-// SLO returns the burn-rate engine, or nil when Config.SLO was not set.
+// SLO returns the burn-rate engine.
 func (s *Server) SLO() *obs.SLOEngine { return s.obs.slo }
 
 // SLOHandler serves GET /debug/slo: per-op-class burn-rate status in
 // leak-bounded form (closed window names, log2-bucketed counts).
-func (s *Server) SLOHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.obs.slo == nil {
-			writeErr(w, http.StatusNotFound, errors.New("slo engine disabled"))
-			return
-		}
-		s.obs.slo.Handler().ServeHTTP(w, r)
-	})
-}
+func (s *Server) SLOHandler() http.Handler { return s.obs.slo.Handler() }
 
 // RequestsHandler serves GET /debug/requests: the trace recorder's live
 // set in leak-bounded form, oldest first. ?n= limits the listing
@@ -804,22 +824,10 @@ type inFlightStatus struct {
 
 // HotHandler serves GET /debug/hot: the per-group heavy-hitter sketch
 // (pseudonymized ids, log2-bucketed counts).
-func (s *Server) HotHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.obs.hot == nil {
-			writeErr(w, http.StatusNotFound, errors.New("heavy-hitter accounting disabled"))
-			return
-		}
-		s.obs.hot.Handler().ServeHTTP(w, r)
-	})
-}
+func (s *Server) HotHandler() http.Handler { return s.obs.hot.Handler() }
 
-// HotStatus returns the per-group heavy-hitter snapshot, empty when
-// accounting is disabled.
-func (s *Server) HotStatus() obs.HotStatus { return s.obs.hot.Snapshot() }
-
-// Watchdog returns the stall watchdog, or nil when disabled. Mount its
-// Handler under /debug/watchdog on the admin listener.
+// Watchdog returns the stall watchdog. Mount its Handler under
+// /debug/watchdog on the admin listener.
 func (s *Server) Watchdog() *obs.Watchdog { return s.watchdog }
 
 // Recovery returns the journal-recovery state for readiness checks
@@ -961,12 +969,8 @@ func (s *Server) CheckDraining() error {
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
-		if s.watchdog != nil {
-			s.watchdog.Stop()
-		}
-		if s.obs.slo != nil {
-			s.obs.slo.Stop()
-		}
+		s.watchdog.Stop()
+		s.obs.slo.Stop()
 		s.endpoint.Close() // first: wakes terminator pumps parked delivering into a full conn
 		if s.terminator != nil {
 			err = s.terminator.Close()

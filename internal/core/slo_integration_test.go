@@ -68,8 +68,7 @@ func TestSLOBreachEvidenceTrail(t *testing.T) {
 			EvalInterval:     time.Hour, // the test drives Evaluate directly
 			MinEvents:        1,
 		},
-		HotGroups: -1,
-		Profiler:  profiler,
+		Profiler: profiler,
 	})
 	if err != nil {
 		t.Fatal(err)

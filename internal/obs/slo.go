@@ -251,9 +251,6 @@ func (e *SLOEngine) tracker(op string) *sloTracker {
 // when it failed server-side (5xx) or overran the latency threshold.
 // This is the request hot path: two short mutexed ring writes.
 func (e *SLOEngine) Record(op string, status int, dur time.Duration) {
-	if e == nil {
-		return
-	}
 	t := e.tracker(op)
 	bad := status >= 500 || dur.Nanoseconds() > t.thresholdNs
 	now := e.cfg.Now()

@@ -291,10 +291,7 @@ func TestVerifySLOStatusRejectsRawCounts(t *testing.T) {
 	}
 }
 
-func TestSLOEngineNilAndEmpty(t *testing.T) {
-	var e *SLOEngine
-	e.Record("fs_get", 200, time.Millisecond) // must not panic
-
+func TestSLOEngineEmpty(t *testing.T) {
 	clock := sloBase
 	live := NewSLOEngine(testSLOConfig(&clock, nil, nil))
 	if st := live.Status(); st.Classes == nil || len(st.Classes) != 0 {

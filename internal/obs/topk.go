@@ -106,7 +106,7 @@ func NewTopK(k int) *TopK {
 // minimum-count slot, inheriting its request count as the space-saving
 // overestimate.
 func (t *TopK) Offer(key string, reqs, bytes uint64) {
-	if t == nil || key == "" {
+	if key == "" {
 		return
 	}
 	t.mu.Lock()
@@ -174,9 +174,6 @@ var HotStatusFields = map[string]FieldClass{
 // counts, sorted by request count descending (raw counts order the
 // sort; only bucket bounds leave).
 func (t *TopK) Snapshot() HotStatus {
-	if t == nil {
-		return HotStatus{Entries: []HotEntry{}}
-	}
 	t.mu.Lock()
 	type kv struct {
 		key string

@@ -127,14 +127,11 @@ func TestTopKBoundHolds(t *testing.T) {
 	}
 }
 
-func TestTopKNilAndEmptySafe(t *testing.T) {
-	var tk *TopK
-	tk.Offer("abc", 1, 1) // must not panic
-	st := tk.Snapshot()
-	if st.Entries == nil || len(st.Entries) != 0 {
-		t.Fatalf("nil sketch Snapshot.Entries = %#v, want empty non-nil", st.Entries)
-	}
+func TestTopKEmptySafe(t *testing.T) {
 	live := NewTopK(4)
+	if st := live.Snapshot(); st.Entries == nil || len(st.Entries) != 0 {
+		t.Fatalf("empty sketch Snapshot.Entries = %#v, want empty non-nil", st.Entries)
+	}
 	live.Offer("", 1, 1) // empty keys (unattributed) are ignored
 	if st := live.Snapshot(); len(st.Entries) != 0 {
 		t.Fatalf("empty key created a slot: %+v", st.Entries)
