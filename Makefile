@@ -81,7 +81,8 @@ fuzz-smoke:
 # fails when either number exceeds its ceiling in tcb.budget. A PR that
 # must grow one raises the ceiling in the same diff, where a reviewer
 # sees it; a PR that shrinks one lowers it. It also fails when a flag
-# has no row in README.md's server flag table. Mirrors the tcb CI step.
+# has no row in README.md's server flag table, or a row there names a
+# flag the server no longer has. Mirrors the tcb CI step.
 TCB_PKGS := core obs acl pfs pae rollback mhash journal audit cache dedup fspath enclave
 tcb:
 	@total=0; \
@@ -102,6 +103,10 @@ tcb:
 	fi; \
 	for f in $$names; do \
 		grep -qF -- "| \`$$f\` |" README.md || { echo "tcb: flag $$f has no row in README.md's server flag table" >&2; exit 1; }; \
+	done; \
+	rows=$$(awk '/^### Server flags/ {on = 1; next} /^#/ {on = 0} on && /^\| `-/ {print $$2}' README.md | tr -d '`'); \
+	for r in $$rows; do \
+		echo "$$names" | grep -qxF -- "$$r" || { echo "tcb: README.md's server flag table has a row for $$r, which is not a server flag" >&2; exit 1; }; \
 	done
 
 # Advisory static analysis — mirrors the non-blocking CI job. Needs

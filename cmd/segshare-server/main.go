@@ -20,6 +20,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -53,8 +54,6 @@ func run() error {
 		auditOn  = flag.Bool("audit", false, "enable the tamper-evident audit log (segments under <data>/audit)")
 		auditOfl = flag.String("audit-overflow", "drop", "audit queue overflow policy: drop (count and continue) | block (complete trail, couples request latency to audit I/O)")
 		cacheKiB = flag.Int64("cache-kib", 0, "in-enclave relation cache budget in KiB (0 = default 8 MiB, negative disables)")
-		profMtx  = flag.Int("profile-mutex", 0, "mutex contention sampling for /debug/pprof/mutex: 1 = every event, n = 1/n, 0 = off")
-		profBlk  = flag.Int("profile-block", 0, "block profiling for /debug/pprof/block: record events blocking >= this many ns, 0 = off")
 
 		maxInfl  = flag.Int("max-inflight", 0, "admission: concurrency ceiling for reads (mutations get a quarter of it); 0 = default 256")
 		queueTmo = flag.Duration("queue-timeout", 0, "admission: longest a request waits for a slot before a 503 (0 = default 100ms)")
@@ -70,25 +69,23 @@ func run() error {
 
 		exportOut = flag.String("export-out", "", "append wide events and sampled traces as JSONL to this file")
 		exportURL = flag.String("export-url", "", "POST wide-event/trace batches as JSON to this URL (retried with backoff, dropped when the bounded queue fills)")
-		trcSlow   = flag.Duration("trace-slow", 50*time.Millisecond, "tail-sampling: retain traces slower than this")
-		trcCont   = flag.Duration("trace-contention", 10*time.Millisecond, "tail-sampling: retain traces whose lock wait reached this")
-		trcKeep   = flag.Uint64("trace-keep-one-in", 100, "tail-sampling: retain one in N remaining traces as a baseline (0 disables the floor)")
 		wdDeadl   = flag.Duration("watchdog-deadline", 30*time.Second, "watchdog: flag requests in flight longer than this")
 
 		sloObj   = flag.Float64("slo-objective", 0.999, "SLO success objective as a fraction (0.999 = three nines)")
 		sloLat   = flag.Duration("slo-latency", 250*time.Millisecond, "SLO latency threshold: slower 2xx responses count against the error budget; also the admission limiter's latency target")
 		sloLatOp = flag.String("slo-latency-op", "", "per-op-class latency overrides, comma-separated op=duration with op an op class and duration > 0 (e.g. fs_put=1s,fs_propfind=500ms)")
-		profDir  = flag.String("profile-dir", "", "directory for the continuous profiler's on-disk ring of CPU+heap profiles (empty disables)")
-		profIvl  = flag.Duration("profile-interval", time.Minute, "continuous profiler capture cadence")
-		profCPU  = flag.Duration("profile-cpu", 5*time.Second, "CPU profile duration per capture")
-		profRing = flag.Int64("profile-ring-kib", 32*1024, "profile ring disk budget in KiB; oldest capture pairs evicted beyond it")
+		profDir  = flag.String("profile-dir", "", "directory for the continuous profiler's on-disk ring of CPU+heap profiles; also turns on the mutex and block samplers behind /debug/pprof/{mutex,block} (empty disables all three)")
 	)
 	flag.Parse()
 
 	// Contention samplers must be on before any lock is taken to catch
-	// startup paths too; they are opt-in because they tax every contended
-	// lock operation.
-	obs.EnableContentionProfiling(*profMtx, *profBlk)
+	// startup paths too. They tax every contended lock, so they ride on
+	// -profile-dir; 1 in 100 mutex events and 1 ms block sampling still
+	// show a convoy while keeping that tax small.
+	if *profDir != "" {
+		runtime.SetMutexProfileFraction(100)
+		runtime.SetBlockProfileRate(int(time.Millisecond))
+	}
 
 	logger, err := newLogger(*logLevel)
 	if err != nil {
@@ -179,13 +176,7 @@ func run() error {
 	// after) so a capture in flight at shutdown still lands in the ring.
 	var profiler *obs.ContinuousProfiler
 	if *profDir != "" {
-		profiler, err = obs.NewContinuousProfiler(obs.ProfilerOptions{
-			Dir:         *profDir,
-			Interval:    *profIvl,
-			CPUDuration: *profCPU,
-			MaxBytes:    *profRing * 1024,
-			Obs:         reg,
-		})
+		profiler, err = obs.NewContinuousProfiler(obs.ProfilerOptions{Dir: *profDir, Obs: reg})
 		if err != nil {
 			return fmt.Errorf("continuous profiler: %w", err)
 		}
@@ -211,13 +202,7 @@ func run() error {
 		Obs:             reg,
 		Recovery:        recovery,
 		Exporter:        exporter,
-		SamplePolicy: &obs.SamplePolicy{
-			SlowNs:       trcSlow.Nanoseconds(),
-			ErrorStatus:  500,
-			ContentionNs: trcCont.Nanoseconds(),
-			KeepOneIn:    *trcKeep,
-		},
-		Watchdog: segshare.WatchdogConfig{RequestDeadline: *wdDeadl},
+		Watchdog:        segshare.WatchdogConfig{RequestDeadline: *wdDeadl},
 		Resilience: &segshare.ResilientOptions{
 			MutationDeadline: *sDeadl,
 			ReadDeadline:     *sRDeadl,

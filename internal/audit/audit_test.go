@@ -16,7 +16,7 @@ import (
 	"segshare/internal/store"
 )
 
-func testKeys(t *testing.T) Keys {
+func testKeys(t testing.TB) Keys {
 	t.Helper()
 	keys, err := DeriveKeys([]byte("test-root-key-0123456789abcdef"))
 	if err != nil {
@@ -25,7 +25,7 @@ func testKeys(t *testing.T) Keys {
 	return keys
 }
 
-func testCounter(t *testing.T) *enclave.MonotonicCounter {
+func testCounter(t testing.TB) *enclave.MonotonicCounter {
 	t.Helper()
 	platform, err := enclave.NewPlatform(enclave.PlatformConfig{})
 	if err != nil {
@@ -39,7 +39,7 @@ func testCounter(t *testing.T) *enclave.MonotonicCounter {
 }
 
 // buildLog writes n records through a fresh writer and closes it.
-func buildLog(t *testing.T, b store.Backend, keys Keys, ctr *enclave.MonotonicCounter, n int, opt Options) {
+func buildLog(t testing.TB, b store.Backend, keys Keys, ctr *enclave.MonotonicCounter, n int, opt Options) {
 	t.Helper()
 	if opt.Obs == nil {
 		opt.Obs = obs.NewRegistry()

@@ -308,13 +308,13 @@ func NewServer(platform *enclave.Platform, cfg Config) (_ *Server, err error) {
 	if cfg.SLO != nil {
 		sloCfg = *cfg.SLO
 	}
-	if err := checkPerOpLatency(sloCfg.PerOpLatency); err != nil {
+	if err := checkSLO(sloCfg); err != nil {
 		return nil, err
 	}
 	// The threshold is resolved here, not left to the engine's default,
 	// because the admission limiter's AIMD target is the same number:
 	// "overloaded" and "missing the SLO" mean the same thing.
-	if sloCfg.LatencyThreshold <= 0 {
+	if sloCfg.LatencyThreshold == 0 {
 		sloCfg.LatencyThreshold = defaultSLOLatency
 	}
 
@@ -651,11 +651,19 @@ func NewServer(platform *enclave.Platform, cfg Config) (_ *Server, err error) {
 // 250ms obs.SLOConfig defaults to).
 const defaultSLOLatency = 250 * time.Millisecond
 
-// checkPerOpLatency rejects SLO latency overrides the engine would
-// silently ignore: a key outside the closed op-class set is never
-// recorded, and a duration <= 0 falls back to the global threshold.
-func checkPerOpLatency(perOp map[string]time.Duration) error {
-	for op, d := range perOp {
+// checkSLO rejects SLO settings the engine would silently replace or
+// ignore: an objective outside [0, 1) or a negative latency threshold
+// would fall back to the default (zero still asks for it), a per-op key
+// outside the closed op-class set is never recorded, and a per-op
+// duration <= 0 falls back to the global threshold.
+func checkSLO(cfg obs.SLOConfig) error {
+	if cfg.Objective < 0 || cfg.Objective >= 1 {
+		return fmt.Errorf("segshare: SLO Objective %v is not a fraction in [0, 1)", cfg.Objective)
+	}
+	if cfg.LatencyThreshold < 0 {
+		return fmt.Errorf("segshare: SLO LatencyThreshold %v is negative", cfg.LatencyThreshold)
+	}
+	for op, d := range cfg.PerOpLatency {
 		if _, ok := opAdmitClass[op]; !ok {
 			return fmt.Errorf("segshare: SLO latency override %q: not an op class", op)
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/x509"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -146,10 +147,11 @@ func TestNewServerErrorReleasesGoroutines(t *testing.T) {
 	}
 }
 
-// TestNewServerRejectsBadSLOLatencyOverrides: a per-op latency override
-// the SLO engine would silently ignore is a configuration error naming
-// its key.
-func TestNewServerRejectsBadSLOLatencyOverrides(t *testing.T) {
+// TestNewServerRejectsBadSLOConfig: an SLO setting the engine would
+// silently replace with its default or ignore is a configuration error
+// naming the field or key. Zero objective and threshold still mean
+// "default".
+func TestNewServerRejectsBadSLOConfig(t *testing.T) {
 	authority, err := ca.New("slo override CA")
 	if err != nil {
 		t.Fatal(err)
@@ -158,33 +160,44 @@ func TestNewServerRejectsBadSLOLatencyOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	perOp := func(op string, d time.Duration) obs.SLOConfig {
+		return obs.SLOConfig{PerOpLatency: map[string]time.Duration{op: d}}
+	}
 	for _, tc := range []struct {
-		op      string
-		d       time.Duration
-		wantErr bool
+		slo  obs.SLOConfig
+		want string // substring of the error; "" = accepted
 	}{
-		{"fs_copy", 2 * time.Second, true},
-		{"fs_put", 0, true},
-		{"fs_put", -time.Second, true},
-		{"fs_put", time.Second, false},
+		{perOp("fs_copy", 2*time.Second), "fs_copy"},
+		{perOp("fs_put", 0), "fs_put"},
+		{perOp("fs_put", -time.Second), "fs_put"},
+		{perOp("fs_put", time.Second), ""},
+		{obs.SLOConfig{Objective: 99.9}, "Objective"},
+		{obs.SLOConfig{Objective: 1}, "Objective"},
+		{obs.SLOConfig{Objective: -0.5}, "Objective"},
+		{obs.SLOConfig{Objective: 0.99}, ""},
+		{obs.SLOConfig{LatencyThreshold: -time.Second}, "LatencyThreshold"},
+		{obs.SLOConfig{}, ""},
 	} {
+		slo := tc.slo
+		desc := fmt.Sprintf("Objective=%v LatencyThreshold=%v PerOpLatency=%v",
+			slo.Objective, slo.LatencyThreshold, slo.PerOpLatency)
 		server, err := NewServer(platform, Config{
 			CACertPEM:    authority.CertificatePEM(),
 			ContentStore: store.NewMemory(),
 			GroupStore:   store.NewMemory(),
 			Obs:          obs.NewRegistry(),
-			SLO:          &obs.SLOConfig{PerOpLatency: map[string]time.Duration{tc.op: tc.d}},
+			SLO:          &slo,
 		})
 		if err == nil {
 			server.Close()
 		}
 		switch {
-		case tc.wantErr && err == nil:
-			t.Errorf("%s=%v accepted, want an error", tc.op, tc.d)
-		case tc.wantErr && !strings.Contains(err.Error(), tc.op):
-			t.Errorf("%s=%v: error %q does not name the key", tc.op, tc.d, err)
-		case !tc.wantErr && err != nil:
-			t.Errorf("%s=%v rejected: %v", tc.op, tc.d, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s accepted, want an error naming %s", desc, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not name %s", desc, err, tc.want)
+		case tc.want == "" && err != nil:
+			t.Errorf("%s rejected: %v", desc, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"time"
@@ -11,8 +12,9 @@ import (
 
 // Watchdog periodically runs named stall checks — over-deadline requests,
 // audit-writer backlog, journal recovery overrun, lock-shard contention
-// skew — and on a healthy→stalled transition captures a goroutine and
-// mutex profile snapshot so the wedge can be diagnosed after the fact.
+// skew — and on a healthy→stalled transition captures a goroutine
+// profile snapshot, plus the mutex profile when the runtime's mutex
+// sampler is on, so the wedge can be diagnosed after the fact.
 // Check names pass the leak-budget name rules; check errors are reduced
 // to the name on every exported surface, so probe error text (which may
 // quote internal state) never leaves the process.
@@ -43,7 +45,9 @@ type watchdogCheck struct {
 }
 
 // WatchdogSnapshot is one captured stall: which check fired, when, and
-// the profile text at that moment.
+// the profile text at that moment. Mutex is empty unless the runtime's
+// mutex sampler was on (segshare-server turns it on with -profile-dir):
+// with it off the profile is a bare header with no samples.
 type WatchdogSnapshot struct {
 	Check     string    `json:"check"`
 	Time      time.Time `json:"time"`
@@ -185,14 +189,17 @@ func (w *Watchdog) Sweep() {
 	}
 }
 
-// capture stores a goroutine+mutex profile snapshot, evicting the oldest
-// beyond the ring bound.
+// capture stores a goroutine (and, when sampled, mutex) profile
+// snapshot, evicting the oldest beyond the ring bound.
 func (w *Watchdog) capture(check string) {
 	snap := WatchdogSnapshot{
 		Check:     check,
 		Time:      time.Now(),
 		Goroutine: profileText("goroutine"),
-		Mutex:     profileText("mutex"),
+	}
+	// A negative fraction reads the current rate without changing it.
+	if runtime.SetMutexProfileFraction(-1) > 0 {
+		snap.Mutex = profileText("mutex")
 	}
 	w.mu.Lock()
 	w.snaps = append(w.snaps, snap)

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,6 +105,36 @@ func TestWatchdogStallSnapshotRecover(t *testing.T) {
 	}
 	if counters["segshare_watchdog_stalled_checks"] != 0 {
 		t.Errorf("stalled gauge = %d, want 0", counters["segshare_watchdog_stalled_checks"])
+	}
+}
+
+// TestWatchdogMutexSnapshotNeedsSampler: with the runtime's mutex
+// sampler off the mutex profile is a bare header, so a stall snapshot
+// leaves Mutex empty rather than passing the header off as evidence;
+// with the sampler on it carries the rendered profile.
+func TestWatchdogMutexSnapshotNeedsSampler(t *testing.T) {
+	prev := runtime.SetMutexProfileFraction(-1)
+	t.Cleanup(func() { runtime.SetMutexProfileFraction(prev) })
+	stallOnce := func() WatchdogSnapshot {
+		wd := NewWatchdog(WatchdogOptions{Interval: time.Hour})
+		if err := wd.AddCheck("request_deadline", func() error { return errInjectedStall }); err != nil {
+			t.Fatal(err)
+		}
+		wd.Sweep()
+		snaps := wd.Snapshots()
+		if len(snaps) != 1 {
+			t.Fatalf("got %d snapshots, want 1", len(snaps))
+		}
+		return snaps[0]
+	}
+
+	runtime.SetMutexProfileFraction(0)
+	if got := stallOnce().Mutex; got != "" {
+		t.Errorf("sampler off: Mutex = %q, want empty", got)
+	}
+	runtime.SetMutexProfileFraction(100)
+	if got := stallOnce().Mutex; !strings.Contains(got, "sampling period=") {
+		t.Errorf("sampler on: Mutex = %q, want the rendered mutex profile", got)
 	}
 }
 
