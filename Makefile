@@ -24,10 +24,11 @@ bench:
 	go run ./cmd/segshare-bench -exp all
 
 # One iteration of every data-path benchmark — compile-and-run coverage
-# for the crypto pipeline, not a measurement. Mirrors the bench-smoke CI
-# job.
+# for the crypto pipeline and the bridge ablation (BenchmarkBridgeECall,
+# switchless vs blocking), not a measurement. The bench-smoke CI job runs
+# this target.
 bench-smoke:
-	go test -bench=. -benchtime=1x ./internal/pfs ./internal/pae ./internal/bench
+	go test -bench=. -benchtime=1x ./internal/pfs ./internal/pae ./internal/enclave ./internal/bench
 
 # benchmark/ is its own module (BENCHMARK.json's ledger), outside
 # `go build ./...` above: vet and test it against this tree so a deleted

@@ -72,7 +72,7 @@ func TestBridgeClose(t *testing.T) {
 }
 
 func TestBridgeConcurrentCalls(t *testing.T) {
-	b := NewBridge(BridgeConfig{Workers: 4})
+	b := NewBridge(BridgeConfig{})
 	defer b.Close()
 	b.RegisterECall("id", func(p []byte) ([]byte, error) { return p, nil })
 
@@ -139,29 +139,46 @@ func TestBridgeSwitchlessHasNoTransitions(t *testing.T) {
 	}
 }
 
-// TestBridgeFallsBackWhenWorkersParked verifies the SGX SDK-style
-// fallback: with the only worker parked in a handler, a second switchless
-// call runs on its caller's goroutine as a regular call (two transitions)
-// instead of waiting for the worker.
-func TestBridgeFallsBackWhenWorkersParked(t *testing.T) {
-	b := NewBridge(BridgeConfig{Workers: 1, SwitchLatency: time.Nanosecond})
-	defer b.Close()
+// TestBridgeParkedCallDelaysNoOther verifies that switchless calls run
+// on their callers' goroutines: with one call parked in its handler,
+// further calls in both directions complete without an enclave
+// transition. Close then fails new calls while the parked one still
+// returns its own result.
+func TestBridgeParkedCallDelaysNoOther(t *testing.T) {
+	b := NewBridge(BridgeConfig{})
 	entered, release := make(chan struct{}), make(chan struct{})
-	b.RegisterECall("park", func(p []byte) ([]byte, error) { close(entered); <-release; return nil, nil })
+	b.RegisterECall("park", func(p []byte) ([]byte, error) { close(entered); <-release; return []byte("parked"), nil })
 	b.RegisterECall("op", func(p []byte) ([]byte, error) { return p, nil })
+	b.RegisterOCall("op", func(p []byte) ([]byte, error) { return p, nil })
 
-	parked := make(chan error, 1)
-	go func() { _, err := b.ECall("park", nil); parked <- err }()
-	<-entered
-	got, err := b.ECall("op", []byte("x"))
-	if err != nil || string(got) != "x" {
-		t.Fatalf("ECall beside a parked worker = %q, %v", got, err)
+	type result struct {
+		data []byte
+		err  error
 	}
-	if m := b.Metrics(); m.Transitions != 2 {
-		t.Fatalf("fallback recorded %d transitions, want 2", m.Transitions)
+	parked := make(chan result, 1)
+	go func() { data, err := b.ECall("park", nil); parked <- result{data, err} }()
+	<-entered
+	for i := 0; i < 8; i++ {
+		if got, err := b.ECall("op", []byte("x")); err != nil || string(got) != "x" {
+			t.Fatalf("ECall beside a parked call = %q, %v", got, err)
+		}
+		if got, err := b.OCall("op", []byte("y")); err != nil || string(got) != "y" {
+			t.Fatalf("OCall beside a parked call = %q, %v", got, err)
+		}
+	}
+	if m := b.Metrics(); m.Transitions != 0 {
+		t.Fatalf("switchless calls recorded %d transitions, want 0", m.Transitions)
+	}
+	if n := b.Pending(); n != 1 {
+		t.Fatalf("Pending = %d with one call parked, want 1", n)
+	}
+
+	b.Close()
+	if _, err := b.ECall("op", nil); !errors.Is(err, ErrBridgeClosed) {
+		t.Fatalf("ECall after Close: want ErrBridgeClosed, got %v", err)
 	}
 	close(release)
-	if err := <-parked; err != nil {
-		t.Fatalf("parked ECall: %v", err)
+	if r := <-parked; r.err != nil || string(r.data) != "parked" {
+		t.Fatalf("parked ECall across Close = %q, %v", r.data, r.err)
 	}
 }

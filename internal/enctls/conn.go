@@ -25,11 +25,18 @@ import (
 // errConnClosed is returned from conn operations after Close.
 var errConnClosed = errors.New("enctls: connection closed")
 
-// maxBuffered bounds the per-connection in-enclave receive buffer; the
-// bridge call delivering more data blocks until the handler drains it,
+// maxBuffered is the size of the slabs records are copied through. A
+// connection's receive slab bounds the bytes delivered but not yet read:
+// a delivery that finds it full blocks until the handler drains it,
 // which backpressures the TCP reader (the enclave keeps only a small,
-// constant buffer per request — paper §VI).
-const maxBuffered = 1 << 20
+// constant buffer per connection — paper §VI). A send slab carries one
+// write ocall. Slabs come from a shared pool and go back when they
+// drain, so an idle connection holds none.
+const maxBuffered = 64 << 10
+
+type slab = [maxBuffered]byte
+
+var slabs = sync.Pool{New: func() any { return new(slab) }}
 
 // bridgeAddr is the synthetic address of in-enclave connection endpoints.
 type bridgeAddr struct{ id uint64 }
@@ -42,7 +49,7 @@ func (a bridgeAddr) String() string { return "bridge-conn" }
 // the terminator relays to the TCP socket.
 type trustedConn struct {
 	id    uint64
-	write func(id uint64, p []byte) error
+	write func(id uint64, p []byte, deadline time.Time) error
 	close func(id uint64)
 
 	// ecalls counts enclave entries on this connection (data and EOF
@@ -52,37 +59,51 @@ type trustedConn struct {
 	ecalls atomic.Int64
 	ocalls atomic.Int64
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	buf          []byte
-	eof          bool
-	closed       bool
-	readDeadline time.Time
+	mu            sync.Mutex
+	cond          *sync.Cond
+	in            *slab // receive slab, nil while empty
+	inOff, inEnd  int   // in[inOff:inEnd] is delivered and unread
+	eof           bool
+	closed        bool
+	readDeadline  time.Time
+	writeDeadline time.Time
+	timer         *time.Timer // wakes a Read blocked until readDeadline
 }
 
 var _ net.Conn = (*trustedConn)(nil)
 
-func newTrustedConn(id uint64, write func(uint64, []byte) error, closeFn func(uint64)) *trustedConn {
+func newTrustedConn(id uint64, write func(uint64, []byte, time.Time) error, closeFn func(uint64)) *trustedConn {
 	c := &trustedConn{id: id, write: write, close: closeFn}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
-// deliver appends bytes received from the untrusted side, blocking while
-// the buffer is full (backpressure on the TCP reader).
+// deliver copies bytes received from the untrusted side into the receive
+// slab, blocking while it is full (backpressure on the TCP reader).
 func (c *trustedConn) deliver(p []byte) error {
 	c.ecalls.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.buf) > maxBuffered && !c.closed {
+	for {
+		if c.closed {
+			return errConnClosed
+		}
+		if c.in == nil {
+			c.in = slabs.Get().(*slab)
+		}
+		if c.inOff > 0 && len(p) > len(c.in)-c.inEnd {
+			c.inEnd = copy(c.in[:], c.in[c.inOff:c.inEnd])
+			c.inOff = 0
+		}
+		n := copy(c.in[c.inEnd:], p)
+		c.inEnd += n
+		p = p[n:]
+		c.cond.Broadcast()
+		if len(p) == 0 {
+			return nil
+		}
 		c.cond.Wait()
 	}
-	if c.closed {
-		return errConnClosed
-	}
-	c.buf = append(c.buf, p...)
-	c.cond.Broadcast()
-	return nil
 }
 
 // deliverEOF marks the untrusted side's read loop as finished.
@@ -102,11 +123,12 @@ func (c *trustedConn) Read(p []byte) (int, error) {
 		if c.closed {
 			return 0, errConnClosed
 		}
-		if len(c.buf) > 0 {
-			n := copy(p, c.buf)
-			c.buf = c.buf[n:]
-			if len(c.buf) == 0 {
-				c.buf = nil
+		if c.inEnd > c.inOff {
+			n := copy(p, c.in[c.inOff:c.inEnd])
+			c.inOff += n
+			if c.inOff == c.inEnd {
+				slabs.Put(c.in)
+				c.in, c.inOff, c.inEnd = nil, 0, 0
 			}
 			c.cond.Broadcast()
 			return n, nil
@@ -115,29 +137,35 @@ func (c *trustedConn) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		if dl := c.readDeadline; !dl.IsZero() {
-			if !time.Now().Before(dl) {
+			d := time.Until(dl)
+			if d <= 0 {
 				return 0, timeoutError{}
 			}
 			// Wake up at the deadline so the wait is bounded.
-			timer := time.AfterFunc(time.Until(dl), c.cond.Broadcast)
+			if c.timer == nil {
+				c.timer = time.AfterFunc(d, c.cond.Broadcast)
+			} else {
+				c.timer.Reset(d)
+			}
 			c.cond.Wait()
-			timer.Stop()
+			c.timer.Stop()
 			continue
 		}
 		c.cond.Wait()
 	}
 }
 
-// Write implements net.Conn.
+// Write implements net.Conn. The write deadline travels with the bytes;
+// one set while a write is blocked applies from the next write.
 func (c *trustedConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
-	closed := c.closed
+	closed, deadline := c.closed, c.writeDeadline
 	c.mu.Unlock()
 	if closed {
 		return 0, errConnClosed
 	}
 	c.ocalls.Add(1)
-	if err := c.write(c.id, p); err != nil {
+	if err := c.write(c.id, p, deadline); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -174,6 +202,7 @@ func (c *trustedConn) RemoteAddr() net.Addr { return bridgeAddr{id: c.id} }
 
 // SetDeadline implements net.Conn.
 func (c *trustedConn) SetDeadline(t time.Time) error {
+	_ = c.SetWriteDeadline(t) // cannot fail
 	return c.SetReadDeadline(t)
 }
 
@@ -186,9 +215,13 @@ func (c *trustedConn) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
-// SetWriteDeadline implements net.Conn. Writes are synchronous bridge
-// calls; deadlines are not enforced on them.
-func (c *trustedConn) SetWriteDeadline(time.Time) error { return nil }
+// SetWriteDeadline implements net.Conn.
+func (c *trustedConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.writeDeadline = t
+	return nil
+}
 
 type timeoutError struct{}
 

@@ -118,10 +118,29 @@ func (c *testCertifier) InstallCertificate(certDER []byte) error {
 }
 
 // echoFixture runs a line-echo service behind the split TLS stack and
-// returns the dial address plus a teardown func.
+// returns the dial address.
 func echoFixture(t *testing.T, pki *testPKI) string {
 	t.Helper()
-	bridge := enclave.NewBridge(enclave.BridgeConfig{Workers: 8})
+	return serveFixture(t, pki, func(conn net.Conn) {
+		r := bufio.NewReader(conn)
+		for {
+			line, err := r.ReadString('\n')
+			if err != nil {
+				return
+			}
+			if _, err := io.WriteString(conn, "echo:"+line); err != nil {
+				return
+			}
+		}
+	})
+}
+
+// serveFixture runs serve on every connection accepted behind the split
+// TLS stack, closing the connection when serve returns, and returns the
+// dial address. Cleanup tears the stack down and waits for serve.
+func serveFixture(t *testing.T, pki *testPKI, serve func(net.Conn)) string {
+	t.Helper()
+	bridge := enclave.NewBridge(enclave.BridgeConfig{})
 	endpoint := NewTrustedEndpoint(bridge, &tls.Config{
 		Certificates: []tls.Certificate{pki.serverCert},
 		ClientCAs:    pki.pool,
@@ -145,16 +164,7 @@ func echoFixture(t *testing.T, pki *testPKI) string {
 			go func(conn net.Conn) {
 				defer wg.Done()
 				defer conn.Close()
-				r := bufio.NewReader(conn)
-				for {
-					line, err := r.ReadString('\n')
-					if err != nil {
-						return
-					}
-					if _, err := io.WriteString(conn, "echo:"+line); err != nil {
-						return
-					}
-				}
+				serve(conn)
 			}(conn)
 		}
 	}()
@@ -303,7 +313,7 @@ func TestClientFromForeignCARejected(t *testing.T) {
 func TestServerCertificateRoll(t *testing.T) {
 	pki := newTestPKI(t)
 
-	bridge := enclave.NewBridge(enclave.BridgeConfig{Workers: 8})
+	bridge := enclave.NewBridge(enclave.BridgeConfig{})
 	endpoint := NewTrustedEndpoint(bridge, &tls.Config{
 		Certificates: []tls.Certificate{pki.serverCert},
 		ClientCAs:    pki.pool,
@@ -391,12 +401,11 @@ func TestLargeTransfer(t *testing.T) {
 	}
 }
 
-// TestParkedDeliveriesDoNotStarveHandshakes pins the switchless fallback
-// at the split-TLS seam: four clients each push 4 MiB to a handler that
+// TestParkedDeliveriesDoNotStarveHandshakes pins the switchless bridge
+// at the split-TLS seam: eight clients each push 4 MiB to a handler that
 // finished the handshake but reads nothing more (as a request waiting
-// for admission does), so every one of the bridge's four default ecall
-// workers parks in a delivery over the receive-buffer bound. A fifth
-// client must still complete its handshake.
+// for admission does), so eight deliveries park on full receive slabs.
+// A ninth client must still complete its handshake.
 func TestParkedDeliveriesDoNotStarveHandshakes(t *testing.T) {
 	pki := newTestPKI(t)
 	bridge := enclave.NewBridge(enclave.BridgeConfig{})
@@ -444,7 +453,7 @@ func TestParkedDeliveriesDoNotStarveHandshakes(t *testing.T) {
 		wg.Wait()
 	})
 
-	const parked = 4 // BridgeConfig's default worker count per direction
+	const parked = 8
 	push := make([]byte, 4<<20)
 	for i := 0; i < parked; i++ {
 		conn, err := tls.Dial("tcp", term.Addr().String(), clientConfig(pki, true))
@@ -455,15 +464,15 @@ func TestParkedDeliveriesDoNotStarveHandshakes(t *testing.T) {
 		go conn.Write(push) // returns once the connection closes
 	}
 
-	// Wait until every held connection's buffer is over the bound and a
-	// delivery is in flight for each: all four pumps are parked.
+	// Wait until every held connection's receive slab is full and a
+	// delivery is in flight for each: all eight pumps are parked.
 	full := func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		n := 0
 		for _, c := range held {
 			c.mu.Lock()
-			if len(c.buf) > maxBuffered {
+			if c.inEnd-c.inOff == maxBuffered {
 				n++
 			}
 			c.mu.Unlock()
@@ -479,13 +488,100 @@ func TestParkedDeliveriesDoNotStarveHandshakes(t *testing.T) {
 	dialer := &net.Dialer{Timeout: 2 * time.Second} // covers the handshake
 	conn, err := tls.DialWithDialer(dialer, "tcp", term.Addr().String(), clientConfig(pki, true))
 	if err != nil {
-		t.Fatalf("fifth handshake with every ecall worker parked: %v", err)
+		t.Fatalf("handshake beside %d parked deliveries: %v", parked, err)
 	}
 	conn.Close()
 }
 
+// TestWriteDeadlineReachesSocket pins write deadlines over the enclave
+// listener: a large write to a client that never reads fails with a
+// timeout once the deadline passes, instead of pinning the writer
+// until the client goes away.
+func TestWriteDeadlineReachesSocket(t *testing.T) {
+	pki := newTestPKI(t)
+	type result struct {
+		err     error
+		elapsed time.Duration
+	}
+	done := make(chan result, 1)
+	addr := serveFixture(t, pki, func(conn net.Conn) {
+		if err := conn.(*tls.Conn).Handshake(); err != nil {
+			done <- result{err: err}
+			return
+		}
+		start := time.Now()
+		if err := conn.SetWriteDeadline(start.Add(200 * time.Millisecond)); err != nil {
+			done <- result{err: err}
+			return
+		}
+		_, err := conn.Write(make([]byte, 64<<20))
+		done <- result{err, time.Since(start)}
+	})
+	conn, err := tls.Dial("tcp", addr, clientConfig(pki, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	select {
+	case r := <-done:
+		var nerr net.Error
+		if !errorsAs(r.err, &nerr) || !nerr.Timeout() {
+			t.Fatalf("write to a client that never reads: want timeout, got %v", r.err)
+		}
+		if r.elapsed > 2*time.Second {
+			t.Fatalf("write timed out after %v, want within 2s", r.elapsed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("write to a client that never reads still blocked 5s past its 200ms deadline")
+	}
+}
+
+// TestWarmEchoAllocs pins the transport's steady-state allocations: a
+// warmed 4 KiB echo round trip through terminator, bridge and endpoint,
+// both TLS ends included. Records are copied through pooled slabs and
+// reused buffers, so the round trip allocates nothing per record.
+func TestWarmEchoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled slabs at random")
+	}
+	pki := newTestPKI(t)
+	addr := serveFixture(t, pki, func(conn net.Conn) {
+		buf := make([]byte, 4<<10)
+		for {
+			if _, err := io.ReadFull(conn, buf); err != nil {
+				return
+			}
+			if _, err := conn.Write(buf); err != nil {
+				return
+			}
+		}
+	})
+	conn, err := tls.Dial("tcp", addr, clientConfig(pki, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	msg, reply := make([]byte, 4<<10), make([]byte, 4<<10)
+	roundTrip := func() {
+		if _, err := conn.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		roundTrip()
+	}
+	const budget = 2
+	if n := testing.AllocsPerRun(200, roundTrip); n > budget {
+		t.Fatalf("warm 4 KiB echo = %.0f allocs, budget %d", n, budget)
+	}
+}
+
 func TestTrustedConnReadDeadline(t *testing.T) {
-	conn := newTrustedConn(1, func(uint64, []byte) error { return nil }, func(uint64) {})
+	conn := newTrustedConn(1, func(uint64, []byte, time.Time) error { return nil }, func(uint64) {})
 
 	// An already-expired deadline fails immediately with a timeout.
 	if err := conn.SetReadDeadline(time.Now().Add(-time.Second)); err != nil {
@@ -498,17 +594,20 @@ func TestTrustedConnReadDeadline(t *testing.T) {
 		t.Fatalf("want timeout error, got %v", err)
 	}
 
-	// A future deadline expires while blocked in Read.
-	if err := conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err = conn.Read(buf)
-	if !errorsAs(err, &nerr) || !nerr.Timeout() {
-		t.Fatalf("want timeout error, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Fatalf("read returned after %v, before the deadline", elapsed)
+	// A future deadline expires while blocked in Read, twice: the second
+	// wait re-arms the connection's timer.
+	for i := 0; i < 2; i++ {
+		if err := conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = conn.Read(buf)
+		if !errorsAs(err, &nerr) || !nerr.Timeout() {
+			t.Fatalf("wait %d: want timeout error, got %v", i, err)
+		}
+		if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
+			t.Fatalf("wait %d: read returned after %v, before the deadline", i, elapsed)
+		}
 	}
 
 	// Clearing the deadline lets delivered data through.
@@ -525,6 +624,23 @@ func TestTrustedConnReadDeadline(t *testing.T) {
 	conn.deliverEOF()
 	if _, err := conn.Read(buf); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
+	}
+}
+
+// TestSetDeadlineSetsWriteSide pins that SetDeadline bounds writes too:
+// the next write carries the deadline to the terminator.
+func TestSetDeadlineSetsWriteSide(t *testing.T) {
+	var got time.Time
+	conn := newTrustedConn(1, func(_ uint64, _ []byte, deadline time.Time) error { got = deadline; return nil }, func(uint64) {})
+	want := time.Now().Add(time.Hour)
+	if err := conn.SetDeadline(want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("write carried deadline %v, want %v", got, want)
 	}
 }
 

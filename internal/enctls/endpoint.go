@@ -7,11 +7,16 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"segshare/internal/enclave"
 )
 
-// Bridge operation names shared by the two halves.
+// Bridge operation names shared by the two halves. Every payload starts
+// with the connection id (8 bytes, big endian); an opWrite payload then
+// carries the write deadline (Unix nanoseconds, 0 for none) and the
+// bytes. Payloads are reused once a call returns, so the data and write
+// handlers copy what they keep before they return.
 const (
 	opOpen  = "enctls.open"  // ecall: new client connection
 	opData  = "enctls.data"  // ecall: bytes from the network
@@ -19,6 +24,8 @@ const (
 	opWrite = "enctls.write" // ocall: bytes to the network
 	opClose = "enctls.close" // ocall: enclave closed the connection
 )
+
+const writeHeader = 16 // the id and deadline before an opWrite's bytes
 
 // ErrEndpointClosed is returned by Accept after Close.
 var ErrEndpointClosed = errors.New("enctls: endpoint closed")
@@ -135,12 +142,25 @@ func (e *TrustedEndpoint) handleEOF(payload []byte) ([]byte, error) {
 	return nil, nil
 }
 
-func (e *TrustedEndpoint) writeOut(id uint64, p []byte) error {
-	payload := make([]byte, 8+len(p))
-	binary.BigEndian.PutUint64(payload, id)
-	copy(payload[8:], p)
-	_, err := e.bridge.OCall(opWrite, payload)
-	return err
+// writeOut relays p to the socket through a pooled send slab, one ocall
+// per slab-full; a record always fits in one.
+func (e *TrustedEndpoint) writeOut(id uint64, p []byte, deadline time.Time) error {
+	s := slabs.Get().(*slab)
+	defer slabs.Put(s)
+	var dl int64
+	if !deadline.IsZero() {
+		dl = deadline.UnixNano()
+	}
+	binary.BigEndian.PutUint64(s[:], id)
+	binary.BigEndian.PutUint64(s[8:], uint64(dl))
+	for len(p) > 0 {
+		n := copy(s[writeHeader:], p)
+		if _, err := e.bridge.OCall(opWrite, s[:writeHeader+n]); err != nil {
+			return err
+		}
+		p = p[n:]
+	}
+	return nil
 }
 
 func (e *TrustedEndpoint) closeOut(id uint64) {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"segshare/internal/enclave"
 )
@@ -22,9 +23,15 @@ type UntrustedTerminator struct {
 
 	nextID atomic.Uint64
 	mu     sync.Mutex
-	conns  map[uint64]net.Conn
+	conns  map[uint64]*hostConn
 	closed bool
 	wg     sync.WaitGroup
+}
+
+// hostConn is an accepted socket and its write deadline (Unix ns, 0: none).
+type hostConn struct {
+	net.Conn
+	deadline atomic.Int64
 }
 
 // NewUntrustedTerminator wires the untrusted half onto the bridge and
@@ -33,7 +40,7 @@ func NewUntrustedTerminator(bridge *enclave.Bridge, listener net.Listener) *Untr
 	t := &UntrustedTerminator{
 		bridge:   bridge,
 		listener: listener,
-		conns:    make(map[uint64]net.Conn),
+		conns:    make(map[uint64]*hostConn),
 	}
 	bridge.RegisterOCall(opWrite, t.handleWrite)
 	bridge.RegisterOCall(opClose, t.handleClose)
@@ -59,7 +66,7 @@ func (t *UntrustedTerminator) acceptLoop() {
 			conn.Close()
 			return
 		}
-		t.conns[id] = conn
+		t.conns[id] = &hostConn{Conn: conn}
 		t.mu.Unlock()
 		t.wg.Add(1)
 		go t.serveConn(id, conn)
@@ -70,24 +77,21 @@ func (t *UntrustedTerminator) serveConn(id uint64, conn net.Conn) {
 	defer t.wg.Done()
 	defer t.dropConn(id, conn)
 
-	var idBuf [8]byte
-	binary.BigEndian.PutUint64(idBuf[:], id)
-	if _, err := t.bridge.ECall(opOpen, idBuf[:]); err != nil {
+	// One id‖data buffer for the connection's life (opData copies it).
+	buf := make([]byte, 8+32*1024)
+	binary.BigEndian.PutUint64(buf, id)
+	if _, err := t.bridge.ECall(opOpen, buf[:8]); err != nil {
 		return
 	}
-	buf := make([]byte, 32*1024)
 	for {
-		n, err := conn.Read(buf)
+		n, err := conn.Read(buf[8:])
 		if n > 0 {
-			payload := make([]byte, 8+n)
-			copy(payload, idBuf[:])
-			copy(payload[8:], buf[:n])
-			if _, err := t.bridge.ECall(opData, payload); err != nil {
+			if _, err := t.bridge.ECall(opData, buf[:8+n]); err != nil {
 				return
 			}
 		}
 		if err != nil {
-			_, _ = t.bridge.ECall(opEOF, idBuf[:])
+			_, _ = t.bridge.ECall(opEOF, buf[:8])
 			return
 		}
 	}
@@ -101,20 +105,29 @@ func (t *UntrustedTerminator) dropConn(id uint64, conn net.Conn) {
 }
 
 func (t *UntrustedTerminator) handleWrite(payload []byte) ([]byte, error) {
-	id, data, err := splitID(payload)
-	if err != nil {
-		return nil, err
+	if len(payload) < writeHeader {
+		return nil, fmt.Errorf("enctls: short write payload")
 	}
+	id := binary.BigEndian.Uint64(payload)
 	t.mu.Lock()
 	conn := t.conns[id]
 	t.mu.Unlock()
 	if conn == nil {
 		return nil, fmt.Errorf("enctls: write to unknown connection %d", id)
 	}
-	if _, err := conn.Write(data); err != nil {
-		return nil, fmt.Errorf("enctls: socket write: %w", err)
+	if dl := int64(binary.BigEndian.Uint64(payload[8:])); conn.deadline.Swap(dl) != dl {
+		var deadline time.Time
+		if dl != 0 {
+			deadline = time.Unix(0, dl)
+		}
+		if err := conn.SetWriteDeadline(deadline); err != nil {
+			return nil, err
+		}
 	}
-	return nil, nil
+	// The socket's error goes back as is: a missed deadline stays a
+	// net.Error whose Timeout reports true.
+	_, err := conn.Write(payload[writeHeader:])
+	return nil, err
 }
 
 func (t *UntrustedTerminator) handleClose(payload []byte) ([]byte, error) {
@@ -141,7 +154,7 @@ func (t *UntrustedTerminator) Close() error {
 		return nil
 	}
 	t.closed = true
-	conns := make([]net.Conn, 0, len(t.conns))
+	conns := make([]*hostConn, 0, len(t.conns))
 	for _, c := range t.conns {
 		conns = append(conns, c)
 	}
