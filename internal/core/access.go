@@ -207,16 +207,18 @@ func (ac *accessControl) putDir(u acl.UserID, path fspath.Path) error {
 }
 
 // PutFile implements "user u wants to create or update a file at path".
-func (ac *accessControl) PutFile(u acl.UserID, path fspath.Path, content []byte) (created bool, err error) {
+// body is the new raw content body (bodyRaw ‖ content, see body.go) and
+// now belongs to the file manager.
+func (ac *accessControl) PutFile(u acl.UserID, path fspath.Path, body []byte) (created bool, err error) {
 	err = ac.fm.mutate("put", func() error {
 		var ferr error
-		created, ferr = ac.putFile(u, path, content)
+		created, ferr = ac.putFile(u, path, body)
 		return ferr
 	})
 	return created, err
 }
 
-func (ac *accessControl) putFile(u acl.UserID, path fspath.Path, content []byte) (created bool, err error) {
+func (ac *accessControl) putFile(u acl.UserID, path fspath.Path, body []byte) (created bool, err error) {
 	if path.IsDir() {
 		return false, fmt.Errorf("%w: %s is a directory path", ErrBadRequest, path)
 	}
@@ -267,7 +269,7 @@ func (ac *accessControl) putFile(u acl.UserID, path fspath.Path, content []byte)
 		newACL = &acl.ACL{}
 		newACL.AddOwner(gu)
 	}
-	return ac.fm.writeContent(path, content, newACL)
+	return ac.fm.writeContent(path, body, newACL)
 }
 
 // requireRead is the gate of every read request: auth_f(u, p_r, path),

@@ -19,7 +19,7 @@ func TestAnyUserCanCreateAtRoot(t *testing.T) {
 	if err := ac.PutDir("alice", mustPath(t, "/alice-dir/")); err != nil {
 		t.Fatalf("PutDir at root: %v", err)
 	}
-	if _, err := ac.PutFile("bob", mustPath(t, "/bob-file"), []byte("hi")); err != nil {
+	if _, err := ac.PutFile("bob", mustPath(t, "/bob-file"), encodeRawBody([]byte("hi"))); err != nil {
 		t.Fatalf("PutFile at root: %v", err)
 	}
 }
@@ -29,7 +29,7 @@ func TestCreatorGetsOwnershipAndAccess(t *testing.T) {
 	if err := ac.PutDir("alice", mustPath(t, "/proj/")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ac.PutFile("alice", mustPath(t, "/proj/notes"), []byte("mine")); err != nil {
+	if _, err := ac.PutFile("alice", mustPath(t, "/proj/notes"), encodeRawBody([]byte("mine"))); err != nil {
 		t.Fatalf("owner write in own dir: %v", err)
 	}
 	got, err := ac.GetFile("alice", mustPath(t, "/proj/notes"))
@@ -51,7 +51,7 @@ func TestStrangerDenied(t *testing.T) {
 	if err := ac.PutDir("alice", mustPath(t, "/proj/")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ac.PutFile("alice", mustPath(t, "/proj/f"), []byte("secret")); err != nil {
+	if _, err := ac.PutFile("alice", mustPath(t, "/proj/f"), encodeRawBody([]byte("secret"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,10 +61,10 @@ func TestStrangerDenied(t *testing.T) {
 	if _, err := ac.GetDir("eve", mustPath(t, "/proj/")); !errors.Is(err, ErrPermissionDenied) {
 		t.Fatalf("stranger list: %v", err)
 	}
-	if _, err := ac.PutFile("eve", mustPath(t, "/proj/g"), []byte("x")); !errors.Is(err, ErrPermissionDenied) {
+	if _, err := ac.PutFile("eve", mustPath(t, "/proj/g"), encodeRawBody([]byte("x"))); !errors.Is(err, ErrPermissionDenied) {
 		t.Fatalf("stranger write into dir: %v", err)
 	}
-	if _, err := ac.PutFile("eve", mustPath(t, "/proj/f"), []byte("overwrite")); !errors.Is(err, ErrPermissionDenied) {
+	if _, err := ac.PutFile("eve", mustPath(t, "/proj/f"), encodeRawBody([]byte("overwrite"))); !errors.Is(err, ErrPermissionDenied) {
 		t.Fatalf("stranger overwrite: %v", err)
 	}
 	if err := ac.Remove("eve", mustPath(t, "/proj/f")); !errors.Is(err, ErrPermissionDenied) {
@@ -77,7 +77,7 @@ func TestStrangerDenied(t *testing.T) {
 
 func TestIndividualUserSharingViaDefaultGroup(t *testing.T) {
 	ac := newAC(t, fmOptions{}, "")
-	if _, err := ac.PutFile("alice", mustPath(t, "/shared.txt"), []byte("payload")); err != nil {
+	if _, err := ac.PutFile("alice", mustPath(t, "/shared.txt"), encodeRawBody([]byte("payload"))); err != nil {
 		t.Fatal(err)
 	}
 	// Share read-only with bob via his default group (paper Table I).
@@ -89,7 +89,7 @@ func TestIndividualUserSharingViaDefaultGroup(t *testing.T) {
 		t.Fatalf("bob read: %q %v", got, err)
 	}
 	// Read ≠ write.
-	if _, err := ac.PutFile("bob", mustPath(t, "/shared.txt"), []byte("nope")); !errors.Is(err, ErrPermissionDenied) {
+	if _, err := ac.PutFile("bob", mustPath(t, "/shared.txt"), encodeRawBody([]byte("nope"))); !errors.Is(err, ErrPermissionDenied) {
 		t.Fatalf("bob write with read-only: %v", err)
 	}
 	// Immediate permission revocation (objective S4).
@@ -103,7 +103,7 @@ func TestIndividualUserSharingViaDefaultGroup(t *testing.T) {
 
 func TestGroupLifecycleAndImmediateMembershipRevocation(t *testing.T) {
 	ac := newAC(t, fmOptions{}, "")
-	if _, err := ac.PutFile("alice", mustPath(t, "/doc"), []byte("team doc")); err != nil {
+	if _, err := ac.PutFile("alice", mustPath(t, "/doc"), encodeRawBody([]byte("team doc"))); err != nil {
 		t.Fatal(err)
 	}
 	// Creating the group: alice becomes member and owner (Algo 1 add_u).
@@ -116,7 +116,7 @@ func TestGroupLifecycleAndImmediateMembershipRevocation(t *testing.T) {
 	if _, err := ac.GetFile("bob", mustPath(t, "/doc")); err != nil {
 		t.Fatalf("member read: %v", err)
 	}
-	if _, err := ac.PutFile("bob", mustPath(t, "/doc"), []byte("edited")); err != nil {
+	if _, err := ac.PutFile("bob", mustPath(t, "/doc"), encodeRawBody([]byte("edited"))); err != nil {
 		t.Fatalf("member write: %v", err)
 	}
 
@@ -172,7 +172,7 @@ func TestGroupOwnershipExtension(t *testing.T) {
 
 func TestMultipleFileOwners(t *testing.T) {
 	ac := newAC(t, fmOptions{}, "")
-	if _, err := ac.PutFile("alice", mustPath(t, "/doc"), []byte("x")); err != nil {
+	if _, err := ac.PutFile("alice", mustPath(t, "/doc"), encodeRawBody([]byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := ac.SetFileOwner("alice", mustPath(t, "/doc"), acl.DefaultGroupName("bob"), true); err != nil {
@@ -196,7 +196,7 @@ func TestPermissionInheritance(t *testing.T) {
 	if err := ac.PutDir("alice", mustPath(t, "/dept/")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ac.PutFile("alice", mustPath(t, "/dept/handbook"), []byte("rules")); err != nil {
+	if _, err := ac.PutFile("alice", mustPath(t, "/dept/handbook"), encodeRawBody([]byte("rules"))); err != nil {
 		t.Fatal(err)
 	}
 	// Grant the team read on the directory; the file inherits (§V-B).
@@ -252,7 +252,7 @@ func TestDeleteGroupScrubsAllMembers(t *testing.T) {
 	if err := ac.AddUser("alice", "carol", "team"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ac.PutFile("alice", mustPath(t, "/doc"), []byte("x")); err != nil {
+	if _, err := ac.PutFile("alice", mustPath(t, "/doc"), encodeRawBody([]byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := ac.SetPermission("alice", mustPath(t, "/doc"), "team", acl.PermRead); err != nil {
@@ -300,7 +300,7 @@ func TestDefaultGroupsAreProtected(t *testing.T) {
 
 func TestDenySemanticsAcrossGroups(t *testing.T) {
 	ac := newAC(t, fmOptions{}, "")
-	if _, err := ac.PutFile("alice", mustPath(t, "/doc"), []byte("x")); err != nil {
+	if _, err := ac.PutFile("alice", mustPath(t, "/doc"), encodeRawBody([]byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := ac.AddUser("alice", "bob", "readers"); err != nil {
@@ -326,7 +326,7 @@ func TestMoveAuthorization(t *testing.T) {
 	if err := ac.PutDir("alice", mustPath(t, "/a/")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ac.PutFile("alice", mustPath(t, "/a/f"), []byte("x")); err != nil {
+	if _, err := ac.PutFile("alice", mustPath(t, "/a/f"), encodeRawBody([]byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := ac.PutDir("bob", mustPath(t, "/b/")); err != nil {

@@ -17,7 +17,9 @@ const (
 	bodyDir   = 0x03
 )
 
-// encodeRawBody wraps plain content bytes.
+// encodeRawBody copies content into a raw body. readBody reads PUT bodies
+// into this shape directly; Direct uploads, whose caller keeps the slice,
+// pay the copy.
 func encodeRawBody(content []byte) []byte {
 	out := make([]byte, 0, 1+len(content))
 	out = append(out, bodyRaw)

@@ -127,10 +127,19 @@ func seedCorpus(t *testing.T, fx *crashFixture) {
 		run  func() error
 	}{
 		{"mkdir /docs/", func() error { return fx.ac.PutDir("alice", fx.path("/docs/")) }},
-		{"put /docs/a.txt", func() error { _, err := fx.ac.PutFile("alice", fx.path("/docs/a.txt"), crashContentA); return err }},
-		{"put /docs/b.txt", func() error { _, err := fx.ac.PutFile("alice", fx.path("/docs/b.txt"), crashContentA); return err }},
+		{"put /docs/a.txt", func() error {
+			_, err := fx.ac.PutFile("alice", fx.path("/docs/a.txt"), encodeRawBody(crashContentA))
+			return err
+		}},
+		{"put /docs/b.txt", func() error {
+			_, err := fx.ac.PutFile("alice", fx.path("/docs/b.txt"), encodeRawBody(crashContentA))
+			return err
+		}},
 		{"mkdir /docs/sub/", func() error { return fx.ac.PutDir("alice", fx.path("/docs/sub/")) }},
-		{"put /docs/sub/c.txt", func() error { _, err := fx.ac.PutFile("alice", fx.path("/docs/sub/c.txt"), crashContentC); return err }},
+		{"put /docs/sub/c.txt", func() error {
+			_, err := fx.ac.PutFile("alice", fx.path("/docs/sub/c.txt"), encodeRawBody(crashContentC))
+			return err
+		}},
 		{"mkdir /docs/empty/", func() error { return fx.ac.PutDir("alice", fx.path("/docs/empty/")) }},
 		{"add bob to team", func() error { return fx.ac.AddUser("alice", "bob", "team") }},
 		{"grant team read", func() error { return fx.ac.SetPermission("alice", fx.path("/docs/a.txt"), "team", acl.PermRead) }},
@@ -235,7 +244,7 @@ func crashScenarios() []crashScenario {
 		{
 			name: "put-create",
 			run: func(fx *crashFixture) error {
-				_, err := fx.ac.PutFile("alice", fx.path("/docs/new.txt"), []byte("fresh"))
+				_, err := fx.ac.PutFile("alice", fx.path("/docs/new.txt"), encodeRawBody([]byte("fresh")))
 				return err
 			},
 			check: func(t *testing.T, fx *crashFixture) {
@@ -247,7 +256,7 @@ func crashScenarios() []crashScenario {
 		{
 			name: "put-update",
 			run: func(fx *crashFixture) error {
-				_, err := fx.ac.PutFile("alice", fx.path("/docs/a.txt"), []byte("updated"))
+				_, err := fx.ac.PutFile("alice", fx.path("/docs/a.txt"), encodeRawBody([]byte("updated")))
 				return err
 			},
 			check: func(t *testing.T, fx *crashFixture) {
@@ -263,7 +272,7 @@ func crashScenarios() []crashScenario {
 		{
 			name: "put-dedup-duplicate",
 			run: func(fx *crashFixture) error {
-				_, err := fx.ac.PutFile("alice", fx.path("/docs/dup.txt"), crashContentA)
+				_, err := fx.ac.PutFile("alice", fx.path("/docs/dup.txt"), encodeRawBody(crashContentA))
 				return err
 			},
 		},

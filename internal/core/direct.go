@@ -99,14 +99,15 @@ func (d *DirectSession) Mkdir(path string) error {
 	})
 }
 
-// Upload creates or updates a content file.
+// Upload creates or updates a content file. content stays the caller's:
+// it is copied once, into the raw content body the file manager keeps.
 func (d *DirectSession) Upload(path string, content []byte) error {
 	p, err := fspath.Parse(path)
 	if err != nil {
 		return err
 	}
 	return d.observeDirect("fs_put", int64(len(content)), func(rq request) (int64, error) {
-		_, err := rq.putFile(p, content)
+		_, err := rq.putFile(p, encodeRawBody(content))
 		return 0, err
 	})
 }

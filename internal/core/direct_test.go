@@ -122,13 +122,19 @@ func TestStorageFaultsSurfaceAsErrors(t *testing.T) {
 	}
 
 	errInject := errors.New("disk on fire")
-	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/ok"), []byte("fine"), ownedACL(1)); return err }); err != nil {
+	if err := inOp(fm, func() error {
+		_, err := fm.writeContent(mustPath(t, "/ok"), encodeRawBody([]byte("fine")), ownedACL(1))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Fail a write mid-operation.
 	plan.FailAtOp(1, errInject)
-	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/fail"), []byte("x"), ownedACL(1)); return err }); !errors.Is(err, errInject) {
+	if err := inOp(fm, func() error {
+		_, err := fm.writeContent(mustPath(t, "/fail"), encodeRawBody([]byte("x")), ownedACL(1))
+		return err
+	}); !errors.Is(err, errInject) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	plan.Revive()
@@ -184,7 +190,7 @@ func TestCounterGuardSurvivesRestart(t *testing.T) {
 
 	fm1 := build()
 	if err := inOp(fm1, func() error {
-		_, err := fm1.writeContent(mustPath(t, "/persist"), []byte("counted"), ownedACL(1))
+		_, err := fm1.writeContent(mustPath(t, "/persist"), encodeRawBody([]byte("counted")), ownedACL(1))
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -195,7 +201,10 @@ func TestCounterGuardSurvivesRestart(t *testing.T) {
 		t.Fatalf("after restart: %q %v", got, err)
 	}
 	// And updates keep working (counter continues from its value).
-	if err := inOp(fm2, func() error { _, err := fm2.writeContent(mustPath(t, "/persist"), []byte("again"), nil); return err }); err != nil {
+	if err := inOp(fm2, func() error {
+		_, err := fm2.writeContent(mustPath(t, "/persist"), encodeRawBody([]byte("again")), nil)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := fm2.readContent(mustPath(t, "/persist")); err != nil || string(got) != "again" {
@@ -229,7 +238,7 @@ func TestCounterWearOutSurfacesGracefully(t *testing.T) {
 	var wearErr error
 	for i := 0; i < 20 && wearErr == nil; i++ {
 		wearErr = inOp(fm, func() error {
-			_, err := fm.writeContent(mustPath(t, "/wear"), []byte{byte(i)}, ownedACL(1))
+			_, err := fm.writeContent(mustPath(t, "/wear"), encodeRawBody([]byte{byte(i)}), ownedACL(1))
 			return err
 		})
 	}

@@ -356,17 +356,25 @@ func (fm *fileManager) putBlobRaw(ns *namespace, name string, hdr *rollback.Head
 	if hdr != nil {
 		hdrEnc = hdr.Encode()
 	}
-	blob, err := fm.sealBlob(ns, name, hdrEnc, body)
+	_, seal, err := fm.sealer(ns, name, hdrEnc, body)
+	if err != nil {
+		return err
+	}
+	blob, err := seal(nil)
 	if err != nil {
 		return err
 	}
 	return fm.installBlob(ns, name, blob)
 }
 
-// sealBlob is the one place a logical file is encrypted: optional encoded
+// sealer is the one place a logical file is encrypted: optional encoded
 // rollback header followed by the body, protected with the per-file key
-// and bound to the file's final name.
-func (fm *fileManager) sealBlob(ns *namespace, name string, hdrEnc, body []byte) ([]byte, error) {
+// and bound to the file's final name. It returns the sealed size and a
+// function appending the sealed blob to dst, which allocates nothing when
+// dst has that much spare capacity — how the journal seals a staged write
+// straight into its slot of the intent record. The keys are derived here,
+// so only the AEAD itself can fail the seal.
+func (fm *fileManager) sealer(ns *namespace, name string, hdrEnc, body []byte) (int, func(dst []byte) ([]byte, error), error) {
 	plain := body
 	if len(hdrEnc) > 0 {
 		plain = make([]byte, 0, len(hdrEnc)+len(body))
@@ -374,13 +382,16 @@ func (fm *fileManager) sealBlob(ns *namespace, name string, hdrEnc, body []byte)
 	}
 	d, err := fm.derive(ns, name)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	blob, err := d.keys.AppendEncrypt(nil, d.id, plain, fm.cryptoWorkers)
-	if err == nil {
-		fm.obs.observeCryptoSeal(pfs.UsesParallel(int64(len(plain)), fm.cryptoWorkers))
-	}
-	return blob, err
+	size := len(plain) + int(pfs.Overhead(int64(len(plain))))
+	return size, func(dst []byte) ([]byte, error) {
+		blob, err := d.keys.AppendEncrypt(dst, d.id, plain, fm.cryptoWorkers)
+		if err == nil {
+			fm.obs.observeCryptoSeal(pfs.UsesParallel(int64(len(plain)), fm.cryptoWorkers))
+		}
+		return blob, err
+	}, nil
 }
 
 // installBlob stores a sealed blob under the logical file's storage name.
@@ -474,6 +485,7 @@ func (fm *fileManager) getBlob(ns *namespace, name string) (*rollback.Header, []
 	if err != nil {
 		return nil, nil, err
 	}
+	// raw is the caller's (Backend.Get), so it is opened in place.
 	plain, err := d.keys.DecryptCtx(fm.ctx, d.id, raw, fm.cryptoWorkers)
 	if err != nil {
 		return nil, nil, fm.openErr(name, err)

@@ -174,7 +174,7 @@ func TestFileManagerCRUDMatrix(t *testing.T) {
 			file := mustPath(t, "/docs/reports/q1.txt")
 			var created bool
 			err := inOp(fm, func() (err error) {
-				created, err = fm.writeContent(file, []byte("quarter one"), ownedACL(1))
+				created, err = fm.writeContent(file, encodeRawBody([]byte("quarter one")), ownedACL(1))
 				return err
 			})
 			if err != nil || !created {
@@ -187,7 +187,7 @@ func TestFileManagerCRUDMatrix(t *testing.T) {
 
 			// Update in place.
 			err = inOp(fm, func() (err error) {
-				created, err = fm.writeContent(file, []byte("revised"), nil)
+				created, err = fm.writeContent(file, encodeRawBody([]byte("revised")), nil)
 				return err
 			})
 			if err != nil || created {
@@ -273,11 +273,14 @@ func TestFileManagerDirectoryMove(t *testing.T) {
 					t.Fatalf("createDir %s: %v", dir, err)
 				}
 			}
-			if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/a/f1"), []byte("one"), ownedACL(1)); return err }); err != nil {
+			if err := inOp(fm, func() error {
+				_, err := fm.writeContent(mustPath(t, "/a/f1"), encodeRawBody([]byte("one")), ownedACL(1))
+				return err
+			}); err != nil {
 				t.Fatal(err)
 			}
 			if err := inOp(fm, func() error {
-				_, err := fm.writeContent(mustPath(t, "/a/b/f2"), []byte("two"), ownedACL(1))
+				_, err := fm.writeContent(mustPath(t, "/a/b/f2"), encodeRawBody([]byte("two")), ownedACL(1))
 				return err
 			}); err != nil {
 				t.Fatal(err)
@@ -382,7 +385,7 @@ func TestFileManagerPersistsAcrossRestart(t *testing.T) {
 
 	fm1 := build()
 	if err := inOp(fm1, func() error {
-		_, err := fm1.writeContent(mustPath(t, "/persisted.txt"), []byte("survives"), ownedACL(1))
+		_, err := fm1.writeContent(mustPath(t, "/persisted.txt"), encodeRawBody([]byte("survives")), ownedACL(1))
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -403,7 +406,10 @@ func TestTamperedContentDetected(t *testing.T) {
 			fx := newFMFixture(t, fmOptions{rollback: withRollback})
 			fm := fx.fm
 			file := mustPath(t, "/secret.txt")
-			if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("confidential"), ownedACL(1)); return err }); err != nil {
+			if err := inOp(fm, func() error {
+				_, err := fm.writeContent(file, encodeRawBody([]byte("confidential")), ownedACL(1))
+				return err
+			}); err != nil {
 				t.Fatal(err)
 			}
 			if err := fx.contentAdv.FlipBit("/secret.txt", 100); err != nil {
@@ -419,10 +425,16 @@ func TestTamperedContentDetected(t *testing.T) {
 func TestSwappedFilesDetected(t *testing.T) {
 	fx := newFMFixture(t, fmOptions{})
 	fm := fx.fm
-	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/a.txt"), []byte("aaa"), ownedACL(1)); return err }); err != nil {
+	if err := inOp(fm, func() error {
+		_, err := fm.writeContent(mustPath(t, "/a.txt"), encodeRawBody([]byte("aaa")), ownedACL(1))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/b.txt"), []byte("bbb"), ownedACL(1)); return err }); err != nil {
+	if err := inOp(fm, func() error {
+		_, err := fm.writeContent(mustPath(t, "/b.txt"), encodeRawBody([]byte("bbb")), ownedACL(1))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// Swap the two ciphertexts: the per-file key and AAD must catch it
@@ -454,13 +466,16 @@ func TestIndividualFileRollbackDetected(t *testing.T) {
 	fm := fx.fm
 	file := mustPath(t, "/versioned.txt")
 
-	if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("version-1"), ownedACL(1)); return err }); err != nil {
+	if err := inOp(fm, func() error {
+		_, err := fm.writeContent(file, encodeRawBody([]byte("version-1")), ownedACL(1))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fx.contentAdv.RememberObject("/versioned.txt"); err != nil {
 		t.Fatal(err)
 	}
-	if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("version-2"), nil); return err }); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(file, encodeRawBody([]byte("version-2")), nil); return err }); err != nil {
 		t.Fatal(err)
 	}
 	// Roll the single file back to version 1: decryption succeeds, but
@@ -508,14 +523,14 @@ func TestWholeStoreRollbackDetected(t *testing.T) {
 			fx := newFMFixture(t, fmOptions{rollback: true, guard: guard})
 			fm := fx.fm
 			file := mustPath(t, "/state.txt")
-			if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("old"), ownedACL(1)); return err }); err != nil {
+			if err := inOp(fm, func() error { _, err := fm.writeContent(file, encodeRawBody([]byte("old")), ownedACL(1)); return err }); err != nil {
 				t.Fatal(err)
 			}
 			// Snapshot the ENTIRE content store (root file included), make
 			// an update, then roll the whole store back — internally
 			// consistent, but stale (§V-E).
 			fx.contentAdv.SnapshotStore()
-			if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("new"), nil); return err }); err != nil {
+			if err := inOp(fm, func() error { _, err := fm.writeContent(file, encodeRawBody([]byte("new")), nil); return err }); err != nil {
 				t.Fatal(err)
 			}
 			fx.contentAdv.RollbackStore()
@@ -533,11 +548,11 @@ func TestWholeStoreRollbackUndetectedWithoutGuard(t *testing.T) {
 	fx := newFMFixture(t, fmOptions{rollback: true})
 	fm := fx.fm
 	file := mustPath(t, "/state.txt")
-	if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("old"), ownedACL(1)); return err }); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(file, encodeRawBody([]byte("old")), ownedACL(1)); return err }); err != nil {
 		t.Fatal(err)
 	}
 	fx.contentAdv.SnapshotStore()
-	if err := inOp(fm, func() error { _, err := fm.writeContent(file, []byte("new"), nil); return err }); err != nil {
+	if err := inOp(fm, func() error { _, err := fm.writeContent(file, encodeRawBody([]byte("new")), nil); return err }); err != nil {
 		t.Fatal(err)
 	}
 	fx.contentAdv.RollbackStore()
@@ -599,7 +614,7 @@ func newWarmTree(t *testing.T) *warmTree {
 
 func (w *warmTree) put(t *testing.T, name, content string) {
 	t.Helper()
-	if _, err := w.ac.PutFile("alice", mustPath(t, name), []byte(content)); err != nil {
+	if _, err := w.ac.PutFile("alice", mustPath(t, name), encodeRawBody([]byte(content))); err != nil {
 		t.Fatalf("put %s: %v", name, err)
 	}
 }
@@ -641,7 +656,7 @@ func TestWarmCacheRollbackDetected(t *testing.T) {
 				}
 				return
 			}
-			if _, err := w.ac.PutFile("alice", mustPath(t, "/d/leaf"), []byte("v3")); !errors.Is(err, ErrRollback) {
+			if _, err := w.ac.PutFile("alice", mustPath(t, "/d/leaf"), encodeRawBody([]byte("v3"))); !errors.Is(err, ErrRollback) {
 				t.Fatalf("PUT through rolled-back %s: want ErrRollback, got %v", name, err)
 			}
 		})
@@ -668,7 +683,7 @@ func TestEvictedAncestorRollbackCaughtOnWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			failures := w.fm.obs.rollbackFailures.Value()
-			if _, err := w.ac.PutFile("alice", mustPath(t, "/d/leaf"), []byte("v3")); !errors.Is(err, ErrRollback) {
+			if _, err := w.ac.PutFile("alice", mustPath(t, "/d/leaf"), encodeRawBody([]byte("v3"))); !errors.Is(err, ErrRollback) {
 				t.Fatalf("PUT under rolled-back, evicted %s: want ErrRollback, got %v", target, err)
 			}
 			if w.fm.obs.rollbackFailures.Value() == failures {
@@ -723,7 +738,7 @@ func TestWarmCacheAbortedWriteNoRollback(t *testing.T) {
 	id := treeID(w.fm.content, "/d/leaf")
 	before, _ := w.fm.caches.verified.Get(id)
 	w.plan.FailAtOp(1, errInjected) // the first backend write of a PUT is its intent commit
-	if _, err := w.ac.PutFile("alice", mustPath(t, "/d/leaf"), []byte("v3")); !errors.Is(err, errInjected) {
+	if _, err := w.ac.PutFile("alice", mustPath(t, "/d/leaf"), encodeRawBody([]byte("v3"))); !errors.Is(err, errInjected) {
 		t.Fatalf("PUT with a failing intent commit: %v", err)
 	}
 	if m, ok := w.fm.caches.verified.Get(id); ok && m != before {
@@ -866,14 +881,20 @@ func TestDedupSharedStorage(t *testing.T) {
 	fm := fx.fm
 	content := bytes.Repeat([]byte("dedup me "), 4096)
 
-	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/copy1"), content, ownedACL(1)); return err }); err != nil {
+	if err := inOp(fm, func() error {
+		_, err := fm.writeContent(mustPath(t, "/copy1"), encodeRawBody(content), ownedACL(1))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	size1, err := fm.dedup.TotalBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inOp(fm, func() error { _, err := fm.writeContent(mustPath(t, "/copy2"), content, ownedACL(2)); return err }); err != nil {
+	if err := inOp(fm, func() error {
+		_, err := fm.writeContent(mustPath(t, "/copy2"), encodeRawBody(content), ownedACL(2))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	size2, err := fm.dedup.TotalBytes()
@@ -914,7 +935,7 @@ func TestHidePathsHidesStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := inOp(fm, func() error {
-		_, err := fm.writeContent(mustPath(t, "/secret-project/plans.txt"), []byte("x"), ownedACL(1))
+		_, err := fm.writeContent(mustPath(t, "/secret-project/plans.txt"), encodeRawBody([]byte("x")), ownedACL(1))
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -958,7 +979,7 @@ func TestNoPlaintextLeaksToStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	content := append([]byte("TOPSECRET-CONTENT-MARKER "), bytes.Repeat([]byte("x"), 5000)...)
-	if _, err := ac.PutFile("agent-alice", mustPath(t, "/classified-dir/classified-file"), content); err != nil {
+	if _, err := ac.PutFile("agent-alice", mustPath(t, "/classified-dir/classified-file"), encodeRawBody(content)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ac.AddUser("agent-alice", "agent-bob", "secret-team-name"); err != nil {

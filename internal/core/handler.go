@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -384,7 +385,7 @@ func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, rq request) {
 		}
 
 	case http.MethodPut:
-		content, err := s.readBody(r)
+		body, err := s.readBody(r)
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
@@ -396,7 +397,7 @@ func (s *Server) serveFS(w http.ResponseWriter, r *http.Request, rq request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		created, err := rq.putFile(path, content)
+		created, err := rq.putFile(path, body)
 		if err != nil {
 			writeMappedErr(w, err)
 			return
@@ -618,17 +619,20 @@ func parseAPIPath(raw string) (fspath.Path, error) {
 	return p, nil
 }
 
-// readBody reads a PUT body. A declared Content-Length within the cap
-// sizes the buffer exactly once; io.ReadAll would reach the same size by
-// doubling and copying. Chunked bodies (length -1), over-cap declarations
-// and a disabled cap take io.ReadAll, where MaxBytesReader still trips.
+// readBody reads a PUT body into a raw content body (bodyRaw ‖ bytes), so
+// no later copy prepends the tag. A declared Content-Length within the
+// cap sizes it exactly; chunked bodies, over-cap declarations and a
+// disabled cap grow it as io.ReadAll would, and MaxBytesReader trips.
 func (s *Server) readBody(r *http.Request) ([]byte, error) {
 	if r.ContentLength < 0 || r.ContentLength > s.maxBody {
-		return io.ReadAll(r.Body)
+		buf := bytes.NewBuffer(append(make([]byte, 0, bytes.MinRead), bodyRaw))
+		_, err := buf.ReadFrom(r.Body)
+		return buf.Bytes(), err
 	}
-	content := make([]byte, r.ContentLength)
-	_, err := io.ReadFull(r.Body, content)
-	return content, err
+	body := make([]byte, 1+r.ContentLength)
+	body[0] = bodyRaw
+	_, err := io.ReadFull(r.Body, body[1:])
+	return body, err
 }
 
 func decodeJSON(r *http.Request, into any) error {

@@ -301,8 +301,9 @@ func TestContentLengthFromPlaintext(t *testing.T) {
 	}
 }
 
-// TestPutBodyRead covers how a PUT body is read: a declared length within
-// the cap is read into a buffer of exactly that size; a body shorter than
+// TestPutBodyRead covers how a PUT body is read: into a raw content body
+// (the bodyRaw tag, then the bytes), which for a declared length within
+// the cap is a buffer of exactly that size plus the tag; a body shorter than
 // declared is a 400 that stores nothing; a declared or chunked body over
 // the cap is a 413; a chunked body within the cap is stored whole.
 func TestPutBodyRead(t *testing.T) {
@@ -345,9 +346,15 @@ func TestPutBodyRead(t *testing.T) {
 		}
 	}
 
+	want := encodeRawBody(small)
 	req := httptest.NewRequest("PUT", "/fs/x", bytes.NewReader(small))
-	content, err := f.server.readBody(req)
-	if err != nil || !bytes.Equal(content, small) || cap(content) != len(small) {
-		t.Fatalf("readBody = %d bytes (cap %d), err %v; want exactly %d", len(content), cap(content), err, len(small))
+	body, err := f.server.readBody(req)
+	if err != nil || !bytes.Equal(body, want) || cap(body) != len(want) {
+		t.Fatalf("readBody = %d bytes (cap %d), err %v; want exactly %d", len(body), cap(body), err, len(want))
+	}
+	req = httptest.NewRequest("PUT", "/fs/x", io.NopCloser(bytes.NewReader(small)))
+	req.ContentLength = -1
+	if body, err := f.server.readBody(req); err != nil || !bytes.Equal(body, want) {
+		t.Fatalf("chunked readBody = %q, err %v; want %q", body, err, want)
 	}
 }

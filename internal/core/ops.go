@@ -59,9 +59,10 @@ func (fm *fileManager) createDir(path fspath.Path, dirACL *acl.ACL) error {
 	})
 }
 
-// writeContent creates or updates a content file. On creation, newACL
-// becomes the file's ACL; on update the existing ACL is untouched.
-func (fm *fileManager) writeContent(path fspath.Path, content []byte, newACL *acl.ACL) (created bool, err error) {
+// writeContent creates or updates a content file from a raw content body
+// (bodyRaw ‖ content), which it takes over. On creation, newACL becomes
+// the file's ACL; on update the existing ACL is untouched.
+func (fm *fileManager) writeContent(path fspath.Path, body []byte, newACL *acl.ACL) (created bool, err error) {
 	if path.IsDir() {
 		return false, fmt.Errorf("%w: %q is a directory path", ErrBadRequest, path)
 	}
@@ -77,7 +78,7 @@ func (fm *fileManager) writeContent(path fspath.Path, content []byte, newACL *ac
 	// rewrite stores identical content (oldHName == newHName), Put
 	// acquired a second reference on the same object, so one release
 	// still balances the books.
-	body, newHName, err := fm.encodeContent(content)
+	body, newHName, err := fm.encodeContent(body)
 	if err != nil {
 		return false, err
 	}
@@ -121,14 +122,16 @@ func (fm *fileManager) writeContent(path fspath.Path, content []byte, newACL *ac
 	return true, nil
 }
 
-// encodeContent builds a content file's body, deduplicating when the
-// extension is enabled (paper §V-A). The returned hName (when non-empty)
-// carries a freshly acquired reference the caller must account for.
-func (fm *fileManager) encodeContent(content []byte) ([]byte, string, error) {
+// encodeContent returns the body a content file stores for a raw content
+// body: the raw body itself, or with the deduplication extension enabled
+// (paper §V-A) an indirection to the dedup object now holding its
+// content. The returned hName (when non-empty) carries a freshly acquired
+// reference the caller must account for.
+func (fm *fileManager) encodeContent(raw []byte) ([]byte, string, error) {
 	if fm.dedup == nil {
-		return encodeRawBody(content), "", nil
+		return raw, "", nil
 	}
-	hName, _, err := fm.dedup.Put(content)
+	hName, _, err := fm.dedup.Put(raw[1:])
 	if err != nil {
 		return nil, "", err
 	}
@@ -403,22 +406,14 @@ func (fm *fileManager) movePath(src, dst fspath.Path) error {
 	if err := fm.validateNode(fm.content, src.String(), hdr, body); err != nil {
 		return err
 	}
-	raw, hName, err := decodeContentBody(body)
-	if err != nil {
+	if _, _, err := decodeContentBody(body); err != nil {
 		return err
-	}
-	var newBody []byte
-	if hName != "" {
-		newBody = encodeDedupBody(hName)
-	} else {
-		newBody = encodeRawBody(raw)
 	}
 	dstName := dst.String()
-	oldMain, newMain, err := fm.writeLeaf(fm.content, dstName, newBody)
+	_, newMain, err := fm.writeLeaf(fm.content, dstName, body)
 	if err != nil {
 		return err
 	}
-	_ = oldMain
 	_, aclMain, err := fm.writeLeaf(fm.content, aclName(dstName), srcACL.Encode())
 	if err != nil {
 		return err

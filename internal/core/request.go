@@ -129,12 +129,13 @@ func (rq request) propfind(path fspath.Path, children bool) (size int64, entries
 	return 0, entries, sizes, nil
 }
 
-// putFile creates or overwrites a content file.
-func (rq request) putFile(path fspath.Path, content []byte) (created bool, err error) {
+// putFile creates or overwrites a content file from a raw content body
+// (bodyRaw ‖ content), which it takes over.
+func (rq request) putFile(path fspath.Path, body []byte) (created bool, err error) {
 	err = rq.s.provisionUser(rq.rs, rq.u)
 	if err == nil {
 		unlock := rq.s.locks.fsWrite(rq.rs, false, path)
-		created, err = rq.ac.PutFile(rq.u, path, content)
+		created, err = rq.ac.PutFile(rq.u, path, body)
 		unlock()
 	}
 	rq.record(audit.Event{Path: path.String()}, err)

@@ -304,7 +304,7 @@ func TestWarmDirectGetAllocs(t *testing.T) {
 		}
 	}
 	get() // warm the relation and key-schedule caches
-	const budget = 33
+	const budget = 32
 	if n := testing.AllocsPerRun(200, get); n > budget {
 		t.Fatalf("warm direct GET = %.0f allocs, budget %d", n, budget)
 	}

@@ -55,7 +55,7 @@ func TestTreeConsistencyUnderRandomOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := inOp(fm, func() error { _, err := fm.writeContent(child, content(step), ownedACL(1)); return err }); err != nil {
+			if err := inOp(fm, func() error { _, err := fm.writeContent(child, encodeRawBody(content(step)), ownedACL(1)); return err }); err != nil {
 				t.Fatalf("step %d: create %s: %v", step, child, err)
 			}
 			files = append(files, node{path: child})
@@ -65,7 +65,7 @@ func TestTreeConsistencyUnderRandomOps(t *testing.T) {
 				continue
 			}
 			f := files[rng.Intn(len(files))]
-			if err := inOp(fm, func() error { _, err := fm.writeContent(f.path, content(step), nil); return err }); err != nil {
+			if err := inOp(fm, func() error { _, err := fm.writeContent(f.path, encodeRawBody(content(step)), nil); return err }); err != nil {
 				t.Fatalf("step %d: update %s: %v", step, f.path, err)
 			}
 

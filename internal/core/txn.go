@@ -13,9 +13,10 @@ import (
 // This file makes every logical operation atomic-on-recovery. A mutation
 // runs inside mutate(), which stages all putBlob/deleteBlob calls in an
 // opCtx instead of issuing them; when the operation's function returns
-// successfully, every staged blob is sealed once for its final name, the
-// set is committed as one journal intent carrying those sealed bytes,
-// installed on the backends verbatim, and marked applied. A crash or
+// successfully, the set is committed as one journal intent — the commit
+// seals every staged blob once, for its final name, straight into the
+// record — installed on the backends verbatim from the record, and
+// marked applied. A crash or
 // fault between any two backend writes is repaired by recoverJournal:
 // committed intents are re-applied (roll forward), an intent torn during
 // its commit is discarded (roll back). The journal is always on: every
@@ -24,9 +25,9 @@ import (
 
 // stagedPut is one buffered blob write. Header and body stay plaintext
 // (the encoded rollback header and the logical body) so the operation can
-// re-read its own writes; mutate seals them once, just before the intent
-// commits. body is the caller's slice, not a copy: callers hand over
-// freshly encoded buffers and never touch them again.
+// re-read its own writes; the intent commit seals them once. body is the
+// caller's slice, not a copy: callers hand over freshly encoded buffers
+// and never touch them again.
 type stagedPut struct {
 	ns     *namespace
 	name   string
@@ -111,10 +112,11 @@ func (tx *opCtx) staged(ns *namespace, name string) (sp *stagedPut, deleted bool
 }
 
 // records converts the staged set into journal intent records: writes in
-// first-staged order, each sealed for its final name, then deletes. A
-// namespace root is the exception: its guard token is assigned at apply
-// time, so it travels as plaintext (header ‖ body) and applyIntent seals
-// it.
+// first-staged order, each carrying the sealer that seals it for its
+// final name straight into the record when the intent commits, then
+// deletes. A namespace root is the exception: its guard token is assigned
+// at apply time, so it travels as plaintext (header ‖ body) and
+// applyIntent seals it.
 func (fm *fileManager) records(tx *opCtx) (writes []journal.Write, dels []journal.Delete, err error) {
 	for _, key := range tx.order {
 		sp, ok := tx.puts[key]
@@ -124,7 +126,7 @@ func (fm *fileManager) records(tx *opCtx) (writes []journal.Write, dels []journa
 		w := journal.Write{Store: sp.ns.kind, Name: sp.name, NeedsToken: sp.needsToken}
 		if sp.needsToken {
 			w.Body = append(append([]byte(nil), sp.hdrEnc...), sp.body...)
-		} else if w.Body, err = fm.sealBlob(sp.ns, sp.name, sp.hdrEnc, sp.body); err != nil {
+		} else if w.Size, w.Seal, err = fm.sealer(sp.ns, sp.name, sp.hdrEnc, sp.body); err != nil {
 			return nil, nil, err
 		}
 		writes = append(writes, w)
@@ -229,6 +231,8 @@ func (fm *fileManager) mutate(op string, fn func() error) error {
 		tx.runAbortHooks()
 		return err
 	}
+	// The commit seals every blob into the record, so its time includes
+	// the content encryption.
 	commitStart := time.Now()
 	seq, err := fm.journal.Commit(op, writes, deletes)
 	fm.rs.AddJournalCommit(time.Since(commitStart))

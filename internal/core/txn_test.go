@@ -108,7 +108,7 @@ func TestRecoveryInstallsRecordBlobsVerbatim(t *testing.T) {
 // were; with it on, the parent's bucket for the child must still move.
 func TestOverwriteLeavesUnchangedParentAlone(t *testing.T) {
 	overwrite := func(fx *crashFixture) error {
-		_, err := fx.ac.PutFile("alice", fx.path("/docs/a.txt"), []byte("updated"))
+		_, err := fx.ac.PutFile("alice", fx.path("/docs/a.txt"), encodeRawBody([]byte("updated")))
 		return err
 	}
 	t.Run("rollback-off", func(t *testing.T) {

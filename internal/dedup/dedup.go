@@ -2,11 +2,15 @@
 // deduplication store (paper §V-A). Plaintext data is deduplicated inside
 // the enclave and only a single encrypted copy is stored:
 //
-//   - an uploaded file is streamed into the store under a unique random
-//     temporary name while an HMAC over its plaintext accumulates,
-//   - the HMAC's hex form hName is the file's content address,
-//   - if no object named hName exists, the temporary object is renamed to
-//     hName; otherwise the temporary object is removed.
+//   - the hex form of an HMAC over an uploaded file's plaintext, hName, is
+//     the file's content address,
+//   - if no object named hName exists, the file is encrypted and stored
+//     under hName; otherwise nothing is written.
+//
+// The paper streams the upload into a temporary object while the HMAC
+// accumulates and then renames or removes it. Uploads reach the store
+// whole (DESIGN §6 item 9), so the address is known before anything is
+// written and neither the temporary object nor the rename is needed.
 //
 // Content files in the content store then hold hName as an indirection
 // (like a symbolic link). Deduplication works across groups, and
@@ -22,12 +26,10 @@
 package dedup
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"segshare/internal/obs"
@@ -45,10 +47,7 @@ var (
 	ErrCorrupt = errors.New("dedup: object corrupt")
 )
 
-const (
-	tempPrefix = "tmp:"
-	refsName   = "_refs"
-)
+const refsName = "_refs"
 
 // Store is the deduplication store. It is safe for concurrent use.
 type Store struct {
@@ -144,21 +143,6 @@ func (s *Store) contentName(content []byte) string {
 	return hex.EncodeToString(mac[:])
 }
 
-// hashingReader tees plaintext through the content HMAC while it is being
-// consumed.
-type hashingReader struct {
-	r   io.Reader
-	mac io.Writer
-}
-
-func (h *hashingReader) Read(p []byte) (int, error) {
-	n, err := h.r.Read(p)
-	if n > 0 {
-		h.mac.Write(p[:n])
-	}
-	return n, err
-}
-
 // encodeObject encrypts content under a fresh random key and returns the
 // stored object bytes: wrapped key ‖ protected blob. The blob is sealed
 // directly into the object buffer (pfs.AppendEncrypt), so the content is
@@ -196,7 +180,12 @@ func (s *Store) decodeObject(raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, ErrCorrupt
 	}
-	content, err := pfs.DecryptWorkers(fileKey, nil, raw[4+n:], s.workers)
+	keys, err := pfs.NewKeys(fileKey)
+	if err != nil {
+		return nil, err
+	}
+	// raw is the caller's (Backend.Get), so the blob is opened in place.
+	content, err := keys.DecryptCtx(nil, nil, raw[4+n:], s.workers)
 	if err != nil {
 		return nil, ErrCorrupt
 	}
@@ -208,50 +197,6 @@ func (s *Store) decodeObject(raw []byte) ([]byte, error) {
 // incremented either way.
 func (s *Store) Put(content []byte) (hName string, duplicate bool, err error) {
 	return s.put(s.contentName(content), content)
-}
-
-// PutFrom streams content from r using the paper's temp-object protocol:
-// the object is written under a random temporary name while the HMAC
-// accumulates, then renamed or discarded.
-func (s *Store) PutFrom(r io.Reader) (hName string, duplicate bool, err error) {
-	var tmp [16]byte
-	if _, err := io.ReadFull(rand.Reader, tmp[:]); err != nil {
-		return "", false, fmt.Errorf("dedup: temp name: %w", err)
-	}
-	tempName := tempPrefix + hex.EncodeToString(tmp[:])
-
-	mac := newMACWriter(s.nameKey)
-	content, err := io.ReadAll(&hashingReader{r: r, mac: mac})
-	if err != nil {
-		return "", false, fmt.Errorf("dedup: read upload: %w", err)
-	}
-	obj, err := s.encodeObject(content)
-	if err != nil {
-		return "", false, err
-	}
-	if err := s.backend.Put(tempName, obj); err != nil {
-		return "", false, fmt.Errorf("dedup: store temp: %w", err)
-	}
-	hName = hex.EncodeToString(mac.Sum())
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	exists, err := s.backend.Exists(hName)
-	if err != nil {
-		return "", false, err
-	}
-	if exists {
-		if err := s.backend.Delete(tempName); err != nil {
-			return "", false, err
-		}
-	} else if err := s.backend.Rename(tempName, hName); err != nil {
-		return "", false, err
-	}
-	if err := s.addRefLocked(hName, 1); err != nil {
-		return "", false, err
-	}
-	s.observePut(exists, len(content))
-	return hName, exists, nil
 }
 
 func (s *Store) put(hName string, content []byte) (string, bool, error) {

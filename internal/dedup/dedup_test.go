@@ -87,41 +87,6 @@ func TestDeduplication(t *testing.T) {
 	}
 }
 
-func TestPutFromStreamingMatchesPut(t *testing.T) {
-	s, _ := newStore(t)
-	content := bytes.Repeat([]byte("stream me "), 5000)
-
-	h1, dup, err := s.PutFrom(bytes.NewReader(content))
-	if err != nil {
-		t.Fatalf("PutFrom: %v", err)
-	}
-	if dup {
-		t.Fatal("fresh PutFrom reported duplicate")
-	}
-	h2, dup, err := s.Put(content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 || !dup {
-		t.Fatalf("Put after PutFrom: h1=%s h2=%s dup=%v", h1, h2, dup)
-	}
-	// Streaming again hits the temp-then-delete path.
-	h3, dup, err := s.PutFrom(bytes.NewReader(content))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h3 != h1 || !dup {
-		t.Fatalf("second PutFrom: h=%s dup=%v", h3, dup)
-	}
-	if n, _ := s.RefCount(h1); n != 3 {
-		t.Fatalf("RefCount = %d, want 3", n)
-	}
-	got, err := s.Get(h1)
-	if err != nil || !bytes.Equal(got, content) {
-		t.Fatalf("Get after streams: %v", err)
-	}
-}
-
 func TestReleaseRefcounting(t *testing.T) {
 	s, _ := newStore(t)
 	content := []byte("refcounted")
@@ -272,27 +237,6 @@ func TestQuickDedupSemantics(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-type failingReader struct{ err error }
-
-func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
-
-func TestPutFromPropagatesReaderError(t *testing.T) {
-	s, _ := newStore(t)
-	wantErr := errors.New("upload interrupted")
-	if _, _, err := s.PutFrom(failingReader{err: wantErr}); !errors.Is(err, wantErr) {
-		t.Fatalf("want reader error, got %v", err)
-	}
-	// The store holds no stray temp objects afterwards... PutFrom fails
-	// before the temp write, so the backend must be empty.
-	total, err := s.TotalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 0 {
-		t.Fatalf("store holds %d bytes after failed upload", total)
 	}
 }
 

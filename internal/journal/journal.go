@@ -15,9 +15,10 @@
 // discarded, which rolls the operation back.
 //
 // Journal records are ordinary objects in a store.Backend, named
-// "!journal:<seq>" next to the enclave's other reserved objects. The file
-// manager seals every blob once, for its final name, before it commits;
-// a record (see record.go) is a sealed header followed by those blobs,
+// "!journal:<seq>" next to the enclave's other reserved objects. Every
+// blob is sealed once, for its final name: the file manager hands Commit
+// a sealer per blob, which seals it straight into the record. A record
+// (see record.go) is a sealed header followed by those blobs,
 // authenticated by the header's tag instead of encrypted a second time.
 // Headers are hash-chained (like internal/audit) and numbered by an
 // enclave monotonic counter, so a truncated journal is detected: the
@@ -89,6 +90,10 @@ type Write struct {
 	Name string
 	// Body is the sealed blob — or, with NeedsToken, plaintext.
 	Body []byte
+	// Seal, when set, replaces Body: Commit calls it with the blob's
+	// empty slot in the record, of capacity Size, which it must fill.
+	Seal func(dst []byte) ([]byte, error)
+	Size int
 	// NeedsToken marks a namespace-root write, the one kind whose bytes
 	// are not final at commit: its guard token is assigned at apply time
 	// (a fresh guard commit per apply keeps replays valid). Body is then
@@ -228,8 +233,9 @@ func (j *Journal) scan() ([]uint64, error) {
 
 // Commit seals one intent and appends it to the journal, returning the
 // assigned sequence number. The caller applies the writes only after
-// Commit succeeds and calls MarkApplied when done. Bodies are copied into
-// the record; the caller keeps ownership of writes.
+// Commit succeeds and calls MarkApplied when done. Each blob is sealed
+// (Seal) or copied (Body) into the record once, under the journal lock,
+// and every write's Body is then its read-only slice of the record.
 func (j *Journal) Commit(op string, writes []Write, deletes []Delete) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

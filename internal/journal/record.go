@@ -38,7 +38,8 @@ func appendBytes(b []byte, vs ...[]byte) []byte {
 }
 
 // sealRecord encodes and seals rec, returning the stored record and the
-// sealed header inside it (what the successor's Prev hashes).
+// sealed header inside it (what the successor's Prev hashes). Blobs are
+// sealed or copied into their slots, which become the writes' Bodies.
 func sealRecord(c *pae.Cipher, rec *Intent) (record, sealed []byte, err error) {
 	hdr := appendBytes(binary.AppendUvarint(nil, rec.Seq), rec.Prev, []byte(rec.Op))
 	hdr = binary.AppendUvarint(hdr, uint64(len(rec.Writes)))
@@ -49,8 +50,8 @@ func sealRecord(c *pae.Cipher, rec *Intent) (record, sealed []byte, err error) {
 			hdr = appendBytes(append(hdr, 1), w.Body)
 			continue
 		}
-		hdr = binary.AppendUvarint(append(hdr, 0), uint64(len(w.Body)))
-		blobLen += len(w.Body)
+		hdr = binary.AppendUvarint(append(hdr, 0), uint64(w.blobSize()))
+		blobLen += w.blobSize()
 	}
 	hdr = binary.AppendUvarint(hdr, uint64(len(rec.Deletes)))
 	for _, d := range rec.Deletes {
@@ -62,15 +63,37 @@ func sealRecord(c *pae.Cipher, rec *Intent) (record, sealed []byte, err error) {
 	record[0] = formatV1
 	binary.BigEndian.PutUint32(record[1:], uint32(end-prefixLen))
 	off := end
-	for _, w := range rec.Writes {
-		if !w.NeedsToken {
-			off += copy(record[off:], w.Body)
+	for i := range rec.Writes {
+		w := &rec.Writes[i]
+		if w.NeedsToken {
+			continue
 		}
+		slot := record[off : off+w.blobSize() : off+w.blobSize()]
+		if w.Seal != nil {
+			blob, err := w.Seal(slot[:0])
+			if err != nil {
+				return nil, nil, err
+			}
+			if len(blob) != len(slot) || len(blob) > 0 && &blob[0] != &slot[0] {
+				return nil, nil, fmt.Errorf("journal: %s sealed %d bytes outside its %d-byte slot", w.Name, len(blob), len(slot))
+			}
+		} else {
+			copy(slot, w.Body)
+		}
+		w.Body = slot
+		off += len(slot)
 	}
 	// Seals into record[prefixLen:end]: the capacity is there, so the
 	// blobs behind it stay where they are.
 	_, err = c.AppendSeal(record[:prefixLen], hdr, record[end:])
 	return record, record[prefixLen:end], err
+}
+
+func (w *Write) blobSize() int {
+	if w.Seal != nil {
+		return w.Size
+	}
+	return len(w.Body)
 }
 
 // openRecord authenticates and decodes a stored record; blob bodies alias

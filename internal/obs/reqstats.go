@@ -93,7 +93,8 @@ func (s *ReqStats) AddBridgeCalls(ecalls, ocalls int64) {
 }
 
 // AddJournalCommit accumulates time spent sealing and committing the
-// operation's journal intent.
+// operation's journal intent — including the encryption of its blobs,
+// which the commit seals into the record.
 func (s *ReqStats) AddJournalCommit(d time.Duration) {
 	if s == nil || d <= 0 {
 		return

@@ -25,7 +25,7 @@ func TestDecryptCtxCancelled(t *testing.T) {
 	cancel()
 
 	for _, workers := range []int{1, 4} {
-		if _, err := keys.DecryptCtx(ctx, fileID, blob, workers); err == nil {
+		if _, err := keys.DecryptCtx(ctx, fileID, bytes.Clone(blob), workers); err == nil {
 			t.Errorf("workers=%d: opened a full file under a canceled context", workers)
 		} else if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled in chain", workers, err)
@@ -50,7 +50,7 @@ func TestCtxPathsMatchSerialOutput(t *testing.T) {
 			if err != nil {
 				t.Fatalf("size=%d workers=%d encrypt: %v", size, workers, err)
 			}
-			got, err := keys.DecryptCtx(ctx, fileID, blob, workers)
+			got, err := keys.DecryptCtx(ctx, fileID, bytes.Clone(blob), workers)
 			if err != nil {
 				t.Fatalf("size=%d workers=%d ctx decrypt: %v", size, workers, err)
 			}

@@ -42,7 +42,9 @@ func FuzzDecrypt(f *testing.F) {
 // FuzzDecryptParallel feeds arbitrary blobs to the open kernel at
 // several worker counts. It must never panic (in any worker goroutine),
 // inline and fanned-out runs must agree on accept/reject and on the
-// plaintext, and whatever the full open accepts the random-access Reader
+// plaintext, so must the in-place open (Keys.DecryptCtx on a copy the
+// open owns) and DecryptWorkers, which must leave the caller's blob as
+// it was; and whatever the full open accepts the random-access Reader
 // must read back identically over the whole range. (The converse does
 // not hold: ReadAt only touches the stored nodes on its Merkle paths, so
 // it cannot see tampering in the others; the full open compares all.)
@@ -70,7 +72,12 @@ func FuzzDecryptParallel(f *testing.F) {
 	tail := append([]byte(nil), valid...)
 	tail[5*(ChunkSize+pae.Overhead)+10] ^= 0x01 // inside the partial tail chunk
 	f.Add(tail)
+	keys, err := NewKeys(key)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
+		kept := bytes.Clone(blob)
 		inlinePt, inlineErr := DecryptWorkers(key, []byte("/f"), blob, 1)
 		for _, workers := range []int{2, 4} {
 			pt, err := DecryptWorkers(key, []byte("/f"), blob, workers)
@@ -79,6 +86,18 @@ func FuzzDecryptParallel(f *testing.F) {
 			}
 			if err == nil && !bytes.Equal(inlinePt, pt) {
 				t.Fatalf("inline and w%d accepted the blob with different plaintexts", workers)
+			}
+		}
+		if !bytes.Equal(blob, kept) {
+			t.Fatal("DecryptWorkers modified the caller's blob")
+		}
+		for _, workers := range []int{1, 4} {
+			pt, err := openInPlace(t, keys, []byte("/f"), blob, workers)
+			if (inlineErr == nil) != (err == nil) {
+				t.Fatalf("DecryptWorkers and in-place w%d disagree: err=%v, in-place err=%v", workers, inlineErr, err)
+			}
+			if err == nil && !bytes.Equal(inlinePt, pt) {
+				t.Fatalf("DecryptWorkers and in-place w%d accepted the blob with different plaintexts", workers)
 			}
 		}
 		if inlineErr != nil {

@@ -16,10 +16,10 @@ import (
 // positional associated data is embarrassingly parallel, and the encoded
 // layout is fully deterministic: chunk i's ciphertext occupies exactly
 // [i*(ChunkSize+pae.Overhead), ...) of the blob. So there is one seal
-// loop and one open loop, both over a window of chunks whose plaintext
-// and ciphertext buffers the caller owns: chunk i is sealed/opened
-// straight into its final slot (no per-chunk allocation, no reassembly
-// pass) and its leaf hash recorded. The loop runs inline on the caller's
+// loop and one open loop, both over a window of chunks whose buffers the
+// caller owns: chunk i is sealed straight into its final slot, or opened
+// in place over its own ciphertext (no per-chunk allocation), and its
+// leaf hash recorded. The loop runs inline on the caller's
 // goroutine for small windows or workers <= 1 and on `workers`
 // goroutines otherwise — serial is workers = 1 of the same code, so the
 // bytes and the checks cannot differ between the two. The one-shot entry
@@ -58,10 +58,11 @@ func fansOut(chunks int64, workers int) bool {
 }
 
 // window is a run of consecutive chunks of one protected file over
-// caller-owned buffers. plain and sealed hold the chunks back to back
-// (every chunk full except possibly the last; sealed is exactly
-// len(plain) + len(leaves)*pae.Overhead bytes). Sealing reads plain and
-// fills sealed; opening reads sealed and fills plain; both fill leaves.
+// caller-owned buffers. sealed holds the chunks back to back (every chunk
+// full except possibly the last), and so does plain when sealing (sealed
+// is then exactly len(plain) + len(leaves)*pae.Overhead bytes). Sealing
+// reads plain and fills sealed; opening overwrites sealed in place; both
+// fill leaves.
 type window struct {
 	cipher *pae.Cipher
 	fileID []byte
@@ -71,15 +72,13 @@ type window struct {
 	leaves [][hashSize]byte
 }
 
-// slot returns chunk i's plaintext and ciphertext extents. The
-// three-index slices pin capacity so AEAD output appended at [:0] cannot
-// bleed into the next chunk's region.
-func (w *window) slot(i int) (pt, ct []byte) {
-	po := i * ChunkSize
-	pe := min(po+ChunkSize, len(w.plain))
+// chunk returns chunk i's extent of sealed. The three-index slice pins
+// capacity so AEAD output written at [:0] cannot bleed into the next
+// chunk's region.
+func (w *window) chunk(i int) []byte {
 	co := i * (ChunkSize + pae.Overhead)
-	ce := co + (pe - po) + pae.Overhead
-	return w.plain[po:pe:pe], w.sealed[co:ce:ce]
+	ce := min(co+ChunkSize+pae.Overhead, len(w.sealed))
+	return w.sealed[co:ce:ce]
 }
 
 // cursor hands out chunk indices to the goroutines draining a window.
@@ -142,8 +141,8 @@ func (w *window) each(ctx context.Context, workers int, do func(i int, aad []byt
 // of sealed and its leaf hash recorded.
 func (w *window) seal(workers int) error {
 	return w.each(nil, workers, func(i int, aad []byte) error {
-		pt, slot := w.slot(i)
-		ct, err := w.cipher.AppendSeal(slot[:0], pt, aad)
+		pt := w.plain[i*ChunkSize : min((i+1)*ChunkSize, len(w.plain))]
+		ct, err := w.cipher.AppendSeal(w.chunk(i)[:0], pt, aad)
 		if err != nil {
 			return fmt.Errorf("pfs: seal chunk %d: %w", w.first+int64(i), err)
 		}
@@ -152,19 +151,33 @@ func (w *window) seal(workers int) error {
 	})
 }
 
-// open is the open kernel: every chunk of sealed is authenticated and
-// opened into its slot of plain, and its leaf hash recorded. The caller
-// must not release plain before it has checked the leaves against the
-// authenticated root.
+// open is the open kernel: every chunk of sealed has its leaf hash
+// recorded and is then authenticated and opened in place, its plaintext
+// written over its own ciphertext from the end of the nonce on (an exact
+// alias of the AEAD input, which AES-GCM allows). The caller must check
+// the leaves against the authenticated root before it calls gather.
 func (w *window) open(ctx context.Context, workers int) error {
 	return w.each(ctx, workers, func(i int, aad []byte) error {
-		slot, ct := w.slot(i)
+		ct := w.chunk(i)
 		w.leaves[i] = leafHash(ct)
-		if _, err := w.cipher.AppendOpen(slot[:0], ct, aad); err != nil {
+		if _, err := w.cipher.AppendOpen(ct[pae.NonceSize:pae.NonceSize], ct, aad); err != nil {
 			return ErrCorrupt
 		}
 		return nil
 	})
+}
+
+// gather moves the chunks open left in place to the front of sealed, in
+// order, and returns the window's plaintext. Chunk i lands at
+// i*ChunkSize, never after where open left it, so one forward pass of
+// copies is safe.
+func (w *window) gather() []byte {
+	n := 0
+	for i := range w.leaves {
+		ct := w.chunk(i)
+		n += copy(w.sealed[n:], ct[pae.NonceSize:len(ct)-pae.TagSize])
+	}
+	return w.sealed[:n]
 }
 
 // AppendEncrypt encrypts and integrity-protects plaintext into a
@@ -219,6 +232,11 @@ func (k *Keys) AppendEncrypt(dst, fileID, plaintext []byte, workers int) ([]byte
 // chunk boundary once ctx ends, so a disconnected client stops consuming
 // crypto CPU within one chunk, and the call returns an error wrapping the
 // context's cause. A nil ctx is never canceled.
+//
+// DecryptCtx takes ownership of blob: chunks are opened in place, and the
+// plaintext returned is blob[:plainSize]. After an error blob's contents
+// are unspecified. A caller that must keep its blob passes a copy, as
+// DecryptWorkers does.
 func (k *Keys) DecryptCtx(ctx context.Context, fileID, blob []byte, workers int) ([]byte, error) {
 	r, err := k.Open(fileID, bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
@@ -229,7 +247,6 @@ func (k *Keys) DecryptCtx(ctx context.Context, fileID, blob []byte, workers int)
 	w := window{
 		cipher: k.cipher,
 		fileID: fileID,
-		plain:  make([]byte, r.ftr.plainSize),
 		sealed: blob[:r.chunksEnd],
 		leaves: make([][hashSize]byte, r.ftr.numChunks),
 	}
@@ -249,7 +266,7 @@ func (k *Keys) DecryptCtx(ctx context.Context, fileID, blob []byte, workers int)
 			off += hashSize
 		}
 	}
-	return w.plain, nil
+	return w.gather(), nil
 }
 
 // The package-level entry points take the raw file key: each call pays
@@ -269,11 +286,12 @@ func AppendEncrypt(dst []byte, fileKey pae.Key, fileID, plaintext []byte, worker
 	return k.AppendEncrypt(dst, fileID, plaintext, workers)
 }
 
-// DecryptWorkers is NewKeys(fileKey) + Keys.DecryptCtx, never canceled.
+// DecryptWorkers is NewKeys(fileKey) + Keys.DecryptCtx on a copy of blob,
+// never canceled: the caller keeps its blob.
 func DecryptWorkers(fileKey pae.Key, fileID, blob []byte, workers int) ([]byte, error) {
 	k, err := NewKeys(fileKey)
 	if err != nil {
 		return nil, err
 	}
-	return k.DecryptCtx(nil, fileID, blob, workers)
+	return k.DecryptCtx(nil, fileID, bytes.Clone(blob), workers)
 }

@@ -62,14 +62,33 @@ func readAllAt(key pae.Key, fileID, blob []byte) ([]byte, error) {
 	return out, nil
 }
 
+// openInPlace hands a copy of blob to Keys.DecryptCtx, which opens it in
+// place, and checks the ownership contract: an accepted blob's plaintext
+// is the front of the very buffer the open was given.
+func openInPlace(t testing.TB, keys *Keys, fileID, blob []byte, workers int) ([]byte, error) {
+	t.Helper()
+	owned := bytes.Clone(blob)
+	pt, err := keys.DecryptCtx(nil, fileID, owned, workers)
+	if err == nil && len(pt) > 0 && &pt[0] != &owned[0] {
+		t.Fatalf("w%d: in-place open returned plaintext outside the blob it owns", workers)
+	}
+	return pt, err
+}
+
 // TestCrossCompatibilityMatrix is the format contract of the kernel:
 // whatever worker count sealed a blob, it has exactly
-// len(pt)+Overhead(len(pt)) bytes and every worker count and the
-// random-access Reader open it to the same plaintext; and flipping any
-// single byte of it — chunk nonce/ciphertext/tag, stored tree node,
-// footer — is rejected by the full open at every worker count.
+// len(pt)+Overhead(len(pt)) bytes and every worker count — in place on
+// a blob the open owns, and through DecryptWorkers on one the caller
+// keeps — and the random-access Reader open it to the same plaintext;
+// and flipping any single byte of it — chunk nonce/ciphertext/tag,
+// stored tree node, footer — is rejected by the full open at every
+// worker count.
 func TestCrossCompatibilityMatrix(t *testing.T) {
 	key, fileID := compatKeyID(t)
+	keys, err := NewKeys(key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, size := range compatSizes {
 		plain := compatPlain(size)
 		for _, sealW := range compatWorkers {
@@ -87,6 +106,10 @@ func TestCrossCompatibilityMatrix(t *testing.T) {
 				}
 				if !bytes.Equal(got, plain) {
 					t.Fatalf("size %d w%d->w%d plaintext mismatch", size, sealW, openW)
+				}
+				got, err = openInPlace(t, keys, fileID, blob, openW)
+				if err != nil || !bytes.Equal(got, plain) {
+					t.Fatalf("size %d w%d->w%d in-place open: %v", size, sealW, openW, err)
 				}
 			}
 			got, err := readAllAt(key, fileID, blob)
@@ -114,6 +137,9 @@ func TestCrossCompatibilityMatrix(t *testing.T) {
 				if _, err := DecryptWorkers(key, fileID, mutated, w); !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("size %d: flip at byte %d of %d, open w%d: err = %v, want ErrCorrupt", size, pos, len(blob), w, err)
 				}
+				if _, err := openInPlace(t, keys, fileID, mutated, w); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("size %d: flip at byte %d of %d, in-place open w%d: err = %v, want ErrCorrupt", size, pos, len(blob), w, err)
+				}
 			}
 			mutated[pos] = blob[pos]
 		}
@@ -131,7 +157,8 @@ type parentFixtures struct {
 
 // TestParentFixturesOpen pins the on-disk format across the kernel
 // swap: blobs written by the parent commit's two seal implementations
-// must open, unchanged, under every worker count and under ReadAt.
+// must open, unchanged, under every worker count — through
+// DecryptWorkers and in place — and under ReadAt.
 func TestParentFixturesOpen(t *testing.T) {
 	raw, err := os.ReadFile("testdata/parent/fixtures.json")
 	if err != nil {
@@ -146,6 +173,10 @@ func TestParentFixturesOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	key, err := pae.KeyFromBytes(keyBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := NewKeys(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +202,10 @@ func TestParentFixturesOpen(t *testing.T) {
 				}
 				if !bytes.Equal(got, plain) {
 					t.Fatalf("%s open w%d: plaintext mismatch", name, w)
+				}
+				got, err = openInPlace(t, keys, fileID, blob, w)
+				if err != nil || !bytes.Equal(got, plain) {
+					t.Fatalf("%s in-place open w%d: %v", name, w, err)
 				}
 			}
 			got, err := readAllAt(key, fileID, blob)
@@ -203,29 +238,34 @@ func TestWindowsComposeToOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// windows cuts plain/sealed/leaves into runs of 4 chunks.
+	// windows cuts sealed/leaves — and plain, when sealing — into runs of
+	// 4 chunks.
 	windows := func(plain, sealed []byte, leaves [][hashSize]byte) []window {
 		var ws []window
 		for first := 0; first < nc; first += 4 {
 			last := min(first+4, nc)
-			ptEnd := min(last*ChunkSize, len(plain))
-			ws = append(ws, window{
+			ptEnd := min(last*ChunkSize, len(sealed)-nc*pae.Overhead)
+			w := window{
 				cipher: keys.cipher,
 				fileID: fileID,
 				first:  int64(first),
-				plain:  plain[first*ChunkSize : ptEnd],
 				sealed: sealed[first*(ChunkSize+pae.Overhead) : ptEnd+last*pae.Overhead],
 				leaves: leaves[first:last],
-			})
+			}
+			if plain != nil {
+				w.plain = plain[first*ChunkSize : ptEnd]
+			}
+			ws = append(ws, w)
 		}
 		return ws
 	}
 
-	back := make([]byte, len(plain))
-	for _, w := range windows(back, whole[:chunksEnd], make([][hashSize]byte, nc)) {
+	var back []byte
+	for _, w := range windows(nil, bytes.Clone(whole[:chunksEnd]), make([][hashSize]byte, nc)) {
 		if err := w.open(context.Background(), 2); err != nil {
 			t.Fatalf("open window at chunk %d of a one-shot blob: %v", w.first, err)
 		}
+		back = append(back, w.gather()...)
 	}
 	if !bytes.Equal(back, plain) {
 		t.Fatal("window-by-window open of a one-shot blob: plaintext mismatch")
@@ -238,11 +278,11 @@ func TestWindowsComposeToOneShot(t *testing.T) {
 			t.Fatalf("seal window at chunk %d: %v", w.first, err)
 		}
 	}
-	all := window{cipher: keys.cipher, fileID: fileID, plain: make([]byte, len(plain)), sealed: sealed, leaves: make([][hashSize]byte, nc)}
+	all := window{cipher: keys.cipher, fileID: fileID, sealed: bytes.Clone(sealed), leaves: make([][hashSize]byte, nc)}
 	if err := all.open(nil, 1); err != nil {
 		t.Fatalf("whole-file open of window-sealed chunks: %v", err)
 	}
-	if !bytes.Equal(all.plain, plain) {
+	if !bytes.Equal(all.gather(), plain) {
 		t.Fatal("whole-file open of window-sealed chunks: plaintext mismatch")
 	}
 	for i := range sealLeaves {

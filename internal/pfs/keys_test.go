@@ -53,7 +53,7 @@ func TestKeysMatchPackageAPI(t *testing.T) {
 				if got, err := DecryptWorkers(key, fileID, byKeys, openW); err != nil || !bytes.Equal(got, plain) {
 					t.Fatalf("size %d: package open w%d of Keys blob: %v", size, openW, err)
 				}
-				if got, err := keys.DecryptCtx(nil, fileID, byPkg, openW); err != nil || !bytes.Equal(got, plain) {
+				if got, err := keys.DecryptCtx(nil, fileID, bytes.Clone(byPkg), openW); err != nil || !bytes.Equal(got, plain) {
 					t.Fatalf("size %d: Keys open w%d of package blob: %v", size, openW, err)
 				}
 			}
@@ -116,7 +116,7 @@ func TestKeysMatchPackageAPI(t *testing.T) {
 					t.Fatalf("%s: package open: %v", name, err)
 				}
 				for _, w := range compatWorkers {
-					got, err := fxKeys.DecryptCtx(nil, []byte(fx.FileID), blob, w)
+					got, err := fxKeys.DecryptCtx(nil, []byte(fx.FileID), bytes.Clone(blob), w)
 					if err != nil || !bytes.Equal(got, want) {
 						t.Fatalf("%s: Keys open w%d: %v", name, w, err)
 					}
@@ -144,7 +144,7 @@ func TestKeysMatchPackageAPI(t *testing.T) {
 						errs[g] = err
 						return
 					}
-					got, err := keys.DecryptCtx(nil, fileID, blob, w)
+					got, err := keys.DecryptCtx(nil, fileID, bytes.Clone(blob), w)
 					if err == nil && !bytes.Equal(got, plain) {
 						err = errors.New("plaintext mismatch")
 					}
@@ -175,7 +175,7 @@ func TestKeysMatchPackageAPI(t *testing.T) {
 		for pos := range blob {
 			mutated[pos] ^= 0x01
 			for _, w := range compatWorkers {
-				if _, err := keys.DecryptCtx(nil, fileID, mutated, w); !errors.Is(err, ErrCorrupt) {
+				if _, err := keys.DecryptCtx(nil, fileID, bytes.Clone(mutated), w); !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("flip at byte %d of %d, Keys open w%d: err = %v, want ErrCorrupt", pos, len(blob), w, err)
 				}
 			}

@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 	"sync"
 
 	"segshare/internal/pae"
@@ -119,21 +120,26 @@ func chunkAAD(fileID []byte, index int64) []byte {
 	return aad
 }
 
-// hashScratchPool holds prefix‖data scratch buffers for leafHash. Going
-// through hash.Hash would cost heap allocations per call (the interface
-// defeats escape analysis); concatenating into pooled scratch and using
-// sha256.Sum256 keeps the per-chunk hot path allocation-free.
-var hashScratchPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1+ChunkSize+pae.Overhead)
-	return &b
-}}
+// leafHasher is a pooled SHA-256 state; its sum lives in the pooled
+// value too (a local passed to hash.Hash.Sum would escape), so leafHash
+// allocates nothing.
+type leafHasher struct {
+	h   hash.Hash
+	sum [hashSize]byte
+}
+
+var (
+	leafHashers = sync.Pool{New: func() any { return &leafHasher{h: sha256.New()} }}
+	leafPrefix  = []byte{0x00} // leaf domain separator
+)
 
 func leafHash(chunkCiphertext []byte) [hashSize]byte {
-	sp := hashScratchPool.Get().(*[]byte)
-	s := append(append((*sp)[:0], 0x00), chunkCiphertext...) // leaf domain separator
-	out := sha256.Sum256(s)
-	*sp = s[:0]
-	hashScratchPool.Put(sp)
+	lh := leafHashers.Get().(*leafHasher)
+	lh.h.Reset()
+	lh.h.Write(leafPrefix)
+	lh.h.Write(chunkCiphertext)
+	out := [hashSize]byte(lh.h.Sum(lh.sum[:0]))
+	leafHashers.Put(lh)
 	return out
 }
 
