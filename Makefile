@@ -55,11 +55,14 @@ drain-smoke:
 # killed at every backend write, recovery installing the record's blobs
 # verbatim), the rollback-attack tests (cold and with a warm
 # verified-main cache: rolled-back nodes, dropped writes, restarts,
-# aborted intents, CA-authorized restores) and the journal package under
-# -race, then ten seconds of fuzzing the record decoder. Mirrors the
-# crash-smoke CI job.
+# aborted intents, CA-authorized restores), the journal package under
+# -race, the dedup store's crash and reference-table conversion tests
+# under -race (every Put, Release and conversion killed at every write),
+# then ten seconds of fuzzing the record decoder. Mirrors the crash-smoke
+# CI job.
 crash-smoke:
 	go test -race -run 'TestCrash|TestRecoveryInstalls|TestOverwriteLeaves|Rollback' ./internal/core
+	go test -race -run 'TestCrash|TestConvert' ./internal/dedup
 	go test -race ./internal/journal
 	go test -run '^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/journal
 

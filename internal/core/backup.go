@@ -65,7 +65,9 @@ func (s *Server) AcceptReset(signature []byte) error {
 	// the previous state is suspect.
 	s.fm.caches.flushAll()
 	if s.fm.dedup != nil {
-		s.fm.dedup.Reload()
+		if err := s.fm.dedup.Reload(); err != nil {
+			return err
+		}
 	}
 	// Finish any operation interrupted by the crash the operator is
 	// recovering from. The restored counter state is behind the live one

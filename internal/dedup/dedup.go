@@ -18,11 +18,12 @@
 // owns all keys.
 //
 // Reference counting is an extension beyond the paper (which leaves
-// garbage collection unspecified): the store keeps an encrypted reference
-// index so that Release can delete an object once no content file points
-// at it. Every stored object wraps a random per-object key so the
-// temp-to-final rename needs no re-encryption; the hName↔content binding
-// is verified on every read by recomputing the HMAC.
+// garbage collection unspecified): each object has a sealed reference
+// record, hName + ".refs", holding its count, so that Release can delete
+// the object once no content file points at it. A Put or Release reads
+// and writes that one record, whatever the number of stored objects. The
+// hName↔content binding is verified on every read by recomputing the
+// HMAC.
 package dedup
 
 import (
@@ -47,25 +48,27 @@ var (
 	ErrCorrupt = errors.New("dedup: object corrupt")
 )
 
-const refsName = "_refs"
+// legacyRefsName is the single reference table that stores written
+// before per-object records held every count; New converts it.
+const legacyRefsName = "_refs"
+
+// refsName names the reference record of the object stored under hName.
+func refsName(hName string) string { return hName + ".refs" }
 
 // Store is the deduplication store. It is safe for concurrent use.
 type Store struct {
 	backend store.Backend
-	nameKey []byte  // HMAC key for content addressing
-	wrapKey pae.Key // key-encryption key for per-object keys
-	refsKey pae.Key // key for the reference index
+	nameKey []byte      // HMAC key for content addressing
+	wrapKey pae.Key     // key-encryption key for per-object keys
+	refs    *pae.Cipher // seals the reference records
 
 	// workers bounds the chunk-crypto worker pool used when sealing and
 	// opening object blobs; 1 (the default) is strictly serial.
 	workers int
 
+	// mu serializes Put and Release, each a read-modify-write of one
+	// reference record.
 	mu sync.Mutex
-	// refs is the decoded reference index, read from the backend on the
-	// first Put or Release and kept equal to the stored copy under mu:
-	// every change is saved before the call returns, and a failed save
-	// drops it so the next call reads the stored table again.
-	refs map[string]uint32
 
 	hits         *obs.Counter // Put of already-stored content
 	misses       *obs.Counter // Put of new content
@@ -104,7 +107,8 @@ func (s *Store) initMetrics(reg *obs.Registry) {
 }
 
 // New creates a deduplication store over backend. All keys are derived
-// from rootKey (the store's slice of SK_r).
+// from rootKey (the store's slice of SK_r). A reference table left by an
+// older store is converted to reference records first.
 func New(backend store.Backend, rootKey []byte, opts ...Option) (*Store, error) {
 	nameKey, err := pae.DeriveBytes(rootKey, "dedup-name", nil, 32)
 	if err != nil {
@@ -118,10 +122,17 @@ func New(backend store.Backend, rootKey []byte, opts ...Option) (*Store, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{backend: backend, nameKey: nameKey, wrapKey: wrapKey, refsKey: refsKey, workers: 1}
+	refs, err := pae.NewCipher(refsKey)
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{backend: backend, nameKey: nameKey, wrapKey: wrapKey, refs: refs, workers: 1}
 	s.initMetrics(obs.Default())
 	for _, opt := range opts {
 		opt(s)
+	}
+	if err := s.convertLegacyRefs(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -196,10 +207,7 @@ func (s *Store) decodeObject(raw []byte) ([]byte, error) {
 // whether it was already present. The reference count of the address is
 // incremented either way.
 func (s *Store) Put(content []byte) (hName string, duplicate bool, err error) {
-	return s.put(s.contentName(content), content)
-}
-
-func (s *Store) put(hName string, content []byte) (string, bool, error) {
+	hName = s.contentName(content)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	exists, err := s.backend.Exists(hName)
@@ -215,7 +223,11 @@ func (s *Store) put(hName string, content []byte) (string, bool, error) {
 			return "", false, err
 		}
 	}
-	if err := s.addRefLocked(hName, 1); err != nil {
+	n, err := s.readCount(hName)
+	if err != nil {
+		return "", false, err
+	}
+	if err := s.writeCount(hName, n+1); err != nil {
 		return "", false, err
 	}
 	s.observePut(exists, len(content))
@@ -250,121 +262,103 @@ func (s *Store) Get(hName string) ([]byte, error) {
 func (s *Store) Release(hName string) (removed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	refs, err := s.loadRefsLocked()
+	n, err := s.readCount(hName)
 	if err != nil {
 		return false, err
 	}
-	n, ok := refs[hName]
-	if !ok {
+	if n == 0 {
 		return false, fmt.Errorf("%w: %s", ErrNotFound, hName)
 	}
 	if n > 1 {
-		refs[hName] = n - 1
-		return false, s.saveRefsLocked()
+		return false, s.writeCount(hName, n-1)
 	}
+	// Object first, record last: a crash in between leaves a count for
+	// an absent object, which only keeps the next Put's object longer.
 	if err := s.backend.Delete(hName); err != nil && !errors.Is(err, store.ErrNotExist) {
 		return false, err
 	}
-	delete(refs, hName)
+	if err := s.backend.Delete(refsName(hName)); err != nil && !errors.Is(err, store.ErrNotExist) {
+		return false, err
+	}
 	s.removedTotal.Inc()
-	return true, s.saveRefsLocked()
+	return true, nil
 }
 
 // RefCount returns the stored reference count of a content address
-// (zero if unknown). It reads and authenticates the stored index, not
-// the in-memory copy, so it reports what a restarted store would see.
-func (s *Store) RefCount(hName string) (uint32, error) {
+// (zero if unknown).
+func (s *Store) RefCount(hName string) (uint32, error) { return s.readCount(hName) }
+
+// Reload converts a reference table that a backup restoration brought
+// back underneath the store. The records themselves need no reload:
+// every call reads them from the backend.
+func (s *Store) Reload() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	refs, err := s.readRefsLocked()
-	if err != nil {
-		return 0, err
-	}
-	return refs[hName], nil
-}
-
-// Reload forgets the in-memory reference index, so the next Put or
-// Release reads the stored one — after a backup restoration replaced
-// the backend's objects underneath the store.
-func (s *Store) Reload() {
-	s.mu.Lock()
-	s.refs = nil
-	s.mu.Unlock()
+	return s.convertLegacyRefs()
 }
 
 // TotalBytes reports the backend's stored bytes (the dedup savings
 // experiment reads it).
 func (s *Store) TotalBytes() (int64, error) { return s.backend.TotalBytes() }
 
-func (s *Store) addRefLocked(hName string, delta uint32) error {
-	refs, err := s.loadRefsLocked()
+// readCount reads and authenticates hName's reference record; an absent
+// record is a count of zero. The record's name is its associated data,
+// so a record copied onto another object's name fails to open.
+func (s *Store) readCount(hName string) (uint32, error) {
+	name := refsName(hName)
+	raw, err := s.backend.Get(name)
+	if errors.Is(err, store.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	pt, err := s.refs.Open(raw, []byte(name))
+	if err != nil || len(pt) != 4 {
+		return 0, fmt.Errorf("%w: reference record of %s", ErrCorrupt, hName)
+	}
+	return binary.BigEndian.Uint32(pt), nil
+}
+
+// writeCount seals and stores hName's reference record.
+func (s *Store) writeCount(hName string, n uint32) error {
+	name := refsName(hName)
+	ct, err := s.refs.Seal(binary.BigEndian.AppendUint32(nil, n), []byte(name))
 	if err != nil {
 		return err
 	}
-	refs[hName] += delta
-	return s.saveRefsLocked()
+	return s.backend.Put(name, ct)
 }
 
-// loadRefsLocked returns the in-memory reference index, reading it from
-// the backend first if this store holds none.
-func (s *Store) loadRefsLocked() (map[string]uint32, error) {
-	if s.refs == nil {
-		refs, err := s.readRefsLocked()
-		if err != nil {
-			return nil, err
-		}
-		s.refs = refs
-	}
-	return s.refs, nil
-}
-
-// readRefsLocked reads, authenticates and decodes the stored index.
-func (s *Store) readRefsLocked() (map[string]uint32, error) {
-	raw, err := s.backend.Get(refsName)
+// convertLegacyRefs writes one reference record per entry of a stored
+// reference table and deletes the table last, so a conversion cut short
+// leaves the table in place and the next call converts it again.
+func (s *Store) convertLegacyRefs() error {
+	raw, err := s.backend.Get(legacyRefsName)
 	if errors.Is(err, store.ErrNotExist) {
-		return make(map[string]uint32), nil
+		return nil
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	pt, err := pae.Decrypt(s.refsKey, raw, []byte(refsName))
+	pt, err := s.refs.Open(raw, []byte(legacyRefsName))
 	if err != nil {
-		return nil, fmt.Errorf("%w: reference index", ErrCorrupt)
+		return fmt.Errorf("%w: reference table", ErrCorrupt)
 	}
-	return decodeRefs(pt)
-}
-
-// saveRefsLocked seals and stores the in-memory index. On failure the
-// backend may hold either version, so the copy is dropped and the next
-// call reads whichever one is stored.
-func (s *Store) saveRefsLocked() error {
-	ct, err := pae.Encrypt(s.refsKey, encodeRefs(s.refs), []byte(refsName))
-	if err == nil {
-		err = s.backend.Put(refsName, ct)
-	}
+	table, err := decodeRefs(pt)
 	if err != nil {
-		s.refs = nil
+		return err
 	}
-	return err
+	for hName, n := range table {
+		if err := s.writeCount(hName, n); err != nil {
+			return err
+		}
+	}
+	return s.backend.Delete(legacyRefsName)
 }
 
-// encodeRefs serialises the index in map order: decodeRefs needs none,
-// and the encoding's size does not depend on it.
-func encodeRefs(refs map[string]uint32) []byte {
-	size := 4
-	for name := range refs {
-		size += 8 + len(name)
-	}
-	out := make([]byte, 0, size)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(refs)))
-	for name, n := range refs {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(name)))
-		out = append(out, name...)
-		out = binary.BigEndian.AppendUint32(out, n)
-	}
-	return out
-}
-
+// decodeRefs decodes a reference table: a u32 entry count, then per entry
+// a u32 name length, the name and a u32 count.
 func decodeRefs(data []byte) (map[string]uint32, error) {
 	if len(data) < 4 {
 		return nil, ErrCorrupt

@@ -68,7 +68,7 @@ func TestDeduplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only the tiny reference index may have grown.
+	// Only the object's reference record may have been rewritten.
 	if size2-size1 > 1024 {
 		t.Fatalf("duplicate Put grew store by %d bytes", size2-size1)
 	}
@@ -176,17 +176,58 @@ func TestSwappedObjectsDetected(t *testing.T) {
 	}
 }
 
+// TestTamperedRefIndexDetected covers the two ways the store can alter a
+// reference record without the refs key: flipping a bit, and copying one
+// object's valid record over another's. Both must fail to open.
 func TestTamperedRefIndexDetected(t *testing.T) {
-	s, adv := newStore(t)
-	if _, _, err := s.Put([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := adv.FlipBit(refsName, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RefCount("anything"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
-	}
+	t.Run("bit flip", func(t *testing.T) {
+		s, adv := newStore(t)
+		hName, _, err := s.Put([]byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := adv.FlipBit(refsName(hName), 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RefCount(hName); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("RefCount: want ErrCorrupt, got %v", err)
+		}
+		if _, _, err := s.Put([]byte("x")); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Put: want ErrCorrupt, got %v", err)
+		}
+		if _, err := s.Release(hName); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Release: want ErrCorrupt, got %v", err)
+		}
+	})
+	t.Run("record copied onto another object", func(t *testing.T) {
+		s, adv := newStore(t)
+		h1, _, err := s.Put([]byte("content one"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, _, err := s.Put([]byte("content two"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Put([]byte("content two")); err != nil {
+			t.Fatal(err)
+		}
+		// h2's record holds a valid count of 2; under h1's name it would
+		// keep h1's object alive past its last Release.
+		rec, err := adv.Get(refsName(h2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := adv.Put(refsName(h1), rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RefCount(h1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("RefCount: want ErrCorrupt, got %v", err)
+		}
+		if _, err := s.Release(h1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Release: want ErrCorrupt, got %v", err)
+		}
+	})
 }
 
 func TestConcurrentPuts(t *testing.T) {
@@ -240,9 +281,10 @@ func TestQuickDedupSemantics(t *testing.T) {
 	}
 }
 
-// TestRefIndexFollowsStoredTable pins where the in-memory reference index
-// comes from: a new Store and a Reload read the stored table, and a save
-// that fails drops the copy it could not persist.
+// TestRefIndexFollowsStoredTable pins that reference counts live only in
+// the store: a second Store over the same backend sees a change at once,
+// a failed record write leaves the stored count for a retry to build on,
+// and Reload converts a reference table restored underneath the store.
 func TestRefIndexFollowsStoredTable(t *testing.T) {
 	plan := store.NewFaultPlan()
 	faulty := store.NewFaultyWithPlan(store.NewMemory(), plan)
@@ -255,32 +297,118 @@ func TestRefIndexFollowsStoredTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A duplicate Put writes only the index; fail that write.
+	// A duplicate Put writes only the record; fail that write.
 	plan.FailAtOp(1, errors.New("injected"))
 	if _, _, err := s.Put(content); err == nil {
-		t.Fatal("Put with a failing index save succeeded")
+		t.Fatal("Put with a failing record write succeeded")
 	}
 	if _, _, err := s.Put(content); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := s.RefCount(hName); err != nil || n != 2 {
-		t.Fatalf("RefCount after a failed save and a retry = %d, %v; want 2", n, err)
+		t.Fatalf("RefCount after a failed write and a retry = %d, %v; want 2", n, err)
 	}
 
-	// A second store over the same backend moves the stored table on;
-	// the first one sees that only after Reload.
+	// A second store over the same backend moves the count on, and the
+	// first one sees it at once.
 	other, err := New(faulty, []byte("root-key"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if removed, err := other.Release(hName); err != nil || removed {
-		t.Fatalf("Release through a new store: removed=%v err=%v", removed, err)
+		t.Fatalf("Release through a second store: removed=%v err=%v", removed, err)
 	}
-	s.Reload()
 	if removed, err := s.Release(hName); err != nil || !removed {
-		t.Fatalf("last Release after Reload: removed=%v err=%v", removed, err)
+		t.Fatalf("last Release through the first store: removed=%v err=%v", removed, err)
 	}
 	if n, err := other.RefCount(hName); err != nil || n != 0 {
 		t.Fatalf("stored RefCount = %d, %v; want 0", n, err)
+	}
+
+	// A backup restored underneath a running store brings back a
+	// reference table; Reload converts it.
+	backend := store.NewMemory()
+	restored, err := New(backend, parentRootKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyParentFixture(t, backend)
+	if err := restored.Reload(); err != nil {
+		t.Fatalf("Reload: %v", err)
+	}
+	checkParentCounts(t, restored, backend)
+}
+
+// countingBackend counts the calls made to a backend and the bytes
+// written to it.
+type countingBackend struct {
+	store.Backend
+	calls, written int
+}
+
+func (c *countingBackend) Put(name string, data []byte) error {
+	c.calls++
+	c.written += len(data)
+	return c.Backend.Put(name, data)
+}
+
+func (c *countingBackend) Get(name string) ([]byte, error) {
+	c.calls++
+	return c.Backend.Get(name)
+}
+
+func (c *countingBackend) Exists(name string) (bool, error) {
+	c.calls++
+	return c.Backend.Exists(name)
+}
+
+func (c *countingBackend) Delete(name string) error {
+	c.calls++
+	return c.Backend.Delete(name)
+}
+
+func (c *countingBackend) Rename(oldName, newName string) error {
+	c.calls++
+	return c.Backend.Rename(oldName, newName)
+}
+
+func (c *countingBackend) List() ([]string, error) {
+	c.calls++
+	return c.Backend.List()
+}
+
+// TestDedupWriteCostFlatInObjects pins that a dedup write's cost does not
+// depend on how many unique objects the store holds: a duplicate Put and
+// a Release each read and write one reference record, so beside 2 000
+// objects they make the same backend calls and write the same bytes as
+// beside 10.
+func TestDedupWriteCostFlatInObjects(t *testing.T) {
+	cost := func(objects int) (calls, written int) {
+		backend := &countingBackend{Backend: store.NewMemory()}
+		s, err := New(backend, []byte("root-key"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < objects; i++ {
+			if _, _, err := s.Put(fmt.Appendf(nil, "object %d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		backend.calls, backend.written = 0, 0
+		hName, dup, err := s.Put([]byte("object 0"))
+		if err != nil || !dup {
+			t.Fatalf("duplicate Put: dup=%v err=%v", dup, err)
+		}
+		if removed, err := s.Release(hName); err != nil || removed {
+			t.Fatalf("Release: removed=%v err=%v", removed, err)
+		}
+		return backend.calls, backend.written
+	}
+	fewCalls, fewBytes := cost(10)
+	manyCalls, manyBytes := cost(2000)
+	t.Logf("duplicate Put + Release: 10 objects %d calls %d B; 2000 objects %d calls %d B", fewCalls, fewBytes, manyCalls, manyBytes)
+	if manyCalls != fewCalls || manyBytes != fewBytes {
+		t.Errorf("beside 2000 objects a duplicate Put + Release makes %d calls writing %d B; beside 10, %d calls writing %d B",
+			manyCalls, manyBytes, fewCalls, fewBytes)
 	}
 }

@@ -1,10 +1,29 @@
 package dedup
 
 import (
+	"encoding/binary"
 	"errors"
 	"maps"
 	"testing"
 )
+
+// encodeRefs serialises a reference table the way stores written before
+// per-object records did, in map order: decodeRefs needs none, and the
+// encoding's size does not depend on it.
+func encodeRefs(refs map[string]uint32) []byte {
+	size := 4
+	for name := range refs {
+		size += 8 + len(name)
+	}
+	out := make([]byte, 0, size)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(refs)))
+	for name, n := range refs {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(name)))
+		out = append(out, name...)
+		out = binary.BigEndian.AppendUint32(out, n)
+	}
+	return out
+}
 
 // TestDecodeRefsHugeCount feeds a ref table whose count claims 2^32-1
 // entries with no bytes behind it: the decoder must reject it without
