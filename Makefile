@@ -58,11 +58,13 @@ drain-smoke:
 # aborted intents, CA-authorized restores), the journal package under
 # -race, the dedup store's crash and reference-table conversion tests
 # under -race (every Put, Release and conversion killed at every write),
-# then ten seconds of fuzzing the record decoder. Mirrors the crash-smoke
-# CI job.
+# the audit log's crash tests under -race (a kill around a checkpoint
+# leaves a log that reopens), then ten seconds of fuzzing the record
+# decoder. Mirrors the crash-smoke CI job.
 crash-smoke:
 	go test -race -run 'TestCrash|TestRecoveryInstalls|TestOverwriteLeaves|Rollback' ./internal/core
 	go test -race -run 'TestCrash|TestConvert' ./internal/dedup
+	go test -race -run 'TestCrash' ./internal/audit
 	go test -race ./internal/journal
 	go test -run '^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/journal
 

@@ -360,6 +360,7 @@ var (
 	ErrCheckpointReplay = errors.New("audit: checkpoint replay")
 	// ErrLogRollback: at startup, the persisted log trails the enclave's
 	// monotonic counter — the stored log was rolled back or truncated
-	// while the enclave was down.
+	// while the enclave was down — or leads it by more than the one
+	// checkpoint a crash can leave uncounted.
 	ErrLogRollback = errors.New("audit: stored log behind enclave counter")
 )

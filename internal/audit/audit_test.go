@@ -578,3 +578,82 @@ func TestRecordEncodings(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashDuringCheckpoint kills the store at the first segment write
+// after a reopen, with a checkpoint due in that write. The stored log
+// keeps its last checkpoint, so the counter must not move past it:
+// otherwise every later Open fails with ErrLogRollback and the server
+// cannot start.
+func TestCrashDuringCheckpoint(t *testing.T) {
+	mem := store.NewMemory()
+	keys := testKeys(t)
+	ctr := testCounter(t)
+	opt := Options{CheckpointEvery: 4}
+	buildLog(t, mem, keys, ctr, 8, opt)
+
+	plan := store.NewFaultPlan()
+	plan.KillAtOp(1, errors.New("killed"))
+	opt.Obs = obs.NewRegistry()
+	crashed, err := Open(store.NewFaultyWithPlan(mem, plan), keys, ctr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crashed.Close()
+	for i := 0; i < opt.CheckpointEvery; i++ {
+		crashed.Emit(Event{Event: EventFileAuthzAllow, Op: "fs_get"})
+	}
+	if err := crashed.Flush(); err == nil {
+		t.Fatal("flush over a killed store succeeded")
+	}
+
+	log, err := Open(mem, keys, ctr, Options{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatalf("reopen after a crash mid-checkpoint: %v", err)
+	}
+	log.Emit(Event{Event: EventFileAuthzAllow, Op: "fs_get"})
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Verify(mem, keys, VerifyOptions{ExpectCounter: ctr.Value(), ExpectRecords: 9}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashBetweenCheckpointAndIncrement leaves the state a crash
+// between storing a checkpoint and incrementing the counter leaves: the
+// log one step ahead. Open catches the counter up and Verify accepts the
+// log; a log two steps ahead is not a crash and stays refused.
+func TestCrashBetweenCheckpointAndIncrement(t *testing.T) {
+	b := store.NewMemory()
+	keys := testKeys(t)
+	ctr := testCounter(t)
+	opt := Options{CheckpointEvery: 4}
+	buildLog(t, b, keys, ctr, 8, opt)
+	// A writer without the counter stores the next checkpoint and never
+	// increments.
+	buildLog(t, b, keys, nil, 4, opt)
+	behind := ctr.Value()
+	if _, err := Verify(b, keys, VerifyOptions{ExpectCounter: behind}); err != nil {
+		t.Fatalf("verify one checkpoint ahead of counter %d: %v", behind, err)
+	}
+
+	log, err := Open(b, keys, ctr, Options{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatalf("open one checkpoint ahead: %v", err)
+	}
+	if got := ctr.Value(); got != behind+1 {
+		t.Fatalf("counter after open = %d, want %d", got, behind+1)
+	}
+	log.Emit(Event{Event: EventFileAuthzAllow, Op: "fs_get"})
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Verify(b, keys, VerifyOptions{ExpectCounter: ctr.Value(), ExpectRecords: 13}); err != nil {
+		t.Fatal(err)
+	}
+
+	buildLog(t, b, keys, nil, 8, opt)
+	if _, err := Open(b, keys, ctr, Options{Obs: obs.NewRegistry()}); !errors.Is(err, ErrLogRollback) {
+		t.Fatalf("open two checkpoints ahead: got %v, want ErrLogRollback", err)
+	}
+}

@@ -108,7 +108,8 @@ func walk(b store.Backend, macKey []byte, onRecord func(seq uint64, payload []by
 // VerifyOptions tunes an offline verification.
 type VerifyOptions struct {
 	// ExpectCounter, when nonzero, is the enclave monotonic counter value
-	// the log's final checkpoint must carry (obtained from the live
+	// the log's final checkpoint must carry, or the one after it — a
+	// checkpoint stored but not yet counted (obtained from the live
 	// /debug/audit/head endpoint or the enclave platform). It catches
 	// whole-log rollback to an older, internally consistent prefix.
 	ExpectCounter uint64
@@ -155,7 +156,7 @@ func Verify(b store.Backend, keys Keys, opts VerifyOptions) (*VerifyResult, erro
 	if err != nil {
 		return nil, err
 	}
-	if opts.ExpectCounter != 0 && st.lastCounter != opts.ExpectCounter {
+	if want := opts.ExpectCounter; want != 0 && st.lastCounter != want && st.lastCounter != want+1 {
 		return nil, fmt.Errorf("%w: last checkpoint counter %d, enclave counter %d",
 			ErrCheckpointReplay, st.lastCounter, opts.ExpectCounter)
 	}

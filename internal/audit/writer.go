@@ -97,7 +97,10 @@ type Log struct {
 	segEntries  int
 	sinceCkpt   int
 	dirty       bool
-	lastErr     error
+	// uncounted marks a checkpoint whose counter increment waits for
+	// the segment carrying it to be stored.
+	uncounted bool
+	lastErr   error
 
 	reg        *obs.Registry
 	dropped    *obs.Counter
@@ -109,11 +112,14 @@ type Log struct {
 
 // Open resumes (or starts) the audit log stored in b. Existing segments
 // are structurally verified — framing, chain, checkpoint MACs — and, when
-// counter is non-nil, the final checkpoint must match the enclave
-// counter's current value; a stored log that trails the counter was
-// rolled back or truncated while the enclave was down and Open fails with
-// ErrLogRollback. counter may be nil (e.g. in benchmarks), which keeps
-// the chain but loses the hardware truncation binding.
+// counter is non-nil, the final checkpoint must carry the enclave
+// counter's current value or the one after it. One ahead is a crash
+// between a checkpoint's store write and its increment (checkpointLocked
+// writes ahead), and Open catches the counter up. A stored log that
+// trails the counter was rolled back or truncated while the enclave was
+// down, and Open fails with ErrLogRollback. counter may be nil (e.g. in
+// benchmarks), which keeps the chain but loses the hardware truncation
+// binding.
 func Open(b store.Backend, keys Keys, counter *enclave.MonotonicCounter, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
 	st, err := walk(b, keys.MAC, nil)
@@ -121,9 +127,15 @@ func Open(b store.Backend, keys Keys, counter *enclave.MonotonicCounter, opt Opt
 		return nil, err
 	}
 	if counter != nil {
-		if cv := counter.Value(); cv != st.lastCounter {
+		cv := counter.Value()
+		if st.lastCounter != cv && st.lastCounter != cv+1 {
 			return nil, fmt.Errorf("%w: last checkpoint counter %d, enclave counter %d",
 				ErrLogRollback, st.lastCounter, cv)
+		}
+		if st.lastCounter != cv {
+			if _, err := counter.Increment(); err != nil {
+				return nil, fmt.Errorf("audit: catch up checkpoint counter: %w", err)
+			}
 		}
 	}
 	l := &Log{
@@ -310,24 +322,31 @@ func (l *Log) appendFrameLocked(kind byte, seq uint64, payload []byte) {
 }
 
 // checkpointLocked binds the current chain head to the next monotonic
-// counter value and appends the sealed checkpoint frame.
+// counter value and appends the sealed checkpoint frame. It writes
+// ahead: the segment carrying the checkpoint is stored first and the
+// counter incremented after, so a crash or store failure between the two
+// leaves the stored log one step ahead of the counter (Open catches up),
+// never behind it. While one checkpoint waits to be counted no second
+// one is written, so the log is never two steps ahead; the records keep
+// accumulating and the next append retries.
 func (l *Log) checkpointLocked() {
-	next := l.lastCounter + 1
-	if l.counter != nil {
-		v, err := l.counter.Increment()
-		if err != nil {
-			l.errsTotal.Inc()
-			l.lastErr = fmt.Errorf("audit: checkpoint counter: %w", err)
+	if l.uncounted {
+		l.persistLocked()
+		if l.uncounted {
 			return
 		}
-		next = v
 	}
+	next := l.lastCounter + 1
 	c := checkpoint{seq: l.seq, counter: next, head: l.head}
 	l.appendFrameLocked(kindCheckpoint, l.seq, encodeCheckpoint(l.keys.MAC, c))
 	l.lastCounter = next
 	l.checkpoints++
 	l.sinceCkpt = 0
 	l.ckptTotal.Inc()
+	if l.counter != nil {
+		l.uncounted = true
+		l.persistLocked()
+	}
 }
 
 // finalCheckpoint seals the tail on shutdown so a subsequent truncation
@@ -360,17 +379,31 @@ func (l *Log) flush() {
 	l.persistLocked()
 }
 
+// persistLocked stores the current segment if it has unwritten frames,
+// then counts a checkpoint that was waiting for that write.
 func (l *Log) persistLocked() {
-	if !l.dirty {
-		return
+	if l.dirty {
+		t := obs.StartTimer(l.fsyncNS)
+		err := l.backend.Put(segmentName(l.segIdx), l.segBuf)
+		t.Stop()
+		if err != nil {
+			l.errsTotal.Inc()
+			l.lastErr = fmt.Errorf("audit: persist segment %d: %w", l.segIdx, err)
+			return
+		}
+		l.dirty = false
 	}
-	t := obs.StartTimer(l.fsyncNS)
-	err := l.backend.Put(segmentName(l.segIdx), l.segBuf)
-	t.Stop()
-	if err != nil {
-		l.errsTotal.Inc()
-		l.lastErr = fmt.Errorf("audit: persist segment %d: %w", l.segIdx, err)
-		return
+	if l.uncounted {
+		v, err := l.counter.Increment()
+		switch {
+		case err != nil:
+			l.errsTotal.Inc()
+			l.lastErr = fmt.Errorf("audit: checkpoint counter: %w", err)
+			return // the next persist retries the increment
+		case v != l.lastCounter:
+			l.errsTotal.Inc()
+			l.lastErr = fmt.Errorf("audit: checkpoint counter incremented to %d, stored checkpoint carries %d", v, l.lastCounter)
+		}
+		l.uncounted = false
 	}
-	l.dirty = false
 }

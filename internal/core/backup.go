@@ -59,7 +59,7 @@ func (s *Server) AcceptReset(signature []byte) error {
 	if !ca.VerifyReset(s.caPub, nonce, signature) {
 		return errors.New("segshare: invalid reset signature")
 	}
-	unlock := s.locks.wholeTree(nil)
+	unlock := s.locks.exclusive(nil, scopeBarrier)
 	defer unlock()
 	// The operator restored arbitrary store state; everything cached from
 	// the previous state is suspect.

@@ -73,7 +73,7 @@ func (rq request) record(ev audit.Event, err error) {
 
 // getFile reads a content file.
 func (rq request) getFile(path fspath.Path) ([]byte, error) {
-	unlock := rq.s.locks.fsRead(rq.rs, path)
+	unlock := rq.s.locks.read(rq.rs, scopeFSRead)
 	content, err := rq.ac.GetFile(rq.u, path)
 	unlock()
 	rq.record(audit.Event{Path: path.String()}, err)
@@ -82,7 +82,7 @@ func (rq request) getFile(path fspath.Path) ([]byte, error) {
 
 // getFileRange reads one byte range of a content file.
 func (rq request) getFileRange(path fspath.Path, br ByteRange) (RangeResult, error) {
-	unlock := rq.s.locks.fsRead(rq.rs, path)
+	unlock := rq.s.locks.read(rq.rs, scopeFSRead)
 	res, err := rq.ac.GetFileRange(rq.u, path, br)
 	unlock()
 	rq.record(audit.Event{Path: path.String()}, err)
@@ -91,7 +91,7 @@ func (rq request) getFileRange(path fspath.Path, br ByteRange) (RangeResult, err
 
 // listDir lists a directory.
 func (rq request) listDir(path fspath.Path) ([]ListedEntry, error) {
-	unlock := rq.s.locks.fsRead(rq.rs, path)
+	unlock := rq.s.locks.read(rq.rs, scopeFSRead)
 	entries, err := rq.ac.GetDir(rq.u, path)
 	unlock()
 	rq.record(audit.Event{Path: path.String()}, err)
@@ -103,7 +103,7 @@ func (rq request) listDir(path fspath.Path) ([]ListedEntry, error) {
 // file's size (sizes[i] belongs to entries[i]; 0 for directories and
 // files the caller may not read). One record covers the request.
 func (rq request) propfind(path fspath.Path, children bool) (size int64, entries []ListedEntry, sizes []int64, err error) {
-	unlock := rq.s.locks.fsRead(rq.rs, path)
+	unlock := rq.s.locks.read(rq.rs, scopeFSRead)
 	defer unlock()
 	if !path.IsDir() {
 		content, err := rq.ac.GetFile(rq.u, path)
@@ -134,7 +134,7 @@ func (rq request) propfind(path fspath.Path, children bool) (size int64, entries
 func (rq request) putFile(path fspath.Path, body []byte) (created bool, err error) {
 	err = rq.s.provisionUser(rq.rs, rq.u)
 	if err == nil {
-		unlock := rq.s.locks.fsWrite(rq.rs, false, path)
+		unlock := rq.s.locks.exclusive(rq.rs, scopeFSWrite)
 		created, err = rq.ac.PutFile(rq.u, path, body)
 		unlock()
 	}
@@ -146,7 +146,7 @@ func (rq request) putFile(path fspath.Path, body []byte) (created bool, err erro
 func (rq request) mkdir(path fspath.Path) error {
 	err := rq.s.provisionUser(rq.rs, rq.u)
 	if err == nil {
-		unlock := rq.s.locks.fsWrite(rq.rs, false, path)
+		unlock := rq.s.locks.exclusive(rq.rs, scopeFSWrite)
 		err = rq.ac.PutDir(rq.u, path)
 		unlock()
 	}
@@ -156,7 +156,7 @@ func (rq request) mkdir(path fspath.Path) error {
 
 // remove deletes a file or an empty directory.
 func (rq request) remove(path fspath.Path) error {
-	unlock := rq.s.locks.fsWrite(rq.rs, false, path)
+	unlock := rq.s.locks.exclusive(rq.rs, scopeFSWrite)
 	err := rq.ac.Remove(rq.u, path)
 	unlock()
 	rq.record(audit.Event{Path: path.String()}, err)
@@ -165,18 +165,18 @@ func (rq request) remove(path fspath.Path) error {
 
 // move relocates a file or a directory subtree.
 func (rq request) move(src, dst fspath.Path) error {
-	unlock := rq.s.locks.moveLocks(rq.rs, src, dst)
+	unlock := rq.s.locks.exclusive(rq.rs, scopeFSWrite)
 	err := rq.ac.Move(rq.u, src, dst)
 	unlock()
 	rq.record(audit.Event{Path: src.String() + " -> " + dst.String()}, err)
 	return err
 }
 
-// setPermission sets group's permission on path. It takes the group
-// lock exclusively: granting to a default group ("user:x") may create its
-// group-list record on demand.
+// setPermission sets group's permission on path. Granting to a default
+// group ("user:x") may create its group-list record on demand, which the
+// exclusive plan covers too.
 func (rq request) setPermission(path fspath.Path, group acl.GroupName, p acl.Permission) error {
-	unlock := rq.s.locks.fsWrite(rq.rs, true, path)
+	unlock := rq.s.locks.exclusive(rq.rs, scopeFSWrite)
 	err := rq.ac.SetPermission(rq.u, path, group, p)
 	unlock()
 	rq.record(audit.Event{Event: audit.EventACLChange, Path: path.String(), Group: string(group),
@@ -186,7 +186,7 @@ func (rq request) setPermission(path fspath.Path, group acl.GroupName, p acl.Per
 
 // setInherit toggles permission inheritance on path.
 func (rq request) setInherit(path fspath.Path, inherit bool) error {
-	unlock := rq.s.locks.fsWrite(rq.rs, false, path)
+	unlock := rq.s.locks.exclusive(rq.rs, scopeFSWrite)
 	err := rq.ac.SetInherit(rq.u, path, inherit)
 	unlock()
 	rq.record(audit.Event{Event: audit.EventACLChange, Path: path.String(),
@@ -197,7 +197,7 @@ func (rq request) setInherit(path fspath.Path, inherit bool) error {
 // setFileOwner grants or revokes group's ownership of path; like
 // setPermission it may create a group record.
 func (rq request) setFileOwner(path fspath.Path, group acl.GroupName, owner bool) error {
-	unlock := rq.s.locks.fsWrite(rq.rs, true, path)
+	unlock := rq.s.locks.exclusive(rq.rs, scopeFSWrite)
 	err := rq.ac.SetFileOwner(rq.u, path, group, owner)
 	unlock()
 	rq.record(audit.Event{Event: audit.EventACLChange, Path: path.String(), Group: string(group),
@@ -248,7 +248,7 @@ func (rq request) deleteGroup(group acl.GroupName) error {
 // one's own memberships is no authorization decision, so it writes no
 // record.
 func (rq request) whoami() (groups, owned []acl.GroupName, err error) {
-	unlock := rq.s.locks.groupRead(rq.rs)
+	unlock := rq.s.locks.read(rq.rs, scopeGroupRead)
 	defer unlock()
 	if groups, err = rq.ac.Memberships(rq.u); err == nil {
 		owned, err = rq.ac.OwnedGroups(rq.u)

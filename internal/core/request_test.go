@@ -43,7 +43,7 @@ func TestTransportsDelegateToRequestLayer(t *testing.T) {
 			}
 		}
 	}
-	for _, plan := range []string{"fsRead", "fsWrite", "groupRead", "groupWrite", "moveLocks", "wholeTree"} {
+	for _, plan := range []string{"read", "groupWrite", "exclusive"} {
 		if !forbidden[plan] {
 			t.Fatalf("locks.go declares no lockManager.%s; the guard enumerates the wrong receiver", plan)
 		}

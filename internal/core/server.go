@@ -179,9 +179,7 @@ type WatchdogConfig struct {
 	// RecoveryOverrun flags a journal recovery pass running longer than
 	// this (default 30s).
 	RecoveryOverrun time.Duration
-	// ShardSkew flags one lock shard absorbing more than this much new
-	// wait time between sweeps while also exceeding 4x the mean across
-	// shards (default 100ms).
+	// Deprecated: ignored. The path-lock shards it watched are gone.
 	ShardSkew time.Duration
 }
 
@@ -207,9 +205,6 @@ func (w WatchdogConfig) withDefaults() WatchdogConfig {
 	if w.RecoveryOverrun <= 0 {
 		w.RecoveryOverrun = 30 * time.Second
 	}
-	if w.ShardSkew <= 0 {
-		w.ShardSkew = 100 * time.Millisecond
-	}
 	return w
 }
 
@@ -229,8 +224,8 @@ type Server struct {
 	ac        *accessControl
 	obs       *serverObs
 
-	// locks schedules request concurrency: sharded per-path locks, a
-	// group-store lock, and a whole-tree barrier (see locks.go).
+	// locks schedules request concurrency: a whole-tree barrier and a
+	// group-store lock (see locks.go).
 	locks *lockManager
 	// reset tracks the outstanding backup-restoration challenge (§V-G).
 	reset resetState
@@ -526,14 +521,13 @@ func NewServer(platform *enclave.Platform, cfg Config) (_ *Server, err error) {
 		certifier: newCertifier(encl, cfg.GroupStore, caPub),
 		obs:       sObs,
 		recovery:  recovery,
-		// Coupled mode, always: the journal relies on at most one mutation
-		// being in flight. Staging state is not the reason — it lives on
-		// the per-request view (withRequest) — the commit → apply → retire
-		// sequence is: intents apply in commit order, and a journalDirty
-		// recovery pass inside mutate replays the whole journal. The
-		// uncoupled mode stays for the intent-scoped write-lock plan
-		// (ROADMAP item 1(a)), which owns this argument.
-		locks: newLockManager(defaultLockShards, true, sObs),
+		// Every content mutation takes the exclusive plan: the journal
+		// relies on at most one mutation being in flight. Staging state is
+		// not the reason — it lives on the per-request view (withRequest) —
+		// the commit → apply → retire sequence is: intents apply in commit
+		// order, and a journalDirty recovery pass inside mutate replays the
+		// whole journal.
+		locks: newLockManager(sObs),
 	}
 
 	// Adaptive admission control and the request-body cap (DESIGN §16).
@@ -630,7 +624,6 @@ func NewServer(platform *enclave.Platform, cfg Config) (_ *Server, err error) {
 	_ = wd.AddCheck("journal_recovery", func() error {
 		return recovery.Overrun(wcfg.RecoveryOverrun)
 	})
-	_ = wd.AddCheck("lock_shard_skew", s.locks.skewProbe(wcfg.ShardSkew))
 	wd.Start()
 	undo = append(undo, wd.Stop)
 	s.watchdog = wd
@@ -756,7 +749,7 @@ func (s *Server) AuditHeadHandler() http.Handler {
 // its content. Used by the fault-injection harness and available to
 // operators after a restore.
 func (s *Server) Fsck() error {
-	unlock := s.locks.wholeTree(nil)
+	unlock := s.locks.exclusive(nil, scopeBarrier)
 	defer unlock()
 	return s.fm.validateAll()
 }

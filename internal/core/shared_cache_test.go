@@ -117,7 +117,7 @@ func TestHotGetIsOneStoreCall(t *testing.T) {
 			}
 			rangeGet := func(d *DirectSession, path string) error {
 				p := mustPath(t, path)
-				unlock := s.locks.fsRead(nil, p)
+				unlock := s.locks.read(nil, scopeFSRead)
 				defer unlock()
 				res, err := s.ac.GetFileRange(d.u, p, br)
 				if err == nil && !bytes.Equal(res.Data, body[br.Start:br.End+1]) {
@@ -235,9 +235,9 @@ func TestCachedRelationsNeverMutated(t *testing.T) {
 	}
 	// The management calls Direct sessions do not expose, under the lock
 	// plans the handler takes for them.
-	fsWrite := func(path string, fn func(ac *accessControl) error) error {
+	exclusive := func(fn func(ac *accessControl) error) error {
 		rs := &obs.ReqStats{}
-		unlock := s.locks.fsWrite(rs, true, mustPath(t, path))
+		unlock := s.locks.exclusive(rs, scopeFSWrite)
 		defer unlock()
 		return fn(s.ac.withRequest(rs, nil))
 	}
@@ -316,10 +316,10 @@ func TestCachedRelationsNeverMutated(t *testing.T) {
 		{"set_p creating a default group", func() error { return alice.SetPermission("/d/f", "user:zed", "r") }, false},
 		{"set_inherit", func() error { return alice.SetInherit("/d/f", true) }, false},
 		{"set_owner", func() error {
-			return fsWrite("/d/f", func(ac *accessControl) error { return ac.SetFileOwner("alice", mustPath(t, "/d/f"), "team", true) })
+			return exclusive(func(ac *accessControl) error { return ac.SetFileOwner("alice", mustPath(t, "/d/f"), "team", true) })
 		}, false},
 		{"set_owner grant to eve", func() error {
-			return fsWrite("/d/f", func(ac *accessControl) error { return ac.SetFileOwner("alice", mustPath(t, "/d/f"), "user:eve", true) })
+			return exclusive(func(ac *accessControl) error { return ac.SetFileOwner("alice", mustPath(t, "/d/f"), "user:eve", true) })
 		}, true},
 		{"add_u", func() error { return alice.AddUser("carol", "team") }, false},
 		{"add_u grant to eve", func() error { return alice.AddUser("eve", "team") }, true},

@@ -47,7 +47,7 @@ type stagedDel struct {
 // opCtx is one in-flight logical operation: the staged write/delete set
 // plus compensation hooks. It hangs off the per-request view running the
 // mutation (fileManager.tx); at most one exists at a time, because the
-// lock manager serializes mutations (coupled mode).
+// lock manager serializes mutations (locks.go, the exclusive plan).
 type opCtx struct {
 	op string
 

@@ -11,10 +11,10 @@ import (
 )
 
 // Watchdog periodically runs named stall checks — over-deadline requests,
-// audit-writer backlog, journal recovery overrun, lock-shard contention
-// skew — and on a healthy→stalled transition captures a goroutine
-// profile snapshot, plus the mutex profile when the runtime's mutex
-// sampler is on, so the wedge can be diagnosed after the fact.
+// audit-writer backlog, journal recovery overrun — and on a
+// healthy→stalled transition captures a goroutine profile snapshot, plus
+// the mutex profile when the runtime's mutex sampler is on, so the wedge
+// can be diagnosed after the fact.
 // Check names pass the leak-budget name rules; check errors are reduced
 // to the name on every exported surface, so probe error text (which may
 // quote internal state) never leaves the process.

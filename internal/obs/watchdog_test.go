@@ -145,9 +145,9 @@ func TestWatchdogMutexSnapshotNeedsSampler(t *testing.T) {
 // in the sweep/capture/read paths fails here.
 func TestWatchdogStress(t *testing.T) {
 	reg := NewRegistry()
-	var stalls [4]atomic.Bool
+	var stalls [3]atomic.Bool
 	wd := NewWatchdog(WatchdogOptions{Interval: time.Millisecond, MaxSnapshots: 4, Obs: reg, OnTrigger: func(string) {}})
-	names := []string{"request_deadline", "audit_backlog", "journal_recovery", "lock_shard_skew"}
+	names := []string{"request_deadline", "audit_backlog", "journal_recovery"}
 	for i, name := range names {
 		i := i
 		if err := wd.AddCheck(name, func() error {
