@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -70,12 +71,20 @@ func TestLockPlansAllocateNothing(t *testing.T) {
 }
 
 // Heavy mixed traffic through every plan, under -race: deadlock-freedom,
-// and exclusion as the race detector sees it — readers read a value that
-// only the two write plans change. Failure mode is a test timeout or a
-// reported race.
+// and exclusion as the race detector sees it — readers read cells of
+// state that only the two write plans change. Each subtest spreads the
+// writes over that many cells: four, or all on one. Failure mode is a
+// test timeout or a reported race.
 func TestLockManagerMixedTrafficNoDeadlock(t *testing.T) {
-	lm := newLockManager(nil)
-	state := 0
+	for _, shards := range []int{4, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			mixedLockTraffic(t, newLockManager(nil), shards)
+		})
+	}
+}
+
+func mixedLockTraffic(t *testing.T, lm *lockManager, cells int) {
+	state := make([]int, cells)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -85,18 +94,83 @@ func TestLockManagerMixedTrafficNoDeadlock(t *testing.T) {
 				plan := lockPlans[(g+i)%len(lockPlans)]
 				unlock := plan.take(lm)
 				if plan.name == "read" {
-					if state < 0 {
-						t.Error("negative write count")
+					for _, n := range state {
+						if n < 0 {
+							t.Error("negative write count")
+						}
 					}
 				} else {
-					state++
+					state[(g+i)%cells]++
 				}
 				unlock()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if want := 16 * 300 * 2 / 3; state != want {
-		t.Fatalf("%d writes counted, want %d", state, want)
+	total := 0
+	for _, n := range state {
+		total += n
+	}
+	if want := 16 * 300 * 2 / 3; total != want {
+		t.Fatalf("%d writes counted, want %d", total, want)
+	}
+}
+
+// blocksUntil runs op in the background while the caller holds a lock,
+// fails if op finishes before release runs, and fails if it has not
+// finished 5s after.
+func blocksUntil(t *testing.T, release func(), op func() error, what string) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	select {
+	case err := <-done:
+		t.Fatalf("%s finished while the lock was held (err %v)", what, err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never finished after the lock was released", what)
+	}
+}
+
+// A download of a file waits while a write of that same file holds its
+// plan: the read path of the request layer takes a plan the exclusive
+// one excludes.
+func TestOverlappingWriteExcludesRead(t *testing.T) {
+	server := newDirectServer(t)
+	alice := server.Direct("alice")
+	if err := alice.Upload("/x", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	unlock := server.locks.exclusive(nil, scopeFSWrite)
+	blocksUntil(t, unlock, func() error {
+		_, err := alice.Download("/x")
+		return err
+	}, "download under a write")
+}
+
+// A directory move takes the whole tree: it waits for a read in flight
+// anywhere, even of an unrelated path, and only then relocates the
+// subtree.
+func TestMoveLocksDirectoryEscalates(t *testing.T) {
+	server := newDirectServer(t)
+	alice := server.Direct("alice")
+	if err := alice.Mkdir("/a/"); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.Upload("/a/f", []byte("moved")); err != nil {
+		t.Fatal(err)
+	}
+	unlock := server.locks.read(nil, scopeFSRead)
+	blocksUntil(t, unlock, func() error { return alice.Move("/a/", "/b/") }, "directory move under a read")
+	got, err := alice.Download("/b/f")
+	if err != nil || string(got) != "moved" {
+		t.Fatalf("after move: %q %v", got, err)
 	}
 }
