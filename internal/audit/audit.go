@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"segshare/internal/pae"
 )
@@ -157,11 +158,13 @@ func DeriveKeys(rootKey []byte) (Keys, error) {
 //
 // kind 1 (record): payload is PAE ciphertext of the record, with
 // associated data binding the format version and sequence number. The
-// plaintext is recordCompact ‖ varint(time) ‖ uvarint(reqId) and then
-// uvarint(len) ‖ bytes for event, decision, op, user, target, group,
-// path and detail; the sequence number is the frame's. Logs written
-// before this encoding hold the JSON record, which begins with '{' and
-// still opens.
+// plaintext is recordCoded ‖ varint(time) ‖ uvarint(reqId) ‖ event code ‖
+// decision code (indexes into eventCodes and decisionCodes), then
+// uvarint(len) ‖ bytes for op, user, target, group, path and detail; the
+// sequence number is the frame's. recordCompact spells the event and the
+// decision out as the first two strings; it carries values outside the
+// tables and every record of older logs, as JSON (a leading '{') did
+// before it. All three open.
 // kind 2 (checkpoint): payload is seq(8) ‖ counter(8) ‖ head(32) ‖
 // mac(32), where head is the chain head over all preceding entries and
 // mac is HMAC-SHA256 under the checkpoint key.
@@ -195,8 +198,20 @@ func recordAssociatedData(seq uint64) []byte {
 	return ad
 }
 
-// recordCompact tags the binary record plaintext (see the wire format).
-const recordCompact byte = 1
+// Tags of the binary record plaintexts (see the wire format).
+const (
+	recordCompact byte = 1
+	recordCoded   byte = 2
+)
+
+// eventCodes and decisionCodes are the tables a recordCoded code indexes.
+// Codes are on disk: append, never reorder.
+var (
+	eventCodes = []EventType{EventAuthnSuccess, EventAuthnFailure, EventFileAuthzAllow,
+		EventFileAuthzDeny, EventACLChange, EventGroupChange, EventRollbackFailure, EventKeyOp,
+		EventRecovery, EventWatchdog, EventDegraded, EventSLOBreach, EventDrain}
+	decisionCodes = []string{"", DecisionAllow, DecisionDeny}
+)
 
 // recordStrings lists a record's string fields in their encoded order.
 func recordStrings(rec *Record) []*string {
@@ -206,9 +221,17 @@ func recordStrings(rec *Record) []*string {
 
 // sealRecord serializes and encrypts one record.
 func sealRecord(keys Keys, rec Record) ([]byte, error) {
-	plain := binary.AppendVarint([]byte{recordCompact}, rec.TimeNanos)
+	ev, dec := slices.Index(eventCodes, rec.Event), slices.Index(decisionCodes, rec.Decision)
+	tag, strs := recordCoded, recordStrings(&rec)
+	if ev < 0 || dec < 0 {
+		tag = recordCompact
+	}
+	plain := binary.AppendVarint([]byte{tag}, rec.TimeNanos)
 	plain = binary.AppendUvarint(plain, rec.RequestID)
-	for _, f := range recordStrings(&rec) {
+	if tag == recordCoded {
+		plain, strs = append(plain, byte(ev), byte(dec)), strs[2:]
+	}
+	for _, f := range strs {
 		plain = binary.AppendUvarint(plain, uint64(len(*f)))
 		plain = append(plain, *f...)
 	}
@@ -237,10 +260,10 @@ func openRecord(keys Keys, seq uint64, payload []byte) (Record, error) {
 		return rec, nil
 	}
 	bad := fmt.Errorf("%w: entry %d: malformed record", ErrRecordCorrupt, seq)
-	if len(plain) == 0 || plain[0] != recordCompact {
+	if len(plain) == 0 || plain[0] != recordCompact && plain[0] != recordCoded {
 		return Record{}, bad
 	}
-	p := plain[1:]
+	p, strs := plain[1:], recordStrings(&rec)
 	var n int
 	if rec.TimeNanos, n = binary.Varint(p); n <= 0 {
 		return Record{}, bad
@@ -250,7 +273,14 @@ func openRecord(keys Keys, seq uint64, payload []byte) (Record, error) {
 		return Record{}, bad
 	}
 	p = p[n:]
-	for _, f := range recordStrings(&rec) {
+	if plain[0] == recordCoded {
+		if len(p) < 2 || int(p[0]) >= len(eventCodes) || int(p[1]) >= len(decisionCodes) {
+			return Record{}, bad
+		}
+		rec.Event, rec.Decision = eventCodes[p[0]], decisionCodes[p[1]]
+		p, strs = p[2:], strs[2:]
+	}
+	for _, f := range strs {
 		l, n := binary.Uvarint(p)
 		if n <= 0 || l > uint64(len(p)-n) {
 			return Record{}, bad

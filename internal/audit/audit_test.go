@@ -2,9 +2,15 @@ package audit
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -534,16 +540,37 @@ func TestHeadIsLeakSafe(t *testing.T) {
 	}
 }
 
-// TestRecordEncodings pins the record plaintext: the compact encoding
-// round-trips every field and is smaller than the JSON one it replaced;
-// JSON records, as older logs hold them, still open; and a malformed
-// compact plaintext is a corrupt record, not a panic.
+// compactPlain is the recordCompact plaintext of rec: every string field
+// spelled out, as older logs hold every record.
+func compactPlain(rec Record) []byte {
+	plain := binary.AppendVarint([]byte{recordCompact}, rec.TimeNanos)
+	plain = binary.AppendUvarint(plain, rec.RequestID)
+	for _, f := range recordStrings(&rec) {
+		plain = binary.AppendUvarint(plain, uint64(len(*f)))
+		plain = append(plain, *f...)
+	}
+	return plain
+}
+
+// TestRecordEncodings pins the record plaintext: a record whose event
+// and decision are in the code tables is written coded, one that is not
+// compact, and both round-trip every field; compact and JSON records, as
+// older logs hold them, still open; the coded record is smaller than the
+// compact one and that than the JSON one; and a malformed plaintext is a
+// corrupt record, not a panic.
 func TestRecordEncodings(t *testing.T) {
 	keys := testKeys(t)
 	rec := Record{Seq: 7, TimeNanos: time.Now().UnixNano(), Event: EventGroupChange,
 		Decision: DecisionAllow, Op: "api_groups_add", RequestID: 1 << 40, User: "alice",
 		Target: "bob", Group: "finance", Path: "/team/plan.txt", Detail: "add"}
-	compact, err := sealRecord(keys, rec)
+	seal := func(plain []byte) []byte {
+		ct, err := pae.Encrypt(keys.Enc, plain, recordAssociatedData(rec.Seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	coded, err := sealRecord(keys, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,24 +578,32 @@ func TestRecordEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := pae.Encrypt(keys.Enc, plainJSON, recordAssociatedData(rec.Seq))
+	compact, legacy := seal(compactPlain(rec)), seal(plainJSON)
+	t.Logf("sealed record: %d B coded, %d B compact, %d B JSON", len(coded), len(compact), len(legacy))
+	if len(coded) != len(compact)-len(rec.Event)-len(rec.Decision) || len(compact) >= len(legacy)*3/4 {
+		t.Errorf("coded record is %d B, compact %d B, JSON %d B", len(coded), len(compact), len(legacy))
+	}
+	unlisted := rec
+	unlisted.Event, unlisted.Decision = "not_an_event", "maybe"
+	sealedUnlisted, err := sealRecord(keys, unlisted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("sealed record: %d B compact, %d B JSON", len(compact), len(legacy))
-	if len(compact) >= len(legacy)*3/4 {
-		t.Errorf("compact record is %d B, JSON %d B", len(compact), len(legacy))
-	}
-	for name, payload := range map[string][]byte{"compact": compact, "json": legacy} {
-		if got, err := openRecord(keys, rec.Seq, payload); err != nil || got != rec {
-			t.Fatalf("%s: openRecord = %+v, %v; want %+v", name, got, err, rec)
+	for name, c := range map[string]struct {
+		payload []byte
+		want    Record
+	}{"coded": {coded, rec}, "compact": {compact, rec}, "json": {legacy, rec}, "unlisted": {sealedUnlisted, unlisted}} {
+		if got, err := openRecord(keys, rec.Seq, c.payload); err != nil || got != c.want {
+			t.Fatalf("%s: openRecord = %+v, %v; want %+v", name, got, err, c.want)
 		}
 	}
-	if _, err := openRecord(keys, rec.Seq+1, compact); !errors.Is(err, ErrRecordCorrupt) {
+	if _, err := openRecord(keys, rec.Seq+1, coded); !errors.Is(err, ErrRecordCorrupt) {
 		t.Fatalf("record opened under another seq: %v", err)
 	}
 	full := append([]byte{recordCompact}, bytes.Repeat([]byte{0x80}, 3)...)
-	for _, plain := range [][]byte{nil, {0x7f}, {recordCompact}, full, {recordCompact, 2, 0, 5, 'x'}} {
+	for _, plain := range [][]byte{nil, {0x7f}, {recordCompact}, full, {recordCompact, 2, 0, 5, 'x'},
+		{recordCoded, 2, 0}, {recordCoded, 2, 0, byte(len(eventCodes)), 0, 0, 0, 0, 0, 0, 0},
+		{recordCoded, 2, 0, 0, byte(len(decisionCodes)), 0, 0, 0, 0, 0, 0}} {
 		ct, err := pae.Encrypt(keys.Enc, plain, recordAssociatedData(1))
 		if err != nil {
 			t.Fatal(err)
@@ -576,6 +611,56 @@ func TestRecordEncodings(t *testing.T) {
 		if _, err := openRecord(keys, 1, ct); !errors.Is(err, ErrRecordCorrupt) {
 			t.Fatalf("malformed plaintext %x: %v", plain, err)
 		}
+	}
+}
+
+// TestEventCodesCoverEveryEvent fails when an EventType constant of this
+// package has no code: its records would still be written, but compact,
+// at the size of the strings.
+func TestEventCodesCoverEveryEvent(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "audit.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var consts []EventType
+	ast.Inspect(file, func(n ast.Node) bool {
+		if vs, ok := n.(*ast.ValueSpec); ok {
+			if id, ok := vs.Type.(*ast.Ident); ok && id.Name == "EventType" {
+				for _, v := range vs.Values {
+					s, err := strconv.Unquote(v.(*ast.BasicLit).Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					consts = append(consts, EventType(s))
+				}
+			}
+		}
+		return true
+	})
+	if len(consts) != len(eventCodes) {
+		t.Fatalf("audit.go declares %d EventType constants %v, eventCodes has %d codes", len(consts), consts, len(eventCodes))
+	}
+	for _, ev := range consts {
+		if !slices.Contains(eventCodes, ev) {
+			t.Fatalf("event %q has no code", ev)
+		}
+	}
+}
+
+// TestRecordFrameSize pins what one request costs the audit store: the
+// authorization record of a GET by a short user name for a ledger-shaped
+// path frames to at most 88 B (it was 104 B with the event and decision
+// spelled out).
+func TestRecordFrameSize(t *testing.T) {
+	keys := testKeys(t)
+	rec := Record{Seq: 1, TimeNanos: time.Now().UnixNano(), Event: EventFileAuthzAllow,
+		Decision: DecisionAllow, Op: "fs_get", RequestID: 100_000, User: "owner", Path: "/d005/f0012.bin"}
+	payload, err := sealRecord(keys, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if framed := len(encodeFrame(nil, kindRecord, rec.Seq, payload)); framed > 88 {
+		t.Fatalf("authz_allow record frames to %d B, want at most 88", framed)
 	}
 }
 
@@ -655,5 +740,50 @@ func TestCrashBetweenCheckpointAndIncrement(t *testing.T) {
 	buildLog(t, b, keys, nil, 8, opt)
 	if _, err := Open(b, keys, ctr, Options{Obs: obs.NewRegistry()}); !errors.Is(err, ErrLogRollback) {
 		t.Fatalf("open two checkpoints ahead: got %v, want ErrLogRollback", err)
+	}
+}
+
+// TestCrashAtSegmentRoll fails the store write of a full segment, the
+// one that rolls the writer to the next segment. The segment must be
+// kept, not skipped: the next write stores it with every frame, and a
+// later Open and Verify see no gap in the entry sequence.
+func TestCrashAtSegmentRoll(t *testing.T) {
+	mem := store.NewMemory()
+	keys := testKeys(t)
+	ctr := testCounter(t)
+	plan := store.NewFaultPlan()
+	log, err := Open(store.NewFaultyWithPlan(mem, plan), keys, ctr,
+		Options{SegmentEntries: 4, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit := func(n int) {
+		for i := 0; i < n; i++ {
+			log.Emit(Event{Event: EventFileAuthzAllow, Decision: DecisionAllow, Op: "fs_get"})
+		}
+	}
+	emit(3)
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	plan.FailAtOp(1, errors.New("store unavailable"))
+	emit(1)
+	if err := log.Flush(); err == nil {
+		t.Fatal("flush over a failed segment roll reported no error")
+	}
+	emit(3)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := Open(mem, keys, ctr, Options{SegmentEntries: 4, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatalf("reopen after a failed segment roll: %v", err)
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Verify(mem, keys, VerifyOptions{ExpectCounter: ctr.Value(), ExpectRecords: 7}); err != nil {
+		t.Fatal(err)
 	}
 }

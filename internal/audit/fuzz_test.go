@@ -12,8 +12,9 @@ import (
 
 // FuzzOpenRecord seals the fuzzed plaintext under the record key, so the
 // decoder behind the AEAD sees arbitrary bytes, and asserts that opening
-// never panics, fails only with ErrRecordCorrupt, and that a compact
-// record it accepts re-seals and re-opens to the same record.
+// never panics, fails only with ErrRecordCorrupt, and that a binary
+// record (coded or compact) it accepts re-seals and re-opens to the same
+// record.
 func FuzzOpenRecord(f *testing.F) {
 	keys := testKeys(f)
 	rec := Record{Seq: 3, TimeNanos: 1_700_000_000_000_000_000, Event: EventFileAuthzDeny,
@@ -22,7 +23,7 @@ func FuzzOpenRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	compact, err := pae.Decrypt(keys.Enc, ct, recordAssociatedData(rec.Seq))
+	coded, err := pae.Decrypt(keys.Enc, ct, recordAssociatedData(rec.Seq))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -30,9 +31,11 @@ func FuzzOpenRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(rec.Seq, compact)
+	f.Add(rec.Seq, coded)
+	f.Add(rec.Seq, compactPlain(rec))
 	f.Add(rec.Seq, legacy)
 	f.Add(uint64(1), []byte{recordCompact})
+	f.Add(uint64(1), []byte{recordCoded, 0, 0, byte(len(eventCodes)), 0})
 	f.Fuzz(func(t *testing.T, seq uint64, plain []byte) {
 		ct, err := pae.Encrypt(keys.Enc, plain, recordAssociatedData(seq))
 		if err != nil {
@@ -45,7 +48,7 @@ func FuzzOpenRecord(f *testing.F) {
 			}
 			return
 		}
-		if len(plain) == 0 || plain[0] != recordCompact {
+		if len(plain) == 0 || plain[0] != recordCompact && plain[0] != recordCoded {
 			return
 		}
 		resealed, err := sealRecord(keys, got)

@@ -359,14 +359,18 @@ func (l *Log) finalCheckpoint() {
 	}
 }
 
-// rollIfFullLocked starts a new segment once the current one is full.
-// The full segment is persisted immediately so rolled segments are never
-// dirty.
+// rollIfFullLocked starts a new segment once the current one is full and
+// stored, so rolled segments are never dirty. A full segment whose store
+// write fails keeps growing until a write succeeds: rolling past it
+// would leave a gap in the entry sequence that no later Open accepts.
 func (l *Log) rollIfFullLocked() {
 	if l.segEntries < l.opt.SegmentEntries {
 		return
 	}
 	l.persistLocked()
+	if l.dirty {
+		return
+	}
 	l.segIdx++
 	l.segBuf = nil
 	l.segEntries = 0

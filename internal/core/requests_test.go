@@ -304,7 +304,7 @@ func TestWarmDirectGetAllocs(t *testing.T) {
 		}
 	}
 	get() // warm the relation and key-schedule caches
-	const budget = 30
+	const budget = 24
 	if n := testing.AllocsPerRun(200, get); n > budget {
 		t.Fatalf("warm direct GET = %.0f allocs, budget %d", n, budget)
 	}
@@ -331,7 +331,7 @@ func TestWarmDirectPutAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	put()
-	const budget = 66
+	const budget = 59
 	if n := testing.AllocsPerRun(200, put); n > budget {
 		t.Fatalf("warm direct PUT = %.0f allocs, budget %d", n, budget)
 	}

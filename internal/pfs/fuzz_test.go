@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzDecrypt feeds arbitrary blobs to the verified reader: it must never
-// panic and must reject everything that is not a faithful encryption.
+// panic and must reject everything that is not a faithful encryption. It
+// is seeded with a blob of each format version.
 func FuzzDecrypt(f *testing.F) {
 	key, err := pae.KeyFromBytes(bytes.Repeat([]byte{3}, pae.KeySize))
 	if err != nil {
@@ -18,8 +19,13 @@ func FuzzDecrypt(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	keys, err := NewKeys(key)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte{})
 	f.Add(valid)
+	f.Add(resealTree(f, keys, valid, formatV1)) // a version 1 blob
 	f.Add(valid[:len(valid)-1])
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		pt, err := DecryptWorkers(key, []byte("/f"), blob, 1)

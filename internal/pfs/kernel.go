@@ -62,14 +62,15 @@ func fansOut(chunks int64, workers int) bool {
 // full except possibly the last), and so does plain when sealing (sealed
 // is then exactly len(plain) + len(leaves)*pae.Overhead bytes). Sealing
 // reads plain and fills sealed; opening overwrites sealed in place; both
-// fill leaves.
+// fill leaves, under the leaf rule of version.
 type window struct {
-	cipher *pae.Cipher
-	fileID []byte
-	first  int64 // file-wide index of the window's first chunk
-	plain  []byte
-	sealed []byte
-	leaves [][hashSize]byte
+	cipher  *pae.Cipher
+	version uint32
+	fileID  []byte
+	first   int64 // file-wide index of the window's first chunk
+	plain   []byte
+	sealed  []byte
+	leaves  [][hashSize]byte
 }
 
 // chunk returns chunk i's extent of sealed. The three-index slice pins
@@ -146,7 +147,7 @@ func (w *window) seal(workers int) error {
 		if err != nil {
 			return fmt.Errorf("pfs: seal chunk %d: %w", w.first+int64(i), err)
 		}
-		w.leaves[i] = leafHash(ct)
+		w.leaves[i] = leafOf(w.version, ct)
 		return nil
 	})
 }
@@ -159,7 +160,7 @@ func (w *window) seal(workers int) error {
 func (w *window) open(ctx context.Context, workers int) error {
 	return w.each(ctx, workers, func(i int, aad []byte) error {
 		ct := w.chunk(i)
-		w.leaves[i] = leafHash(ct)
+		w.leaves[i] = leafOf(w.version, ct)
 		if _, err := w.cipher.AppendOpen(ct[pae.NonceSize:pae.NonceSize], ct, aad); err != nil {
 			return ErrCorrupt
 		}
@@ -202,11 +203,12 @@ func (k *Keys) AppendEncrypt(dst, fileID, plaintext []byte, workers int) ([]byte
 	body := out[len(dst):]
 	chunksEnd := plainSize + nc*pae.Overhead
 	w := window{
-		cipher: k.cipher,
-		fileID: fileID,
-		plain:  plaintext,
-		sealed: body[:chunksEnd],
-		leaves: make([][hashSize]byte, nc),
+		cipher:  k.cipher,
+		version: formatVersion,
+		fileID:  fileID,
+		plain:   plaintext,
+		sealed:  body[:chunksEnd],
+		leaves:  make([][hashSize]byte, nc),
 	}
 	if err := w.seal(workers); err != nil {
 		return nil, err
@@ -218,14 +220,14 @@ func (k *Keys) AppendEncrypt(dst, fileID, plaintext []byte, workers int) ([]byte
 			pos += int64(copy(body[pos:], node[:]))
 		}
 	}
-	f := footer{plainSize: plainSize, numChunks: nc, root: levels[len(levels)-1][0]}
-	copy(body[pos:], f.encode(k.mac))
+	f := footer{version: formatVersion, plainSize: plainSize, numChunks: nc, root: levels[len(levels)-1][0]}
+	f.append(body[:pos], k.mac) // into body's last footerSize bytes
 	return out, nil
 }
 
 // DecryptCtx verifies the whole blob and returns the plaintext: every
 // chunk is authenticated under its positional associated data, the Merkle
-// tree is rebuilt from the chunk ciphertexts and checked against the root
+// tree is rebuilt from the chunks' leaves and checked against the root
 // the footer authenticates, and the stored inner-node region is compared
 // against the rebuilt tree, so tampering anywhere in the blob is detected.
 // workers bounds the goroutines opening chunks. Opening stops at the next
@@ -238,26 +240,27 @@ func (k *Keys) AppendEncrypt(dst, fileID, plaintext []byte, workers int) ([]byte
 // are unspecified. A caller that must keep its blob passes a copy, as
 // DecryptWorkers does.
 func (k *Keys) DecryptCtx(ctx context.Context, fileID, blob []byte, workers int) ([]byte, error) {
-	r, err := k.Open(fileID, bytes.NewReader(blob), int64(len(blob)))
+	ftr, err := parseFooter(k.mac, blob[max(len(blob)-footerSize, 0):], int64(len(blob)))
 	if err != nil {
 		return nil, err
 	}
-	// Open validated the blob's structure, so the chunk and tree extents
-	// index it in bounds by construction.
+	// parseFooter validated the blob's length, so the chunk and tree
+	// extents index it in bounds by construction.
 	w := window{
-		cipher: k.cipher,
-		fileID: fileID,
-		sealed: blob[:r.chunksEnd],
-		leaves: make([][hashSize]byte, r.ftr.numChunks),
+		cipher:  k.cipher,
+		version: ftr.version,
+		fileID:  fileID,
+		sealed:  blob[:ftr.chunksEnd()],
+		leaves:  make([][hashSize]byte, ftr.numChunks),
 	}
 	if err := w.open(ctx, workers); err != nil {
 		return nil, err
 	}
 	levels := buildTree(w.leaves)
-	if levels[len(levels)-1][0] != r.ftr.root {
+	if levels[len(levels)-1][0] != ftr.root {
 		return nil, ErrCorrupt
 	}
-	off := r.chunksEnd
+	off := ftr.chunksEnd()
 	for _, level := range levels[1:] {
 		for _, node := range level {
 			if !bytes.Equal(blob[off:off+hashSize], node[:]) {

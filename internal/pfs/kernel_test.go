@@ -146,75 +146,115 @@ func TestCrossCompatibilityMatrix(t *testing.T) {
 	}
 }
 
-// parentFixtures is the sidecar of testdata/parent: blobs sealed by the
-// last commit that still had the streaming Writer and the pooled
-// EncryptWorkers (the references the matrix used to compare against).
-type parentFixtures struct {
-	KeyHex string `json:"key_hex"`
-	FileID string `json:"file_id"`
-	Sizes  []int  `json:"sizes"`
+// fixtureDirs maps each committed fixture directory to the format
+// version its blobs carry: testdata/parent holds blobs sealed by the last
+// commit that still had the streaming Writer and the pooled
+// EncryptWorkers (the references the matrix used to compare against),
+// testdata/v2 blobs sealed by the first writer of the tag leaf.
+var fixtureDirs = map[string]uint32{"testdata/parent": formatV1, "testdata/v2": formatVersion}
+
+// fixtures is the sidecar of a fixture directory: one blob per sealer
+// and size, named <sealer>-<size>.blob, all of one plaintext rule.
+type fixtures struct {
+	KeyHex  string            `json:"key_hex"`
+	FileID  string            `json:"file_id"`
+	Sealers map[string]string `json:"sealers"`
+	Sizes   []int             `json:"sizes"`
 }
 
-// TestParentFixturesOpen pins the on-disk format across the kernel
-// swap: blobs written by the parent commit's two seal implementations
-// must open, unchanged, under every worker count — through
+// fixtureBlob is one committed blob and the plaintext it holds.
+type fixtureBlob struct {
+	name        string
+	blob, plain []byte
+	key         pae.Key
+	keys        *Keys
+	fileID      []byte
+	wantVersion uint32
+}
+
+// loadFixtures reads every blob of every fixture directory.
+func loadFixtures(t *testing.T) []fixtureBlob {
+	t.Helper()
+	var out []fixtureBlob
+	for dir, version := range fixtureDirs {
+		raw, err := os.ReadFile(dir + "/fixtures.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fx fixtures
+		if err := json.Unmarshal(raw, &fx); err != nil {
+			t.Fatal(err)
+		}
+		keyBytes, err := hex.DecodeString(fx.KeyHex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := pae.KeyFromBytes(keyBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := NewKeys(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range fx.Sizes {
+			plain := make([]byte, size)
+			for i := range plain {
+				plain[i] = byte(i*7 + (i >> 8))
+			}
+			for sealer := range fx.Sealers {
+				name := fmt.Sprintf("%s/%s-%d.blob", dir, sealer, size)
+				blob, err := os.ReadFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, fixtureBlob{name: name, blob: blob, plain: plain, key: key,
+					keys: keys, fileID: []byte(fx.FileID), wantVersion: version})
+			}
+		}
+	}
+	if len(out) != 2*2*8 {
+		t.Fatalf("%d fixture blobs, want 32", len(out))
+	}
+	return out
+}
+
+// TestParentFixturesOpen pins the on-disk format across kernel and
+// format changes: blobs written by earlier commits — version 1 by the
+// two seal implementations before the kernel swap, version 2 by the
+// first tag-leaf writer — carry the footer version of their directory
+// and must open, unchanged, under every worker count — through
 // DecryptWorkers and in place — and under ReadAt.
 func TestParentFixturesOpen(t *testing.T) {
-	raw, err := os.ReadFile("testdata/parent/fixtures.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fx parentFixtures
-	if err := json.Unmarshal(raw, &fx); err != nil {
-		t.Fatal(err)
-	}
-	keyBytes, err := hex.DecodeString(fx.KeyHex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := pae.KeyFromBytes(keyBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := NewKeys(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fileID := []byte(fx.FileID)
-	for _, size := range fx.Sizes {
-		plain := make([]byte, size)
-		for i := range plain {
-			plain[i] = byte(i*7 + (i >> 8))
+	for _, fx := range loadFixtures(t) {
+		name, blob, plain := fx.name, fx.blob, fx.plain
+		size := len(plain)
+		if want := int64(size) + Overhead(int64(size)); int64(len(blob)) != want {
+			t.Fatalf("%s: %d bytes, Overhead predicts %d", name, len(blob), want)
 		}
-		for _, sealer := range []string{"writer", "workers"} {
-			name := fmt.Sprintf("testdata/parent/%s-%d.blob", sealer, size)
-			blob, err := os.ReadFile(name)
+		f, err := parseFooter(fx.keys.mac, blob[len(blob)-footerSize:], int64(len(blob)))
+		if err != nil || f.version != fx.wantVersion {
+			t.Fatalf("%s: footer version %d, %v; want %d", name, f.version, err, fx.wantVersion)
+		}
+		for _, w := range compatWorkers {
+			got, err := DecryptWorkers(fx.key, fx.fileID, blob, w)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if want := int64(size) + Overhead(int64(size)); int64(len(blob)) != want {
-				t.Fatalf("%s: %d bytes, Overhead predicts %d", name, len(blob), want)
-			}
-			for _, w := range compatWorkers {
-				got, err := DecryptWorkers(key, fileID, blob, w)
-				if err != nil {
-					t.Fatalf("%s open w%d: %v", name, w, err)
-				}
-				if !bytes.Equal(got, plain) {
-					t.Fatalf("%s open w%d: plaintext mismatch", name, w)
-				}
-				got, err = openInPlace(t, keys, fileID, blob, w)
-				if err != nil || !bytes.Equal(got, plain) {
-					t.Fatalf("%s in-place open w%d: %v", name, w, err)
-				}
-			}
-			got, err := readAllAt(key, fileID, blob)
-			if err != nil {
-				t.Fatalf("%s ReadAt: %v", name, err)
+				t.Fatalf("%s open w%d: %v", name, w, err)
 			}
 			if !bytes.Equal(got, plain) {
-				t.Fatalf("%s ReadAt: plaintext mismatch", name)
+				t.Fatalf("%s open w%d: plaintext mismatch", name, w)
 			}
+			got, err = openInPlace(t, fx.keys, fx.fileID, blob, w)
+			if err != nil || !bytes.Equal(got, plain) {
+				t.Fatalf("%s in-place open w%d: %v", name, w, err)
+			}
+		}
+		got, err := readAllAt(fx.key, fx.fileID, blob)
+		if err != nil {
+			t.Fatalf("%s ReadAt: %v", name, err)
+		}
+		if !bytes.Equal(got, plain) {
+			t.Fatalf("%s ReadAt: plaintext mismatch", name)
 		}
 	}
 }
@@ -316,11 +356,11 @@ func TestParallelFooterMatchesSerial(t *testing.T) {
 		if len(serial) != len(par) {
 			t.Fatalf("size %d: blob lengths differ: %d vs %d", size, len(serial), len(par))
 		}
-		fs, err := parseFooter(keys.mac, serial[len(serial)-footerSize:])
+		fs, err := parseFooter(keys.mac, serial[len(serial)-footerSize:], int64(len(serial)))
 		if err != nil {
 			t.Fatalf("size %d serial footer: %v", size, err)
 		}
-		fp, err := parseFooter(keys.mac, par[len(par)-footerSize:])
+		fp, err := parseFooter(keys.mac, par[len(par)-footerSize:], int64(len(par)))
 		if err != nil {
 			t.Fatalf("size %d parallel footer: %v", size, err)
 		}

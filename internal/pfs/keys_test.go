@@ -2,11 +2,7 @@ package pfs
 
 import (
 	"bytes"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,8 +12,8 @@ import (
 
 // TestKeysMatchPackageAPI pins that an opened key schedule and the
 // raw-key package functions are one kernel behind two doors: each opens
-// what the other sealed at every worker count, both open the blobs the
-// parent commit's sealers wrote, a single *Keys serves concurrent sealers
+// what the other sealed at every worker count, the Keys door opens every
+// committed fixture blob (format versions 1 and 2), a single *Keys serves concurrent sealers
 // and openers (run under -race), and a flip of any byte of a blob is
 // still rejected through the Keys door.
 func TestKeysMatchPackageAPI(t *testing.T) {
@@ -84,47 +80,16 @@ func TestKeysMatchPackageAPI(t *testing.T) {
 	}
 
 	t.Run("parent fixtures", func(t *testing.T) {
-		raw, err := os.ReadFile("testdata/parent/fixtures.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fx parentFixtures
-		if err := json.Unmarshal(raw, &fx); err != nil {
-			t.Fatal(err)
-		}
-		keyBytes, err := hex.DecodeString(fx.KeyHex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fxKey, err := pae.KeyFromBytes(keyBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fxKeys, err := NewKeys(fxKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, size := range fx.Sizes {
-			for _, sealer := range []string{"writer", "workers"} {
-				name := fmt.Sprintf("testdata/parent/%s-%d.blob", sealer, size)
-				blob, err := os.ReadFile(name)
-				if err != nil {
-					t.Fatal(err)
+		for _, fx := range loadFixtures(t) {
+			for _, w := range compatWorkers {
+				got, err := fx.keys.DecryptCtx(nil, fx.fileID, bytes.Clone(fx.blob), w)
+				if err != nil || !bytes.Equal(got, fx.plain) {
+					t.Fatalf("%s: Keys open w%d: %v", fx.name, w, err)
 				}
-				want, err := DecryptWorkers(fxKey, []byte(fx.FileID), blob, 1)
-				if err != nil {
-					t.Fatalf("%s: package open: %v", name, err)
-				}
-				for _, w := range compatWorkers {
-					got, err := fxKeys.DecryptCtx(nil, []byte(fx.FileID), bytes.Clone(blob), w)
-					if err != nil || !bytes.Equal(got, want) {
-						t.Fatalf("%s: Keys open w%d: %v", name, w, err)
-					}
-				}
-				got, err := readAll(fxKeys.Open([]byte(fx.FileID), bytes.NewReader(blob), int64(len(blob))))
-				if err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("%s: Keys ReadAt: %v", name, err)
-				}
+			}
+			got, err := readAll(fx.keys.Open(fx.fileID, bytes.NewReader(fx.blob), int64(len(fx.blob))))
+			if err != nil || !bytes.Equal(got, fx.plain) {
+				t.Fatalf("%s: Keys ReadAt: %v", fx.name, err)
 			}
 		}
 	})

@@ -2,10 +2,20 @@
 // SGX Protected File System Library (paper §II-A): authenticated,
 // confidential storage of a file in untrusted memory. On write, data is
 // split into 4 KiB chunks, each chunk is encrypted with AES-GCM, and a
-// Merkle hash tree over the chunk ciphertexts protects integrity,
-// ordering, and extension/truncation. On read, chunks are verified before
-// their plaintext is released; random access verifies a single Merkle path
+// Merkle hash tree over the chunks protects integrity, ordering, and
+// extension/truncation. On read, chunks are verified before their
+// plaintext is released; random access verifies a single Merkle path
 // instead of the whole file.
+//
+// A chunk's leaf is SHA-256(0x02 ‖ nonce ‖ tag) (format version 2): the
+// tree commits to each chunk's GCM tag, as the Intel library keeps each
+// node's MAC in its parent, rather than rehashing ciphertext the tag
+// authenticates. A chunk that opens under the file key, its positional
+// AAD and the committed nonce and tag is the chunk that was sealed; one
+// of an older version of the file opens too (keys outlive versions) but
+// its tag is not the committed one. Readers take the leaf rule from the
+// footer's MACed version, so version 1 blobs (leaf over the ciphertext)
+// still open.
 //
 // The encrypted encoding is self-contained: chunks first, then the Merkle
 // tree nodes, then a fixed-size footer whose HMAC (under a key derived
@@ -66,8 +76,8 @@ func numChunks(plainSize int64) int64 {
 }
 
 // storedNodeCount returns the number of Merkle nodes persisted for a tree
-// with n leaves. Leaf hashes are recomputable from the chunk ciphertexts
-// and are not stored; all levels above the leaves are.
+// with n leaves. Leaf hashes are recomputable from the chunks and are
+// not stored; all levels above the leaves are.
 func storedNodeCount(n int64) int64 {
 	var total int64
 	for n > 1 {
@@ -113,16 +123,15 @@ func NewKeys(fileKey pae.Key) (*Keys, error) {
 	return &Keys{cipher: cipher, mac: mac}, nil
 }
 
-func chunkAAD(fileID []byte, index int64) []byte {
-	aad := make([]byte, 8+len(fileID))
-	binary.BigEndian.PutUint64(aad, uint64(index))
-	copy(aad[8:], fileID)
-	return aad
-}
+// Format versions, from the footer. Writers write formatVersion only.
+const (
+	formatV1      uint32 = 1 // leaf over the chunk ciphertext
+	formatVersion uint32 = 2 // leaf over the chunk's nonce and tag
+)
 
 // leafHasher is a pooled SHA-256 state; its sum lives in the pooled
-// value too (a local passed to hash.Hash.Sum would escape), so leafHash
-// allocates nothing.
+// value too (a local passed to hash.Hash.Sum would escape), so a v1
+// leaf allocates nothing.
 type leafHasher struct {
 	h   hash.Hash
 	sum [hashSize]byte
@@ -130,14 +139,24 @@ type leafHasher struct {
 
 var (
 	leafHashers = sync.Pool{New: func() any { return &leafHasher{h: sha256.New()} }}
-	leafPrefix  = []byte{0x00} // leaf domain separator
+	leafPrefix  = []byte{0x00} // v1 leaf domain separator
 )
 
-func leafHash(chunkCiphertext []byte) [hashSize]byte {
+// leafOf returns the Merkle leaf of a sealed chunk, nonce ‖ ciphertext ‖
+// tag, under the given format version. A v2 leaf reads only the nonce and
+// the tag, so ct may be just those 28 bytes.
+func leafOf(version uint32, ct []byte) [hashSize]byte {
+	if version != formatV1 {
+		var b [1 + pae.Overhead]byte
+		b[0] = 0x02 // v2 leaf domain separator
+		copy(b[1:], ct[:pae.NonceSize])
+		copy(b[1+pae.NonceSize:], ct[len(ct)-pae.TagSize:])
+		return sha256.Sum256(b[:])
+	}
 	lh := leafHashers.Get().(*leafHasher)
 	lh.h.Reset()
 	lh.h.Write(leafPrefix)
-	lh.h.Write(chunkCiphertext)
+	lh.h.Write(ct)
 	out := [hashSize]byte(lh.h.Sum(lh.sum[:0]))
 	leafHashers.Put(lh)
 	return out
@@ -175,23 +194,30 @@ func buildTree(leaves [][hashSize]byte) [][][hashSize]byte {
 }
 
 type footer struct {
+	version   uint32
 	plainSize int64
 	numChunks int64
 	root      [hashSize]byte
 }
 
-func (f footer) encode(key []byte) []byte {
-	out := make([]byte, 0, footerSize)
+// chunksEnd is the length of the chunk region of the footer's blob.
+func (f footer) chunksEnd() int64 { return f.plainSize + f.numChunks*pae.Overhead }
+
+// append appends the encoded, MACed footer to out.
+func (f footer) append(out, key []byte) []byte {
+	start := len(out)
 	out = append(out, footerMagic[:]...)
-	out = binary.BigEndian.AppendUint32(out, 1)
+	out = binary.BigEndian.AppendUint32(out, f.version)
 	out = binary.BigEndian.AppendUint64(out, uint64(f.plainSize))
 	out = binary.BigEndian.AppendUint64(out, uint64(f.numChunks))
 	out = append(out, f.root[:]...)
-	mac := pae.MAC(key, out)
+	mac := pae.MAC(key, out[start:])
 	return append(out, mac[:]...)
 }
 
-func parseFooter(key, raw []byte) (footer, error) {
+// parseFooter authenticates raw, the footer of a blob of size bytes, and
+// checks that the blob has the length the footer implies.
+func parseFooter(key, raw []byte, size int64) (footer, error) {
 	if len(raw) != footerSize {
 		return footer{}, ErrCorrupt
 	}
@@ -202,15 +228,15 @@ func parseFooter(key, raw []byte) (footer, error) {
 	if !bytes.Equal(body[:8], footerMagic[:]) {
 		return footer{}, ErrCorrupt
 	}
-	if binary.BigEndian.Uint32(body[8:12]) != 1 {
-		return footer{}, ErrCorrupt
-	}
 	f := footer{
+		version:   binary.BigEndian.Uint32(body[8:12]),
 		plainSize: int64(binary.BigEndian.Uint64(body[12:20])),
 		numChunks: int64(binary.BigEndian.Uint64(body[20:28])),
 	}
 	copy(f.root[:], body[28:28+hashSize])
-	if f.plainSize < 0 || f.numChunks != numChunks(f.plainSize) {
+	if f.version != formatV1 && f.version != formatVersion ||
+		f.plainSize < 0 || f.numChunks != numChunks(f.plainSize) ||
+		f.chunksEnd()+storedNodeCount(f.numChunks)*hashSize+footerSize != size {
 		return footer{}, ErrCorrupt
 	}
 	return f, nil

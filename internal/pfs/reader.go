@@ -19,8 +19,6 @@ type Reader struct {
 	src    io.ReaderAt
 	ftr    footer
 
-	chunksEnd   int64
-	lastChunkPt int64
 	levelCounts []int64
 	levelOffs   []int64
 }
@@ -37,7 +35,7 @@ func (k *Keys) Open(fileID []byte, src io.ReaderAt, size int64) (*Reader, error)
 	if _, err := src.ReadAt(rawFooter, size-footerSize); err != nil {
 		return nil, fmt.Errorf("pfs: read footer: %w", err)
 	}
-	ftr, err := parseFooter(k.mac, rawFooter)
+	ftr, err := parseFooter(k.mac, rawFooter, size)
 	if err != nil {
 		return nil, err
 	}
@@ -48,14 +46,11 @@ func (k *Keys) Open(fileID []byte, src io.ReaderAt, size int64) (*Reader, error)
 		src:    src,
 		ftr:    ftr,
 	}
-	r.lastChunkPt = ftr.plainSize - (ftr.numChunks-1)*ChunkSize
-	r.chunksEnd = (ftr.numChunks-1)*(ChunkSize+pae.Overhead) + r.lastChunkPt + pae.Overhead
-
 	// Precompute the node counts and byte offsets of each tree level. The
 	// leaf level (0) is not stored — its offset is a sentinel — because
-	// leaf hashes are recomputed from the chunk ciphertexts.
+	// leaf hashes are recomputed from the chunks.
 	count := ftr.numChunks
-	off := r.chunksEnd
+	off := ftr.chunksEnd()
 	r.levelCounts = append(r.levelCounts, count)
 	r.levelOffs = append(r.levelOffs, -1)
 	for count > 1 {
@@ -63,9 +58,6 @@ func (k *Keys) Open(fileID []byte, src io.ReaderAt, size int64) (*Reader, error)
 		r.levelCounts = append(r.levelCounts, count)
 		r.levelOffs = append(r.levelOffs, off)
 		off += count * hashSize
-	}
-	if off+footerSize != size {
-		return nil, ErrCorrupt
 	}
 	return r, nil
 }
@@ -83,24 +75,28 @@ func Open(fileKey pae.Key, fileID []byte, src io.ReaderAt, size int64) (*Reader,
 func (r *Reader) Size() int64 { return r.ftr.plainSize }
 
 func (r *Reader) chunkExtent(index int64) (off, ctLen int64) {
-	off = index * (ChunkSize + pae.Overhead)
-	ctLen = ChunkSize + pae.Overhead
-	if index == r.ftr.numChunks-1 {
-		ctLen = r.lastChunkPt + pae.Overhead
-	}
-	return off, ctLen
+	pt := min(ChunkSize, r.ftr.plainSize-index*ChunkSize) // the last chunk may be short
+	return index * (ChunkSize + pae.Overhead), pt + pae.Overhead
 }
 
 func (r *Reader) readNode(level int, index int64) ([hashSize]byte, error) {
 	if level == 0 {
-		// Leaf hashes are not stored; recompute from the sibling chunk's
-		// ciphertext.
+		// Leaf hashes are not stored: recompute the sibling's from its
+		// nonce and tag, or for v1 from its whole ciphertext.
 		off, ctLen := r.chunkExtent(index)
-		ct := make([]byte, ctLen)
-		if _, err := r.src.ReadAt(ct, off); err != nil {
+		n := int64(pae.Overhead)
+		if r.ftr.version == formatV1 {
+			n = ctLen
+		}
+		ct := make([]byte, n)
+		_, err := r.src.ReadAt(ct[:pae.NonceSize], off)
+		if err == nil { // the rest of ct ends where the chunk ends
+			_, err = r.src.ReadAt(ct[pae.NonceSize:], off+ctLen-(n-pae.NonceSize))
+		}
+		if err != nil {
 			return [hashSize]byte{}, fmt.Errorf("pfs: read sibling chunk: %w", err)
 		}
-		return leafHash(ct), nil
+		return leafOf(r.ftr.version, ct), nil
 	}
 	var node [hashSize]byte
 	if _, err := r.src.ReadAt(node[:], r.levelOffs[level]+index*hashSize); err != nil {
@@ -109,8 +105,8 @@ func (r *Reader) readNode(level int, index int64) ([hashSize]byte, error) {
 	return node, nil
 }
 
-// verifyPath checks that leaf (the recomputed hash of chunk index's
-// ciphertext) is consistent with the authenticated root, reading only the
+// verifyPath checks that leaf (chunk index's recomputed leaf hash) is
+// consistent with the authenticated root, reading only the
 // sibling nodes along the path.
 func (r *Reader) verifyPath(index int64, leaf [hashSize]byte) error {
 	node := leaf
@@ -139,21 +135,22 @@ func (r *Reader) verifyPath(index int64, leaf [hashSize]byte) error {
 	return nil
 }
 
-// chunk reads, verifies, and decrypts the chunk with the given index.
+// chunk reads, opens and verifies the chunk with the given index: the
+// open kernel over a one-chunk window, then the chunk's Merkle path.
 func (r *Reader) chunk(index int64) ([]byte, error) {
 	off, ctLen := r.chunkExtent(index)
-	ct := make([]byte, ctLen)
-	if _, err := r.src.ReadAt(ct, off); err != nil {
+	w := window{cipher: r.cipher, version: r.ftr.version, fileID: r.fileID, first: index,
+		sealed: make([]byte, ctLen), leaves: make([][hashSize]byte, 1)}
+	if _, err := r.src.ReadAt(w.sealed, off); err != nil {
 		return nil, fmt.Errorf("%w: chunk %d unreadable", ErrCorrupt, index)
 	}
-	if err := r.verifyPath(index, leafHash(ct)); err != nil {
+	if err := w.open(nil, 1); err != nil {
 		return nil, err
 	}
-	pt, err := r.cipher.Open(ct, chunkAAD(r.fileID, index))
-	if err != nil {
-		return nil, ErrCorrupt
+	if err := r.verifyPath(index, w.leaves[0]); err != nil {
+		return nil, err
 	}
-	return pt, nil
+	return w.gather(), nil
 }
 
 // ReadAt implements io.ReaderAt over the plaintext.
