@@ -161,10 +161,9 @@ func DeriveKeys(rootKey []byte) (Keys, error) {
 // plaintext is recordCoded ‖ varint(time) ‖ uvarint(reqId) ‖ event code ‖
 // decision code (indexes into eventCodes and decisionCodes), then
 // uvarint(len) ‖ bytes for op, user, target, group, path and detail; the
-// sequence number is the frame's. recordCompact spells the event and the
-// decision out as the first two strings; it carries values outside the
-// tables and every record of older logs, as JSON (a leading '{') did
-// before it. All three open.
+// sequence number is the frame's. recordCompact, which spells the event
+// and the decision out as the first two strings, and JSON (a leading
+// '{') are the records of older logs; both still open.
 // kind 2 (checkpoint): payload is seq(8) ‖ counter(8) ‖ head(32) ‖
 // mac(32), where head is the chain head over all preceding entries and
 // mac is HMAC-SHA256 under the checkpoint key.
@@ -219,19 +218,17 @@ func recordStrings(rec *Record) []*string {
 		&rec.Target, &rec.Group, &rec.Path, &rec.Detail}
 }
 
-// sealRecord serializes and encrypts one record.
+// sealRecord serializes and encrypts one record. An event or decision
+// outside the code tables is an error: both are closed sets.
 func sealRecord(keys Keys, rec Record) ([]byte, error) {
 	ev, dec := slices.Index(eventCodes, rec.Event), slices.Index(decisionCodes, rec.Decision)
-	tag, strs := recordCoded, recordStrings(&rec)
 	if ev < 0 || dec < 0 {
-		tag = recordCompact
+		return nil, fmt.Errorf("audit: seal record: event %q, decision %q has no code", rec.Event, rec.Decision)
 	}
-	plain := binary.AppendVarint([]byte{tag}, rec.TimeNanos)
+	plain := binary.AppendVarint([]byte{recordCoded}, rec.TimeNanos)
 	plain = binary.AppendUvarint(plain, rec.RequestID)
-	if tag == recordCoded {
-		plain, strs = append(plain, byte(ev), byte(dec)), strs[2:]
-	}
-	for _, f := range strs {
+	plain = append(plain, byte(ev), byte(dec))
+	for _, f := range recordStrings(&rec)[2:] {
 		plain = binary.AppendUvarint(plain, uint64(len(*f)))
 		plain = append(plain, *f...)
 	}

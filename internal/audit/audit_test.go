@@ -9,6 +9,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"slices"
 	"strconv"
 	"strings"
@@ -552,12 +553,12 @@ func compactPlain(rec Record) []byte {
 	return plain
 }
 
-// TestRecordEncodings pins the record plaintext: a record whose event
-// and decision are in the code tables is written coded, one that is not
-// compact, and both round-trip every field; compact and JSON records, as
-// older logs hold them, still open; the coded record is smaller than the
-// compact one and that than the JSON one; and a malformed plaintext is a
-// corrupt record, not a panic.
+// TestRecordEncodings pins the record plaintext: a record is written
+// coded and round-trips every field, and one whose event or decision has
+// no code is not written; compact and JSON records, as older logs hold
+// them, still open; the coded record is smaller than the compact one and
+// that than the JSON one; and a malformed plaintext is a corrupt record,
+// not a panic.
 func TestRecordEncodings(t *testing.T) {
 	keys := testKeys(t)
 	rec := Record{Seq: 7, TimeNanos: time.Now().UnixNano(), Event: EventGroupChange,
@@ -583,18 +584,14 @@ func TestRecordEncodings(t *testing.T) {
 	if len(coded) != len(compact)-len(rec.Event)-len(rec.Decision) || len(compact) >= len(legacy)*3/4 {
 		t.Errorf("coded record is %d B, compact %d B, JSON %d B", len(coded), len(compact), len(legacy))
 	}
-	unlisted := rec
-	unlisted.Event, unlisted.Decision = "not_an_event", "maybe"
-	sealedUnlisted, err := sealRecord(keys, unlisted)
-	if err != nil {
-		t.Fatal(err)
+	for _, unlisted := range []Record{{Event: "not_an_event", Decision: DecisionAllow}, {Event: EventFileAuthzAllow, Decision: "maybe"}} {
+		if _, err := sealRecord(keys, unlisted); err == nil {
+			t.Fatalf("record with event %q, decision %q sealed", unlisted.Event, unlisted.Decision)
+		}
 	}
-	for name, c := range map[string]struct {
-		payload []byte
-		want    Record
-	}{"coded": {coded, rec}, "compact": {compact, rec}, "json": {legacy, rec}, "unlisted": {sealedUnlisted, unlisted}} {
-		if got, err := openRecord(keys, rec.Seq, c.payload); err != nil || got != c.want {
-			t.Fatalf("%s: openRecord = %+v, %v; want %+v", name, got, err, c.want)
+	for name, payload := range map[string][]byte{"coded": coded, "compact": compact, "json": legacy} {
+		if got, err := openRecord(keys, rec.Seq, payload); err != nil || got != rec {
+			t.Fatalf("%s: openRecord = %+v, %v; want %+v", name, got, err, rec)
 		}
 	}
 	if _, err := openRecord(keys, rec.Seq+1, coded); !errors.Is(err, ErrRecordCorrupt) {
@@ -615,30 +612,40 @@ func TestRecordEncodings(t *testing.T) {
 }
 
 // TestEventCodesCoverEveryEvent fails when an EventType constant of this
-// package has no code: its records would still be written, but compact,
-// at the size of the strings.
+// package has no code: its records could not be written.
 func TestEventCodesCoverEveryEvent(t *testing.T) {
-	file, err := parser.ParseFile(token.NewFileSet(), "audit.go", nil, 0)
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var consts []EventType
-	ast.Inspect(file, func(n ast.Node) bool {
-		if vs, ok := n.(*ast.ValueSpec); ok {
-			if id, ok := vs.Type.(*ast.Ident); ok && id.Name == "EventType" {
-				for _, v := range vs.Values {
-					s, err := strconv.Unquote(v.(*ast.BasicLit).Value)
-					if err != nil {
-						t.Fatal(err)
-					}
-					consts = append(consts, EventType(s))
-				}
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			vs, ok := n.(*ast.ValueSpec)
+			if !ok {
+				return true
 			}
-		}
-		return true
-	})
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "EventType" {
+				return true
+			}
+			for _, v := range vs.Values {
+				lit, ok := v.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					t.Fatalf("EventType constant %v is not a string literal", vs.Names)
+				}
+				s, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				consts = append(consts, EventType(s))
+			}
+			return true
+		})
+	}
 	if len(consts) != len(eventCodes) {
-		t.Fatalf("audit.go declares %d EventType constants %v, eventCodes has %d codes", len(consts), consts, len(eventCodes))
+		t.Fatalf("package declares %d EventType constants %v, eventCodes has %d codes", len(consts), consts, len(eventCodes))
 	}
 	for _, ev := range consts {
 		if !slices.Contains(eventCodes, ev) {

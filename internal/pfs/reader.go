@@ -84,14 +84,16 @@ func (r *Reader) readNode(level int, index int64) ([hashSize]byte, error) {
 		// Leaf hashes are not stored: recompute the sibling's from its
 		// nonce and tag, or for v1 from its whole ciphertext.
 		off, ctLen := r.chunkExtent(index)
-		n := int64(pae.Overhead)
+		var ct []byte
+		var err error
 		if r.ftr.version == formatV1 {
-			n = ctLen
-		}
-		ct := make([]byte, n)
-		_, err := r.src.ReadAt(ct[:pae.NonceSize], off)
-		if err == nil { // the rest of ct ends where the chunk ends
-			_, err = r.src.ReadAt(ct[pae.NonceSize:], off+ctLen-(n-pae.NonceSize))
+			ct = make([]byte, ctLen)
+			_, err = r.src.ReadAt(ct, off)
+		} else {
+			ct = make([]byte, pae.Overhead) // nonce ‖ tag
+			if _, err = r.src.ReadAt(ct[:pae.NonceSize], off); err == nil {
+				_, err = r.src.ReadAt(ct[pae.NonceSize:], off+ctLen-pae.TagSize)
+			}
 		}
 		if err != nil {
 			return [hashSize]byte{}, fmt.Errorf("pfs: read sibling chunk: %w", err)
