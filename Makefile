@@ -3,9 +3,13 @@
 
 RACE_PKGS := ./internal/obs ./internal/enclave ./internal/store ./internal/audit ./internal/core ./internal/cache ./internal/journal ./internal/pfs ./internal/pae ./internal/dedup ./internal/enctls ./internal/client
 
-.PHONY: verify build test vet race bench bench-smoke bench-build chaos-smoke drain-smoke crash-smoke fuzz-smoke tcb advisory
+.PHONY: verify fmt build test vet race bench bench-smoke bench-build chaos-smoke drain-smoke crash-smoke fuzz-smoke tcb advisory
 
-verify: build test vet race bench-build
+verify: fmt build test vet race bench-build
+
+# Fails on any file gofmt would rewrite, listing them.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	go build ./...

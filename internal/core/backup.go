@@ -63,7 +63,7 @@ func (s *Server) AcceptReset(signature []byte) error {
 	defer unlock()
 	// The operator restored arbitrary store state; everything cached from
 	// the previous state is suspect.
-	s.fm.caches.flushAll()
+	s.fm.cache.Flush()
 	if s.fm.dedup != nil {
 		if err := s.fm.dedup.Reload(); err != nil {
 			return err

@@ -38,20 +38,16 @@ func newTunedServer(t *testing.T, cfg Config) *Server {
 	return server
 }
 
-// These tests pin the security property of the relation caches: a
+// These tests pin the security property of the relation cache: a
 // revocation — permission cleared, access denied, or group membership
 // removed — is visible to the *very next* request, with no grace window.
-// Each test first proves the cache was actually serving the
-// authorization (nonzero hits), so a pass can't come from caching being
-// accidentally off.
+// Each test first proves the relation the authorization reads was
+// cache-resident, so a pass can't come from caching being accidentally
+// off.
 
-func cacheHits(t *testing.T, s *Server, kind string) uint64 {
-	t.Helper()
-	st, ok := s.CacheStats()[kind]
-	if !ok {
-		t.Fatalf("no cache stats for kind %q", kind)
-	}
-	return st.Hits
+func cached(s *Server, key string) bool {
+	_, ok := s.fm.cache.Get(key)
+	return ok
 }
 
 // warmRead downloads the path a few times so the ACL, membership, and
@@ -87,8 +83,8 @@ func TestPermissionRevocationVisibleImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmRead(t, bob, "/d/f", []byte("secret"))
-	if hits := cacheHits(t, server, "acls"); hits == 0 {
-		t.Fatal("ACL cache never hit; the revocation test would prove nothing")
+	if !cached(server, aclName("/d/f")) {
+		t.Fatal("the ACL of /d/f is not cached; the revocation test would prove nothing")
 	}
 
 	// Revoke and read back-to-back: the grant must be gone on the very
@@ -146,8 +142,8 @@ func TestMembershipRevocationVisibleImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmRead(t, bob, "/d/f", []byte("secret"))
-	if hits := cacheHits(t, server, "memberships"); hits == 0 {
-		t.Fatal("member-list cache never hit; the revocation test would prove nothing")
+	if !cached(server, memberListName("bob")) {
+		t.Fatal("bob's member list is not cached; the revocation test would prove nothing")
 	}
 
 	// Kick bob out of the group; his cached member list must not grant
@@ -207,8 +203,8 @@ func TestDirListingInvalidatedOnChildRemoval(t *testing.T) {
 			t.Fatalf("warm list: %v %v", entries, err)
 		}
 	}
-	if hits := cacheHits(t, server, "dirs"); hits == 0 {
-		t.Fatal("directory cache never hit")
+	if !cached(server, "/d/") {
+		t.Fatal("the body of /d/ is not cached")
 	}
 	if err := alice.Remove("/d/f"); err != nil {
 		t.Fatal(err)
@@ -242,7 +238,7 @@ func TestRevocationParityWithCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmRead(t, bob, "/d/f", []byte("secret"))
-	if hits := cacheHits(t, server, "acls"); hits != 0 {
+	if hits := server.CacheStats().Hits; hits != 0 {
 		t.Fatalf("cache disabled but recorded %d hits", hits)
 	}
 	if err := alice.SetPermission("/d/f", "team", "none"); err != nil {

@@ -1,23 +1,32 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 
-	"segshare/internal/acl"
 	"segshare/internal/cache"
 	"segshare/internal/pfs"
 	"segshare/internal/rollback"
 )
 
-// The in-enclave relation caches (IBBE-SGX makes the same observation:
+// The in-enclave relation cache (IBBE-SGX makes the same observation:
 // caching trusted group state inside the enclave is what makes SGX
 // access control practical at scale). Every authorization check walks
 // the same few small relation files — the group list, the caller's
 // member list, the target's ACL and possibly its parent's — and each
 // walk previously cost one untrusted-store fetch, one HKDF derivation,
 // one AES-GCM open, and (with rollback protection) a validation pass
-// per file. The caches keep the *decoded, validated* objects in enclave
+// per file. The cache keeps the *decoded, validated* objects in enclave
 // memory instead; see package cache for the generation-tag safety model.
+//
+// One cache holds every kind of entry under one byte budget and one
+// CLOCK, each charged by the same rule (charge): the decoded relations
+// (keyed by their logical name — content names start with '/', group
+// names are member:… or grouplist), the derived per-file keys (keyed by
+// kind:name) and, with rollback protection, the verified mains (keyed by
+// verifiedPfx ‖ kind:name). Whichever kind the workload touches most
+// gets the room.
 //
 // Invalidation is centralized in fileManager.putBlob/deleteBlob — the
 // single chokepoints every mutation (ACL updates, membership changes,
@@ -34,7 +43,7 @@ import (
 // first, at the writer. An edit in place would show other requests a
 // grant before — or without — its intent committing.
 
-// defaultCacheBytes bounds the relation caches to a deliberately small
+// defaultCacheBytes bounds the relation cache to a deliberately small
 // slice of the EPC budget (the paper's enclave keeps ~dozens of MiB of
 // heap); relation files are tiny, so 8 MiB holds tens of thousands.
 const defaultCacheBytes = 8 << 20
@@ -50,122 +59,101 @@ type derived struct {
 	id   []byte // namespace kind ‖ ":" ‖ name — the bytes of the cache key
 }
 
-// derivedOverhead is what a derived-cache entry retains besides its
-// pfs.Keys and the two copies of the file ID (cache key, id), at its
-// worst, just after the containers grew: the derived struct (32), the
-// cache's entry (48), a CLOCK ring slot in a slice that doubled (16) and
-// a 25-byte map slot in a map that doubled at 7/8 full (64).
-// TestDerivedCacheChargesRetainedSize measures it.
-const derivedOverhead = 32 + 48 + 16 + 64
+// entryOverhead is what any cache entry retains besides its key and
+// value bytes, at its worst, just after the containers grew: the cache's
+// entry (48), a CLOCK ring slot in a slice that doubled (16), a map slot
+// in a map that doubled at 7/8 full (64) and the derived struct (32),
+// the largest fixed part of a value. TestDerivedCacheChargesRetainedSize
+// and TestVerifiedCacheChargesRetainedSize measure it.
+const entryOverhead = 48 + 16 + 64 + 32
 
-// derivedCost is the accounted size of one derived-cache entry: about
-// 1 KiB, so the derived share of defaultCacheBytes holds ~800 hot names.
-func derivedCost(id string) int64 {
-	return pfs.KeysSize + derivedOverhead + 2*int64(len(id))
+// charge is the one accounting rule of the cache: the shared per-entry
+// overhead plus the key and value bytes. A relation's value bytes are
+// its encoded body, a derived entry's are pfs.KeysSize and its file ID,
+// a verified main's its 32-byte digest. A derived entry comes to about
+// 1 KiB, so the default budget holds some 8 000 names' keys.
+func charge(key string, valueBytes int) int64 {
+	return entryOverhead + int64(len(key)) + int64(valueBytes)
 }
 
-// The verified-main cache maps a rollback-tree node's treeID to the main
-// hash the enclave last proved current, so reading a cached node needs
-// no ancestor walk (validateNode). Entries come only from a walk that
-// reached the root guard or a cached ancestor, or from the enclave's own
-// applied write (publishVerified); writes invalidate them here, like the
-// relation caches; a restart starts empty and a restore flushes them.
+// verifiedPfx marks the key of a verified main. A node's treeID is also
+// the key of its derived entry, and both strings are on-disk bytes (the
+// pfs file ID and the rollback hash input), so the verified key alone
+// carries the prefix.
+const verifiedPfx = "#"
 
-// verifiedOverhead is what a verified-main entry retains besides the
-// bytes of its key, at its worst, just after the containers grew: the
-// cache's entry with the 32-byte digest inline (64), a CLOCK ring slot
-// in a slice that doubled (16) and a map slot in a map that doubled at
-// 7/8 full (64). TestVerifiedCacheChargesRetainedSize measures it.
-const verifiedOverhead = 64 + 16 + 64
-
-// verifiedCost is the accounted size of one verified-main entry: about
-// 170 B, so the verified share of defaultCacheBytes holds ~5 000 nodes.
-func verifiedCost(id string) int64 { return verifiedOverhead + int64(len(id)) }
-
-// relCaches bundles one cache per relation kind plus the derived
-// per-file key schedules and the verified mains. Individual caches may
-// be nil (always-miss); the struct itself is never nil on a fileManager.
-type relCaches struct {
-	acls    *cache.Cache[*acl.ACL]
-	dirs    *cache.Cache[*dirBody]
-	members *cache.Cache[*acl.MemberList]
-	groups  *cache.Cache[*acl.GroupList]
-	derived *cache.Cache[*derived]
-	// verified is nil unless rollback protection is on.
-	verified *cache.Cache[rollback.Digest]
-}
-
-// newRelCaches splits a total byte budget across the relation kinds.
-// With rollback protection the verified mains take a tenth of it, half
-// from the ACL share and half from the directory share. A non-positive
-// budget disables caching entirely.
-func newRelCaches(totalBytes int64, rollbackOn bool, o *serverObs) *relCaches {
-	if totalBytes <= 0 {
-		return &relCaches{}
+// readRel is the one read-through loader of the relation cache. A hit
+// hands back the shared decoded object. A miss fetches, validates and
+// decodes the named file, and caches it while the view has staged
+// nothing, under the generation captured before the fetch. absent, when
+// set, is what a missing file reads as (the group list before any group
+// exists).
+func readRel[T any](fm *fileManager, ns *namespace, name string, decode func([]byte) (T, error), absent func() T) (T, error) {
+	if v, ok := fm.cache.Get(name); ok {
+		fm.rs.AddCacheHit()
+		return v.(T), nil
 	}
-	frac := func(pct int64) int64 { return totalBytes * pct / 100 }
-	aclPct, dirPct := int64(35), int64(30)
-	rc := &relCaches{}
-	if rollbackOn {
-		aclPct, dirPct = 30, 25
-		rc.verified = cache.New[rollback.Digest](frac(10), o.cacheHooks("verified"))
+	fm.rs.AddCacheMiss()
+	gen := fm.cache.Gen()
+	var zero T
+	hdr, body, err := fm.getBlob(ns, name)
+	if absent != nil && errors.Is(err, ErrNotFound) {
+		v := absent()
+		fm.fillCache(name, v, 0, gen)
+		return v, nil
 	}
-	rc.acls = cache.New[*acl.ACL](frac(aclPct), o.cacheHooks("acls"))
-	rc.dirs = cache.New[*dirBody](frac(dirPct), o.cacheHooks("dirs"))
-	rc.members = cache.New[*acl.MemberList](frac(20), o.cacheHooks("memberships"))
-	rc.groups = cache.New[*acl.GroupList](frac(5), o.cacheHooks("grouplist"))
-	rc.derived = cache.New[*derived](frac(10), o.cacheHooks("derived"))
-	return rc
+	if err != nil {
+		return zero, err
+	}
+	if err := fm.validateNode(ns, name, hdr, body); err != nil {
+		return zero, err
+	}
+	v, err := decode(body)
+	if err != nil {
+		return zero, fmt.Errorf("%w: %s: %v", ErrIntegrity, name, err)
+	}
+	fm.fillCache(name, v, len(body), gen)
+	return v, nil
 }
 
-// flushAll empties every cache, e.g. after a backup restoration rebinds
-// the root state to whatever the operator restored.
-func (rc *relCaches) flushAll() {
-	rc.acls.Flush()
-	rc.dirs.Flush()
-	rc.members.Flush()
-	rc.groups.Flush()
-	rc.verified.Flush()
-	// Derived entries are a pure function of SK_r and the name — no store
-	// content enters them, so a restored state cannot make one stale —
-	// and they stay.
+// fillCache inserts what this view read from the store, unless it has
+// staged a write: until then it sees exactly the committed state a
+// read-only request would, and afterwards it may see its own staged
+// writes, which the store does not hold yet.
+func (fm *fileManager) fillCache(key string, v any, valueBytes int, gen uint64) {
+	if fm.tx == nil || fm.tx.empty() {
+		fm.cache.Put(key, v, charge(key, valueBytes), gen)
+	}
 }
 
-// invalidateRel drops the cached decodings and the verified main of a
+// verified returns the main hash the enclave last proved current for
+// the tree node id.
+func (fm *fileManager) verified(id string) (rollback.Digest, bool) {
+	v, ok := fm.cache.Get(verifiedPfx + id)
+	if !ok {
+		return rollback.Digest{}, false
+	}
+	return v.(rollback.Digest), true
+}
+
+// invalidateRel drops the cached decoding and the verified main of a
 // logical name after its blob in the untrusted store changed. Called
 // with the store write completed (invalidate-last; see package cache),
 // and when an operation stages the write.
 func (fm *fileManager) invalidateRel(ns *namespace, name string) {
-	if fm.caches.verified != nil {
-		fm.caches.verified.Invalidate(treeID(ns, name))
+	if fm.rollbackOn {
+		fm.cache.Invalidate(verifiedPfx + treeID(ns, name))
 	}
+	relation := strings.HasSuffix(name, ".acl") || ns.isInner(name)
 	if ns == fm.group {
-		switch {
-		case name == groupListName:
-			fm.caches.groups.Invalidate(groupListName)
-		case strings.HasPrefix(name, memberNamePfx):
-			fm.caches.members.Invalidate(name)
-		}
-		return
+		relation = name == groupListName || strings.HasPrefix(name, memberNamePfx)
 	}
-	switch {
-	case strings.HasSuffix(name, ".acl"):
-		fm.caches.acls.Invalidate(name)
-	case ns.isInner(name):
-		fm.caches.dirs.Invalidate(name)
+	if relation {
+		fm.cache.Invalidate(name)
 	}
 }
 
-// CacheStats reports each relation cache's counters, keyed by the same
-// kind names used for the cache metrics.
-func (s *Server) CacheStats() map[string]cache.Stats {
-	rc := s.fm.caches
-	return map[string]cache.Stats{
-		"acls":        rc.acls.Stats(),
-		"dirs":        rc.dirs.Stats(),
-		"memberships": rc.members.Stats(),
-		"grouplist":   rc.groups.Stats(),
-		"derived":     rc.derived.Stats(),
-		"verified":    rc.verified.Stats(),
-	}
+// CacheStats reports the relation cache's counters and occupancy.
+func (s *Server) CacheStats() cache.Stats {
+	return s.fm.cache.Stats()
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"segshare/internal/acl"
+	"segshare/internal/cache"
 	"segshare/internal/dedup"
 	"segshare/internal/journal"
 	"segshare/internal/obs"
@@ -71,10 +72,10 @@ type fileManager struct {
 	hidePaths  bool
 	rollbackOn bool
 
-	// caches holds decoded, validated relation objects and derived file
-	// keys in enclave memory (see caches.go); never nil, individual
-	// caches may be (always-miss).
-	caches *relCaches
+	// cache holds decoded, validated relation objects, derived file keys
+	// and verified mains in enclave memory under one byte budget (see
+	// caches.go); nil when disabled (always-miss).
+	cache *cache.Cache[any]
 
 	// journal is the write-ahead intent journal every mutation commits
 	// through (see txn.go).
@@ -163,8 +164,8 @@ type fmConfig struct {
 	dedupEnabled bool
 	contentGuard rollback.RootGuard
 	groupGuard   rollback.RootGuard
-	// cacheBytes bounds the in-enclave relation caches; <= 0 disables
-	// them (the resolved value — Config defaulting happens in NewServer).
+	// cacheBytes bounds the in-enclave relation cache; <= 0 disables
+	// it (the resolved value — Config defaulting happens in NewServer).
 	cacheBytes int64
 	// journalCounter is the enclave monotonic counter the intent journal
 	// binds its sequence numbers to; required.
@@ -217,7 +218,7 @@ func newFileManager(cfg fmConfig) (*fileManager, error) {
 		hasher:        rollback.NewHasher(treeKey),
 		hidePaths:     cfg.hidePaths,
 		rollbackOn:    cfg.rollbackOn,
-		caches:        newRelCaches(cfg.cacheBytes, cfg.rollbackOn, cfg.obs),
+		cache:         cache.New[any](cfg.cacheBytes, cfg.obs.cacheHooks()),
 		journal:       jl,
 		shared:        &fmShared{recovery: cfg.recovery, degraded: cfg.degradedGate},
 		cryptoWorkers: workers,
@@ -308,16 +309,16 @@ func (fm *fileManager) storageName(ns *namespace, name string) string {
 
 // derive recalls, or computes and caches, the named file's derived entry.
 // It is a pure function of SK_r and the name, so cached entries never go
-// stale; on a hit, fetching or sealing the file runs no HKDF and expands
-// no AES key.
+// stale and are put under the current generation, whatever was
+// invalidated meanwhile; on a hit, fetching or sealing the file runs no
+// HKDF and expands no AES key.
 func (fm *fileManager) derive(ns *namespace, name string) (*derived, error) {
 	id := ns.kind + ":" + name
-	if d, ok := fm.caches.derived.Get(id); ok {
+	if d, ok := fm.cache.Get(id); ok {
 		fm.rs.AddCacheHit()
-		return d, nil
+		return d.(*derived), nil
 	}
 	fm.rs.AddCacheMiss()
-	gen := fm.caches.derived.Gen()
 	key, err := pae.DeriveKey(fm.rootKey, "file-key/"+ns.kind, []byte(name))
 	if err != nil {
 		return nil, err
@@ -327,7 +328,7 @@ func (fm *fileManager) derive(ns *namespace, name string) (*derived, error) {
 		return nil, err
 	}
 	d := &derived{keys: keys, id: []byte(id)}
-	fm.caches.derived.Put(id, d, derivedCost(id), gen)
+	fm.cache.Put(id, d, charge(id, pfs.KeysSize+len(id)), fm.cache.Gen())
 	return d, nil
 }
 

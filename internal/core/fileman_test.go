@@ -605,7 +605,7 @@ func newWarmTree(t *testing.T) *warmTree {
 		}
 	}
 	for _, name := range append(files, "/d/", "/") {
-		if _, ok := fx.fm.caches.verified.Get(treeID(fx.fm.content, name)); !ok {
+		if _, ok := fx.fm.verified(treeID(fx.fm.content, name)); !ok {
 			t.Fatalf("%s is not in the verified cache after a read", name)
 		}
 	}
@@ -673,7 +673,7 @@ func TestEvictedAncestorRollbackCaughtOnWrite(t *testing.T) {
 		t.Run(target, func(t *testing.T) {
 			w := newWarmTree(t)
 			for _, name := range []string{"/d/", "/"} {
-				w.fm.caches.verified.Invalidate(treeID(w.fm.content, name))
+				w.fm.cache.Invalidate(verifiedPfx + treeID(w.fm.content, name))
 			}
 			if err := w.contentAdv.RollbackObject(target); err != nil {
 				t.Fatal(err)
@@ -721,8 +721,8 @@ func TestWarmCacheWholeStoreRollbackAfterRestart(t *testing.T) {
 	}
 	w.contentAdv.RollbackStore()
 	w.restart(t)
-	if n := w.fm.caches.verified.Stats().Entries; n != 0 {
-		t.Fatalf("verified cache holds %d entries after a restart", n)
+	if n := w.fm.cache.Stats().Entries; n != 0 {
+		t.Fatalf("cache holds %d entries after a restart", n)
 	}
 	ac := &accessControl{fm: w.fm}
 	if got, err := ac.GetFile("alice", mustPath(t, "/d/leaf")); !errors.Is(err, ErrRollback) {
@@ -736,19 +736,19 @@ func TestWarmCacheWholeStoreRollbackAfterRestart(t *testing.T) {
 func TestWarmCacheAbortedWriteNoRollback(t *testing.T) {
 	w := newWarmTree(t)
 	id := treeID(w.fm.content, "/d/leaf")
-	before, _ := w.fm.caches.verified.Get(id)
+	before, _ := w.fm.verified(id)
 	w.plan.FailAtOp(1, errInjected) // the first backend write of a PUT is its intent commit
 	if _, err := w.ac.PutFile("alice", mustPath(t, "/d/leaf"), encodeRawBody([]byte("v3"))); !errors.Is(err, errInjected) {
 		t.Fatalf("PUT with a failing intent commit: %v", err)
 	}
-	if m, ok := w.fm.caches.verified.Get(id); ok && m != before {
+	if m, ok := w.fm.verified(id); ok && m != before {
 		t.Fatal("an aborted PUT published its main")
 	}
 	failures := w.fm.obs.rollbackFailures.Value()
 	if got, err := w.ac.GetFile("alice", mustPath(t, "/d/leaf")); err != nil || string(got) != "v2" {
 		t.Fatalf("GET after an aborted PUT: %q %v", got, err)
 	}
-	if m, ok := w.fm.caches.verified.Get(id); !ok || m != before {
+	if m, ok := w.fm.verified(id); !ok || m != before {
 		t.Fatal("the read did not re-prove the previous main")
 	}
 	if w.fm.obs.rollbackFailures.Value() != failures {

@@ -192,16 +192,15 @@ func (o *serverObs) lockWait(scope string, d time.Duration) {
 	}
 }
 
-// cacheHooks wires one in-enclave cache's events into the registry. The
-// cache label is a compile-time constant naming the relation kind, never
-// a key: hit/miss/eviction counts and occupancy are aggregate-only.
-func (o *serverObs) cacheHooks(kind string) cache.Hooks {
-	labels := obs.Labels{"cache": kind}
-	hits := o.reg.Counter("segshare_cache_hits_total", "In-enclave cache hits by relation kind.", labels)
-	misses := o.reg.Counter("segshare_cache_misses_total", "In-enclave cache misses by relation kind.", labels)
-	evictions := o.reg.Counter("segshare_cache_evictions_total", "In-enclave cache CLOCK evictions by relation kind.", labels)
-	entries := o.reg.Gauge("segshare_cache_entries", "In-enclave cache occupancy (entries) by relation kind.", labels)
-	bytes := o.reg.Gauge("segshare_cache_bytes", "In-enclave cache occupancy (cost units) by relation kind.", labels)
+// cacheHooks wires the in-enclave cache's events into the registry:
+// hit/miss/eviction counts and occupancy are aggregate-only, never per
+// key.
+func (o *serverObs) cacheHooks() cache.Hooks {
+	hits := o.reg.Counter("segshare_cache_hits_total", "In-enclave cache hits.", nil)
+	misses := o.reg.Counter("segshare_cache_misses_total", "In-enclave cache misses.", nil)
+	evictions := o.reg.Counter("segshare_cache_evictions_total", "In-enclave cache CLOCK evictions.", nil)
+	entries := o.reg.Gauge("segshare_cache_entries", "In-enclave cache occupancy (entries).", nil)
+	bytes := o.reg.Gauge("segshare_cache_bytes", "In-enclave cache occupancy (bytes charged).", nil)
 	return cache.Hooks{
 		Hit:   hits.Inc,
 		Miss:  misses.Inc,

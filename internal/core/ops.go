@@ -205,26 +205,9 @@ func (fm *fileManager) readDir(path fspath.Path) ([]DirEntry, error) {
 	if !path.IsDir() {
 		return nil, fmt.Errorf("%w: %q is not a directory path", ErrBadRequest, path)
 	}
-	name := path.String()
-	if db, ok := fm.caches.dirs.Get(name); ok {
-		fm.rs.AddCacheHit()
-		return db.entries, nil
-	}
-	fm.rs.AddCacheMiss()
-	gen := fm.caches.dirs.Gen()
-	hdr, body, err := fm.getBlob(fm.content, name)
+	db, err := readRel(fm, fm.content, path.String(), decodeDirBody, nil)
 	if err != nil {
 		return nil, err
-	}
-	if err := fm.validateNode(fm.content, name, hdr, body); err != nil {
-		return nil, err
-	}
-	db, err := decodeDirBody(body)
-	if err != nil {
-		return nil, err
-	}
-	if !fm.staging() {
-		fm.caches.dirs.Put(name, db, int64(len(body)), gen)
 	}
 	return db.entries, nil
 }
@@ -233,28 +216,7 @@ func (fm *fileManager) readDir(path fspath.Path) ([]DirEntry, error) {
 // in-enclave cache first. The returned ACL is shared with the cache and
 // every other reader: a caller that edits it must Clone first.
 func (fm *fileManager) readACL(path fspath.Path) (*acl.ACL, error) {
-	name := aclName(path.String())
-	if a, ok := fm.caches.acls.Get(name); ok {
-		fm.rs.AddCacheHit()
-		return a, nil
-	}
-	fm.rs.AddCacheMiss()
-	gen := fm.caches.acls.Gen()
-	hdr, body, err := fm.getBlob(fm.content, name)
-	if err != nil {
-		return nil, err
-	}
-	if err := fm.validateNode(fm.content, name, hdr, body); err != nil {
-		return nil, err
-	}
-	a, err := acl.DecodeACL(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrIntegrity, name, err)
-	}
-	if !fm.staging() {
-		fm.caches.acls.Put(name, a, int64(len(body)), gen)
-	}
-	return a, nil
+	return readRel(fm, fm.content, aclName(path.String()), acl.DecodeACL, nil)
 }
 
 // writeACL replaces the ACL file of an existing path — the constant-cost
@@ -436,28 +398,7 @@ func (fm *fileManager) movePath(src, dst fspath.Path) error {
 // users without one. The returned list is shared with the cache and
 // every other reader: a caller that edits it must Clone first.
 func (fm *fileManager) readMemberList(u acl.UserID) (*acl.MemberList, error) {
-	name := memberListName(u)
-	if m, ok := fm.caches.members.Get(name); ok {
-		fm.rs.AddCacheHit()
-		return m, nil
-	}
-	fm.rs.AddCacheMiss()
-	gen := fm.caches.members.Gen()
-	hdr, body, err := fm.getBlob(fm.group, name)
-	if err != nil {
-		return nil, err
-	}
-	if err := fm.validateNode(fm.group, name, hdr, body); err != nil {
-		return nil, err
-	}
-	m, err := acl.DecodeMemberList(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrIntegrity, name, err)
-	}
-	if !fm.staging() {
-		fm.caches.members.Put(name, m, int64(len(body)), gen)
-	}
-	return m, nil
+	return readRel(fm, fm.group, memberListName(u), acl.DecodeMemberList, nil)
 }
 
 // writeMemberList persists a user's member list file, creating it on
@@ -471,34 +412,7 @@ func (fm *fileManager) writeMemberList(u acl.UserID, m *acl.MemberList) error {
 // first. The returned list is shared with the cache and every other
 // reader: a caller that edits it must Clone first.
 func (fm *fileManager) readGroupList() (*acl.GroupList, error) {
-	if l, ok := fm.caches.groups.Get(groupListName); ok {
-		fm.rs.AddCacheHit()
-		return l, nil
-	}
-	fm.rs.AddCacheMiss()
-	gen := fm.caches.groups.Gen()
-	hdr, body, err := fm.getBlob(fm.group, groupListName)
-	if errors.Is(err, ErrNotFound) {
-		l := acl.NewGroupList()
-		if !fm.staging() {
-			fm.caches.groups.Put(groupListName, l, 16, gen)
-		}
-		return l, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := fm.validateNode(fm.group, groupListName, hdr, body); err != nil {
-		return nil, err
-	}
-	l, err := acl.DecodeGroupList(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrIntegrity, groupListName, err)
-	}
-	if !fm.staging() {
-		fm.caches.groups.Put(groupListName, l, int64(len(body)), gen)
-	}
-	return l, nil
+	return readRel(fm, fm.group, groupListName, acl.DecodeGroupList, acl.NewGroupList)
 }
 
 // writeGroupList persists the group list file.

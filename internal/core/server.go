@@ -77,9 +77,10 @@ type Config struct {
 	// ignored and nothing is persisted: replicas re-run replication after
 	// a restart.
 	RootKey []byte
-	// CacheBytes bounds the in-enclave relation caches (decoded ACLs,
-	// member lists, group list, directory bodies, derived file keys).
-	// Zero means the default (8 MiB); negative disables caching.
+	// CacheBytes bounds the one in-enclave cache (decoded ACLs, member
+	// lists, group list, directory bodies, derived file keys, verified
+	// mains), shared by all of them. Zero means the default (8 MiB);
+	// negative disables caching.
 	CacheBytes int64
 	// Resilience tunes the store.Resilient wrapper around every store
 	// (DESIGN §15): per-op-class deadlines, retry with backoff for

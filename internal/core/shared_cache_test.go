@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"segshare/internal/acl"
+	"segshare/internal/cache"
+	"segshare/internal/fspath"
 	"segshare/internal/obs"
 	"segshare/internal/pfs"
 	"segshare/internal/rollback"
@@ -19,8 +21,8 @@ import (
 
 // These tests pin the three halves of "a cache hit costs a map lookup":
 // cached relation objects are shared and therefore never edited in place,
-// an allowed read asks the store once, and the derived-key cache is
-// charged what its entries really retain.
+// an allowed read asks the store once, and every entry is charged what
+// it really retains out of the one budget.
 
 // countingBackend counts the calls it forwards, so a test can say how
 // many store round trips a request made and of which kind.
@@ -180,28 +182,28 @@ type relSnapshot struct {
 	was    []byte
 }
 
-// snapshotRelations collects every object the four relation caches hold
-// under the given candidate names.
+// snapshotRelations collects every relation object the cache holds under
+// the given candidate names.
 func snapshotRelations(fm *fileManager, paths, users []string) []relSnapshot {
 	var out []relSnapshot
 	add := func(key string, encode func() []byte) {
 		out = append(out, relSnapshot{key: key, encode: encode, was: encode()})
 	}
 	for _, p := range paths {
-		if a, ok := fm.caches.acls.Get(aclName(p)); ok {
-			add("acl "+p, a.Encode)
+		if a, ok := fm.cache.Get(aclName(p)); ok {
+			add("acl "+p, a.(*acl.ACL).Encode)
 		}
-		if db, ok := fm.caches.dirs.Get(p); ok {
-			add("dir "+p, db.encode)
+		if db, ok := fm.cache.Get(p); ok {
+			add("dir "+p, db.(*dirBody).encode)
 		}
 	}
 	for _, u := range users {
-		if m, ok := fm.caches.members.Get(memberListName(acl.UserID(u))); ok {
-			add("members "+u, m.Encode)
+		if m, ok := fm.cache.Get(memberListName(acl.UserID(u))); ok {
+			add("members "+u, m.(*acl.MemberList).Encode)
 		}
 	}
-	if l, ok := fm.caches.groups.Get(groupListName); ok {
-		add("grouplist", l.Encode)
+	if l, ok := fm.cache.Get(groupListName); ok {
+		add("grouplist", l.(*acl.GroupList).Encode)
 	}
 	return out
 }
@@ -386,8 +388,8 @@ func TestCachedRelationsNeverMutated(t *testing.T) {
 	if _, err := eve.Download("/d/f"); !errors.Is(err, ErrPermissionDenied) {
 		t.Fatalf("eve after the aborted grants: %v, want ErrPermissionDenied", err)
 	}
-	if hits := cacheHits(t, s, "acls"); hits == 0 {
-		t.Fatal("ACL cache never hit; the test proved nothing")
+	if !cached(s, aclName("/d/f")) {
+		t.Fatal("the ACL of /d/f is not cached; the test proved nothing")
 	}
 }
 
@@ -471,81 +473,41 @@ func TestAuthorizationCostFlatInGroups(t *testing.T) {
 	}
 }
 
-// TestDerivedCacheChargesRetainedSize pins the derived cache's
-// accounting: an entry is charged at least what it keeps alive on the
-// heap (measured here, not assumed), so the cache cannot outgrow its
-// share of the budget; and under pressure it evicts rather than exceed
-// its capacity.
+// TestDerivedCacheChargesRetainedSize pins the one charge rule for a
+// derived-key entry; see checkChargesRetainedSize.
 func TestDerivedCacheChargesRetainedSize(t *testing.T) {
-	// Eight times the default budget: thousands of entries fit, so what
-	// other goroutines allocate meanwhile vanishes in the per-entry figure.
-	fm, err := newFileManager(fmConfig{
-		rootKey:        bytes.Repeat([]byte{7}, 32),
-		contentStore:   store.NewMemory(),
-		groupStore:     store.NewMemory(),
-		cacheBytes:     8 * defaultCacheBytes,
-		journalCounter: testCounter(t),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill := func(prefix string, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, err := fm.derive(fm.content, fmt.Sprintf("/%s/%06d", prefix, i)); err != nil {
-				t.Fatal(err)
-			}
+	checkChargesRetainedSize(t, "derived", func(fm *fileManager, name string) (string, int) {
+		if _, err := fm.derive(fm.content, name); err != nil {
+			t.Fatal(err)
 		}
-	}
-	capacity := fm.caches.derived.Stats().Capacity
-	floor := int64(pfs.KeysSize + derivedOverhead)
-	n := int(capacity/floor) / 2 // fits without eviction
-	fill("first", 16)            // first use of the path is not part of an entry
-	before := fm.caches.derived.Stats()
-	var heapBefore, heapAfter runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&heapBefore)
-	fill("heap", n)
-	runtime.GC()
-	runtime.ReadMemStats(&heapAfter)
-	after := fm.caches.derived.Stats()
-	if got := after.Entries - before.Entries; got != n || after.Evictions != before.Evictions {
-		t.Fatalf("inserted %d entries, cache grew by %d with %d evictions", n, got, after.Evictions-before.Evictions)
-	}
-	charged := (after.Cost - before.Cost) / int64(n)
-	retained := int64(heapAfter.HeapAlloc-heapBefore.HeapAlloc) / int64(n)
-	t.Logf("derived entry: charged %d B, retains %d B of heap; %d fit the default share",
-		charged, retained, defaultCacheBytes/10/charged)
-	if charged < floor {
-		t.Errorf("derived entry charged %d B, below KeysSize+overhead = %d", charged, floor)
-	}
-	if retained > charged {
-		t.Errorf("derived entry retains %d B of heap but is charged %d", retained, charged)
-	}
-	if retained < charged*3/4 {
-		t.Errorf("derived entry retains %d B of heap but is charged %d: the constants have gone stale", retained, charged)
-	}
-
-	// Past the capacity the cache must evict, and never overshoot.
-	fill("pressure", n+n/2)
-	st := fm.caches.derived.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("derived cache never evicted under pressure")
-	}
-	if st.Cost > st.Capacity {
-		t.Fatalf("derived cache holds %d B of a %d B share", st.Cost, st.Capacity)
-	}
-	if st.Cost < int64(st.Entries)*floor {
-		t.Fatalf("derived cache accounts %d B for %d entries, below %d B each", st.Cost, st.Entries, floor)
-	}
-	runtime.KeepAlive(fm)
+		id := treeID(fm.content, name)
+		return id, pfs.KeysSize + len(id)
+	})
 }
 
-// TestVerifiedCacheChargesRetainedSize pins verifiedOverhead the way the
-// derived test above pins derivedOverhead: a verified-main entry must be
-// charged at least the heap it retains, and not much more. The cache
-// exists only with rollback protection on.
+// TestVerifiedCacheChargesRetainedSize pins the one charge rule for a
+// verified-main entry, which the cache holds only with rollback
+// protection on (TestVerifiedOnlyWithRollback); see
+// checkChargesRetainedSize.
 func TestVerifiedCacheChargesRetainedSize(t *testing.T) {
+	checkChargesRetainedSize(t, "verified", func(fm *fileManager, name string) (string, int) {
+		key := verifiedPfx + treeID(fm.content, name)
+		fm.fillCache(key, rollback.Digest{}, len(rollback.Digest{}), fm.cache.Gen())
+		return key, len(rollback.Digest{})
+	})
+}
+
+// checkChargesRetainedSize pins the one charge rule: an entry of the
+// kind put inserts is charged at least what it keeps alive on the heap
+// (measured here, not assumed) and not much more, so the shared budget
+// is spent on what the entries really cost; and under pressure the cache
+// evicts rather than exceed its capacity. put inserts the entry of the
+// name through the path the server inserts it by, and returns its key
+// and value bytes.
+func checkChargesRetainedSize(t *testing.T, kind string, put func(fm *fileManager, name string) (key string, valueBytes int)) {
+	t.Helper()
+	// Eight times the default budget: thousands of entries fit, so what
+	// other goroutines allocate meanwhile vanishes in the per-entry figure.
 	fm, err := newFileManager(fmConfig{
 		rootKey:        bytes.Repeat([]byte{7}, 32),
 		contentStore:   store.NewMemory(),
@@ -557,40 +519,202 @@ func TestVerifiedCacheChargesRetainedSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc := fm.caches.verified
+	// Every prefix has four letters, so every entry is charged the same:
+	// floor.
+	var floor int64
 	fill := func(prefix string, n int) {
+		t.Helper()
 		for i := 0; i < n; i++ {
-			id := treeID(fm.content, fmt.Sprintf("/%s/%06d.acl", prefix, i))
-			vc.Put(id, rollback.Digest{}, verifiedCost(id), vc.Gen())
+			key, valueBytes := put(fm, fmt.Sprintf("/%s/%06d.acl", prefix, i))
+			floor = charge(key, valueBytes)
 		}
 	}
-	idLen := len(treeID(fm.content, "/heap/000000.acl"))
-	floor := int64(verifiedOverhead + idLen)
-	n := int(vc.Stats().Capacity/floor) / 2 // fits without eviction
-	fill("first", 16)
-	before := vc.Stats()
+	// The first use of a path is not part of an entry; n entries fit
+	// without eviction.
+	fill("warm", 16)
+	n := int(fm.cache.Stats().Capacity/floor) / 2
+	before := fm.cache.Stats()
 	var heapBefore, heapAfter runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&heapBefore)
 	fill("heap", n)
 	runtime.GC()
 	runtime.ReadMemStats(&heapAfter)
-	after := vc.Stats()
+	after := fm.cache.Stats()
 	if got := after.Entries - before.Entries; got != n || after.Evictions != before.Evictions {
 		t.Fatalf("inserted %d entries, cache grew by %d with %d evictions", n, got, after.Evictions-before.Evictions)
 	}
 	charged := (after.Cost - before.Cost) / int64(n)
 	retained := int64(heapAfter.HeapAlloc-heapBefore.HeapAlloc) / int64(n)
-	t.Logf("verified entry: charged %d B, retains %d B of heap; %d fit the default share",
-		charged, retained, defaultCacheBytes/10/charged)
+	t.Logf("%s entry: charged %d B, retains %d B of heap; %d fit the default budget",
+		kind, charged, retained, defaultCacheBytes/charged)
+	if charged != floor {
+		t.Errorf("%s entry charged %d B, the charge rule says %d", kind, charged, floor)
+	}
 	if retained > charged {
-		t.Errorf("verified entry retains %d B of heap but is charged %d", retained, charged)
+		t.Errorf("%s entry retains %d B of heap but is charged %d", kind, retained, charged)
 	}
 	if retained < charged*3/4 {
-		t.Errorf("verified entry retains %d B of heap but is charged %d: the constants have gone stale", retained, charged)
+		t.Errorf("%s entry retains %d B of heap but is charged %d: entryOverhead has gone stale", kind, retained, charged)
 	}
-	if rc := newRelCaches(defaultCacheBytes, false, fm.obs); rc.verified != nil {
-		t.Fatal("verified cache allocated with rollback protection off")
+
+	// Past the capacity the cache must evict, and never overshoot.
+	fill("push", n+n/2)
+	st := fm.cache.Stats()
+	if st.Evictions == 0 {
+		t.Fatal("cache never evicted under pressure")
+	}
+	if st.Cost > st.Capacity {
+		t.Fatalf("cache holds %d B of a %d B budget", st.Cost, st.Capacity)
+	}
+	if st.Cost < int64(st.Entries)*floor {
+		t.Fatalf("cache accounts %d B for %d entries, below %d B each", st.Cost, st.Entries, floor)
 	}
 	runtime.KeepAlive(fm)
+}
+
+// nameGets counts the store reads of one object.
+type nameGets struct {
+	store.Backend
+	name string
+	n    atomic.Int64
+}
+
+func (g *nameGets) Get(name string) ([]byte, error) {
+	if name == g.name {
+		g.n.Add(1)
+	}
+	return g.Backend.Get(name)
+}
+
+// TestPutReadsParentACLFromCache: the reads a mutation makes before it
+// stages anything see exactly the committed state, so they fill the cache
+// as a read request's would. A PUT to an existing file authorizes against
+// its parent directory's ACL, which the PUT before it cached: no store
+// read.
+func TestPutReadsParentACLFromCache(t *testing.T) {
+	content := &nameGets{Backend: store.NewMemory(), name: aclName("/d/")}
+	s := newTunedServer(t, Config{ContentStore: content})
+	alice := s.Direct("alice")
+	for _, err := range []error{
+		alice.Mkdir("/d/"),
+		alice.Upload("/d/f", []byte("v1")),
+		alice.Upload("/d/f", []byte("v2")),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	content.n.Store(0)
+	if err := alice.Upload("/d/f", []byte("v3")); err != nil {
+		t.Fatal(err)
+	}
+	if n := content.n.Load(); n != 0 {
+		t.Fatalf("a PUT to an existing file read its parent's ACL from the store %d times", n)
+	}
+	if got, err := alice.Download("/d/f"); err != nil || string(got) != "v3" {
+		t.Fatalf("read after the PUTs: %q %v", got, err)
+	}
+}
+
+// TestOneBudgetHoldsHotKeys: derived keys and relations share one
+// budget, so the keys and ACLs of 4 000 names — some 5 MiB of the default
+// 8 MiB — stay resident together, and a second pass over them misses
+// nothing.
+func TestOneBudgetHoldsHotKeys(t *testing.T) {
+	fm := newFMFixture(t, fmOptions{cache: true}).fm
+	const dirs, files = 40, 100
+	var paths []fspath.Path
+	for d := 0; d < dirs; d++ {
+		dir := mustPath(t, fmt.Sprintf("/d%02d/", d))
+		err := inOp(fm, func() error {
+			if err := fm.createDir(dir, &acl.ACL{}); err != nil {
+				return err
+			}
+			for f := 0; f < files; f++ {
+				p, err := dir.ChildFile(fmt.Sprintf("f%03d", f))
+				if err != nil {
+					return err
+				}
+				paths = append(paths, p)
+				if _, err := fm.writeContent(p, encodeRawBody([]byte("x")), &acl.ACL{}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fm.cache.Flush()
+	pass := func() cache.Stats {
+		t.Helper()
+		for _, p := range paths {
+			if _, err := fm.readACL(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fm.derive(fm.content, aclName(p.String())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fm.cache.Stats()
+	}
+	first := pass()
+	second := pass()
+	if misses := second.Misses - first.Misses; misses != 0 {
+		t.Fatalf("second pass over %d names missed %d times (%d entries, %d of %d B, %d evictions)",
+			len(paths), misses, second.Entries, second.Cost, second.Capacity, second.Evictions)
+	}
+	t.Logf("%d names: %d entries, %d of %d B", len(paths), second.Entries, second.Cost, second.Capacity)
+}
+
+// TestVerifiedOnlyWithRollback: verified mains enter the cache only with
+// rollback protection on. The same workload runs both ways: with it on,
+// every node the workload touched ends with a verified main (so the
+// check below can see one); with it off, no step leaves any.
+func TestVerifiedOnlyWithRollback(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		t.Run(fmt.Sprintf("rollback=%v", on), func(t *testing.T) {
+			s := newTunedServer(t, Config{Features: Features{RollbackProtection: on}})
+			alice, bob := s.Direct("alice"), s.Direct("bob")
+			nodes := []string{
+				treeID(s.fm.content, "/"), treeID(s.fm.content, "/d/"), treeID(s.fm.content, "/d/.acl"),
+				treeID(s.fm.content, "/d/f"), treeID(s.fm.content, "/d/f.acl"),
+				treeID(s.fm.group, groupRootName), treeID(s.fm.group, groupListName),
+				treeID(s.fm.group, memberListName("alice")), treeID(s.fm.group, memberListName("bob")),
+			}
+			steps := []func() error{
+				func() error { return alice.Mkdir("/d/") },
+				func() error { return alice.Upload("/d/f", []byte("x")) },
+				func() error { _, err := alice.Download("/d/f"); return err },
+				func() error { _, err := alice.List("/d/"); return err },
+				func() error { return alice.AddUser("bob", "team") },
+				func() error { return alice.SetPermission("/d/f", "team", "r") },
+				func() error { _, err := bob.Download("/d/f"); return err },
+				func() error { _, err := alice.List("/d/"); return err },
+			}
+			for i, step := range steps {
+				if err := step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				if on {
+					continue
+				}
+				for _, id := range nodes {
+					if _, ok := s.fm.cache.Get(verifiedPfx + id); ok {
+						t.Fatalf("step %d left a verified main of %s with rollback protection off", i, id)
+					}
+				}
+			}
+			if !on {
+				return
+			}
+			for _, id := range nodes {
+				if _, ok := s.fm.verified(id); !ok {
+					t.Errorf("no verified main of %s after the workload", id)
+				}
+			}
+		})
+	}
 }

@@ -220,7 +220,7 @@ func (fm *fileManager) validateNode(ns *namespace, name string, hdr *rollback.He
 	}
 	depth := 0
 	defer func() { fm.obs.treeValidateDepth.Observe(uint64(depth)) }()
-	gen := fm.caches.verified.Gen()
+	gen := fm.cache.Gen()
 	id := treeID(ns, name)
 	if hit, err := fm.checkVerified(name, id, hdr.Main); hit || err != nil {
 		return err
@@ -288,13 +288,11 @@ func (fm *fileManager) validateNode(ns *namespace, name string, hdr *rollback.He
 		child, childMain = anc, ancHdr.Main
 	}
 	// Under the generation captured before the walk's first fetch: a
-	// write that invalidated any node meanwhile rejects them all. A
-	// staging view may have proven staged state, which the store does
-	// not hold yet.
-	if !fm.staging() {
-		for _, p := range proven {
-			fm.caches.verified.Put(p.id, p.main, verifiedCost(p.id), gen)
-		}
+	// write that invalidated any node meanwhile rejects them all. A view
+	// that staged a write may have proven staged state, which the store
+	// does not hold yet; fillCache skips those.
+	for _, p := range proven {
+		fm.fillCache(verifiedPfx+p.id, p.main, len(p.main), gen)
 	}
 	return nil
 }
@@ -308,11 +306,11 @@ type verifiedMain struct {
 // checkVerified looks a node's stored main up in the verified cache: hit
 // reports that the enclave proved this main current, and a cached main
 // that differs is a detected rollback. A name the active operation
-// staged is never a hit, as in the relation caches: staging invalidated
-// it, staging views never fill the cache, and the lock manager keeps
+// staged is never a hit, as for the relations: staging invalidated it,
+// a view that staged a write fills no entry, and the lock manager keeps
 // every other request off the namespace until the operation applied.
 func (fm *fileManager) checkVerified(name, id string, main rollback.Digest) (hit bool, err error) {
-	cached, ok := fm.caches.verified.Get(id)
+	cached, ok := fm.verified(id)
 	if !ok {
 		return false, nil
 	}
@@ -347,18 +345,18 @@ func (fm *fileManager) proveForWrite(ns *namespace, name string, hdr *rollback.H
 // them. Aborted operations, failed installs and recovery replays never
 // get here; they only invalidated.
 func (fm *fileManager) publishVerified(tx *opCtx) {
-	vc := fm.caches.verified
-	if vc == nil {
+	if !fm.rollbackOn {
 		return
 	}
-	gen := vc.Gen()
-	for _, key := range tx.order {
-		sp, ok := tx.puts[key]
+	gen := fm.cache.Gen()
+	for _, id := range tx.order {
+		sp, ok := tx.puts[id]
 		if !ok {
 			continue
 		}
 		if hdr, _, err := rollback.DecodeHeader(sp.hdrEnc); err == nil {
-			vc.Put(key, hdr.Main, verifiedCost(key), gen)
+			key := verifiedPfx + id
+			fm.cache.Put(key, hdr.Main, charge(key, len(hdr.Main)), gen)
 		}
 	}
 }
@@ -368,7 +366,7 @@ func (fm *fileManager) publishVerified(tx *opCtx) {
 // can; otherwise the stored header does, as it did before the cache
 // (ErrNotFound for a node that does not exist).
 func (fm *fileManager) previousMain(ns *namespace, name string) (rollback.Digest, error) {
-	if m, ok := fm.caches.verified.Get(treeID(ns, name)); ok {
+	if m, ok := fm.verified(treeID(ns, name)); ok {
 		return m, nil
 	}
 	hdr, err := fm.readHeader(ns, name)

@@ -153,9 +153,15 @@ func (tx *opCtx) runAbortHooks() {
 
 // staging reports whether a mutation is in flight on this view: its
 // writes buffer for a journal intent (the putBlob/deleteBlob chokepoints
-// stage them), and the relation caches must not cache uncommitted state.
+// stage them), and its reads see them first.
 func (fm *fileManager) staging() bool {
 	return fm.tx != nil
+}
+
+// empty reports whether the operation has staged no write and no delete
+// yet, so its reads still see exactly the committed state.
+func (tx *opCtx) empty() bool {
+	return len(tx.order) == 0 && len(tx.delOrder) == 0
 }
 
 // afterOp schedules fn for after the operation durably commits.
@@ -214,7 +220,7 @@ func (fm *fileManager) mutate(op string, fn func() error) error {
 		tx.runAbortHooks()
 		return err
 	}
-	if len(tx.order) == 0 && len(tx.delOrder) == 0 {
+	if tx.empty() {
 		tx.runCommitHooks()
 		return nil
 	}

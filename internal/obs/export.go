@@ -19,56 +19,7 @@ import (
 // *_seconds and le boundaries and the sum are divided by 1e9. Non-duration
 // histograms (depths, counts) export their integer values unchanged.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	snap := r.Snapshot()
-	var lastName string
-	for _, m := range snap {
-		name := m.Name
-		seconds := m.Kind == "histogram" && strings.HasSuffix(name, "_ns")
-		if seconds {
-			name = strings.TrimSuffix(name, "_ns") + "_seconds"
-		}
-		if m.Name != lastName {
-			if m.Help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, sanitizeHelp(m.Help)); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, m.Kind); err != nil {
-				return err
-			}
-			lastName = m.Name
-		}
-		switch m.Kind {
-		case "histogram":
-			if err := writePromHistogram(w, name, m, seconds); err != nil {
-				return err
-			}
-		default:
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", name, promLabels(m.Labels, ""), m.Value); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func writePromHistogram(w io.Writer, name string, m MetricSnapshot, seconds bool) error {
-	h := m.Histogram
-	var cum uint64
-	for _, b := range h.Buckets {
-		cum += b.Count
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(m.Labels, promBound(b.UpperBound, seconds)), cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabelsInf(m.Labels), h.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, promLabels(m.Labels, ""), promValue(h.Sum, seconds)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, promLabels(m.Labels, ""), h.Count)
-	return err
+	return r.writeText(w, false)
 }
 
 // WriteOpenMetrics renders all exportable metrics in the OpenMetrics 1.0
@@ -80,9 +31,14 @@ func writePromHistogram(w io.Writer, name string, m MetricSnapshot, seconds bool
 // The same _ns → _seconds transform applies, including to exemplar
 // values.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	snap := r.Snapshot()
+	return r.writeText(w, true)
+}
+
+// writeText is the one text renderer behind both formats; openMetrics
+// selects the three OpenMetrics differences.
+func (r *Registry) writeText(w io.Writer, openMetrics bool) error {
 	var lastName string
-	for _, m := range snap {
+	for _, m := range r.Snapshot() {
 		name := m.Name
 		seconds := m.Kind == "histogram" && strings.HasSuffix(name, "_ns")
 		if seconds {
@@ -90,7 +46,7 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 		}
 		if m.Name != lastName {
 			family := name
-			if m.Kind == "counter" {
+			if openMetrics && m.Kind == "counter" {
 				family = strings.TrimSuffix(family, "_total")
 			}
 			if m.Help != "" {
@@ -103,29 +59,34 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 			}
 			lastName = m.Name
 		}
-		switch m.Kind {
-		case "histogram":
-			if err := writeOMHistogram(w, name, m, seconds); err != nil {
-				return err
-			}
-		default:
+		if m.Kind != "histogram" {
 			if _, err := fmt.Fprintf(w, "%s%s %d\n", name, promLabels(m.Labels, ""), m.Value); err != nil {
 				return err
 			}
+			continue
 		}
+		if err := writeHistogram(w, name, m, seconds, openMetrics); err != nil {
+			return err
+		}
+	}
+	if !openMetrics {
+		return nil
 	}
 	_, err := io.WriteString(w, "# EOF\n")
 	return err
 }
 
-func writeOMHistogram(w io.Writer, name string, m MetricSnapshot, seconds bool) error {
+func writeHistogram(w io.Writer, name string, m MetricSnapshot, seconds, exemplars bool) error {
 	h := m.Histogram
 	var cum uint64
 	for _, b := range h.Buckets {
 		cum += b.Count
+		var ex string
+		if exemplars {
+			ex = omExemplar(b.Exemplar, seconds)
+		}
 		if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", name,
-			promLabels(m.Labels, promBound(b.UpperBound, seconds)), cum,
-			omExemplar(b.Exemplar, seconds)); err != nil {
+			promLabels(m.Labels, promBound(b.UpperBound, seconds)), cum, ex); err != nil {
 			return err
 		}
 	}
@@ -209,8 +170,8 @@ func sanitizeHelp(s string) string {
 // VarsSnapshot is the JSON body served at /debug/vars: the full metric
 // state plus recorder health.
 type VarsSnapshot struct {
-	Timestamp     time.Time        `json:"timestamp"`
-	Metrics       []MetricSnapshot `json:"metrics"`
+	Timestamp      time.Time        `json:"timestamp"`
+	Metrics        []MetricSnapshot `json:"metrics"`
 	Violations     uint64           `json:"leakBudgetViolations"`
 	TracesActive   int64            `json:"tracesActive,omitempty"`
 	TracesDropped  uint64           `json:"tracesDropped,omitempty"`
