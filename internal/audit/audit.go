@@ -218,9 +218,10 @@ func recordStrings(rec *Record) []*string {
 		&rec.Target, &rec.Group, &rec.Path, &rec.Detail}
 }
 
-// sealRecord serializes and encrypts one record. An event or decision
-// outside the code tables is an error: both are closed sets.
-func sealRecord(keys Keys, rec Record) ([]byte, error) {
+// sealRecord serializes and encrypts one record under the record cipher.
+// An event or decision outside the code tables is an error: both are
+// closed sets.
+func sealRecord(c *pae.Cipher, rec Record) ([]byte, error) {
 	ev, dec := slices.Index(eventCodes, rec.Event), slices.Index(decisionCodes, rec.Decision)
 	if ev < 0 || dec < 0 {
 		return nil, fmt.Errorf("audit: seal record: event %q, decision %q has no code", rec.Event, rec.Decision)
@@ -232,7 +233,7 @@ func sealRecord(keys Keys, rec Record) ([]byte, error) {
 		plain = binary.AppendUvarint(plain, uint64(len(*f)))
 		plain = append(plain, *f...)
 	}
-	ct, err := pae.Encrypt(keys.Enc, plain, recordAssociatedData(rec.Seq))
+	ct, err := c.Seal(plain, recordAssociatedData(rec.Seq))
 	if err != nil {
 		return nil, fmt.Errorf("audit: seal record: %w", err)
 	}
@@ -241,8 +242,8 @@ func sealRecord(keys Keys, rec Record) ([]byte, error) {
 
 // openRecord reverses sealRecord, and opens the JSON records of older
 // logs. Any authentication or decoding failure maps to ErrRecordCorrupt.
-func openRecord(keys Keys, seq uint64, payload []byte) (Record, error) {
-	plain, err := pae.Decrypt(keys.Enc, payload, recordAssociatedData(seq))
+func openRecord(c *pae.Cipher, seq uint64, payload []byte) (Record, error) {
+	plain, err := c.Open(payload, recordAssociatedData(seq))
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: entry %d", ErrRecordCorrupt, seq)
 	}

@@ -32,6 +32,16 @@ func testKeys(t testing.TB) Keys {
 	return keys
 }
 
+// testCipher returns the record cipher of keys.
+func testCipher(t testing.TB, keys Keys) *pae.Cipher {
+	t.Helper()
+	c, err := pae.NewCipher(keys.Enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func testCounter(t testing.TB) *enclave.MonotonicCounter {
 	t.Helper()
 	platform, err := enclave.NewPlatform(enclave.PlatformConfig{})
@@ -561,6 +571,7 @@ func compactPlain(rec Record) []byte {
 // not a panic.
 func TestRecordEncodings(t *testing.T) {
 	keys := testKeys(t)
+	rc := testCipher(t, keys)
 	rec := Record{Seq: 7, TimeNanos: time.Now().UnixNano(), Event: EventGroupChange,
 		Decision: DecisionAllow, Op: "api_groups_add", RequestID: 1 << 40, User: "alice",
 		Target: "bob", Group: "finance", Path: "/team/plan.txt", Detail: "add"}
@@ -571,7 +582,7 @@ func TestRecordEncodings(t *testing.T) {
 		}
 		return ct
 	}
-	coded, err := sealRecord(keys, rec)
+	coded, err := sealRecord(rc, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,16 +596,16 @@ func TestRecordEncodings(t *testing.T) {
 		t.Errorf("coded record is %d B, compact %d B, JSON %d B", len(coded), len(compact), len(legacy))
 	}
 	for _, unlisted := range []Record{{Event: "not_an_event", Decision: DecisionAllow}, {Event: EventFileAuthzAllow, Decision: "maybe"}} {
-		if _, err := sealRecord(keys, unlisted); err == nil {
+		if _, err := sealRecord(rc, unlisted); err == nil {
 			t.Fatalf("record with event %q, decision %q sealed", unlisted.Event, unlisted.Decision)
 		}
 	}
 	for name, payload := range map[string][]byte{"coded": coded, "compact": compact, "json": legacy} {
-		if got, err := openRecord(keys, rec.Seq, payload); err != nil || got != rec {
+		if got, err := openRecord(rc, rec.Seq, payload); err != nil || got != rec {
 			t.Fatalf("%s: openRecord = %+v, %v; want %+v", name, got, err, rec)
 		}
 	}
-	if _, err := openRecord(keys, rec.Seq+1, coded); !errors.Is(err, ErrRecordCorrupt) {
+	if _, err := openRecord(rc, rec.Seq+1, coded); !errors.Is(err, ErrRecordCorrupt) {
 		t.Fatalf("record opened under another seq: %v", err)
 	}
 	full := append([]byte{recordCompact}, bytes.Repeat([]byte{0x80}, 3)...)
@@ -605,7 +616,7 @@ func TestRecordEncodings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openRecord(keys, 1, ct); !errors.Is(err, ErrRecordCorrupt) {
+		if _, err := openRecord(rc, 1, ct); !errors.Is(err, ErrRecordCorrupt) {
 			t.Fatalf("malformed plaintext %x: %v", plain, err)
 		}
 	}
@@ -659,15 +670,33 @@ func TestEventCodesCoverEveryEvent(t *testing.T) {
 // path frames to at most 88 B (it was 104 B with the event and decision
 // spelled out).
 func TestRecordFrameSize(t *testing.T) {
-	keys := testKeys(t)
 	rec := Record{Seq: 1, TimeNanos: time.Now().UnixNano(), Event: EventFileAuthzAllow,
 		Decision: DecisionAllow, Op: "fs_get", RequestID: 100_000, User: "owner", Path: "/d005/f0012.bin"}
-	payload, err := sealRecord(keys, rec)
+	payload, err := sealRecord(testCipher(t, testKeys(t)), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if framed := len(encodeFrame(nil, kindRecord, rec.Seq, payload)); framed > 88 {
 		t.Fatalf("authz_allow record frames to %d B, want at most 88", framed)
+	}
+}
+
+// TestSealRecordAllocs pins that sealing a record expands no key: the
+// writer seals with the cipher it built once, so a coded record costs 7
+// allocations (the growing plaintext, its field list, the associated
+// data and the ciphertext). A cipher built per record, as pae.Encrypt
+// does, adds the AES key schedule, the GCM object and the Cipher: 10.
+func TestSealRecordAllocs(t *testing.T) {
+	rc := testCipher(t, testKeys(t))
+	rec := Record{Seq: 1, TimeNanos: time.Now().UnixNano(), Event: EventFileAuthzAllow,
+		Decision: DecisionAllow, Op: "fs_get", RequestID: 100_000, User: "owner", Path: "/d005/f0012.bin"}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sealRecord(rc, rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 7 {
+		t.Fatalf("sealing one coded record allocates %v times, want at most 7", allocs)
 	}
 }
 

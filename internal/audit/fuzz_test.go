@@ -19,9 +19,10 @@ import (
 // refuses.
 func FuzzOpenRecord(f *testing.F) {
 	keys := testKeys(f)
+	rc := testCipher(f, keys)
 	rec := Record{Seq: 3, TimeNanos: 1_700_000_000_000_000_000, Event: EventFileAuthzDeny,
 		Decision: DecisionDeny, Op: "fs_get", RequestID: 9, User: "bob", Path: "/secret.txt"}
-	ct, err := sealRecord(keys, rec)
+	ct, err := sealRecord(rc, rec)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func FuzzOpenRecord(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := openRecord(keys, seq, ct)
+		got, err := openRecord(rc, seq, ct)
 		if err != nil {
 			if !errors.Is(err, ErrRecordCorrupt) {
 				t.Fatalf("openRecord error %v is not ErrRecordCorrupt", err)
@@ -54,14 +55,14 @@ func FuzzOpenRecord(f *testing.F) {
 			return
 		}
 		coded := slices.Contains(eventCodes, got.Event) && slices.Contains(decisionCodes, got.Decision)
-		resealed, err := sealRecord(keys, got)
+		resealed, err := sealRecord(rc, got)
 		if (err == nil) != coded {
 			t.Fatalf("sealRecord(%q, %q) = %v", got.Event, got.Decision, err)
 		}
 		if !coded {
 			return
 		}
-		again, err := openRecord(keys, seq, resealed)
+		again, err := openRecord(rc, seq, resealed)
 		if err != nil || again != got {
 			t.Fatalf("re-sealed record opens as %+v, %v; want %+v", again, err, got)
 		}

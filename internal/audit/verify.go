@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"segshare/internal/pae"
 	"segshare/internal/store"
 )
 
@@ -139,12 +140,16 @@ type VerifyResult struct {
 // first integrity violation found, classified by the error variables in
 // this package.
 func Verify(b store.Backend, keys Keys, opts VerifyOptions) (*VerifyResult, error) {
+	rc, err := pae.NewCipher(keys.Enc)
+	if err != nil {
+		return nil, err
+	}
 	var enc *json.Encoder
 	if opts.Dump != nil {
 		enc = json.NewEncoder(opts.Dump)
 	}
 	st, err := walk(b, keys.MAC, func(seq uint64, payload []byte) error {
-		rec, err := openRecord(keys, seq, payload)
+		rec, err := openRecord(rc, seq, payload)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 
 	"segshare/internal/enclave"
 	"segshare/internal/obs"
+	"segshare/internal/pae"
 	"segshare/internal/store"
 )
 
@@ -75,6 +76,7 @@ func (o Options) withDefaults() Options {
 type Log struct {
 	backend store.Backend
 	keys    Keys
+	rec     *pae.Cipher // seals records under keys.Enc
 	counter *enclave.MonotonicCounter
 	opt     Options
 
@@ -122,6 +124,10 @@ type Log struct {
 // binding.
 func Open(b store.Backend, keys Keys, counter *enclave.MonotonicCounter, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
+	rc, err := pae.NewCipher(keys.Enc)
+	if err != nil {
+		return nil, err
+	}
 	st, err := walk(b, keys.MAC, nil)
 	if err != nil {
 		return nil, err
@@ -141,6 +147,7 @@ func Open(b store.Backend, keys Keys, counter *enclave.MonotonicCounter, opt Opt
 	l := &Log{
 		backend:     b,
 		keys:        keys,
+		rec:         rc,
 		counter:     counter,
 		opt:         opt,
 		recCh:       make(chan Record, opt.Buffer),
@@ -294,7 +301,7 @@ func (l *Log) append(rec Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rec.Seq = l.seq + 1
-	payload, err := sealRecord(l.keys, rec)
+	payload, err := sealRecord(l.rec, rec)
 	if err != nil {
 		l.errsTotal.Inc()
 		l.lastErr = err

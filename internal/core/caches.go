@@ -24,7 +24,8 @@ import (
 // CLOCK, each charged by the same rule (charge): the decoded relations
 // (keyed by their logical name — content names start with '/', group
 // names are member:… or grouplist), the derived per-file keys (keyed by
-// kind:name) and, with rollback protection, the verified mains (keyed by
+// kind:name), the dedup objects' opened keys (keyed by dedupKeyPfx ‖
+// hName) and, with rollback protection, the verified mains (keyed by
 // verifiedPfx ‖ kind:name). Whichever kind the workload touches most
 // gets the room.
 //
@@ -70,8 +71,9 @@ const entryOverhead = 48 + 16 + 64 + 32
 // charge is the one accounting rule of the cache: the shared per-entry
 // overhead plus the key and value bytes. A relation's value bytes are
 // its encoded body, a derived entry's are pfs.KeysSize and its file ID,
-// a verified main's its 32-byte digest. A derived entry comes to about
-// 1 KiB, so the default budget holds some 8 000 names' keys.
+// a dedup object key's pfs.KeysSize, a verified main's its 32-byte
+// digest. A derived entry comes to about 1 KiB, so the default budget
+// holds some 8 000 names' keys.
 func charge(key string, valueBytes int) int64 {
 	return entryOverhead + int64(len(key)) + int64(valueBytes)
 }
@@ -81,6 +83,29 @@ func charge(key string, valueBytes int) int64 {
 // pfs file ID and the rollback hash input), so the verified key alone
 // carries the prefix.
 const verifiedPfx = "#"
+
+// dedupKeyPfx marks the key of a dedup object's opened keys. No
+// relation, derived or verified key starts with it.
+const dedupKeyPfx = "@"
+
+// dedupKeys keeps the dedup store's opened object keys in the one cache.
+// An address's keys are a pure function of SK_r and the address, so,
+// like derived entries, they go in under the current generation and are
+// never invalidated.
+type dedupKeys struct{ c *cache.Cache[any] }
+
+func (d dedupKeys) Keys(hName string) (*pfs.Keys, bool) {
+	v, ok := d.c.Get(dedupKeyPfx + hName)
+	if !ok {
+		return nil, false
+	}
+	return v.(*pfs.Keys), true
+}
+
+func (d dedupKeys) PutKeys(hName string, keys *pfs.Keys) {
+	key := dedupKeyPfx + hName
+	d.c.Put(key, keys, charge(key, pfs.KeysSize), d.c.Gen())
+}
 
 // readRel is the one read-through loader of the relation cache. A hit
 // hands back the shared decoded object. A miss fetches, validates and

@@ -246,7 +246,8 @@ func newFileManager(cfg fmConfig) (*fileManager, error) {
 		isInner: func(name string) bool { return name == groupRootName },
 	}
 	if cfg.dedupEnabled {
-		ds, err := dedup.New(cfg.dedupStore, cfg.rootKey, dedup.WithObs(cfg.obs.reg), dedup.WithWorkers(workers))
+		ds, err := dedup.New(cfg.dedupStore, cfg.rootKey, dedup.WithObs(cfg.obs.reg),
+			dedup.WithWorkers(workers), dedup.WithKeyCache(dedupKeys{fm.cache}))
 		if err != nil {
 			return nil, err
 		}

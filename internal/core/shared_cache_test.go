@@ -14,6 +14,7 @@ import (
 	"segshare/internal/cache"
 	"segshare/internal/fspath"
 	"segshare/internal/obs"
+	"segshare/internal/pae"
 	"segshare/internal/pfs"
 	"segshare/internal/rollback"
 	"segshare/internal/store"
@@ -495,6 +496,49 @@ func TestVerifiedCacheChargesRetainedSize(t *testing.T) {
 		fm.fillCache(key, rollback.Digest{}, len(rollback.Digest{}), fm.cache.Gen())
 		return key, len(rollback.Digest{})
 	})
+}
+
+// TestDedupKeyCacheChargesRetainedSize pins the one charge rule for a
+// dedup object's opened keys; see checkChargesRetainedSize.
+func TestDedupKeyCacheChargesRetainedSize(t *testing.T) {
+	checkChargesRetainedSize(t, "dedup key", func(fm *fileManager, name string) (string, int) {
+		keys, err := pfs.NewKeys(pae.Key{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dedupKeys{fm.cache}.PutKeys(name, keys)
+		return dedupKeyPfx + name, pfs.KeysSize
+	})
+}
+
+// TestDedupObjectKeysCached pins the dedup store's use of the one cache:
+// the upload of a deduplicated file leaves its object address's opened
+// keys there, a download after a flush puts them back, and the next
+// download finds them.
+func TestDedupObjectKeysCached(t *testing.T) {
+	s := newTunedServer(t, Config{Features: Features{Dedup: true}, DedupStore: store.NewMemory()})
+	alice := s.Direct("alice")
+	body := []byte("deduplicated content")
+	if err := alice.Upload("/f", body); err != nil {
+		t.Fatal(err)
+	}
+	hName, err := s.fm.contentRefName("/f")
+	if err != nil || hName == "" {
+		t.Fatalf("contentRefName = %q, %v", hName, err)
+	}
+	key := dedupKeyPfx + hName
+	if !cached(s, key) {
+		t.Fatal("upload left no object keys in the cache")
+	}
+	s.fm.cache.Flush()
+	for i := 0; i < 2; i++ {
+		if got, err := alice.Download("/f"); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("download %d = %q, %v", i, got, err)
+		}
+		if !cached(s, key) {
+			t.Fatalf("download %d left no object keys in the cache", i)
+		}
+	}
 }
 
 // checkChargesRetainedSize pins the one charge rule: an entry of the

@@ -183,3 +183,31 @@ func TestCrashAtEveryPutAndRelease(t *testing.T) {
 		}
 	}
 }
+
+// TestParentObjectsOpen reads the objects a parent-era store wrote, each
+// under a wrapped random key: each opens at its address to its content,
+// and one copied onto another's address fails the HMAC check there.
+func TestParentObjectsOpen(t *testing.T) {
+	backend := store.NewMemory()
+	copyParentFixture(t, backend)
+	s, err := New(backend, parentRootKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range parentContents {
+		if got, err := s.Get(s.contentName([]byte(c))); err != nil || string(got) != c {
+			t.Fatalf("Get(%q) = %q, %v", c, got, err)
+		}
+	}
+	from, to := s.contentName([]byte(parentContents[0])), s.contentName([]byte(parentContents[1]))
+	obj, err := backend.Get(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := backend.Put(to, obj); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(to); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("parent object copied onto another address: want ErrCorrupt, got %v", err)
+	}
+}

@@ -21,9 +21,14 @@
 // garbage collection unspecified): each object has a sealed reference
 // record, hName + ".refs", holding its count, so that Release can delete
 // the object once no content file points at it. A Put or Release reads
-// and writes that one record, whatever the number of stored objects. The
-// hName↔content binding is verified on every read by recomputing the
-// HMAC.
+// and writes that one record, whatever the number of stored objects.
+//
+// An object is sealed under a key derived from its address, with the
+// address as its pfs file ID, so an object that the store moves to
+// another address fails authenticated decryption there: a read checks
+// the hName↔content binding with AES-GCM alone. Objects written before
+// address keys hold a wrapped random key instead; they still open, and
+// their binding is checked by recomputing the HMAC.
 package dedup
 
 import (
@@ -58,9 +63,11 @@ func refsName(hName string) string { return hName + ".refs" }
 // Store is the deduplication store. It is safe for concurrent use.
 type Store struct {
 	backend store.Backend
-	nameKey []byte      // HMAC key for content addressing
-	wrapKey pae.Key     // key-encryption key for per-object keys
+	name    *pae.MACKey // HMAC key for content addressing
+	objRoot []byte      // derives each object's key from its address
+	wrapKey pae.Key     // unwraps the random keys of legacy objects
 	refs    *pae.Cipher // seals the reference records
+	keys    KeyCache    // opened object keys by address; nil: none
 
 	// workers bounds the chunk-crypto worker pool used when sealing and
 	// opening object blobs; 1 (the default) is strictly serial.
@@ -98,6 +105,22 @@ func WithWorkers(n int) Option {
 	}
 }
 
+// KeyCache recalls the opened key schedule of an object address. An
+// address's keys are a pure function of the store's root key and the
+// address, so an entry never goes stale. It must be safe for concurrent
+// use.
+type KeyCache interface {
+	Keys(hName string) (*pfs.Keys, bool)
+	PutKeys(hName string, keys *pfs.Keys)
+}
+
+// WithKeyCache keeps the opened keys of the addresses the store seals and
+// opens in c, so a warm Get runs no key derivation. By default every call
+// derives them.
+func WithKeyCache(c KeyCache) Option {
+	return func(s *Store) { s.keys = c }
+}
+
 func (s *Store) initMetrics(reg *obs.Registry) {
 	s.hits = reg.Counter("segshare_dedup_put_total", "Dedup store puts by outcome.", obs.Labels{"result": "hit"})
 	s.misses = reg.Counter("segshare_dedup_put_total", "Dedup store puts by outcome.", obs.Labels{"result": "miss"})
@@ -114,6 +137,10 @@ func New(backend store.Backend, rootKey []byte, opts ...Option) (*Store, error) 
 	if err != nil {
 		return nil, err
 	}
+	objRoot, err := pae.DeriveBytes(rootKey, "dedup-object-root", nil, 32)
+	if err != nil {
+		return nil, err
+	}
 	wrapKey, err := pae.DeriveKey(rootKey, "dedup-wrap", nil)
 	if err != nil {
 		return nil, err
@@ -126,7 +153,7 @@ func New(backend store.Backend, rootKey []byte, opts ...Option) (*Store, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{backend: backend, nameKey: nameKey, wrapKey: wrapKey, refs: refs, workers: 1}
+	s := &Store{backend: backend, name: pae.NewMACKey(nameKey), objRoot: objRoot, wrapKey: wrapKey, refs: refs, workers: 1}
 	s.initMetrics(obs.Default())
 	for _, opt := range opts {
 		opt(s)
@@ -150,36 +177,68 @@ func (s *Store) observePut(duplicate bool, size int) {
 
 // contentName computes hName, the hex content address of plaintext.
 func (s *Store) contentName(content []byte) string {
-	mac := pae.MAC(s.nameKey, content)
+	mac := s.name.Sum(content)
 	return hex.EncodeToString(mac[:])
 }
 
-// encodeObject encrypts content under a fresh random key and returns the
-// stored object bytes: wrapped key ‖ protected blob. The blob is sealed
-// directly into the object buffer (pfs.AppendEncrypt), so the content is
-// copied once into ciphertext slots rather than through an intermediate
-// full-size blob.
-func (s *Store) encodeObject(content []byte) ([]byte, error) {
-	fileKey, err := pae.NewRandomKey()
+// objectKeys returns the opened key schedule of the object at hName,
+// from the key cache when it holds it.
+func (s *Store) objectKeys(hName string) (*pfs.Keys, error) {
+	if s.keys != nil {
+		if keys, ok := s.keys.Keys(hName); ok {
+			return keys, nil
+		}
+	}
+	key, err := pae.DeriveKey(s.objRoot, "dedup-object", []byte(hName))
 	if err != nil {
 		return nil, err
 	}
-	wrapped, err := pae.Encrypt(s.wrapKey, fileKey[:], []byte("dedup-object-key"))
+	keys, err := pfs.NewKeys(key)
+	if err != nil {
+		return nil, err
+	}
+	if s.keys != nil {
+		s.keys.PutKeys(hName, keys)
+	}
+	return keys, nil
+}
+
+// encodeObject encrypts content under its address's key and returns the
+// stored object bytes: a zero u32 (no wrapped key) ‖ protected blob with
+// hName as its file ID. The blob is sealed directly into the object
+// buffer, so the content is copied once into ciphertext slots rather
+// than through an intermediate full-size blob.
+func (s *Store) encodeObject(hName string, content []byte) ([]byte, error) {
+	keys, err := s.objectKeys(hName)
 	if err != nil {
 		return nil, err
 	}
 	size := int64(len(content))
-	out := make([]byte, 0, 4+len(wrapped)+int(size+pfs.Overhead(size)))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(wrapped)))
-	out = append(out, wrapped...)
-	return pfs.AppendEncrypt(out, fileKey, nil, content, s.workers)
+	out := make([]byte, 4, 4+int(size+pfs.Overhead(size)))
+	return keys.AppendEncrypt(out, []byte(hName), content, s.workers)
 }
 
-func (s *Store) decodeObject(raw []byte) ([]byte, error) {
+// decodeObject opens the object stored at hName. An address-keyed object
+// opens only there: its key and its file ID are the address. A legacy
+// object (a non-zero wrapped-key length) opens under its unwrapped key,
+// and its content must hash to the address.
+func (s *Store) decodeObject(hName string, raw []byte) ([]byte, error) {
 	if len(raw) < 4 {
 		return nil, ErrCorrupt
 	}
 	n := binary.BigEndian.Uint32(raw)
+	if n == 0 {
+		keys, err := s.objectKeys(hName)
+		if err != nil {
+			return nil, err
+		}
+		// raw is the caller's (Backend.Get), so blobs are opened in place.
+		content, err := keys.DecryptCtx(nil, []byte(hName), raw[4:], s.workers)
+		if err != nil {
+			return nil, ErrCorrupt
+		}
+		return content, nil
+	}
 	if uint64(len(raw)-4) < uint64(n) {
 		return nil, ErrCorrupt
 	}
@@ -195,10 +254,12 @@ func (s *Store) decodeObject(raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// raw is the caller's (Backend.Get), so the blob is opened in place.
 	content, err := keys.DecryptCtx(nil, nil, raw[4+n:], s.workers)
 	if err != nil {
 		return nil, ErrCorrupt
+	}
+	if s.contentName(content) != hName {
+		return nil, fmt.Errorf("%w: content does not match address", ErrCorrupt)
 	}
 	return content, nil
 }
@@ -215,7 +276,7 @@ func (s *Store) Put(content []byte) (hName string, duplicate bool, err error) {
 		return "", false, err
 	}
 	if !exists {
-		obj, err := s.encodeObject(content)
+		obj, err := s.encodeObject(hName, content)
 		if err != nil {
 			return "", false, err
 		}
@@ -244,14 +305,10 @@ func (s *Store) Get(hName string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	content, err := s.decodeObject(raw)
+	content, err := s.decodeObject(hName, raw)
 	if err != nil {
 		s.corruptTotal.Inc()
 		return nil, err
-	}
-	if s.contentName(content) != hName {
-		s.corruptTotal.Inc()
-		return nil, fmt.Errorf("%w: content does not match address", ErrCorrupt)
 	}
 	return content, nil
 }

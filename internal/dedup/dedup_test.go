@@ -2,16 +2,19 @@ package dedup
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"segshare/internal/pae"
+	"segshare/internal/pfs"
 	"segshare/internal/store"
 )
 
-func newStore(t *testing.T) (*Store, *store.Adversary) {
+func newStore(t testing.TB) (*Store, *store.Adversary) {
 	t.Helper()
 	adv := store.NewAdversary(store.NewMemory())
 	s, err := New(adv, []byte("root-key"))
@@ -142,37 +145,143 @@ func TestTamperedObjectDetected(t *testing.T) {
 	}
 }
 
+// TestSwappedObjectsDetected swaps two stored objects, of each format
+// and across formats. An address-keyed object fails GCM at the other
+// address; a legacy object opens there but fails the HMAC check.
 func TestSwappedObjectsDetected(t *testing.T) {
-	s, adv := newStore(t)
-	h1, _, err := s.Put([]byte("content one"))
+	for _, tc := range []struct {
+		name             string
+		legacy1, legacy2 bool
+	}{
+		{"new-new", false, false},
+		{"legacy-legacy", true, true},
+		{"new-legacy", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, adv := newStore(t)
+			h1 := putObject(t, s, []byte("content one"), tc.legacy1)
+			h2 := putObject(t, s, []byte("content two"), tc.legacy2)
+			o1, err := adv.Get(h1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o2, err := adv.Get(h2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := adv.Put(h1, o2); err != nil {
+				t.Fatal(err)
+			}
+			if err := adv.Put(h2, o1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Get(h1); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("swapped Get h1: want ErrCorrupt, got %v", err)
+			}
+			if _, err := s.Get(h2); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("swapped Get h2: want ErrCorrupt, got %v", err)
+			}
+		})
+	}
+}
+
+// putObject stores content through s, or as an object written before
+// address keys when legacy is set, and checks that it reads back.
+func putObject(t *testing.T, s *Store, content []byte, legacy bool) string {
+	t.Helper()
+	hName := s.contentName(content)
+	if legacy {
+		if err := s.backend.Put(hName, encodeLegacyObject(t, s, content)); err != nil {
+			t.Fatal(err)
+		}
+	} else if _, _, err := s.Put(content); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get(hName); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("Get of a fresh object = %q, %v", got, err)
+	}
+	return hName
+}
+
+// encodeLegacyObject seals content the way stores did before address
+// keys: a fresh random key wrapped under the store's wrap key, then the
+// pfs blob with an empty file ID.
+func encodeLegacyObject(t testing.TB, s *Store, content []byte) []byte {
+	t.Helper()
+	fileKey, err := pae.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, _, err := s.Put([]byte("content two"))
+	wrapped, err := pae.Encrypt(s.wrapKey, fileKey[:], []byte("dedup-object-key"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The adversary swaps the two encrypted objects. Both decrypt fine,
-	// but the address↔content binding must catch the swap.
-	o1, err := adv.Get(h1)
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(wrapped)))
+	out, err = pfs.AppendEncrypt(append(out, wrapped...), fileKey, nil, content, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := adv.Get(h2)
+	return out
+}
+
+// mapKeyCache is a KeyCache over a map that counts its calls.
+type mapKeyCache struct {
+	mu         sync.Mutex
+	keys       map[string]*pfs.Keys
+	hits, puts int
+}
+
+func (c *mapKeyCache) Keys(hName string) (*pfs.Keys, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k, ok := c.keys[hName]
+	if ok {
+		c.hits++
+	}
+	return k, ok
+}
+
+func (c *mapKeyCache) PutKeys(hName string, keys *pfs.Keys) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.keys[hName] = keys
+	c.puts++
+}
+
+// TestWarmGetDerivesNothing pins what a warm Get of an address-keyed
+// object costs: its keys come from the key cache, and no HMAC checks the
+// content. With the store's name and object-root keys replaced after the
+// Put, a Get that recomputed the address or derived the object key would
+// fail; the Get still returns the content. It allocates 21 times (the
+// fetched copy, the file ID and the pfs open), where a Get that
+// unwrapped a random key, expanded it and recomputed the HMAC on every
+// read allocated 69 times.
+func TestWarmGetDerivesNothing(t *testing.T) {
+	kc := &mapKeyCache{keys: make(map[string]*pfs.Keys)}
+	s, err := New(store.NewMemory(), []byte("root-key"), WithKeyCache(kc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := adv.Put(h1, o2); err != nil {
+	content := bytes.Repeat([]byte("warm"), 16<<10)
+	hName, _, err := s.Put(content)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := adv.Put(h2, o1); err != nil {
-		t.Fatal(err)
+	s.name = pae.NewMACKey([]byte("another name key"))
+	s.objRoot = []byte("another object root")
+	if got, err := s.Get(hName); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("warm Get = %d B, %v", len(got), err)
 	}
-	if _, err := s.Get(h1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("swapped Get h1: want ErrCorrupt, got %v", err)
+	if kc.puts != 1 || kc.hits != 1 {
+		t.Fatalf("key cache: %d puts, %d hits; want 1 put (the Put), 1 hit (the Get)", kc.puts, kc.hits)
 	}
-	if _, err := s.Get(h2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("swapped Get h2: want ErrCorrupt, got %v", err)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.Get(hName); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 21 {
+		t.Fatalf("warm Get allocates %v times, want at most 21", allocs)
 	}
 }
 

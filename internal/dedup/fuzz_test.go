@@ -1,6 +1,7 @@
 package dedup
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"maps"
@@ -53,6 +54,42 @@ func FuzzDecodeRefs(f *testing.F) {
 		}
 		if !maps.Equal(refs, again) {
 			t.Fatalf("round trip changed the table: %v -> %v", refs, again)
+		}
+	})
+}
+
+// FuzzDecodeObject opens fuzzed object bytes at a fuzzed address. Every
+// input must fail with ErrCorrupt or open to content whose address is the
+// one it was opened at. The seeds are an address-keyed and a legacy
+// object, each at its own and at the other's address, and truncations.
+func FuzzDecodeObject(f *testing.F) {
+	s, _ := newStore(f)
+	fresh, legacy := []byte("address-keyed object"), bytes.Repeat([]byte("legacy object "), 400)
+	hFresh, hLegacy := s.contentName(fresh), s.contentName(legacy)
+	objFresh, err := s.encodeObject(hFresh, fresh)
+	if err != nil {
+		f.Fatal(err)
+	}
+	objLegacy := encodeLegacyObject(f, s, legacy)
+	for _, seed := range []struct {
+		hName string
+		obj   []byte
+	}{{hFresh, objFresh}, {hLegacy, objLegacy}, {hLegacy, objFresh}, {hFresh, objLegacy}} {
+		for _, n := range []int{len(seed.obj), len(seed.obj) - 1, 60, 4, 3, 0} {
+			f.Add(seed.hName, bytes.Clone(seed.obj[:n]))
+		}
+	}
+	// decodeObject opens a blob in place, so it gets a copy of the input.
+	f.Fuzz(func(t *testing.T, hName string, raw []byte) {
+		content, err := s.decodeObject(hName, bytes.Clone(raw))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decodeObject error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		if got := s.contentName(content); got != hName {
+			t.Fatalf("object opened at %s holds content addressed %s", hName, got)
 		}
 	})
 }
