@@ -88,17 +88,23 @@ fuzz-smoke:
 # that runs inside the enclave (for enctls, the trusted half only) and
 # the server's flag count. The paper reports 8 441 LoC (§VII) and counts
 # enclave code size as a security property, so this is a ratchet: it
-# fails when either number exceeds its ceiling in tcb.budget. A PR that
-# must grow one raises the ceiling in the same diff, where a reviewer
-# sees it; a PR that shrinks one lowers it. It also fails when a flag
+# fails when either number exceeds its ceiling in tcb.budget. So does the
+# count of `go` statements in the same non-test files, against its
+# goroutine_sites line: every trusted goroutine is a startup or
+# background loop, and a new one — say, per request — shows up as a
+# tcb.budget diff. A PR that must grow a number raises its ceiling in the
+# same diff, where it shows in review; a PR that shrinks one lowers it.
+# It also fails when a flag
 # has no row in README.md's server flag table, or a row there names a
 # flag the server no longer has. Mirrors the tcb CI step.
 TCB_PKGS := core obs acl pfs pae rollback mhash journal audit cache dedup fspath enclave
 tcb:
-	@total=0; \
+	@total=0; gos=0; \
 	for p in $(TCB_PKGS); do \
-		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
+		files=$$(ls internal/$$p/*.go | grep -v _test.go); \
+		n=$$(cat $$files | wc -l); \
 		printf '%-9s %6d\n' $$p $$n; total=$$((total+n)); \
+		gos=$$((gos + $$(cat $$files | grep -cE '^[[:space:]]*go[[:space:]]'))); \
 	done; \
 	n=$$(cat internal/enctls/endpoint.go internal/enctls/conn.go | wc -l); \
 	printf '%-9s %6d  (trusted half: endpoint.go conn.go)\n' enctls $$n; total=$$((total+n)); \
@@ -106,9 +112,11 @@ tcb:
 	flags=$$(echo "$$names" | grep -c .); \
 	max_lines=$$(awk '$$1 == "trusted_lines" {print $$2}' tcb.budget); \
 	max_flags=$$(awk '$$1 == "server_flags" {print $$2}' tcb.budget); \
+	max_gos=$$(awk '$$1 == "goroutine_sites" {print $$2}' tcb.budget); \
 	printf '%-9s %6d  non-test Go lines inside the trust boundary (budget %d, paper 8441)\n' total $$total $$max_lines; \
 	printf 'segshare-server flags: %d (budget %d)\n' $$flags $$max_flags; \
-	if [ $$total -gt $$max_lines ] || [ $$flags -gt $$max_flags ]; then \
+	printf 'go statements in trusted packages: %d (budget %d)\n' $$gos $$max_gos; \
+	if [ $$total -gt $$max_lines ] || [ $$flags -gt $$max_flags ] || [ $$gos -gt $$max_gos ]; then \
 		echo 'tcb: over budget — shrink the change, or raise tcb.budget in this PR and say why' >&2; exit 1; \
 	fi; \
 	for f in $$names; do \

@@ -226,12 +226,20 @@ func sealRecord(c *pae.Cipher, rec Record) ([]byte, error) {
 	if ev < 0 || dec < 0 {
 		return nil, fmt.Errorf("audit: seal record: event %q, decision %q has no code", rec.Event, rec.Decision)
 	}
-	plain := binary.AppendVarint([]byte{recordCoded}, rec.TimeNanos)
+	// The string fields after the event and the decision, in
+	// recordStrings order, on the stack: the plaintext is sized once.
+	strs := [...]string{rec.Op, rec.User, rec.Target, rec.Group, rec.Path, rec.Detail}
+	n := 1 + 2*binary.MaxVarintLen64 + 2 // format, time, request ID, event, decision
+	for _, f := range strs {
+		n += binary.MaxVarintLen64 + len(f)
+	}
+	plain := append(make([]byte, 0, n), recordCoded)
+	plain = binary.AppendVarint(plain, rec.TimeNanos)
 	plain = binary.AppendUvarint(plain, rec.RequestID)
 	plain = append(plain, byte(ev), byte(dec))
-	for _, f := range recordStrings(&rec)[2:] {
-		plain = binary.AppendUvarint(plain, uint64(len(*f)))
-		plain = append(plain, *f...)
+	for _, f := range strs {
+		plain = binary.AppendUvarint(plain, uint64(len(f)))
+		plain = append(plain, f...)
 	}
 	ct, err := c.Seal(plain, recordAssociatedData(rec.Seq))
 	if err != nil {

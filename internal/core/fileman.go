@@ -99,10 +99,6 @@ type fileManager struct {
 	// only before the journal intent commits (txn.go).
 	ctx context.Context
 
-	// cryptoWorkers bounds the goroutines of the chunk-crypto kernel on
-	// the content data path (DESIGN §14): pfs.DefaultWorkers(), never zero.
-	cryptoWorkers int
-
 	obs *serverObs
 }
 
@@ -210,19 +206,16 @@ func newFileManager(cfg fmConfig) (*fileManager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segshare: open journal: %w", err)
 	}
-	workers := pfs.DefaultWorkers()
-	cfg.obs.cryptoWorkers.Set(int64(workers))
 	fm := &fileManager{
-		rootKey:       cfg.rootKey,
-		hideMAC:       pae.NewMACKey(hideKey),
-		hasher:        rollback.NewHasher(treeKey),
-		hidePaths:     cfg.hidePaths,
-		rollbackOn:    cfg.rollbackOn,
-		cache:         cache.New[any](cfg.cacheBytes, cfg.obs.cacheHooks()),
-		journal:       jl,
-		shared:        &fmShared{recovery: cfg.recovery, degraded: cfg.degradedGate},
-		cryptoWorkers: workers,
-		obs:           cfg.obs,
+		rootKey:    cfg.rootKey,
+		hideMAC:    pae.NewMACKey(hideKey),
+		hasher:     rollback.NewHasher(treeKey),
+		hidePaths:  cfg.hidePaths,
+		rollbackOn: cfg.rollbackOn,
+		cache:      cache.New[any](cfg.cacheBytes, cfg.obs.cacheHooks()),
+		journal:    jl,
+		shared:     &fmShared{recovery: cfg.recovery, degraded: cfg.degradedGate},
+		obs:        cfg.obs,
 	}
 	fm.content = &namespace{
 		kind:     contentRootKey,
@@ -247,7 +240,7 @@ func newFileManager(cfg fmConfig) (*fileManager, error) {
 	}
 	if cfg.dedupEnabled {
 		ds, err := dedup.New(cfg.dedupStore, cfg.rootKey, dedup.WithObs(cfg.obs.reg),
-			dedup.WithWorkers(workers), dedup.WithKeyCache(dedupKeys{fm.cache}))
+			dedup.WithKeyCache(dedupKeys{fm.cache}))
 		if err != nil {
 			return nil, err
 		}
@@ -388,11 +381,7 @@ func (fm *fileManager) sealer(ns *namespace, name string, hdrEnc, body []byte) (
 	}
 	size := len(plain) + int(pfs.Overhead(int64(len(plain))))
 	return size, func(dst []byte) ([]byte, error) {
-		blob, err := d.keys.AppendEncrypt(dst, d.id, plain, fm.cryptoWorkers)
-		if err == nil {
-			fm.obs.observeCryptoSeal(pfs.UsesParallel(int64(len(plain)), fm.cryptoWorkers))
-		}
-		return blob, err
+		return d.keys.AppendEncrypt(dst, d.id, plain)
 	}, nil
 }
 
@@ -488,11 +477,10 @@ func (fm *fileManager) getBlob(ns *namespace, name string) (*rollback.Header, []
 		return nil, nil, err
 	}
 	// raw is the caller's (Backend.Get), so it is opened in place.
-	plain, err := d.keys.DecryptCtx(fm.ctx, d.id, raw, fm.cryptoWorkers)
+	plain, err := d.keys.DecryptCtx(fm.ctx, d.id, raw)
 	if err != nil {
 		return nil, nil, fm.openErr(name, err)
 	}
-	fm.obs.observeCryptoOpen(pfs.UsesParallel(int64(len(plain)), fm.cryptoWorkers))
 	if !fm.rollbackOn {
 		return nil, plain, nil
 	}

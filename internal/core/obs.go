@@ -68,15 +68,6 @@ type serverObs struct {
 	// degraded episode carries the wide-event flag. Set by NewServer.
 	degraded func() bool
 
-	// Parallel chunk-crypto pipeline instruments (DESIGN §14):
-	// worker-pool size and one-shot seal/open counts by execution mode.
-	// Aggregate-only — no path or size labels.
-	cryptoWorkers      *obs.Gauge
-	cryptoSealSerial   *obs.Counter
-	cryptoSealParallel *obs.Counter
-	cryptoOpenSerial   *obs.Counter
-	cryptoOpenParallel *obs.Counter
-
 	// Overload-resilience instruments (DESIGN §16): client-cancelled
 	// requests (HTTP 499) and the graceful-drain outcome. The admission
 	// limiter registers its own per-class instruments (admission.go).
@@ -136,40 +127,12 @@ func newServerObs(reg *obs.Registry, logger *slog.Logger) *serverObs {
 		lockWaits:         lockWaits,
 		bodyIn:            reg.Counter("segshare_request_body_bytes_total", "Request body bytes received.", nil),
 		bodyOut:           reg.Counter("segshare_response_body_bytes_total", "Response body bytes sent.", nil),
-		cryptoWorkers: reg.Gauge("segshare_crypto_workers",
-			"Configured chunk-crypto worker-pool size.", nil),
-		cryptoSealSerial: reg.Counter("segshare_crypto_ops_total",
-			"One-shot chunk-crypto operations by direction and execution mode.", obs.Labels{"op": "seal", "mode": "serial"}),
-		cryptoSealParallel: reg.Counter("segshare_crypto_ops_total",
-			"One-shot chunk-crypto operations by direction and execution mode.", obs.Labels{"op": "seal", "mode": "parallel"}),
-		cryptoOpenSerial: reg.Counter("segshare_crypto_ops_total",
-			"One-shot chunk-crypto operations by direction and execution mode.", obs.Labels{"op": "open", "mode": "serial"}),
-		cryptoOpenParallel: reg.Counter("segshare_crypto_ops_total",
-			"One-shot chunk-crypto operations by direction and execution mode.", obs.Labels{"op": "open", "mode": "parallel"}),
 		cancelled: reg.Counter("segshare_requests_cancelled_total",
 			"Requests that ended because the client disconnected first (HTTP 499).", nil),
 		drainNs: reg.Gauge("segshare_drain_ns",
 			"Duration of the last graceful-drain wait (ns); 0 until a drain runs.", nil),
 		drainRemaining: reg.Gauge("segshare_drain_remaining",
 			"Requests still in flight when the drain deadline expired (0 after a clean drain).", nil),
-	}
-}
-
-// observeCryptoSeal/observeCryptoOpen record one one-shot chunk-crypto
-// operation by execution mode, called from the fileman chokepoints.
-func (o *serverObs) observeCryptoSeal(parallel bool) {
-	if parallel {
-		o.cryptoSealParallel.Inc()
-	} else {
-		o.cryptoSealSerial.Inc()
-	}
-}
-
-func (o *serverObs) observeCryptoOpen(parallel bool) {
-	if parallel {
-		o.cryptoOpenParallel.Inc()
-	} else {
-		o.cryptoOpenSerial.Inc()
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -264,8 +265,9 @@ func TestOneLiveSetForHTTPAndDirect(t *testing.T) {
 }
 
 // warmDirectSession returns a direct session on a server built like the
-// binary's (every store behind its store.Resilient) holding /f.txt.
-func warmDirectSession(t *testing.T) *DirectSession {
+// binary's (every store behind its store.Resilient) holding payload at
+// /f.txt.
+func warmDirectSession(t *testing.T, payload []byte) *DirectSession {
 	t.Helper()
 	authority, err := ca.New("alloc test CA")
 	if err != nil {
@@ -286,27 +288,43 @@ func warmDirectSession(t *testing.T) *DirectSession {
 	}
 	t.Cleanup(func() { server.Close() })
 	d := server.Direct("alice")
-	if err := d.Upload("/f.txt", []byte("payload")); err != nil {
+	if err := d.Upload("/f.txt", payload); err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
+// warmAllocRows are the payloads the warm-request alloc tests run at, with
+// each one's GET and PUT budgets: a few bytes, and 64 KiB — 16 chunks,
+// sealed and opened in one pass on the request's goroutine.
+var warmAllocRows = []struct {
+	name     string
+	payload  []byte
+	get, put float64
+}{
+	{"7B", []byte("payload"), 21, 40},
+	{"64KiB", bytes.Repeat([]byte("payload!"), 8<<10), 29, 48},
+}
+
 // TestWarmDirectGetAllocs pins what the cheapest request costs in heap
 // objects. The per-request telemetry is one trace, one ReqStats and one
 // wide event; a second in-flight record, or a store wrapper allocating
-// per call, would show up here.
+// per call, would show up here; so, in the 64 KiB row's 16 chunks, would
+// an object per chunk or per goroutine of the chunk loop.
 func TestWarmDirectGetAllocs(t *testing.T) {
-	d := warmDirectSession(t)
-	get := func() {
-		if _, err := d.Download("/f.txt"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	get() // warm the relation and key-schedule caches
-	const budget = 24
-	if n := testing.AllocsPerRun(200, get); n > budget {
-		t.Fatalf("warm direct GET = %.0f allocs, budget %d", n, budget)
+	for _, row := range warmAllocRows {
+		t.Run(row.name, func(t *testing.T) {
+			d := warmDirectSession(t, row.payload)
+			get := func() {
+				if _, err := d.Download("/f.txt"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			get() // warm the relation and key-schedule caches
+			if n := testing.AllocsPerRun(200, get); n > row.get {
+				t.Fatalf("warm direct GET = %.0f allocs, budget %.0f", n, row.get)
+			}
+		})
 	}
 }
 
@@ -317,22 +335,24 @@ func TestWarmDirectPutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops pooled key-derivation and hash scratch at random")
 	}
-	d := warmDirectSession(t)
-	payload := []byte("payload")
-	put := func() {
-		if err := d.Upload("/f.txt", payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm the relation and key-schedule caches. A PUT invalidates the
-	// file's cached keys and only a read refills them, so a GET warms
-	// them first, as it does in a mixed workload.
-	if _, err := d.Download("/f.txt"); err != nil {
-		t.Fatal(err)
-	}
-	put()
-	const budget = 59
-	if n := testing.AllocsPerRun(200, put); n > budget {
-		t.Fatalf("warm direct PUT = %.0f allocs, budget %d", n, budget)
+	for _, row := range warmAllocRows {
+		t.Run(row.name, func(t *testing.T) {
+			d := warmDirectSession(t, row.payload)
+			put := func() {
+				if err := d.Upload("/f.txt", row.payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm the relation and key-schedule caches. A PUT invalidates
+			// the file's cached keys and only a read refills them, so a GET
+			// warms them first, as it does in a mixed workload.
+			if _, err := d.Download("/f.txt"); err != nil {
+				t.Fatal(err)
+			}
+			put()
+			if n := testing.AllocsPerRun(200, put); n > row.put {
+				t.Fatalf("warm direct PUT = %.0f allocs, budget %.0f", n, row.put)
+			}
+		})
 	}
 }

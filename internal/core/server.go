@@ -192,8 +192,9 @@ const sloForceSampleNext = 25
 
 // defaultMaxBodyBytes caps request bodies when Config.MaxBodyBytes is
 // zero: large enough for any realistic file PUT through this API (which
-// buffers bodies in enclave memory), small enough that one client
-// cannot pin the crypto workers on a multi-gigabyte upload.
+// buffers bodies in enclave memory), small enough that one upload
+// cannot hold gigabytes of enclave memory, or a core for the seconds it
+// takes to seal them.
 const defaultMaxBodyBytes = 64 << 20
 
 func (w WatchdogConfig) withDefaults() WatchdogConfig {

@@ -69,10 +69,6 @@ type Store struct {
 	refs    *pae.Cipher // seals the reference records
 	keys    KeyCache    // opened object keys by address; nil: none
 
-	// workers bounds the chunk-crypto worker pool used when sealing and
-	// opening object blobs; 1 (the default) is strictly serial.
-	workers int
-
 	// mu serializes Put and Release, each a read-modify-write of one
 	// reference record.
 	mu sync.Mutex
@@ -94,15 +90,12 @@ func WithObs(reg *obs.Registry) Option {
 	return func(s *Store) { s.initMetrics(reg) }
 }
 
-// WithWorkers sets the chunk-crypto worker count for object blobs;
-// values below 1 are clamped to serial.
-func WithWorkers(n int) Option {
-	return func(s *Store) {
-		if n < 1 {
-			n = 1
-		}
-		s.workers = n
-	}
+// WithWorkers changes nothing: object blobs are sealed and opened on
+// the caller's goroutine.
+//
+// Deprecated: the worker count is ignored.
+func WithWorkers(int) Option {
+	return func(*Store) {}
 }
 
 // KeyCache recalls the opened key schedule of an object address. An
@@ -153,7 +146,7 @@ func New(backend store.Backend, rootKey []byte, opts ...Option) (*Store, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{backend: backend, name: pae.NewMACKey(nameKey), objRoot: objRoot, wrapKey: wrapKey, refs: refs, workers: 1}
+	s := &Store{backend: backend, name: pae.NewMACKey(nameKey), objRoot: objRoot, wrapKey: wrapKey, refs: refs}
 	s.initMetrics(obs.Default())
 	for _, opt := range opts {
 		opt(s)
@@ -215,7 +208,7 @@ func (s *Store) encodeObject(hName string, content []byte) ([]byte, error) {
 	}
 	size := int64(len(content))
 	out := make([]byte, 4, 4+int(size+pfs.Overhead(size)))
-	return keys.AppendEncrypt(out, []byte(hName), content, s.workers)
+	return keys.AppendEncrypt(out, []byte(hName), content)
 }
 
 // decodeObject opens the object stored at hName. An address-keyed object
@@ -233,7 +226,7 @@ func (s *Store) decodeObject(hName string, raw []byte) ([]byte, error) {
 			return nil, err
 		}
 		// raw is the caller's (Backend.Get), so blobs are opened in place.
-		content, err := keys.DecryptCtx(nil, []byte(hName), raw[4:], s.workers)
+		content, err := keys.DecryptCtx(nil, []byte(hName), raw[4:])
 		if err != nil {
 			return nil, ErrCorrupt
 		}
@@ -254,7 +247,7 @@ func (s *Store) decodeObject(hName string, raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	content, err := keys.DecryptCtx(nil, nil, raw[4+n:], s.workers)
+	content, err := keys.DecryptCtx(nil, nil, raw[4+n:])
 	if err != nil {
 		return nil, ErrCorrupt
 	}

@@ -5,57 +5,29 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"segshare/internal/pae"
 )
 
 // The chunk-crypto kernel. Per-chunk AES-GCM with independent nonces and
-// positional associated data is embarrassingly parallel, and the encoded
-// layout is fully deterministic: chunk i's ciphertext occupies exactly
-// [i*(ChunkSize+pae.Overhead), ...) of the blob. So there is one seal
-// loop and one open loop, both over a window of chunks whose buffers the
-// caller owns: chunk i is sealed straight into its final slot, or opened
-// in place over its own ciphertext (no per-chunk allocation), and its
-// leaf hash recorded. The loop runs inline on the caller's
-// goroutine for small windows or workers <= 1 and on `workers`
-// goroutines otherwise — serial is workers = 1 of the same code, so the
-// bytes and the checks cannot differ between the two. The one-shot entry
-// points below pass the whole file as a single window and then build
-// (seal) or verify (open) the Merkle tree and footer; a bounded-memory
-// streaming front-end would be a loop over windows on the same kernel.
+// positional associated data, and a fully deterministic encoded layout:
+// chunk i's ciphertext occupies exactly [i*(ChunkSize+pae.Overhead), ...)
+// of the blob. So there is one seal loop and one open loop, both over a
+// window of chunks whose buffers the caller owns: chunk i is sealed
+// straight into its final slot, or opened in place over its own
+// ciphertext (no per-chunk allocation), and its leaf hash recorded. Both
+// loops run inline on the caller's goroutine: the server already runs one
+// request per core, so the kernel starts no goroutine of its own. The
+// one-shot entry points below pass the whole file as a single window and
+// then build (seal) or verify (open) the Merkle tree and footer; a
+// bounded-memory streaming front-end would be a loop over windows on the
+// same kernel.
 
-// maxDefaultWorkers caps the default pool: past ~8 workers AES-GCM on a
-// single stream is memory-bandwidth-bound and more goroutines only add
-// scheduling noise.
-const maxDefaultWorkers = 8
-
-// minParallelChunks is the small-window cutoff: below it the goroutine
-// startup cost exceeds the sealing work and the inline loop wins.
-const minParallelChunks = 4
-
-// DefaultWorkers returns the default crypto worker-pool size,
-// min(GOMAXPROCS, 8).
-func DefaultWorkers() int {
-	return min(runtime.GOMAXPROCS(0), maxDefaultWorkers)
-}
-
-// UsesParallel reports whether sealing or opening a plaintext of the
-// given size fans out to worker goroutines under the given worker count,
-// or runs inline on the caller's goroutine. Exported so callers can
-// label their metrics without duplicating the cutoff policy.
-func UsesParallel(plainSize int64, workers int) bool {
-	return fansOut(numChunks(plainSize), workers)
-}
-
-// fansOut is the one cutoff policy: a run of chunks goes to worker
-// goroutines only when there is more than one and enough chunks to pay
-// for starting them.
-func fansOut(chunks int64, workers int) bool {
-	return workers > 1 && chunks >= minParallelChunks
-}
+// DefaultWorkers returns 1: the kernel has no worker pool.
+//
+// Deprecated: sealing and opening run on the caller's goroutine; the
+// worker count is ignored everywhere.
+func DefaultWorkers() int { return 1 }
 
 // window is a run of consecutive chunks of one protected file over
 // caller-owned buffers. sealed holds the chunks back to back (every chunk
@@ -82,56 +54,20 @@ func (w *window) chunk(i int) []byte {
 	return w.sealed[co:ce:ce]
 }
 
-// cursor hands out chunk indices to the goroutines draining a window.
-type cursor struct {
-	next   atomic.Int64
-	failed atomic.Bool
-}
-
-// each calls do once per chunk of the window with that chunk's
+// each calls do once per chunk of the window, in order, with that chunk's
 // associated data, BE64(file-wide index) ‖ fileID. A nil ctx is never
 // canceled; a live one is checked before every chunk, so cancellation
-// granularity is ChunkSize of crypto work. The first failure stops every
-// goroutine at its next chunk.
-func (w *window) each(ctx context.Context, workers int, do func(i int, aad []byte) error) error {
-	n := len(w.leaves)
-	drain := func(c *cursor) error {
-		aad := make([]byte, 8+len(w.fileID))
-		copy(aad[8:], w.fileID)
-		for {
-			i := int(c.next.Add(1) - 1)
-			if i >= n || c.failed.Load() {
-				return nil
-			}
-			if ctx != nil && ctx.Err() != nil {
-				c.failed.Store(true)
-				return fmt.Errorf("pfs: canceled at chunk %d: %w", w.first+int64(i), context.Cause(ctx))
-			}
-			binary.BigEndian.PutUint64(aad, uint64(w.first)+uint64(i))
-			if err := do(i, aad); err != nil {
-				c.failed.Store(true)
-				return err
-			}
+// granularity is ChunkSize of crypto work. The first failure stops the
+// loop.
+func (w *window) each(ctx context.Context, do func(i int, aad []byte) error) error {
+	aad := make([]byte, 8+len(w.fileID))
+	copy(aad[8:], w.fileID)
+	for i := range w.leaves {
+		if ctx != nil && ctx.Err() != nil {
+			return fmt.Errorf("pfs: canceled at chunk %d: %w", w.first+int64(i), context.Cause(ctx))
 		}
-	}
-	if !fansOut(int64(n), workers) {
-		var c cursor
-		return drain(&c)
-	}
-	workers = min(workers, n)
-	c := new(cursor)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wi := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[wi] = drain(c)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		binary.BigEndian.PutUint64(aad, uint64(w.first)+uint64(i))
+		if err := do(i, aad); err != nil {
 			return err
 		}
 	}
@@ -140,8 +76,8 @@ func (w *window) each(ctx context.Context, workers int, do func(i int, aad []byt
 
 // seal is the seal kernel: every chunk of plain is sealed into its slot
 // of sealed and its leaf hash recorded.
-func (w *window) seal(workers int) error {
-	return w.each(nil, workers, func(i int, aad []byte) error {
+func (w *window) seal() error {
+	return w.each(nil, func(i int, aad []byte) error {
 		pt := w.plain[i*ChunkSize : min((i+1)*ChunkSize, len(w.plain))]
 		ct, err := w.cipher.AppendSeal(w.chunk(i)[:0], pt, aad)
 		if err != nil {
@@ -157,8 +93,8 @@ func (w *window) seal(workers int) error {
 // written over its own ciphertext from the end of the nonce on (an exact
 // alias of the AEAD input, which AES-GCM allows). The caller must check
 // the leaves against the authenticated root before it calls gather.
-func (w *window) open(ctx context.Context, workers int) error {
-	return w.each(ctx, workers, func(i int, aad []byte) error {
+func (w *window) open(ctx context.Context) error {
+	return w.each(ctx, func(i int, aad []byte) error {
 		ct := w.chunk(i)
 		w.leaves[i] = leafOf(w.version, ct)
 		if _, err := w.cipher.AppendOpen(ct[pae.NonceSize:pae.NonceSize], ct, aad); err != nil {
@@ -184,13 +120,11 @@ func (w *window) gather() []byte {
 // AppendEncrypt encrypts and integrity-protects plaintext into a
 // self-contained blob appended to dst, and returns the extended slice.
 // fileID binds the chunks to a logical file (swapping blobs between files
-// is detected). workers bounds the goroutines sealing chunks; the encoded
-// blob is byte-compatible (modulo the random nonces) whatever its value.
-// When dst has len(plaintext)+Overhead spare capacity no further
-// allocation happens, which lets callers embed a protected blob directly
-// inside a larger object (see internal/dedup) without an intermediate
-// copy.
-func (k *Keys) AppendEncrypt(dst, fileID, plaintext []byte, workers int) ([]byte, error) {
+// is detected). When dst has len(plaintext)+Overhead spare capacity no
+// further allocation happens, which lets callers embed a protected blob
+// directly inside a larger object (see internal/dedup) without an
+// intermediate copy.
+func (k *Keys) AppendEncrypt(dst, fileID, plaintext []byte) ([]byte, error) {
 	plainSize := int64(len(plaintext))
 	nc := numChunks(plainSize)
 	need := len(dst) + int(plainSize+Overhead(plainSize))
@@ -210,7 +144,7 @@ func (k *Keys) AppendEncrypt(dst, fileID, plaintext []byte, workers int) ([]byte
 		sealed:  body[:chunksEnd],
 		leaves:  make([][hashSize]byte, nc),
 	}
-	if err := w.seal(workers); err != nil {
+	if err := w.seal(); err != nil {
 		return nil, err
 	}
 	levels := buildTree(w.leaves)
@@ -230,16 +164,16 @@ func (k *Keys) AppendEncrypt(dst, fileID, plaintext []byte, workers int) ([]byte
 // tree is rebuilt from the chunks' leaves and checked against the root
 // the footer authenticates, and the stored inner-node region is compared
 // against the rebuilt tree, so tampering anywhere in the blob is detected.
-// workers bounds the goroutines opening chunks. Opening stops at the next
-// chunk boundary once ctx ends, so a disconnected client stops consuming
-// crypto CPU within one chunk, and the call returns an error wrapping the
-// context's cause. A nil ctx is never canceled.
+// Opening stops at the next chunk boundary once ctx ends, so a
+// disconnected client stops consuming crypto CPU within one chunk, and
+// the call returns an error wrapping the context's cause. A nil ctx is
+// never canceled.
 //
 // DecryptCtx takes ownership of blob: chunks are opened in place, and the
 // plaintext returned is blob[:plainSize]. After an error blob's contents
 // are unspecified. A caller that must keep its blob passes a copy, as
 // DecryptWorkers does.
-func (k *Keys) DecryptCtx(ctx context.Context, fileID, blob []byte, workers int) ([]byte, error) {
+func (k *Keys) DecryptCtx(ctx context.Context, fileID, blob []byte) ([]byte, error) {
 	ftr, err := parseFooter(k.mac, blob[max(len(blob)-footerSize, 0):], int64(len(blob)))
 	if err != nil {
 		return nil, err
@@ -253,7 +187,7 @@ func (k *Keys) DecryptCtx(ctx context.Context, fileID, blob []byte, workers int)
 		sealed:  blob[:ftr.chunksEnd()],
 		leaves:  make([][hashSize]byte, ftr.numChunks),
 	}
-	if err := w.open(ctx, workers); err != nil {
+	if err := w.open(ctx); err != nil {
 		return nil, err
 	}
 	levels := buildTree(w.leaves)
@@ -274,27 +208,34 @@ func (k *Keys) DecryptCtx(ctx context.Context, fileID, blob []byte, workers int)
 
 // The package-level entry points take the raw file key: each call pays
 // NewKeys and then runs the method, so there is one kernel either way.
+// Their workers argument is ignored.
 
 // EncryptWorkers is NewKeys(fileKey) + AppendEncrypt onto a fresh slice.
+//
+// Deprecated: workers is ignored; use NewKeys and Keys.AppendEncrypt.
 func EncryptWorkers(fileKey pae.Key, fileID, plaintext []byte, workers int) ([]byte, error) {
 	return AppendEncrypt(nil, fileKey, fileID, plaintext, workers)
 }
 
 // AppendEncrypt is NewKeys(fileKey) + Keys.AppendEncrypt.
+//
+// Deprecated: workers is ignored; use NewKeys and Keys.AppendEncrypt.
 func AppendEncrypt(dst []byte, fileKey pae.Key, fileID, plaintext []byte, workers int) ([]byte, error) {
 	k, err := NewKeys(fileKey)
 	if err != nil {
 		return nil, err
 	}
-	return k.AppendEncrypt(dst, fileID, plaintext, workers)
+	return k.AppendEncrypt(dst, fileID, plaintext)
 }
 
 // DecryptWorkers is NewKeys(fileKey) + Keys.DecryptCtx on a copy of blob,
 // never canceled: the caller keeps its blob.
+//
+// Deprecated: workers is ignored; use NewKeys and Keys.DecryptCtx.
 func DecryptWorkers(fileKey pae.Key, fileID, blob []byte, workers int) ([]byte, error) {
 	k, err := NewKeys(fileKey)
 	if err != nil {
 		return nil, err
 	}
-	return k.DecryptCtx(nil, fileID, bytes.Clone(blob), workers)
+	return k.DecryptCtx(nil, fileID, bytes.Clone(blob))
 }

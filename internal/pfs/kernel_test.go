@@ -44,10 +44,6 @@ func compatPlain(n int) []byte {
 	return p
 }
 
-// compatWorkers are the worker counts every format test runs at: the
-// inline kernel, a small pool, and one larger than most chunk counts.
-var compatWorkers = []int{1, 2, 8}
-
 // readAllAt opens blob for verified random access and reads its whole
 // plaintext range through Reader.ReadAt.
 func readAllAt(key pae.Key, fileID, blob []byte) ([]byte, error) {
@@ -65,24 +61,22 @@ func readAllAt(key pae.Key, fileID, blob []byte) ([]byte, error) {
 // openInPlace hands a copy of blob to Keys.DecryptCtx, which opens it in
 // place, and checks the ownership contract: an accepted blob's plaintext
 // is the front of the very buffer the open was given.
-func openInPlace(t testing.TB, keys *Keys, fileID, blob []byte, workers int) ([]byte, error) {
+func openInPlace(t testing.TB, keys *Keys, fileID, blob []byte) ([]byte, error) {
 	t.Helper()
 	owned := bytes.Clone(blob)
-	pt, err := keys.DecryptCtx(nil, fileID, owned, workers)
+	pt, err := keys.DecryptCtx(nil, fileID, owned)
 	if err == nil && len(pt) > 0 && &pt[0] != &owned[0] {
-		t.Fatalf("w%d: in-place open returned plaintext outside the blob it owns", workers)
+		t.Fatal("in-place open returned plaintext outside the blob it owns")
 	}
 	return pt, err
 }
 
-// TestCrossCompatibilityMatrix is the format contract of the kernel:
-// whatever worker count sealed a blob, it has exactly
-// len(pt)+Overhead(len(pt)) bytes and every worker count — in place on
-// a blob the open owns, and through DecryptWorkers on one the caller
-// keeps — and the random-access Reader open it to the same plaintext;
-// and flipping any single byte of it — chunk nonce/ciphertext/tag,
-// stored tree node, footer — is rejected by the full open at every
-// worker count.
+// TestCrossCompatibilityMatrix is the format contract of the kernel: a
+// sealed blob has exactly len(pt)+Overhead(len(pt)) bytes, and the open
+// in place on a blob it owns, DecryptWorkers on one the caller keeps, and
+// the random-access Reader all open it to the same plaintext; and
+// flipping any single byte of it — chunk nonce/ciphertext/tag, stored
+// tree node, footer — is rejected by both full opens.
 func TestCrossCompatibilityMatrix(t *testing.T) {
 	key, fileID := compatKeyID(t)
 	keys, err := NewKeys(key)
@@ -91,55 +85,49 @@ func TestCrossCompatibilityMatrix(t *testing.T) {
 	}
 	for _, size := range compatSizes {
 		plain := compatPlain(size)
-		for _, sealW := range compatWorkers {
-			blob, err := EncryptWorkers(key, fileID, plain, sealW)
-			if err != nil {
-				t.Fatalf("size %d seal w%d: %v", size, sealW, err)
-			}
-			if want := int64(size) + Overhead(int64(size)); int64(len(blob)) != want {
-				t.Fatalf("size %d seal w%d: blob length = %d, want %d", size, sealW, len(blob), want)
-			}
-			for _, openW := range compatWorkers {
-				got, err := DecryptWorkers(key, fileID, blob, openW)
-				if err != nil {
-					t.Fatalf("size %d w%d->w%d open: %v", size, sealW, openW, err)
-				}
-				if !bytes.Equal(got, plain) {
-					t.Fatalf("size %d w%d->w%d plaintext mismatch", size, sealW, openW)
-				}
-				got, err = openInPlace(t, keys, fileID, blob, openW)
-				if err != nil || !bytes.Equal(got, plain) {
-					t.Fatalf("size %d w%d->w%d in-place open: %v", size, sealW, openW, err)
-				}
-			}
-			got, err := readAllAt(key, fileID, blob)
-			if err != nil {
-				t.Fatalf("size %d w%d->ReadAt: %v", size, sealW, err)
-			}
-			if !bytes.Equal(got, plain) {
-				t.Fatalf("size %d w%d->ReadAt plaintext mismatch", size, sealW)
-			}
+		blob, err := EncryptWorkers(key, fileID, plain, 1)
+		if err != nil {
+			t.Fatalf("size %d seal: %v", size, err)
+		}
+		if want := int64(size) + Overhead(int64(size)); int64(len(blob)) != want {
+			t.Fatalf("size %d: blob length = %d, want %d", size, len(blob), want)
+		}
+		got, err := DecryptWorkers(key, fileID, blob, 1)
+		if err != nil {
+			t.Fatalf("size %d open: %v", size, err)
+		}
+		if !bytes.Equal(got, plain) {
+			t.Fatalf("size %d plaintext mismatch", size)
+		}
+		got, err = openInPlace(t, keys, fileID, blob)
+		if err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("size %d in-place open: %v", size, err)
+		}
+		got, err = readAllAt(key, fileID, blob)
+		if err != nil {
+			t.Fatalf("size %d ReadAt: %v", size, err)
+		}
+		if !bytes.Equal(got, plain) {
+			t.Fatalf("size %d ReadAt plaintext mismatch", size)
 		}
 	}
 
 	// The flip-each-byte sweep runs on the blobs small enough to sweep
 	// exhaustively; 4 chunks + 1 byte already has a partial tail chunk, a
-	// promoted odd node, two stored tree levels and fans out at w >= 2.
+	// promoted odd node and two stored tree levels.
 	for _, size := range []int{0, ChunkSize + 1, 4*ChunkSize + 1} {
-		blob, err := EncryptWorkers(key, fileID, compatPlain(size), 2)
+		blob, err := EncryptWorkers(key, fileID, compatPlain(size), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mutated := bytes.Clone(blob)
 		for pos := range blob {
 			mutated[pos] ^= 0x01
-			for _, w := range compatWorkers {
-				if _, err := DecryptWorkers(key, fileID, mutated, w); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("size %d: flip at byte %d of %d, open w%d: err = %v, want ErrCorrupt", size, pos, len(blob), w, err)
-				}
-				if _, err := openInPlace(t, keys, fileID, mutated, w); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("size %d: flip at byte %d of %d, in-place open w%d: err = %v, want ErrCorrupt", size, pos, len(blob), w, err)
-				}
+			if _, err := DecryptWorkers(key, fileID, mutated, 1); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("size %d: flip at byte %d of %d, open: err = %v, want ErrCorrupt", size, pos, len(blob), err)
+			}
+			if _, err := openInPlace(t, keys, fileID, mutated); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("size %d: flip at byte %d of %d, in-place open: err = %v, want ErrCorrupt", size, pos, len(blob), err)
 			}
 			mutated[pos] = blob[pos]
 		}
@@ -223,8 +211,8 @@ func loadFixtures(t *testing.T) []fixtureBlob {
 // format changes: blobs written by earlier commits — version 1 by the
 // two seal implementations before the kernel swap, version 2 by the
 // first tag-leaf writer — carry the footer version of their directory
-// and must open, unchanged, under every worker count — through
-// DecryptWorkers and in place — and under ReadAt.
+// and must open, unchanged, through DecryptWorkers, in place and under
+// ReadAt.
 func TestParentFixturesOpen(t *testing.T) {
 	for _, fx := range loadFixtures(t) {
 		name, blob, plain := fx.name, fx.blob, fx.plain
@@ -236,20 +224,18 @@ func TestParentFixturesOpen(t *testing.T) {
 		if err != nil || f.version != fx.wantVersion {
 			t.Fatalf("%s: footer version %d, %v; want %d", name, f.version, err, fx.wantVersion)
 		}
-		for _, w := range compatWorkers {
-			got, err := DecryptWorkers(fx.key, fx.fileID, blob, w)
-			if err != nil {
-				t.Fatalf("%s open w%d: %v", name, w, err)
-			}
-			if !bytes.Equal(got, plain) {
-				t.Fatalf("%s open w%d: plaintext mismatch", name, w)
-			}
-			got, err = openInPlace(t, fx.keys, fx.fileID, blob, w)
-			if err != nil || !bytes.Equal(got, plain) {
-				t.Fatalf("%s in-place open w%d: %v", name, w, err)
-			}
+		got, err := DecryptWorkers(fx.key, fx.fileID, blob, 1)
+		if err != nil {
+			t.Fatalf("%s open: %v", name, err)
 		}
-		got, err := readAllAt(fx.key, fx.fileID, blob)
+		if !bytes.Equal(got, plain) {
+			t.Fatalf("%s open: plaintext mismatch", name)
+		}
+		got, err = openInPlace(t, fx.keys, fx.fileID, blob)
+		if err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("%s in-place open: %v", name, err)
+		}
+		got, err = readAllAt(fx.key, fx.fileID, blob)
 		if err != nil {
 			t.Fatalf("%s ReadAt: %v", name, err)
 		}
@@ -302,7 +288,7 @@ func TestWindowsComposeToOneShot(t *testing.T) {
 
 	var back []byte
 	for _, w := range windows(nil, bytes.Clone(whole[:chunksEnd]), make([][hashSize]byte, nc)) {
-		if err := w.open(context.Background(), 2); err != nil {
+		if err := w.open(context.Background()); err != nil {
 			t.Fatalf("open window at chunk %d of a one-shot blob: %v", w.first, err)
 		}
 		back = append(back, w.gather()...)
@@ -314,12 +300,12 @@ func TestWindowsComposeToOneShot(t *testing.T) {
 	sealed := make([]byte, chunksEnd)
 	sealLeaves := make([][hashSize]byte, nc)
 	for _, w := range windows(plain, sealed, sealLeaves) {
-		if err := w.seal(2); err != nil {
+		if err := w.seal(); err != nil {
 			t.Fatalf("seal window at chunk %d: %v", w.first, err)
 		}
 	}
 	all := window{cipher: keys.cipher, fileID: fileID, sealed: bytes.Clone(sealed), leaves: make([][hashSize]byte, nc)}
-	if err := all.open(nil, 1); err != nil {
+	if err := all.open(nil); err != nil {
 		t.Fatalf("whole-file open of window-sealed chunks: %v", err)
 	}
 	if !bytes.Equal(all.gather(), plain) {
@@ -332,53 +318,15 @@ func TestWindowsComposeToOneShot(t *testing.T) {
 	}
 }
 
-// TestParallelFooterMatchesSerial checks the deterministic trailer
-// structure: for the same plaintext, the inline (workers = 1) and
-// fanned-out seal must produce a footer with the same plainSize and
-// numChunks (the roots differ because nonces differ, but both must parse
-// under the same MAC key).
-func TestParallelFooterMatchesSerial(t *testing.T) {
-	key, fileID := compatKeyID(t)
-	keys, err := NewKeys(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range compatSizes {
-		plain := compatPlain(size)
-		serial, err := EncryptWorkers(key, fileID, plain, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := EncryptWorkers(key, fileID, plain, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(serial) != len(par) {
-			t.Fatalf("size %d: blob lengths differ: %d vs %d", size, len(serial), len(par))
-		}
-		fs, err := parseFooter(keys.mac, serial[len(serial)-footerSize:], int64(len(serial)))
-		if err != nil {
-			t.Fatalf("size %d serial footer: %v", size, err)
-		}
-		fp, err := parseFooter(keys.mac, par[len(par)-footerSize:], int64(len(par)))
-		if err != nil {
-			t.Fatalf("size %d parallel footer: %v", size, err)
-		}
-		if fs.plainSize != fp.plainSize || fs.numChunks != fp.numChunks {
-			t.Fatalf("size %d footer metadata differs: %+v vs %+v", size, fs, fp)
-		}
-	}
-}
-
 // TestParallelDetectsTampering flips one bit at every structurally
 // interesting offset — chunk boundaries, chunk interiors, the stored
-// tree region, the footer — and requires the fanned-out open to reject
-// each mutation, exactly like the inline one.
+// tree region, the footer — and requires the open to reject each
+// mutation, as it must a chunk swap, a truncation and an extension.
 func TestParallelDetectsTampering(t *testing.T) {
 	key, fileID := compatKeyID(t)
 	size := 5*ChunkSize + 123
 	plain := compatPlain(size)
-	blob, err := EncryptWorkers(key, fileID, plain, 4)
+	blob, err := EncryptWorkers(key, fileID, plain, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +343,8 @@ func TestParallelDetectsTampering(t *testing.T) {
 	for _, off := range offsets {
 		mutated := append([]byte(nil), blob...)
 		mutated[off] ^= 0x01
-		if _, err := DecryptWorkers(key, fileID, mutated, 4); err == nil {
-			t.Fatalf("bit flip at %d not detected by fanned-out open", off)
-		}
 		if _, err := DecryptWorkers(key, fileID, mutated, 1); err == nil {
-			t.Fatalf("bit flip at %d not detected by inline open", off)
+			t.Fatalf("bit flip at %d not detected", off)
 		}
 	}
 	// Cross-chunk ciphertext swap: chunk auth passes per-chunk AAD
@@ -407,14 +352,14 @@ func TestParallelDetectsTampering(t *testing.T) {
 	swapped := append([]byte(nil), blob...)
 	copy(swapped[0:ctChunk], blob[ctChunk:2*ctChunk])
 	copy(swapped[ctChunk:2*ctChunk], blob[0:ctChunk])
-	if _, err := DecryptWorkers(key, fileID, swapped, 4); err == nil {
+	if _, err := DecryptWorkers(key, fileID, swapped, 1); err == nil {
 		t.Fatal("chunk swap not detected")
 	}
 	// Truncation and extension.
-	if _, err := DecryptWorkers(key, fileID, blob[:len(blob)-1], 4); err == nil {
+	if _, err := DecryptWorkers(key, fileID, blob[:len(blob)-1], 1); err == nil {
 		t.Fatal("truncation not detected")
 	}
-	if _, err := DecryptWorkers(key, fileID, append(append([]byte(nil), blob...), 0x00), 4); err == nil {
+	if _, err := DecryptWorkers(key, fileID, append(append([]byte(nil), blob...), 0x00), 1); err == nil {
 		t.Fatal("extension not detected")
 	}
 }
@@ -426,67 +371,20 @@ func TestAppendEncryptIntoPrefix(t *testing.T) {
 	key, fileID := compatKeyID(t)
 	plain := compatPlain(6*ChunkSize + 17)
 	prefix := []byte("object-header")
-	for _, workers := range []int{1, 4} {
-		dst := make([]byte, 0, len(prefix)+len(plain)+int(Overhead(int64(len(plain)))))
-		dst = append(dst, prefix...)
-		out, err := AppendEncrypt(dst, key, fileID, plain, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out[:len(prefix)], prefix) {
-			t.Fatalf("workers %d: prefix clobbered", workers)
-		}
-		got, err := DecryptWorkers(key, fileID, out[len(prefix):], 1)
-		if err != nil {
-			t.Fatalf("workers %d: decrypt appended blob: %v", workers, err)
-		}
-		if !bytes.Equal(got, plain) {
-			t.Fatalf("workers %d: plaintext mismatch", workers)
-		}
-	}
-}
-
-func TestDefaultWorkersBounds(t *testing.T) {
-	n := DefaultWorkers()
-	if n < 1 || n > maxDefaultWorkers {
-		t.Fatalf("DefaultWorkers() = %d", n)
-	}
-}
-
-func BenchmarkEncryptWorkers(b *testing.B) {
-	key, _ := pae.NewRandomKey()
-	fileID := []byte("bench/file")
-	plain := compatPlain(8 << 20)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("8MiB-w%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(plain)))
-			for i := 0; i < b.N; i++ {
-				if _, err := EncryptWorkers(key, fileID, plain, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkDecryptWorkers(b *testing.B) {
-	key, _ := pae.NewRandomKey()
-	fileID := []byte("bench/file")
-	plain := compatPlain(8 << 20)
-	blob, err := EncryptWorkers(key, fileID, plain, 1)
+	dst := make([]byte, 0, len(prefix)+len(plain)+int(Overhead(int64(len(plain)))))
+	dst = append(dst, prefix...)
+	out, err := AppendEncrypt(dst, key, fileID, plain, 1)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("8MiB-w%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(plain)))
-			for i := 0; i < b.N; i++ {
-				if _, err := DecryptWorkers(key, fileID, blob, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	if !bytes.Equal(out[:len(prefix)], prefix) {
+		t.Fatal("prefix clobbered")
+	}
+	got, err := DecryptWorkers(key, fileID, out[len(prefix):], 1)
+	if err != nil {
+		t.Fatalf("decrypt appended blob: %v", err)
+	}
+	if !bytes.Equal(got, plain) {
+		t.Fatal("plaintext mismatch")
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // TestKeysMatchPackageAPI pins that an opened key schedule and the
 // raw-key package functions are one kernel behind two doors: each opens
-// what the other sealed at every worker count, the Keys door opens every
+// what the other sealed, the Keys door opens every
 // committed fixture blob (format versions 1 and 2), a single *Keys serves concurrent sealers
 // and openers (run under -race), and a flip of any byte of a blob is
 // still rejected through the Keys door.
@@ -33,32 +33,28 @@ func TestKeysMatchPackageAPI(t *testing.T) {
 
 	for _, size := range compatSizes {
 		plain := compatPlain(size)
-		for _, w := range compatWorkers {
-			byKeys, err := keys.AppendEncrypt(nil, fileID, plain, w)
-			if err != nil {
-				t.Fatalf("size %d w%d Keys seal: %v", size, w, err)
-			}
-			byPkg, err := EncryptWorkers(key, fileID, plain, w)
-			if err != nil {
-				t.Fatalf("size %d w%d package seal: %v", size, w, err)
-			}
-			if len(byKeys) != len(byPkg) {
-				t.Fatalf("size %d w%d: Keys blob %d bytes, package blob %d", size, w, len(byKeys), len(byPkg))
-			}
-			for _, openW := range compatWorkers {
-				if got, err := DecryptWorkers(key, fileID, byKeys, openW); err != nil || !bytes.Equal(got, plain) {
-					t.Fatalf("size %d: package open w%d of Keys blob: %v", size, openW, err)
-				}
-				if got, err := keys.DecryptCtx(nil, fileID, bytes.Clone(byPkg), openW); err != nil || !bytes.Equal(got, plain) {
-					t.Fatalf("size %d: Keys open w%d of package blob: %v", size, openW, err)
-				}
-			}
-			if got, err := readAllAt(key, fileID, byKeys); err != nil || !bytes.Equal(got, plain) {
-				t.Fatalf("size %d w%d: package ReadAt of Keys blob: %v", size, w, err)
-			}
-			if got, err := readAll(keys.Open(fileID, bytes.NewReader(byPkg), int64(len(byPkg)))); err != nil || !bytes.Equal(got, plain) {
-				t.Fatalf("size %d w%d: Keys ReadAt of package blob: %v", size, w, err)
-			}
+		byKeys, err := keys.AppendEncrypt(nil, fileID, plain)
+		if err != nil {
+			t.Fatalf("size %d Keys seal: %v", size, err)
+		}
+		byPkg, err := EncryptWorkers(key, fileID, plain, 1)
+		if err != nil {
+			t.Fatalf("size %d package seal: %v", size, err)
+		}
+		if len(byKeys) != len(byPkg) {
+			t.Fatalf("size %d: Keys blob %d bytes, package blob %d", size, len(byKeys), len(byPkg))
+		}
+		if got, err := DecryptWorkers(key, fileID, byKeys, 1); err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("size %d: package open of Keys blob: %v", size, err)
+		}
+		if got, err := keys.DecryptCtx(nil, fileID, bytes.Clone(byPkg)); err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("size %d: Keys open of package blob: %v", size, err)
+		}
+		if got, err := readAllAt(key, fileID, byKeys); err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("size %d: package ReadAt of Keys blob: %v", size, err)
+		}
+		if got, err := readAll(keys.Open(fileID, bytes.NewReader(byPkg), int64(len(byPkg)))); err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("size %d: Keys ReadAt of package blob: %v", size, err)
 		}
 	}
 
@@ -71,23 +67,21 @@ func TestKeysMatchPackageAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := keys.AppendEncrypt(nil, fileID, compatPlain(ChunkSize+1), 1)
+	blob, err := keys.AppendEncrypt(nil, fileID, compatPlain(ChunkSize+1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.DecryptCtx(nil, fileID, blob, 1); !errors.Is(err, ErrCorrupt) {
+	if _, err := other.DecryptCtx(nil, fileID, blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open under another file's Keys: %v, want ErrCorrupt", err)
 	}
 
 	t.Run("parent fixtures", func(t *testing.T) {
 		for _, fx := range loadFixtures(t) {
-			for _, w := range compatWorkers {
-				got, err := fx.keys.DecryptCtx(nil, fx.fileID, bytes.Clone(fx.blob), w)
-				if err != nil || !bytes.Equal(got, fx.plain) {
-					t.Fatalf("%s: Keys open w%d: %v", fx.name, w, err)
-				}
+			got, err := fx.keys.DecryptCtx(nil, fx.fileID, bytes.Clone(fx.blob))
+			if err != nil || !bytes.Equal(got, fx.plain) {
+				t.Fatalf("%s: Keys open: %v", fx.name, err)
 			}
-			got, err := readAll(fx.keys.Open(fx.fileID, bytes.NewReader(fx.blob), int64(len(fx.blob))))
+			got, err = readAll(fx.keys.Open(fx.fileID, bytes.NewReader(fx.blob), int64(len(fx.blob))))
 			if err != nil || !bytes.Equal(got, fx.plain) {
 				t.Fatalf("%s: Keys ReadAt: %v", fx.name, err)
 			}
@@ -103,13 +97,12 @@ func TestKeysMatchPackageAPI(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 20 && errs[g] == nil; i++ {
-					w := compatWorkers[(g+i)%len(compatWorkers)]
-					blob, err := keys.AppendEncrypt(nil, fileID, plain, w)
+					blob, err := keys.AppendEncrypt(nil, fileID, plain)
 					if err != nil {
 						errs[g] = err
 						return
 					}
-					got, err := keys.DecryptCtx(nil, fileID, bytes.Clone(blob), w)
+					got, err := keys.DecryptCtx(nil, fileID, bytes.Clone(blob))
 					if err == nil && !bytes.Equal(got, plain) {
 						err = errors.New("plaintext mismatch")
 					}
@@ -132,17 +125,15 @@ func TestKeysMatchPackageAPI(t *testing.T) {
 	})
 
 	t.Run("flip every byte", func(t *testing.T) {
-		blob, err := EncryptWorkers(key, fileID, compatPlain(4*ChunkSize+1), 2)
+		blob, err := EncryptWorkers(key, fileID, compatPlain(4*ChunkSize+1), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mutated := bytes.Clone(blob)
 		for pos := range blob {
 			mutated[pos] ^= 0x01
-			for _, w := range compatWorkers {
-				if _, err := keys.DecryptCtx(nil, fileID, bytes.Clone(mutated), w); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("flip at byte %d of %d, Keys open w%d: err = %v, want ErrCorrupt", pos, len(blob), w, err)
-				}
+			if _, err := keys.DecryptCtx(nil, fileID, bytes.Clone(mutated)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("flip at byte %d of %d, Keys open: err = %v, want ErrCorrupt", pos, len(blob), err)
 			}
 			mutated[pos] = blob[pos]
 		}

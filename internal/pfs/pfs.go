@@ -22,7 +22,8 @@
 // from the file key) authenticates all structural metadata and the tree
 // root. Every chunk's position in the blob follows from its index alone,
 // so one kernel (kernel.go) seals or opens chunks straight into their
-// final slots of caller-owned buffers. Today's entry points hand it the
+// final slots of caller-owned buffers, in order, on the caller's
+// goroutine. Today's entry points hand it the
 // whole file at once and so hold O(file) bytes; the bounded-memory
 // streaming of paper §VI is a loop over chunk windows on that kernel.
 package pfs

@@ -146,7 +146,7 @@ func (r *Reader) chunk(index int64) ([]byte, error) {
 	if _, err := r.src.ReadAt(w.sealed, off); err != nil {
 		return nil, fmt.Errorf("%w: chunk %d unreadable", ErrCorrupt, index)
 	}
-	if err := w.open(nil, 1); err != nil {
+	if err := w.open(nil); err != nil {
 		return nil, err
 	}
 	if err := r.verifyPath(index, w.leaves[0]); err != nil {
